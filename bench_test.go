@@ -14,6 +14,7 @@ package snoopmva
 // seconds; cmd/paperrepro runs the full-size versions.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -211,6 +212,20 @@ func byN(n int) string {
 		}
 		digits = append(digits, byte('0'+n%10))
 		return string(digits)
+	}
+}
+
+// BenchmarkRunCampaignMVAOnly measures one interactive sweep through the
+// campaign runner: 7 protocols × N = 1..64, MVA only, two workers, no
+// journal. Next to a bare loop of the same solves it sizes the runner's
+// per-point overhead.
+func BenchmarkRunCampaignMVAOnly(b *testing.B) {
+	spec := CampaignSpec{Points: mvaCurves(), Workers: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCampaign(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,11 +223,12 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 		breaker = resilience.NewBreaker(threshold, spec.BreakerProbe)
 	}
 
-	fp := CampaignFingerprint(spec.Points)
 	completed := map[int]PointResult{}
 	var cj *CampaignJournal
 	if spec.Journal != "" {
-		j, jerr := OpenCampaignJournal(spec.Journal, fp, len(spec.Points), spec.Resume)
+		// The fingerprint serializes and hashes the whole grid; only a
+		// journal header needs it.
+		j, jerr := OpenCampaignJournal(spec.Journal, CampaignFingerprint(spec.Points), len(spec.Points), spec.Resume)
 		if jerr != nil {
 			return CampaignResult{}, jerr
 		}
@@ -249,17 +249,6 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 		} else {
 			pending = append(pending, idx)
 		}
-	}
-
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
 	}
 
 	var (
@@ -304,46 +293,22 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 	}
 
 	var (
-		wg       sync.WaitGroup
 		firstErr error
 		errOnce  sync.Once
 	)
-	work := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				if ctx.Err() != nil || crashed.Load() {
-					continue // drain; in-flight state is preserved by the journal
-				}
-				pr, perr := solveCampaignPoint(ctx, spec, breaker, idx)
-				if perr != nil {
-					errOnce.Do(func() { firstErr = perr })
-					continue // aborted attempt: the point is not completed, resume will redo it
-				}
-				if rerr := record(pr); rerr != nil {
-					errOnce.Do(func() { firstErr = rerr })
-				}
-			}
-		}()
-	}
-feed:
-	for _, idx := range pending {
-		if ctx.Err() != nil || crashed.Load() {
-			break
+	// Once ctx fires or the injected crash latches, no further point
+	// starts; in-flight state is preserved by the journal.
+	stop := func() bool { return ctx.Err() != nil || crashed.Load() }
+	forEachIndex(len(pending), spec.Workers, stop, func(i int) {
+		pr, perr := solveCampaignPoint(ctx, spec, breaker, pending[i])
+		if perr != nil {
+			errOnce.Do(func() { firstErr = perr })
+			return // aborted attempt: the point is not completed, resume will redo it
 		}
-		// Select on the send: with every worker busy in a slow solve, a
-		// bare send would park the feeder with no cancellation path and
-		// could hand a point to a worker after ctx had already fired.
-		select {
-		case work <- idx:
-		case <-ctx.Done():
-			break feed
+		if rerr := record(pr); rerr != nil {
+			errOnce.Do(func() { firstErr = rerr })
 		}
-	}
-	close(work)
-	wg.Wait()
+	})
 
 	if cerr := ctx.Err(); cerr != nil {
 		return CampaignResult{}, fmt.Errorf("snoopmva: campaign interrupted: %w", classify(cerr))
@@ -614,7 +579,11 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilie
 		if spec.Cache != nil {
 			solve = spec.Cache.SolveBest
 		}
-		werr := resilience.Watchdog(ctx, fmt.Sprintf("campaign point %d", idx), spec.PointTimeout,
+		var name string // the watchdog names only a timeout
+		if spec.PointTimeout > 0 {
+			name = fmt.Sprintf("campaign point %d", idx)
+		}
+		werr := resilience.Watchdog(ctx, name, spec.PointTimeout,
 			func(ctx context.Context) error {
 				br, serr := solve(ctx, pt.Protocol, pt.Workload, pt.N, budget)
 				if serr != nil {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -62,6 +64,47 @@ func journalPoints(t *testing.T, path string) map[int]PointResult {
 		out[rec.Point.Index] = *rec.Point
 	}
 	return out
+}
+
+// mvaCurves is one MVA-only speedup curve over N = 1..64 for every
+// protocol at one workload: 448 points, an interactive design-space sweep.
+func mvaCurves() []CampaignPoint {
+	w := AppendixA(Sharing5)
+	var pts []CampaignPoint
+	for _, p := range Protocols() {
+		for n := 1; n <= 64; n++ {
+			pts = append(pts, CampaignPoint{Protocol: p, Workload: w, N: n, Budget: mvaOnlyBudget})
+		}
+	}
+	return pts
+}
+
+// TestCampaignHotPathAllocationBound pins RunCampaign's per-point
+// allocation without a journal: the harness around a microsecond MVA
+// solve must stay small next to it. Bytes are read from MemStats, not
+// timed, and the least of several runs is taken, so neither a busy host
+// nor a GC that empties the solver pools mid-run can flake it.
+func TestCampaignHotPathAllocationBound(t *testing.T) {
+	spec := CampaignSpec{Points: mvaCurves(), Workers: 2}
+	run := func() {
+		if _, err := RunCampaign(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the solver pools
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const limit = 1024
+	if perPoint := least / uint64(len(spec.Points)); perPoint > limit {
+		t.Fatalf("RunCampaign allocated %d B per point over %d points, want at most %d",
+			perPoint, len(spec.Points), limit)
+	}
 }
 
 func TestCampaignRunsAndResumes(t *testing.T) {

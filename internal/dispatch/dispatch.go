@@ -325,6 +325,9 @@ func (c *Coordinator) Run(ctx context.Context, points []snoopmva.CampaignPoint) 
 		}
 	}
 
+	// Count before any goroutine starts: workers dequeue under c.mu.
+	queued := len(c.queue)
+
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	c.cancelRun = cancel
@@ -346,7 +349,7 @@ func (c *Coordinator) Run(ctx context.Context, points []snoopmva.CampaignPoint) 
 			go func(w *worker) { defer wg.Done(); c.workerLoop(runCtx, w) }(w)
 		}
 	}
-	c.cfg.Logf("dispatch: %d points across %d workers (%d slots)", len(c.queue), len(c.workers), slots)
+	c.cfg.Logf("dispatch: %d points across %d workers (%d slots)", queued, len(c.workers), slots)
 
 	// Wait until every point is committed or a fatal error latched.
 	c.awaitDone(runCtx)

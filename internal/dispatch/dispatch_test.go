@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,6 +287,44 @@ func TestRunCanceled(t *testing.T) {
 	defer cancel()
 	if _, _, err := c.Run(ctx, testGrid(t, 2)); !errors.Is(err, snoopmva.ErrCanceled) {
 		t.Fatalf("Run under canceled ctx: err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestRunLogsWhileWorkersDequeue runs a grid with Logf set, so under -race
+// the start-of-run log line is checked against workers that are already
+// dequeuing points.
+func TestRunLogsWhileWorkersDequeue(t *testing.T) {
+	points := testGrid(t, 12)
+	want := localReference(t, points)
+	cfg := quickCfg([]Transport{
+		&fakeTransport{addr: "fake://a", solve: localSolve},
+		&fakeTransport{addr: "fake://b", solve: localSolve},
+	})
+	cfg.HealthInterval = -1
+	cfg.MaxInflight = 4
+	var (
+		mu    sync.Mutex
+		lines []string
+	)
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	got, _, err := c.Run(context.Background(), points)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	assertSameResults(t, want, got)
+	mu.Lock()
+	defer mu.Unlock()
+	head := fmt.Sprintf("dispatch: %d points across 2 workers (8 slots)", len(points))
+	if len(lines) == 0 || lines[0] != head {
+		t.Fatalf("log lines %q, want the first to be %q", lines, head)
 	}
 }
 

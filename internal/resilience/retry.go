@@ -163,9 +163,21 @@ func retryAfterHint(err error) time.Duration {
 // as Retryable. Attempt numbers passed to op count from 1. A retryable
 // error wrapped in *RetryAfterError stretches the next backoff to at
 // least the hint (capped by MaxDelay).
+//
+// The jitter schedule is built at the first retry that sleeps, never on a
+// first-attempt success: seeding its stream costs more than a microsecond
+// solve. It is still p.Delays(), so every retry sleeps on the same
+// schedule whether or not an earlier call built it.
 func Retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx context.Context, attempt int) error) (attempts int, err error) {
+	return retry(ctx, p, classify, op, sleep)
+}
+
+// retry is Retry with the backoff sleep supplied, so tests can observe
+// the schedule without waiting it out.
+func retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx context.Context, attempt int) error,
+	sleep func(ctx context.Context, d time.Duration) error) (attempts int, err error) {
 	p = p.withDefaults()
-	delays := p.Delays()
+	var delays []time.Duration
 	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return attempts, cerr
@@ -185,6 +197,9 @@ func Retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx 
 		}
 		if class != Retryable || attempt == p.MaxAttempts {
 			return attempts, err
+		}
+		if delays == nil {
+			delays = p.Delays()
 		}
 		delay := delays[attempt-1]
 		if hint := retryAfterHint(err); hint > delay {

@@ -146,6 +146,46 @@ func TestDelaysAreDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+func TestRetrySleepsOnTheDelaySchedule(t *testing.T) {
+	// The schedule is built lazily, at the first retry; every sleep must
+	// still be exactly the policy's pure Delays() sequence.
+	p := RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
+		Jitter: 0.4, Seed: 11}
+	want := p.Delays()
+	var slept []time.Duration
+	record := func(ctx context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}
+	attempts, err := retry(context.Background(), p, nil,
+		func(context.Context, int) error { return errBoom }, record)
+	if attempts != p.MaxAttempts || !errors.Is(err, errBoom) {
+		t.Fatalf("got attempts=%d err=%v, want %d and errBoom", attempts, err, p.MaxAttempts)
+	}
+	if len(slept) != len(want) {
+		t.Fatalf("slept %d times, want %d", len(slept), len(want))
+	}
+	for i := range want {
+		if slept[i] != want[i] {
+			t.Errorf("sleep before attempt %d = %v, want Delays()[%d] = %v", i+2, slept[i], i, want[i])
+		}
+	}
+}
+
+func TestRetryFirstAttemptSuccessDoesNotAllocate(t *testing.T) {
+	ctx := context.Background()
+	p := RetryPolicy{MaxAttempts: 1, Jitter: 0.2, Seed: 3}
+	op := func(context.Context, int) error { return nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Retry(ctx, p, classifyMarked, op); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first-attempt success allocated %v times per call, want 0", allocs)
+	}
+}
+
 func TestZeroPolicyMeansSingleAttempt(t *testing.T) {
 	calls := 0
 	attempts, err := Retry(context.Background(), RetryPolicy{}, nil,

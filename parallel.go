@@ -14,12 +14,13 @@ import (
 // computations — this matters for wide design-space scans from
 // interactive tools). Results are returned in input order.
 //
-// The first failure stops the feeder from scheduling further sizes, but
-// sizes already in flight run to completion and *every* error is
-// reported: the returned error joins the per-size failures (each
-// identified by its N), so errors.Is classification sees all of them.
-// Cancellation of ctx stops the sweep the same way and surfaces as
-// ErrCanceled.
+// Sizes below 1 are rejected before any solve starts, each named in the
+// returned error. Otherwise the first failure stops further sizes from
+// being scheduled, but sizes already in flight run to completion and
+// *every* error is reported: the returned error joins the per-size
+// failures (each identified by its N), so errors.Is classification sees
+// all of them. Cancellation of ctx stops the sweep the same way and
+// surfaces as ErrCanceled.
 func SweepParallelContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	return sweepParallel(ctx, ns, func(ctx context.Context, n int) (Result, error) {
@@ -28,55 +29,32 @@ func SweepParallelContext(ctx context.Context, p Protocol, w Workload, ns []int)
 }
 
 // sweepParallel is the worker-pool core shared by SweepParallelContext and
-// CachedSolver.SweepParallelContext: it fans the sizes out over a bounded
-// pool of the given solve function, stops feeding on the first failure (or
-// cancellation) while letting in-flight sizes finish, and aggregates every
-// error.
+// CachedSolver.SweepParallelContext: it rejects invalid sizes up front,
+// fans the rest out over a bounded pool of the given solve function, stops
+// scheduling on the first failure (or cancellation) while letting
+// in-flight sizes finish, and aggregates every error.
 func sweepParallel(ctx context.Context, ns []int, solve func(ctx context.Context, n int) (Result, error)) ([]Result, error) {
-	results := make([]Result, len(ns))
 	errs := make([]error, len(ns))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ns) {
-		workers = len(ns)
+	invalid := false
+	for idx, n := range ns {
+		if n < 1 {
+			errs[idx] = fmt.Errorf("snoopmva: system size %d < 1: %w", n, ErrInvalidInput)
+			invalid = true
+		}
 	}
-	if workers < 1 {
-		workers = 1
+	if invalid {
+		return nil, joinSweepErrors(ns, errs)
 	}
+	results := make([]Result, len(ns))
 	var failed atomic.Bool
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				results[idx], errs[idx] = solve(ctx, ns[idx])
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-feed:
-	for idx := range ns {
-		if failed.Load() || ctx.Err() != nil {
-			break
+	forEachIndex(len(ns), 0, func() bool { return failed.Load() || ctx.Err() != nil }, func(idx int) {
+		results[idx], errs[idx] = solve(ctx, ns[idx])
+		if errs[idx] != nil {
+			failed.Store(true)
 		}
-		// Select on the send: the work channel is unbuffered, so with every
-		// worker busy in a slow solve a bare send would park the feeder with
-		// no cancellation path — cancellation latency would be bounded only
-		// by the slowest in-flight solve, and a size could be handed to a
-		// worker after ctx had already fired.
-		select {
-		case work <- idx:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
+	})
 	joined := joinSweepErrors(ns, errs)
-	// Cancellation may stop the feeder before any in-flight solve observes
+	// Cancellation may stop scheduling before any in-flight solve observes
 	// it, leaving every scheduled solve error-free; the partial sweep must
 	// still fail, with the cancellation sentinel leading.
 	if cerr := ctx.Err(); cerr != nil {
@@ -89,6 +67,40 @@ feed:
 		return nil, joined
 	}
 	return results, nil
+}
+
+// forEachIndex calls f(i) for every i in [0, n) on a fixed pool of
+// goroutines (workers of them, GOMAXPROCS when workers < 1, never more
+// than n) and returns once every call has returned. Each goroutine claims
+// the next index from a shared atomic cursor, so indices start in
+// ascending order, and with one worker they run in that order. A
+// goroutine checks stop before each claim: once stop reports true no new
+// call starts, while calls already running finish.
+func forEachIndex(n, workers int, stop func() bool, f func(i int)) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // joinSweepErrors aggregates the per-index failures of a sweep into one
