@@ -86,7 +86,8 @@ func SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []
 }
 
 // SolveDetailedContext is SolveDetailed with cancellation: the reachability
-// analysis checks ctx every ~1k expanded states.
+// analysis checks ctx every 128 expanded states and the embedded-chain
+// solve every 64 Gauss–Seidel sweeps.
 func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (res DetailedResult, err error) {
 	defer guard(&err)
 	if err := p.validate(); err != nil {

@@ -26,7 +26,7 @@ var (
 	ErrInvalidInput = errors.New("snoopmva: invalid input")
 
 	// ErrNoConvergence marks an iterative solver (the MVA fixed point or
-	// the Markov power iteration) that exhausted its iteration budget
+	// the GTPN's Gauss–Seidel steady-state solve) that exhausted its budget
 	// without reaching tolerance.
 	ErrNoConvergence = errors.New("snoopmva: solver did not converge")
 

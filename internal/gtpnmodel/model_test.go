@@ -2,6 +2,7 @@ package gtpnmodel
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"snoopmva/internal/mva"
@@ -150,6 +151,51 @@ func TestStateSpaceGrowth(t *testing.T) {
 	if exploded[2] <= lumped[2] {
 		t.Errorf("per-processor space (%d) should exceed lumped (%d)", exploded[2], lumped[2])
 	}
+}
+
+// The lumped Write-Once net at 5% sharing has exactly these state counts
+// for N = 1..6. A change to how the engine encodes or deduplicates states
+// must keep the state set, and so these counts.
+func TestLumpedStateCountsPinned(t *testing.T) {
+	for i, want := range []int{11, 301, 906, 2125, 4271, 7721} {
+		cfg := Config{Workload: workload.AppendixA(workload.Sharing5), Mods: protocol.WriteOnce.Mods, N: i + 1}
+		got, err := StateCount(cfg, false, petri.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("N=%d: %d states, want %d", i+1, got, want)
+		}
+	}
+}
+
+// TestSolveAllocationBound bounds the heap traffic of the N=6 lumped
+// Write-Once solve (7721 states), the largest the default SolveBest ladder
+// runs. It measures ~31 MB in ~113k allocations with go1.24 on amd64; the
+// bounds leave ~1.6× headroom over that and sit far below the 174 MB and
+// 2.30M allocations the same solve took when every state's key was rebuilt
+// at each use and the chain was solved by damped power iteration.
+func TestSolveAllocationBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 7721-state chain")
+	}
+	cfg := Config{Workload: workload.AppendixA(workload.Sharing5), Mods: protocol.WriteOnce.Mods, N: 6}
+	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Solve(cfg, petri.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	const maxBytes, maxAllocs = 48 << 20, 180_000
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("N=6 solve allocated %d B in %d allocations, want at most %d B and %d", bytes, allocs, maxBytes, maxAllocs)
+	}
+	t.Logf("N=6 solve: %d B in %d allocations", bytes, allocs)
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -7,17 +7,19 @@
 //   - the Grassmann–Taksar–Heyman (GTH) elimination algorithm on dense
 //     matrices, which is numerically robust (no subtractions) and exact up
 //     to rounding for chains of up to a few thousand states, and
-//   - power iteration on sparse (CSR) matrices for larger chains.
+//   - Gauss–Seidel iteration on sparse (CSR) matrices, which solves the
+//     GTPN's embedded chains at every size.
 //
 // All chains are assumed irreducible over the supplied state set; the
-// solvers report an error when that assumption visibly fails (zero row sums,
-// non-convergence).
+// solvers report an error when that assumption visibly fails (an absorbing
+// or backwards-unreachable state, non-convergence).
 package markov
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Dense is a dense row-major square matrix.
@@ -81,14 +83,13 @@ type coo struct {
 	val      float64
 }
 
-// Sparse is a compressed-sparse-row (CSR) square matrix built through a
-// Builder. It supports the row-vector product needed by power iteration.
+// Sparse is a compressed-sparse-row (CSR) square matrix, built through a
+// SparseBuilder or handed over whole with NewSparse.
 type Sparse struct {
-	n       int
-	rowPtr  []int
-	colIdx  []int
-	values  []float64
-	nnzonce int
+	n      int
+	rowPtr []int
+	colIdx []int
+	values []float64
 }
 
 // SparseBuilder accumulates entries (duplicates are summed) and produces a
@@ -122,40 +123,81 @@ func (b *SparseBuilder) Add(i, j int, v float64) {
 
 // Build finalizes the CSR matrix, summing duplicate coordinates.
 func (b *SparseBuilder) Build() *Sparse {
-	sort.Slice(b.entries, func(x, y int) bool {
-		if b.entries[x].row != b.entries[y].row {
-			return b.entries[x].row < b.entries[y].row
-		}
-		return b.entries[x].col < b.entries[y].col
-	})
+	slices.SortStableFunc(b.entries, func(x, y coo) int { return cmp.Or(x.row-y.row, x.col-y.col) })
 	s := &Sparse{n: b.n, rowPtr: make([]int, b.n+1)}
-	for k := 0; k < len(b.entries); {
-		e := b.entries[k]
-		v := e.val
-		k++
-		for k < len(b.entries) && b.entries[k].row == e.row && b.entries[k].col == e.col {
-			v += b.entries[k].val
-			k++
+	for k, e := range b.entries {
+		if k > 0 && e.row == b.entries[k-1].row && e.col == b.entries[k-1].col {
+			s.values[len(s.values)-1] += e.val
+			continue
 		}
 		s.colIdx = append(s.colIdx, e.col)
-		s.values = append(s.values, v)
-		s.rowPtr[e.row+1] = len(s.colIdx)
+		s.values = append(s.values, e.val)
+		s.rowPtr[e.row+1]++ // a count per row until the prefix sum below
 	}
-	// rowPtr is cumulative: fill gaps for empty rows.
-	for i := 1; i <= b.n; i++ {
-		if s.rowPtr[i] < s.rowPtr[i-1] {
-			s.rowPtr[i] = s.rowPtr[i-1]
+	for i := 0; i < b.n; i++ {
+		s.rowPtr[i+1] += s.rowPtr[i]
+	}
+	return s
+}
+
+// NewSparse takes ownership of an assembled n×n CSR matrix: row i holds
+// columns colIdx[rowPtr[i]:rowPtr[i+1]] with the matching values. Callers
+// that produce rows in order (a BFS over a state space) skip the
+// builder's sort; each row's columns must be distinct.
+func NewSparse(n int, rowPtr, colIdx []int, values []float64) (*Sparse, error) {
+	ok := n > 0 && len(rowPtr) == n+1 && rowPtr[0] == 0 && rowPtr[n] == len(colIdx) && len(colIdx) == len(values)
+	for i := 0; ok && i < n; i++ {
+		ok = rowPtr[i] <= rowPtr[i+1]
+	}
+	for k := 0; ok && k < len(colIdx); k++ {
+		ok = colIdx[k] >= 0 && colIdx[k] < n
+	}
+	if !ok {
+		return nil, fmt.Errorf("markov: malformed %d×%d CSR matrix (%d row pointers, %d columns, %d values)",
+			n, n, len(rowPtr), len(colIdx), len(values))
+	}
+	return &Sparse{n: n, rowPtr: rowPtr, colIdx: colIdx, values: values}, nil
+}
+
+// transposeOffDiag returns Sᵀ with the diagonal left out, and the
+// diagonal separately: row j of the transpose lists the (i, S[i][j]) that
+// flow into j, the access pattern of a Gauss–Seidel sweep.
+func (s *Sparse) transposeOffDiag() (*Sparse, []float64) {
+	diag := make([]float64, s.n)
+	t := &Sparse{n: s.n, rowPtr: make([]int, s.n+1)}
+	for i := 0; i < s.n; i++ {
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			if j := s.colIdx[k]; j != i {
+				t.rowPtr[j+1]++
+			}
 		}
 	}
-	s.nnzonce = len(s.values)
-	return s
+	for j := 0; j < s.n; j++ {
+		t.rowPtr[j+1] += t.rowPtr[j]
+	}
+	t.colIdx = make([]int, t.rowPtr[s.n])
+	t.values = make([]float64, t.rowPtr[s.n])
+	next := append([]int(nil), t.rowPtr[:s.n]...)
+	for i := 0; i < s.n; i++ {
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			j := s.colIdx[k]
+			if j == i {
+				diag[i] += s.values[k]
+				continue
+			}
+			t.colIdx[next[j]] = i
+			t.values[next[j]] = s.values[k]
+			next[j]++
+		}
+	}
+	return t, diag
 }
 
 // N returns the dimension.
 func (s *Sparse) N() int { return s.n }
 
 // NNZ returns the number of stored entries.
-func (s *Sparse) NNZ() int { return s.nnzonce }
+func (s *Sparse) NNZ() int { return len(s.values) }
 
 // RowSum returns the sum of stored entries in row i.
 func (s *Sparse) RowSum(i int) float64 {

@@ -15,6 +15,10 @@ var ErrNotStochastic = errors.New("markov: matrix is not row-stochastic")
 // requested tolerance within its iteration budget.
 var ErrNoConvergence = errors.New("markov: iteration did not converge")
 
+// ErrReducible indicates that a chain visibly is not irreducible: a state
+// is absorbing or cannot be reached backwards from the others.
+var ErrReducible = errors.New("markov: chain is reducible")
+
 const stochTol = 1e-8
 
 // SteadyStateGTH computes the stationary distribution π of an irreducible
@@ -54,7 +58,7 @@ func SteadyStateGTHContext(ctx context.Context, p *Dense) ([]float64, error) {
 			s += p.At(k, j)
 		}
 		if s <= 0 {
-			return nil, fmt.Errorf("markov: state %d unreachable backwards (chain reducible?)", k)
+			return nil, fmt.Errorf("%w: state %d unreachable backwards", ErrReducible, k)
 		}
 		for i := 0; i < k; i++ {
 			p.Set(i, k, p.At(i, k)/s)
@@ -85,44 +89,30 @@ func SteadyStateGTHContext(ctx context.Context, p *Dense) ([]float64, error) {
 	return pi, nil
 }
 
-// PowerOptions configures SteadyStatePower.
-type PowerOptions struct {
-	// Tol is the convergence tolerance on the L1 change per iteration.
+// IterOptions configures SteadyStateGaussSeidel.
+type IterOptions struct {
+	// Tol is the convergence tolerance on the L1 change per sweep.
 	// Zero means 1e-12.
 	Tol float64
-	// MaxIter bounds the iteration count. Zero means 200000.
+	// MaxIter bounds the sweep count. Zero means 200000.
 	MaxIter int
-	// Damping in (0,1]: the iterate is x' = d·xP + (1-d)·x, which guarantees
-	// convergence for periodic chains. Zero means 0.9.
-	Damping float64
 }
 
-func (o PowerOptions) withDefaults() PowerOptions {
-	if o.Tol == 0 {
-		o.Tol = 1e-12
+// SteadyStateGaussSeidel computes the stationary distribution of an
+// irreducible DTMC with sparse row-stochastic transition matrix P by
+// Gauss–Seidel iteration on the balance equations: each sweep sets
+// π_j = Σ_{i≠j} π_i·P_ij / (1−P_jj) in state order, using the states
+// already updated in the same sweep, then renormalizes. Unlike plain power
+// iteration it needs no damping to converge on periodic chains. A chain
+// with an absorbing or unreachable state is rejected with ErrReducible.
+// The iteration checks ctx every 64 sweeps.
+func SteadyStateGaussSeidel(ctx context.Context, p *Sparse, opts IterOptions) ([]float64, error) {
+	tol, maxIter := opts.Tol, opts.MaxIter
+	if tol == 0 {
+		tol = 1e-12
 	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 200000
-	}
-	if o.Damping == 0 {
-		o.Damping = 0.9
-	}
-	return o
-}
-
-// SteadyStatePower computes the stationary distribution of an irreducible
-// DTMC with sparse row-stochastic transition matrix P by damped power
-// iteration.
-func SteadyStatePower(p *Sparse, opts PowerOptions) ([]float64, error) {
-	return SteadyStatePowerContext(context.Background(), p, opts)
-}
-
-// SteadyStatePowerContext is SteadyStatePower with cancellation: the
-// iteration checks ctx every few hundred sweeps.
-func SteadyStatePowerContext(ctx context.Context, p *Sparse, opts PowerOptions) ([]float64, error) {
-	o := opts.withDefaults()
-	if o.Damping <= 0 || o.Damping > 1 {
-		return nil, fmt.Errorf("markov: damping %v outside (0,1]", o.Damping)
+	if maxIter == 0 {
+		maxIter = 200000
 	}
 	n := p.N()
 	for i := 0; i < n; i++ {
@@ -130,32 +120,59 @@ func SteadyStatePowerContext(ctx context.Context, p *Sparse, opts PowerOptions) 
 			return nil, fmt.Errorf("%w: row %d sums to %v", ErrNotStochastic, i, p.RowSum(i))
 		}
 	}
+	if n == 1 {
+		return []float64{1}, nil
+	}
+	in, diag := p.transposeOffDiag()
+	// An absorbing state (P_jj = 1) or one nothing else flows into makes
+	// the chain reducible. Absorbing states are reported first: they are
+	// the ones that would mint an Inf in scale[j] = 1/(1−P_jj).
+	for j, d := range diag {
+		if d >= 1 {
+			return nil, fmt.Errorf("%w: state %d is absorbing (P[%d][%d] = %v)", ErrReducible, j, j, j, d)
+		}
+	}
+	scale := diag
+	for j, d := range diag {
+		if in.rowPtr[j] == in.rowPtr[j+1] {
+			return nil, fmt.Errorf("%w: state %d is unreachable from the others", ErrReducible, j)
+		}
+		scale[j] = 1 / (1 - d)
+	}
 	x := make([]float64, n)
-	next := make([]float64, n)
+	prev := make([]float64, n)
 	for i := range x {
 		x[i] = 1 / float64(n)
 	}
-	for iter := 0; iter < o.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		if iter%64 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("markov: power iteration interrupted at iteration %d: %w", iter, err)
+				return nil, fmt.Errorf("markov: Gauss–Seidel interrupted at sweep %d: %w", iter, err)
 			}
 		}
-		p.VecMul(next, x)
+		var sum float64
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := in.rowPtr[j]; k < in.rowPtr[j+1]; k++ {
+				s += x[in.colIdx[k]] * in.values[k]
+			}
+			prev[j] = x[j]
+			x[j] = s * scale[j]
+			sum += x[j]
+		}
+		if !(sum > 0) || math.IsInf(sum, 0) {
+			return nil, errors.New("markov: Gauss–Seidel produced a degenerate iterate")
+		}
 		var diff float64
-		for i := range next {
-			next[i] = o.Damping*next[i] + (1-o.Damping)*x[i]
-			diff += math.Abs(next[i] - x[i])
+		for i := range x {
+			x[i] /= sum
+			diff += math.Abs(x[i] - prev[i])
 		}
-		x, next = next, x
-		if diff < o.Tol {
-			if !normalize(x) {
-				return nil, errors.New("markov: power iteration degenerate")
-			}
+		if diff < tol {
 			return x, nil
 		}
 	}
-	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, o.MaxIter)
+	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, maxIter)
 }
 
 // SteadyStateCTMC computes the stationary distribution of an irreducible

@@ -1,9 +1,11 @@
 package markov
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +116,7 @@ func TestGTHSatisfiesBalanceEquations(t *testing.T) {
 	}
 }
 
-func TestPowerMatchesGTH(t *testing.T) {
+func TestGaussSeidelMatchesGTH(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(10)
@@ -126,7 +128,7 @@ func TestPowerMatchesGTH(t *testing.T) {
 			}
 		}
 		s := b.Build()
-		piP, err := SteadyStatePower(s, PowerOptions{})
+		piS, err := SteadyStateGaussSeidel(context.Background(), s, IterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,54 +136,102 @@ func TestPowerMatchesGTH(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range piP {
-			if !approx(piP[i], piG[i], 1e-8) {
-				t.Fatalf("power vs GTH mismatch at %d: %v vs %v", i, piP[i], piG[i])
+		for i := range piS {
+			if !approx(piS[i], piG[i], 1e-8) {
+				t.Fatalf("Gauss–Seidel vs GTH mismatch at %d: %v vs %v", i, piS[i], piG[i])
 			}
 		}
 	}
 }
 
-func TestPowerPeriodicChainWithDamping(t *testing.T) {
-	// A strictly periodic 2-cycle: undamped iteration never converges, the
-	// default damping must handle it.
+func TestGaussSeidelPeriodicChain(t *testing.T) {
+	// Strictly periodic chains: undamped power iteration oscillates on
+	// them forever, Gauss–Seidel must converge without damping. The
+	// 3-state one is bipartite ({0,2} ↔ {1}) with stationary [1/4 1/2 1/4].
 	b := mustSparse(2)
 	b.Add(0, 1, 1)
 	b.Add(1, 0, 1)
-	pi, err := SteadyStatePower(b.Build(), PowerOptions{})
+	pi, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(pi[0], 0.5, 1e-9) || !approx(pi[1], 0.5, 1e-9) {
 		t.Errorf("pi = %v, want [0.5 0.5]", pi)
 	}
+	b = mustSparse(3)
+	b.Add(0, 1, 1)
+	b.Add(1, 0, 0.5)
+	b.Add(1, 2, 0.5)
+	b.Add(2, 1, 1)
+	pi, err = SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approx(pi[0], 0.25, 1e-9) || !approx(pi[1], 0.5, 1e-9) || !approx(pi[2], 0.25, 1e-9) {
+		t.Errorf("pi = %v, want [0.25 0.5 0.25]", pi)
+	}
 }
 
-func TestPowerRejectsBadInput(t *testing.T) {
+func TestGaussSeidelRejectsBadInput(t *testing.T) {
 	b := mustSparse(2)
 	b.Add(0, 0, 0.7) // row 0 sums to 0.7; row 1 sums to 0
 	s := b.Build()
-	if _, err := SteadyStatePower(s, PowerOptions{}); !errors.Is(err, ErrNotStochastic) {
+	if _, err := SteadyStateGaussSeidel(context.Background(), s, IterOptions{}); !errors.Is(err, ErrNotStochastic) {
 		t.Errorf("expected ErrNotStochastic, got %v", err)
 	}
-	good := mustSparse(1)
-	good.Add(0, 0, 1)
-	if _, err := SteadyStatePower(good.Build(), PowerOptions{Damping: 2}); err == nil {
-		t.Error("expected error for damping > 1")
+	for _, c := range []struct {
+		name   string
+		n      int
+		rowPtr []int
+		colIdx []int
+		values []float64
+	}{
+		{"zero dimension", 0, []int{0}, nil, nil},
+		{"short row pointers", 2, []int{0, 1}, []int{1}, []float64{1}},
+		{"values/columns mismatch", 1, []int{0, 1}, []int{0}, nil},
+		{"decreasing row pointers", 2, []int{0, 2, 1}, []int{0}, []float64{1}},
+		{"column out of range", 2, []int{0, 1, 2}, []int{1, 2}, []float64{1, 1}},
+	} {
+		if _, err := NewSparse(c.n, c.rowPtr, c.colIdx, c.values); err == nil {
+			t.Errorf("NewSparse accepted a malformed matrix (%s)", c.name)
+		}
 	}
 }
 
-func TestPowerNoConvergence(t *testing.T) {
-	// Slowly mixing asymmetric chain: two iterations cannot reach 1e-12
-	// from the uniform start (whose stationary point is [2/3 1/3]).
+func TestGaussSeidelNoConvergence(t *testing.T) {
+	// Slowly mixing asymmetric chain: one sweep moves the uniform start to
+	// the stationary point [2/3 1/3], a change far above 1e-12, so a
+	// one-sweep budget cannot confirm convergence.
 	b := mustSparse(2)
 	b.Add(0, 0, 0.999)
 	b.Add(0, 1, 0.001)
 	b.Add(1, 0, 0.002)
 	b.Add(1, 1, 0.998)
-	_, err := SteadyStatePower(b.Build(), PowerOptions{MaxIter: 2, Damping: 1})
+	_, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{MaxIter: 1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("expected ErrNoConvergence, got %v", err)
+	}
+}
+
+func TestGaussSeidelReducibleChain(t *testing.T) {
+	// The chain of TestGTHReducibleChain: state 1 is absorbing, so
+	// 1/(1−P_11) has no finite value and the solver must say so.
+	b := mustSparse(2)
+	b.Add(0, 0, 0.5)
+	b.Add(0, 1, 0.5)
+	b.Add(1, 1, 1)
+	pi, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	if !errors.Is(err, ErrReducible) || !strings.Contains(err.Error(), "state 1 ") || pi != nil {
+		t.Errorf("absorbing state: got pi=%v err=%v, want ErrReducible naming state 1", pi, err)
+	}
+	// Nothing flows into state 0; without the check it would settle at 0.
+	b = mustSparse(3)
+	b.Add(0, 1, 1)
+	b.Add(1, 2, 1)
+	b.Add(2, 1, 1)
+	pi, err = SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	if !errors.Is(err, ErrReducible) || !strings.Contains(err.Error(), "state 0 ") || pi != nil {
+		t.Errorf("unreachable state: got pi=%v err=%v, want ErrReducible naming state 0", pi, err)
 	}
 }
 

@@ -2,9 +2,10 @@ package petri
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/markov"
@@ -59,62 +60,34 @@ type state struct {
 	flights []inflight // sorted by (t, remaining)
 }
 
-func (s state) key() string {
-	buf := make([]byte, 0, 4*len(s.marking)+6*len(s.flights))
+// appendKey appends the compact encoding of s to buf: every token count,
+// then every flight's transition and remaining time, as uvarints. The
+// marking has one entry per place and uvarints are self-delimiting, so
+// two states are equal exactly when their keys are.
+func (s state) appendKey(buf []byte) []byte {
 	for _, m := range s.marking {
-		buf = appendInt(buf, m)
-		buf = append(buf, ',')
+		buf = binary.AppendUvarint(buf, uint64(m))
 	}
-	buf = append(buf, '|')
 	for _, f := range s.flights {
-		buf = appendInt(buf, int(f.t))
-		buf = append(buf, ':')
-		buf = appendInt(buf, f.remaining)
-		buf = append(buf, ',')
+		buf = binary.AppendUvarint(buf, uint64(f.t))
+		buf = binary.AppendUvarint(buf, uint64(f.remaining))
 	}
-	return string(buf)
-}
-
-func appendInt(buf []byte, v int) []byte {
-	if v == 0 {
-		return append(buf, '0')
-	}
-	if v < 0 {
-		buf = append(buf, '-')
-		v = -v
-	}
-	var tmp [12]byte
-	i := len(tmp)
-	//lint:allow ctxloop v shrinks by a factor of ten per iteration, at most 12 digits
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(buf, tmp[i:]...)
-}
-
-func (s state) clone() state {
-	m := make([]int, len(s.marking))
-	copy(m, s.marking)
-	f := make([]inflight, len(s.flights))
-	copy(f, s.flights)
-	return state{marking: m, flights: f}
+	return buf
 }
 
 func sortFlights(f []inflight) {
-	sort.Slice(f, func(i, j int) bool {
-		if f[i].t != f[j].t {
-			return f[i].t < f[j].t
+	slices.SortFunc(f, func(a, b inflight) int {
+		if a.t != b.t {
+			return int(a.t - b.t)
 		}
-		return f[i].remaining < f[j].remaining
+		return a.remaining - b.remaining
 	})
 }
 
 // outcome is one stable state reachable from a resolution, with its path
 // probability and the number of firings of each transition along the way.
 type outcome struct {
-	st    state
+	id    int // the stable state: an index into resolver.stable
 	prob  float64
 	fires []float64
 }
@@ -126,11 +99,6 @@ type Options struct {
 	// MaxResolutionDepth bounds zero-time firing chains, guarding against
 	// Zeno nets. Zero means 10000.
 	MaxResolutionDepth int
-	// Power configures the embedded-chain solver for large graphs.
-	Power markov.PowerOptions
-	// DenseLimit: graphs up to this many states use the (more robust)
-	// dense GTH solver. Zero means 1500.
-	DenseLimit int
 }
 
 func (o Options) withDefaults() Options {
@@ -139,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxResolutionDepth == 0 {
 		o.MaxResolutionDepth = 10000
-	}
-	if o.DenseLimit == 0 {
-		o.DenseLimit = 1500
 	}
 	return o
 }
@@ -162,17 +127,6 @@ type Result struct {
 	Throughput []float64
 }
 
-// enabled returns a transition enabled in marking m, scanning from index
-// start; -1 if none.
-func (n *Net) anyEnabled(m []int) bool {
-	for i := range n.trans {
-		if n.isEnabled(i, m) {
-			return true
-		}
-	}
-	return false
-}
-
 func (n *Net) isEnabled(ti int, m []int) bool {
 	for _, a := range n.trans[ti].in {
 		if m[a.Place] < a.Weight {
@@ -191,22 +145,41 @@ func (n *Net) isEnabled(ti int, m []int) bool {
 type resolver struct {
 	n    *Net
 	memo map[string][]outcome
-	ctx  context.Context
+	// stable lists every stable state in the order resolutions first reach
+	// it. Each is memoized as its own one-outcome resolution, so it is
+	// encoded and stored once, and its index is its id in the graph.
+	stable []state
+	ctx    context.Context
 	// calls counts resolve entries for the periodic cancellation check: a
 	// single cold-memo resolution can expand thousands of intermediate
 	// states, far longer than the BFS-level check granularity.
-	calls int
+	calls    int
+	maxDepth int
+	buf      []byte    // key scratch: a memo hit encodes without allocating
+	cs       []contrib // merge scratch, a stack shared by nested resolutions
+	zero     []float64 // the all-zero firing counts every leaf outcome shares
+	// scratch[d] is where resolutions at depth d build their successors:
+	// one that hits the memo, about half of them, is never copied.
+	scratch []state
 }
 
-func newResolver(ctx context.Context, n *Net) *resolver {
-	return &resolver{n: n, memo: map[string][]outcome{}, ctx: ctx}
+func newResolver(ctx context.Context, n *Net, maxDepth int) *resolver {
+	return &resolver{n: n, memo: map[string][]outcome{}, ctx: ctx, maxDepth: maxDepth, zero: make([]float64, len(n.trans))}
+}
+
+// contrib is one weighted stable outcome of firing transition ti.
+type contrib struct {
+	o  *outcome
+	w  float64
+	ti int
 }
 
 // resolve returns the stable-state distribution reachable from raw in zero
 // time, with expected firing counts per transition conditioned on each
-// outcome. The returned slices are shared via the memo and must not be
-// mutated by callers.
-func (r *resolver) resolve(raw state, depthLimit int) ([]outcome, error) {
+// outcome, sorted by state id. raw is sorted in place and copied only if
+// it is a new stable state. The returned slices are shared via the memo and
+// must not be mutated by callers.
+func (r *resolver) resolve(raw state, depth int) ([]outcome, error) {
 	r.calls++
 	if r.calls%64 == 0 {
 		if err := r.ctx.Err(); err != nil {
@@ -214,15 +187,17 @@ func (r *resolver) resolve(raw state, depthLimit int) ([]outcome, error) {
 		}
 	}
 	sortFlights(raw.flights)
-	key := raw.key()
-	if out, ok := r.memo[key]; ok {
+	r.buf = raw.appendKey(r.buf[:0])
+	if out, ok := r.memo[string(r.buf)]; ok {
 		return out, nil
 	}
-	if depthLimit <= 0 {
+	key := string(r.buf)
+	if depth >= r.maxDepth {
 		return nil, errors.New("petri: zero-time firing chain exceeded depth limit (Zeno net?)")
 	}
 	n := r.n
-	var en []int
+	var enBuf [16]int
+	en := enBuf[:0]
 	var total float64
 	anyImmediate := false
 	for i := range n.trans {
@@ -243,14 +218,20 @@ func (r *resolver) resolve(raw state, depthLimit int) ([]outcome, error) {
 		}
 	}
 	if len(en) == 0 {
-		out := []outcome{{st: raw.clone(), prob: 1, fires: make([]float64, len(n.trans))}}
+		out := []outcome{{id: len(r.stable), prob: 1, fires: r.zero}}
+		r.stable = append(r.stable, state{marking: slices.Clone(raw.marking), flights: slices.Clone(raw.flights)})
 		r.memo[key] = out
 		return out, nil
 	}
-	acc := map[string]*outcome{}
+	base := len(r.cs)
+	if depth == len(r.scratch) {
+		r.scratch = append(r.scratch, state{marking: make([]int, len(raw.marking))})
+	}
 	for _, ti := range en {
 		p := n.trans[ti].weight / total
-		next := raw.clone()
+		next := &r.scratch[depth]
+		copy(next.marking, raw.marking)
+		next.flights = append(next.flights[:0], raw.flights...)
 		for _, a := range n.trans[ti].in {
 			next.marking[a.Place] -= a.Weight
 		}
@@ -261,46 +242,59 @@ func (r *resolver) resolve(raw state, depthLimit int) ([]outcome, error) {
 		} else {
 			next.flights = append(next.flights, inflight{t: TransID(ti), remaining: n.trans[ti].duration})
 		}
-		sub, err := r.resolve(next, depthLimit-1)
+		sub, err := r.resolve(*next, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		for i := range sub {
-			o := &sub[i]
-			k := o.st.key()
-			dst, ok := acc[k]
-			if !ok {
-				dst = &outcome{st: o.st, fires: make([]float64, len(n.trans))}
-				acc[k] = dst
-			}
-			w := p * o.prob
-			dst.prob += w
-			for t, f := range o.fires {
-				dst.fires[t] += w * f
-			}
-			dst.fires[ti] += w
+			r.cs = append(r.cs, contrib{o: &sub[i], w: p * sub[i].prob, ti: ti})
 		}
 	}
-	out := make([]outcome, 0, len(acc))
-	for _, o := range acc {
+	// Merge contributions that reach the same stable state. Each nested
+	// resolution popped what it pushed, so this one's are r.cs[base:]. The
+	// stable sort keeps each state's contributions in firing order, which
+	// also fixes the order the sums below accumulate in.
+	cs := r.cs[base:]
+	r.cs = r.cs[:base]
+	slices.SortStableFunc(cs, func(a, b contrib) int { return a.o.id - b.o.id })
+	distinct := 0
+	for i := range cs {
+		if i == 0 || cs[i].o.id != cs[i-1].o.id {
+			distinct++
+		}
+	}
+	nt := len(n.trans)
+	out := make([]outcome, 0, distinct)
+	fires := make([]float64, distinct*nt)
+	for i, c := range cs {
+		if i == 0 || c.o.id != cs[i-1].o.id {
+			k := len(out)
+			out = append(out, outcome{id: c.o.id, fires: fires[k*nt : (k+1)*nt : (k+1)*nt]})
+		}
+		dst := &out[len(out)-1]
+		dst.prob += c.w
+		for t, f := range c.o.fires {
+			dst.fires[t] += c.w * f
+		}
+		dst.fires[c.ti] += c.w
+	}
+	for i := range out {
 		// Normalize conditional firing counts.
-		for i := range o.fires {
-			o.fires[i] /= o.prob
+		for t := range out[i].fires {
+			out[i].fires[t] /= out[i].prob
 		}
-		out = append(out, *o)
 	}
-	// Deterministic order for reproducible matrices.
-	sort.Slice(out, func(i, j int) bool { return out[i].st.key() < out[j].st.key() })
 	r.memo[key] = out
 	return out, nil
 }
 
 // advance moves a stable state forward to its next event: time passes by
 // the minimum remaining firing time, completed firings deposit their
-// outputs. Returns the raw (possibly unstable) state and the sojourn.
-func (n *Net) advance(st state) (state, int, error) {
+// outputs. It writes the raw (possibly unstable) state into next and
+// returns the sojourn.
+func (n *Net) advance(next *state, st state) (int, error) {
 	if len(st.flights) == 0 {
-		return state{}, 0, errors.New("petri: deadlock — no enabled transitions and nothing in flight")
+		return 0, errors.New("petri: deadlock — no enabled transitions and nothing in flight")
 	}
 	dt := st.flights[0].remaining
 	for _, f := range st.flights {
@@ -308,8 +302,8 @@ func (n *Net) advance(st state) (state, int, error) {
 			dt = f.remaining
 		}
 	}
-	next := state{marking: make([]int, len(st.marking))}
 	copy(next.marking, st.marking)
+	next.flights = next.flights[:0]
 	for _, f := range st.flights {
 		if f.remaining == dt {
 			for _, a := range n.trans[f.t].out {
@@ -319,7 +313,121 @@ func (n *Net) advance(st state) (state, int, error) {
 			next.flights = append(next.flights, inflight{t: f.t, remaining: f.remaining - dt})
 		}
 	}
-	return next, dt, nil
+	return dt, nil
+}
+
+// graph is the extended reachability graph with its embedded chain. State
+// ids are the resolver's discovery order, and states are expanded in id
+// order, so the search yields the transition matrix row by row.
+type graph struct {
+	states []state
+	// sojourn[id] is the time spent in state id per visit (cycles).
+	sojourn []int
+	// fires[id*Transitions()+t] is the expected number of firings of t on
+	// the step out of id.
+	fires []float64
+	// rowPtr, colIdx and prob hold the embedded chain's transition matrix
+	// in CSR form.
+	rowPtr []int
+	colIdx []int
+	prob   []float64
+}
+
+// explore builds the reachability graph by BFS over stable states. With
+// countOnly it records the states alone, skipping the chain. It checks ctx
+// every ctxCheckInterval expanded states (and the resolver every 64
+// zero-time resolutions).
+func (n *Net) explore(ctx context.Context, o Options, countOnly bool) (*graph, error) {
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	init := state{marking: make([]int, len(n.places))}
+	for i, p := range n.places {
+		init.marking[i] = p.initial
+	}
+	rv := newResolver(ctx, n, o.MaxResolutionDepth)
+	if _, err := rv.resolve(init, 0); err != nil {
+		return nil, err
+	}
+	g := &graph{}
+	var rows [][]outcome // rows[id]: the outcomes of leaving state id
+	nnz, raw := 0, state{marking: make([]int, len(n.places))}
+	for id := 0; id < len(rv.stable); id++ {
+		if err := checkBudget(ctx, id+1, len(rv.stable), o.MaxStates); err != nil {
+			return nil, err
+		}
+		dt, err := n.advance(&raw, rv.stable[id])
+		if err != nil {
+			return nil, fmt.Errorf("petri: state %d: %w", id, err)
+		}
+		outs, err := rv.resolve(raw, 0)
+		if err != nil {
+			return nil, err
+		}
+		if len(rv.stable) > o.MaxStates {
+			return nil, explosionErr(len(rv.stable), o.MaxStates)
+		}
+		g.sojourn = append(g.sojourn, dt)
+		rows = append(rows, outs)
+		nnz += len(outs)
+	}
+	g.states = rv.stable
+	if countOnly {
+		return g, nil
+	}
+	// A resolution's outcomes are distinct states, so each row is final as
+	// recorded; with the row lengths known, every array is sized once.
+	nt := len(n.trans)
+	g.rowPtr, g.colIdx, g.prob = make([]int, 1, len(rows)+1), make([]int, 0, nnz), make([]float64, 0, nnz)
+	g.fires = make([]float64, len(rows)*nt)
+	for id, outs := range rows {
+		ef := g.fires[id*nt : (id+1)*nt]
+		for _, oc := range outs {
+			g.colIdx = append(g.colIdx, oc.id)
+			g.prob = append(g.prob, oc.prob)
+			for t, f := range oc.fires {
+				ef[t] += oc.prob * f
+			}
+		}
+		g.rowPtr = append(g.rowPtr, len(g.colIdx))
+	}
+	return g, nil
+}
+
+// measures turns the embedded chain's stationary distribution pi into the
+// time-averaged semi-Markov measures.
+func (n *Net) measures(g *graph, pi []float64) (*Result, error) {
+	res := &Result{
+		States:          len(g.states),
+		TimeAvgMarking:  make([]float64, len(n.places)),
+		TimeAvgInFlight: make([]float64, len(n.trans)),
+		Throughput:      make([]float64, len(n.trans)),
+	}
+	var totalTime float64
+	for id, dt := range g.sojourn {
+		totalTime += pi[id] * float64(dt)
+	}
+	if totalTime <= 0 {
+		return nil, errors.New("petri: degenerate zero total time")
+	}
+	res.MeanCycle = totalTime
+	nt := len(n.trans)
+	for id, st := range g.states {
+		w := pi[id] * float64(g.sojourn[id]) / totalTime
+		for p, m := range st.marking {
+			res.TimeAvgMarking[p] += w * float64(m)
+		}
+		for _, f := range st.flights {
+			res.TimeAvgInFlight[f.t] += w
+		}
+		for t, e := range g.fires[id*nt : (id+1)*nt] {
+			res.Throughput[t] += pi[id] * e
+		}
+	}
+	for t := range res.Throughput {
+		res.Throughput[t] /= totalTime
+	}
+	return res, nil
 }
 
 // Analyze builds the extended reachability graph and computes steady-state
@@ -330,149 +438,23 @@ func (n *Net) Analyze(opts Options) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze with cancellation: the reachability BFS checks
-// ctx every ~1k expanded states, so multi-minute builds stop promptly when
-// the caller's deadline fires.
+// ctx every 128 expanded states and the embedded-chain solve every 64
+// Gauss–Seidel sweeps, so multi-minute builds stop promptly when the
+// caller's deadline fires.
 func (n *Net) AnalyzeContext(ctx context.Context, opts Options) (*Result, error) {
-	o := opts.withDefaults()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	init := state{marking: make([]int, len(n.places))}
-	for i, p := range n.places {
-		init.marking[i] = p.initial
-	}
-	rv := newResolver(ctx, n)
-	initial, err := rv.resolve(init, o.MaxResolutionDepth)
+	g, err := n.explore(ctx, opts.withDefaults(), false)
 	if err != nil {
 		return nil, err
 	}
-
-	// BFS over stable states.
-	index := map[string]int{}
-	var states []state
-	var queue []int
-	addState := func(st state) int {
-		k := st.key()
-		if id, ok := index[k]; ok {
-			return id
-		}
-		id := len(states)
-		index[k] = id
-		states = append(states, st)
-		queue = append(queue, id)
-		return id
-	}
-	for _, oc := range initial {
-		addState(oc.st)
-	}
-	type edge struct {
-		from, to int
-		prob     float64
-	}
-	var edges []edge
-	sojourn := make(map[int]int)
-	// expFires[from][t] = expected firings of t during the step out of from.
-	expFires := make(map[int][]float64)
-
-	processed := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		processed++
-		if err := checkBudget(ctx, processed, len(states), o.MaxStates); err != nil {
-			return nil, err
-		}
-		st := states[id]
-		raw, dt, err := n.advance(st)
-		if err != nil {
-			return nil, fmt.Errorf("petri: state %d: %w", id, err)
-		}
-		sojourn[id] = dt
-		outs, err := rv.resolve(raw, o.MaxResolutionDepth)
-		if err != nil {
-			return nil, err
-		}
-		ef := make([]float64, len(n.trans))
-		for _, oc := range outs {
-			to := addState(oc.st)
-			edges = append(edges, edge{from: id, to: to, prob: oc.prob})
-			for t := range ef {
-				ef[t] += oc.prob * oc.fires[t]
-			}
-			if len(states) > o.MaxStates {
-				return nil, explosionErr(len(states), o.MaxStates)
-			}
-		}
-		expFires[id] = ef
-	}
-
-	ns := len(states)
-	var pi []float64
-	if ns <= o.DenseLimit {
-		p, derr := markov.NewDense(ns)
-		if derr != nil {
-			return nil, fmt.Errorf("petri: embedded chain: %w", derr)
-		}
-		for i, e := range edges {
-			if i%(1<<20) == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, fmt.Errorf("petri: embedded chain: %w", cerr)
-				}
-			}
-			p.Add(e.from, e.to, e.prob)
-		}
-		pi, err = markov.SteadyStateGTHContext(ctx, p)
-	} else {
-		b, berr := markov.NewSparseBuilder(ns)
-		if berr != nil {
-			return nil, fmt.Errorf("petri: embedded chain: %w", berr)
-		}
-		for i, e := range edges {
-			if i%(1<<20) == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, fmt.Errorf("petri: embedded chain: %w", cerr)
-				}
-			}
-			b.Add(e.from, e.to, e.prob)
-		}
-		pi, err = markov.SteadyStatePowerContext(ctx, b.Build(), o.Power)
-	}
+	p, err := markov.NewSparse(len(g.states), g.rowPtr, g.colIdx, g.prob)
 	if err != nil {
 		return nil, fmt.Errorf("petri: embedded chain: %w", err)
 	}
-
-	res := &Result{
-		States:          ns,
-		TimeAvgMarking:  make([]float64, len(n.places)),
-		TimeAvgInFlight: make([]float64, len(n.trans)),
-		Throughput:      make([]float64, len(n.trans)),
+	pi, err := markov.SteadyStateGaussSeidel(ctx, p, markov.IterOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("petri: embedded chain: %w", err)
 	}
-	var totalTime float64
-	for id := range states {
-		totalTime += pi[id] * float64(sojourn[id])
-	}
-	if totalTime <= 0 {
-		return nil, errors.New("petri: degenerate zero total time")
-	}
-	res.MeanCycle = totalTime
-	for id, st := range states {
-		w := pi[id] * float64(sojourn[id]) / totalTime
-		for p, m := range st.marking {
-			res.TimeAvgMarking[p] += w * float64(m)
-		}
-		for _, f := range st.flights {
-			res.TimeAvgInFlight[f.t] += w
-		}
-	}
-	for id := range states {
-		for t, e := range expFires[id] {
-			res.Throughput[t] += pi[id] * e
-		}
-	}
-	for t := range res.Throughput {
-		res.Throughput[t] /= totalTime
-	}
-	return res, nil
+	return n.measures(g, pi)
 }
 
 // StateCount builds the reachability graph and returns only its size —
@@ -482,58 +464,13 @@ func (n *Net) StateCount(opts Options) (int, error) {
 	return n.StateCountContext(context.Background(), opts)
 }
 
-// StateCountContext is StateCount with cancellation, checked every ~1k
-// expanded states.
+// StateCountContext is StateCount with cancellation, checked every 128
+// expanded states. It runs AnalyzeContext's search and stops before the
+// solve.
 func (n *Net) StateCountContext(ctx context.Context, opts Options) (int, error) {
-	o := opts.withDefaults()
-	if err := n.Validate(); err != nil {
-		return 0, err
-	}
-	init := state{marking: make([]int, len(n.places))}
-	for i, p := range n.places {
-		init.marking[i] = p.initial
-	}
-	rv := newResolver(ctx, n)
-	initial, err := rv.resolve(init, o.MaxResolutionDepth)
+	g, err := n.explore(ctx, opts.withDefaults(), true)
 	if err != nil {
 		return 0, err
 	}
-	index := map[string]bool{}
-	var states []state
-	var queue []state
-	add := func(st state) {
-		k := st.key()
-		if !index[k] {
-			index[k] = true
-			states = append(states, st)
-			queue = append(queue, st)
-		}
-	}
-	for _, oc := range initial {
-		add(oc.st)
-	}
-	processed := 0
-	for len(queue) > 0 {
-		st := queue[0]
-		queue = queue[1:]
-		processed++
-		if err := checkBudget(ctx, processed, len(states), o.MaxStates); err != nil {
-			return 0, err
-		}
-		raw, _, err := n.advance(st)
-		if err != nil {
-			return 0, err
-		}
-		outs, err := rv.resolve(raw, o.MaxResolutionDepth)
-		if err != nil {
-			return 0, err
-		}
-		for _, oc := range outs {
-			add(oc.st)
-			if len(states) > o.MaxStates {
-				return 0, explosionErr(len(states), o.MaxStates)
-			}
-		}
-	}
-	return len(states), nil
+	return len(g.states), nil
 }

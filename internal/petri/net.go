@@ -57,7 +57,6 @@ type transition struct {
 type Net struct {
 	places []place
 	trans  []transition
-	frozen bool
 }
 
 // NewNet returns an empty net.
