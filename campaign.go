@@ -518,7 +518,7 @@ func resilienceStatesSorted(m map[string]resilience.BreakerState) []resilience.B
 // aborted by ctx (the point stays pending); a permanent failure is
 // reported inside the PointResult instead.
 func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilience.Breaker, idx int) (PointResult, error) {
-	pt := spec.Points[idx]
+	pt := &spec.Points[idx]
 	budget := pt.Budget
 	var skipped []string
 	if breaker != nil {

@@ -34,19 +34,22 @@ import (
 // Options tunes the fixed-point solution and enables the ablation switches
 // used by the bench harness to quantify each modeling ingredient.
 type Options struct {
-	// Tol is the convergence tolerance on successive values of R.
-	// Zero means 1e-10.
+	// Tol is the convergence tolerance on the largest change one (damped)
+	// update of the equations makes to (R, w_bus, w_mem), relative to
+	// 1+|R|. Zero means 1e-10.
 	Tol float64
 	// MaxIter bounds the iteration count. Zero means 10000. (The paper
 	// reports convergence within 15 iterations for all its experiments;
 	// see Result.Iterations.)
 	MaxIter int
-	// Damping in (0,1] under-relaxes the waiting-time updates. Zero
-	// means 1 (plain substitution, as in the paper), with an automatic
-	// fallback ladder on non-convergence. Near saturation the iterates
-	// converge as a damped oscillation (a complex eigenvalue pair of the
-	// fixed-point map), which is why under-relaxation — not sequence
-	// extrapolation — is the effective stabilizer.
+	// Damping in (0,1] under-relaxes the waiting-time updates of an
+	// unaccelerated iteration; 1 is the paper's plain substitution. Zero
+	// selects the default ladder: plain substitution with depth-2
+	// Anderson acceleration, then damping 0.5 and 0.2 on
+	// non-convergence. Near saturation the plain iterates converge as a
+	// slowly damped oscillation (a complex eigenvalue pair of the
+	// fixed-point map); the Anderson extrapolation cancels that pair,
+	// and under-relaxation is the fallback where it cannot.
 	Damping float64
 	// Warm, when non-nil, seeds the fixed-point iteration from a
 	// previously converged solver state instead of the paper's zero-wait

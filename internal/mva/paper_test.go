@@ -180,9 +180,9 @@ func TestStressWorkloadSolves(t *testing.T) {
 }
 
 // Section 3.2: solution converges quickly. The paper reports < 15
-// iterations at table precision; our default tolerance (1e-10) is far
-// tighter, so allow a larger but still trivially cheap budget there, and
-// check the paper-precision tolerance separately.
+// iterations; the Anderson-accelerated default solver meets that bound
+// at its 1e-10 tolerance (measured max 14 at N=20 over every sharing
+// level and valid mod set) and at table precision (measured max 10).
 func TestConvergesQuickly(t *testing.T) {
 	for _, sharing := range workload.Sharings() {
 		for _, ms := range protocol.AllModSets() {
@@ -191,15 +191,15 @@ func TestConvergesQuickly(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %v: %v", sharing, ms, err)
 			}
-			if res.Iterations > 250 {
+			if res.Iterations >= 15 {
 				t.Errorf("%v %v: %d iterations at tol 1e-10", sharing, ms, res.Iterations)
 			}
 			coarse, err := m.Solve(20, Options{Tol: 1e-3})
 			if err != nil {
 				t.Fatalf("%v %v coarse: %v", sharing, ms, err)
 			}
-			if coarse.Iterations > 45 {
-				t.Errorf("%v %v: %d iterations at paper precision, expected tens at most",
+			if coarse.Iterations >= 15 {
+				t.Errorf("%v %v: %d iterations at paper precision",
 					sharing, ms, coarse.Iterations)
 			}
 			// The coarse solution must already be close to the converged one.

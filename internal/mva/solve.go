@@ -40,16 +40,31 @@ func (e *DivergenceError) Error() string {
 func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 
 // ctxCheckInterval is how many fixed-point iterations run between
-// cancellation checks (one atomic load per check).
+// cancellation checks (one atomic load per check). The first check is at
+// iteration 1, so a solve under an already-canceled context fails even
+// when it would converge in fewer iterations than the interval.
 const ctxCheckInterval = 64
+
+// rung is one attempt of the default solve's fallback ladder.
+type rung struct {
+	damping    float64
+	accelerate bool // Anderson-mix the iterate (damping is then 1)
+}
+
+// defaultLadder is the rung sequence of a solve with the zero Damping:
+// the paper's plain substitution with Anderson acceleration first, then
+// the unaccelerated iteration under-relaxed, for the deep-saturation
+// configurations where the accelerated rung gives up.
+var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
 
 // Solve computes the steady-state performance measures for n processors.
 // The equations are iterated from zero waiting times (Section 3.2). With
-// the default (zero) Damping, plain substitution is tried first — the
-// paper's scheme — and the solver falls back to under-relaxed iteration if
-// the plain scheme oscillates (which happens only deep in saturation, far
-// beyond the paper's configurations). An explicitly set Damping disables
-// the fallback.
+// the default (zero) Damping, the paper's plain substitution is tried
+// first, accelerated by depth-2 Anderson mixing (see anderson), and the
+// solver falls back to under-relaxed iteration if that rung fails to
+// converge (which happens only deep in saturation, far beyond the paper's
+// configurations). An explicitly set Damping runs the unaccelerated
+// damped iteration alone — Damping 1 is the paper's scheme exactly.
 func (m Model) Solve(n int, opts Options) (Result, error) {
 	return m.SolveContext(context.Background(), n, opts)
 }
@@ -107,10 +122,10 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 	}
 	if opts.Damping == 0 {
 		var lastErr error
-		for _, d := range []float64{1, 0.5, 0.2} {
+		for _, rg := range defaultLadder {
 			o := opts
-			o.Damping = d
-			res, err := m.solveOnce(ctx, n, o, sc)
+			o.Damping = rg.damping
+			res, err := m.solveOnce(ctx, n, o, rg.accelerate, sc)
 			if err == nil {
 				return res, nil
 			}
@@ -121,10 +136,11 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 		}
 		return Result{}, lastErr
 	}
-	return m.solveOnce(ctx, n, opts, sc)
+	return m.solveOnce(ctx, n, opts, false, sc)
 }
 
-// solveOnce runs the damped fixed-point iteration at one damping factor:
+// solveOnce runs the damped fixed-point iteration at one damping factor,
+// Anderson-accelerated when accelerate is set (damping must then be 1):
 // the inner loop every sweep point and campaign point reduces to. The
 // caller's scratch carries the derived inputs and per-size interference
 // quantities across ladder attempts and batched solves; every remaining
@@ -133,7 +149,7 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 // busy-probability evaluations) with no allocation and no struct copies.
 //
 //snoop:hotpath steady-state iterate must not allocate (gated by benchguard's zero-growth allocation budget)
-func (m Model) solveOnce(ctx context.Context, n int, opts Options, sc *solveScratch) (Result, error) {
+func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bool, sc *solveScratch) (Result, error) {
 	o := opts.withDefaults()
 	if h := faultinject.Hooks(); h != nil && h.MVAEnter != nil {
 		h.MVAEnter(n)
@@ -215,8 +231,7 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, sc *solveScra
 	r := tau + tSupply + pBc*d.TBc(0) + pRr*tRead
 	if o.Warm != nil {
 		ws := *o.Warm
-		if !isFinite(ws.R) || ws.R <= 0 || !isFinite(ws.WBus) || ws.WBus < 0 ||
-			!isFinite(ws.WMem) || ws.WMem < 0 {
+		if !inDomain(ws.R, ws.WBus, ws.WMem) {
 			return Result{}, fmt.Errorf("mva: warm-start state (R=%v, w_bus=%v, w_mem=%v) is not a converged solver state: %w",
 				//lint:allow hotalloc invalid-warm-start error exit, off the steady-state iterate
 				ws.R, ws.WBus, ws.WMem, workload.ErrInvalid)
@@ -226,8 +241,9 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, sc *solveScra
 
 	iterations := 0
 	hooks := faultinject.Hooks()
+	var aa anderson
 	for iter := 1; iter <= o.MaxIter; iter++ {
-		if iter%ctxCheckInterval == 0 {
+		if iter%ctxCheckInterval == 1 {
 			if err := ctx.Err(); err != nil {
 				//lint:allow hotalloc cancellation exit, taken at most once per solve
 				return partialResult(n, m, sc, iterations), fmt.Errorf("mva: solve interrupted at iteration %d (N=%d): %w", iter, n, err)
@@ -373,6 +389,12 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, sc *solveScra
 			res.ProcessingPower = nf * tau / r
 			return res, nil
 		}
+		if accelerate {
+			// Not converged: the accelerated rung moves from x to the
+			// mixed iterate instead of the plain image G(x) just taken.
+			x := aa.next([3]float64{prevR, prevWBus, prevWMem}, [3]float64{r, wBus, wMem}, delta)
+			r, wBus, wMem = x[0], x[1], x[2]
+		}
 	}
 	//lint:allow hotalloc no-convergence error exit, off the steady-state iterate
 	return partialResult(n, m, sc, iterations), fmt.Errorf("%w within %d iterations (N=%d, %v)", ErrNoConvergence, o.MaxIter, n, m.Mods)
@@ -389,6 +411,12 @@ func partialResult(n int, m Model, sc *solveScratch, iterations int) Result {
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
+// inDomain reports whether (R, w_bus, w_mem) is a state the iterate may
+// start from: finite, R > 0 and non-negative waits.
+func inDomain(r, wBus, wMem float64) bool {
+	return isFinite(r) && r > 0 && isFinite(wBus) && wBus >= 0 && isFinite(wMem) && wMem >= 0
 }
 
 // Warm returns the converged fixed-point state of a successful solve, for

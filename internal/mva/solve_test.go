@@ -1,6 +1,7 @@
 package mva
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -61,6 +62,22 @@ func TestNoConvergenceError(t *testing.T) {
 	_, err := baseModel().Solve(10, Options{MaxIter: 1, Tol: 1e-15})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("expected ErrNoConvergence, got %v", err)
+	}
+}
+
+// TestSolvePreCanceled asserts the fixed point checks its context before
+// the first iterate: a solve converges in about a dozen iterations, far
+// inside the periodic check interval, so a canceled context must still
+// fail it rather than let it succeed.
+func TestSolvePreCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := baseModel()
+	if _, err := m.SolveContext(ctx, 10, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SolveContext: err = %v, want context.Canceled", err)
+	}
+	if _, err := m.SolveManyContext(ctx, []int{1, 2}, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("SolveManyContext: err = %v, want context.Canceled", err)
 	}
 }
 

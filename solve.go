@@ -30,8 +30,9 @@ type Result struct {
 	Iterations int
 }
 
-// Options tunes the MVA solution; the zero value uses the paper's scheme
-// (plain substitution from zero waits, tight tolerance).
+// Options tunes the MVA solution; the zero value iterates the paper's
+// equations from zero waits (Section 3.2) to a tight tolerance, with the
+// substitution Anderson-accelerated.
 type Options struct {
 	// Tolerance for the fixed point; 0 means 1e-10.
 	Tolerance float64
