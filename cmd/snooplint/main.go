@@ -1,6 +1,6 @@
-// Command snooplint runs the repo's custom analyzer suite (atomicalign,
-// ctxloop, floateq, hotalloc, metricreg, naninf, panicmsg, senterr,
-// spawnbound) over Go packages.
+// Command snooplint runs the repo's custom analyzer suite (ctxloop,
+// floateq, hotalloc, metricreg, naninf, panicmsg, senterr, spawnbound)
+// over Go packages.
 //
 // Modes:
 //

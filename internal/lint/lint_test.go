@@ -10,7 +10,6 @@ import (
 	"snoopmva/internal/lint"
 	"snoopmva/internal/lint/analysis"
 	"snoopmva/internal/lint/analysistest"
-	"snoopmva/internal/lint/atomicalign"
 	"snoopmva/internal/lint/ctxloop"
 	"snoopmva/internal/lint/floateq"
 	"snoopmva/internal/lint/hotalloc"
@@ -50,18 +49,14 @@ func TestSpawnbound(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), spawnbound.Analyzer, "spawnbound", "spawnfree")
 }
 
-func TestAtomicalign(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), atomicalign.Analyzer, "atomicalign")
-}
-
 func TestMetricreg(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), metricreg.Analyzer, "metricreg")
 }
 
 func TestSuiteIsWellFormed(t *testing.T) {
 	as := lint.Analyzers()
-	if len(as) != 9 {
-		t.Fatalf("suite has %d analyzers, want 9", len(as))
+	if len(as) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
@@ -155,7 +150,7 @@ func TestRepoHotPackagesStayClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading packages: %v", err)
 	}
-	suite := []*analysis.Analyzer{atomicalign.Analyzer, spawnbound.Analyzer, metricreg.Analyzer}
+	suite := []*analysis.Analyzer{spawnbound.Analyzer, metricreg.Analyzer}
 	for _, p := range pkgs {
 		out, err := analysis.RunTarget(suite, analysis.Target{
 			Fset: p.Fset, Files: p.Files, Pkg: p.Pkg, TypesInfo: p.TypesInfo,

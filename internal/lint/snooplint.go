@@ -7,7 +7,6 @@ package lint
 
 import (
 	"snoopmva/internal/lint/analysis"
-	"snoopmva/internal/lint/atomicalign"
 	"snoopmva/internal/lint/ctxloop"
 	"snoopmva/internal/lint/floateq"
 	"snoopmva/internal/lint/hotalloc"
@@ -21,7 +20,6 @@ import (
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicalign.Analyzer,
 		ctxloop.Analyzer,
 		floateq.Analyzer,
 		hotalloc.Analyzer,

@@ -1,15 +1,10 @@
 package snoopd
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"sync"
-	"time"
 
-	"snoopmva/internal/admission"
 	"snoopmva/internal/wire"
 )
 
@@ -45,43 +40,83 @@ type BatchRecord struct {
 	Error     *ErrorResponse     `json:"error,omitempty"`
 }
 
-// batchArms counts and names an item's request arms.
-func (it *BatchItem) arms() (n int, kind string) {
-	if it.Solve != nil {
-		n, kind = n+1, "solve"
+// kind reports which arm the item carries and that arm's timeout_ms —
+// the one place a request's kind and timeout are read. Zero or several
+// arms is opInvalid.
+func (it *BatchItem) kind() (k opKind, timeoutMS int64) {
+	switch {
+	case it.Solve != nil && it.SolveBest == nil && it.Sweep == nil:
+		return opSolve, it.Solve.TimeoutMS
+	case it.Solve == nil && it.SolveBest != nil && it.Sweep == nil:
+		return opSolveBest, it.SolveBest.TimeoutMS
+	case it.Solve == nil && it.SolveBest == nil && it.Sweep != nil:
+		return opSweep, it.Sweep.TimeoutMS
 	}
-	if it.SolveBest != nil {
-		n, kind = n+1, "solvebest"
-	}
-	if it.Sweep != nil {
-		n, kind = n+1, "sweep"
-	}
-	return n, kind
+	return opInvalid, 0
 }
 
-// handleBatch streams many points through the request cores with
-// per-point admission. The route is registered without the admitted()
-// wrapper: gating the whole batch on one admission slot would make a
-// 1000-point batch indistinguishable from a single solve, so each point
-// pays for itself instead, and brownout/shed semantics compose per
-// point exactly as they do for the single-request endpoints.
+// arm allocates the item's arm of kind k and returns it as the target a
+// single-point JSON body decodes into.
+func (it *BatchItem) arm(k opKind) any {
+	switch k {
+	case opSolveBest:
+		it.SolveBest = new(SolveBestRequest)
+		return it.SolveBest
+	case opSweep:
+		it.Sweep = new(SweepRequest)
+		return it.Sweep
+	default:
+		it.Solve = new(SolveRequest)
+		return it.Solve
+	}
+}
+
+// record projects an outcome onto the JSON wire: the /v1/batch line for
+// seq, whose arm is also the single-point endpoints' response body.
+func (oc *outcome) record(seq uint64) *BatchRecord {
+	rec := &BatchRecord{Seq: seq}
+	switch {
+	case oc.err != nil:
+		_, e, _ := failure(oc.err)
+		rec.Error = &e
+	case oc.kind == opSolveBest:
+		best := toSolveBestResponse(oc.best)
+		rec.SolveBest = &best
+	case oc.kind == opSweep:
+		rec.Sweep = make([]ResultJSON, len(oc.sweep))
+		for i, res := range oc.sweep {
+			rec.Sweep[i] = toResultJSON(res)
+		}
+	default:
+		res := toResultJSON(oc.res)
+		rec.Result = &res
+	}
+	return rec
+}
+
+// handleBatch streams many points through the op path with per-point
+// admission. The route is registered without the admitted() wrapper:
+// gating the whole batch on one admission slot would make a 1000-point
+// batch indistinguishable from a single solve, so each point pays for
+// itself instead, and brownout/shed semantics compose per point exactly
+// as they do for the single-request endpoints.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
+		writeError(w, &InputError{Err: err})
 		return
 	}
 	if len(req.Items) == 0 {
-		badRequest(w, "items: at least one point is required")
+		writeError(w, inputErrorf("items: at least one point is required"))
 		return
 	}
 	if len(req.Items) > wire.MaxBatchPoints {
-		badRequest(w, fmt.Sprintf("items: %d points exceed the %d bound", len(req.Items), wire.MaxBatchPoints))
+		writeError(w, inputErrorf("items: %d points exceed the %d bound", len(req.Items), wire.MaxBatchPoints))
 		return
 	}
 	for i := range req.Items {
-		if n, _ := req.Items[i].arms(); n != 1 {
-			badRequest(w, fmt.Sprintf("items[%d]: exactly one of solve, solvebest, sweep is required", i))
+		if k, _ := req.Items[i].kind(); k == opInvalid {
+			writeError(w, inputErrorf("items[%d]: exactly one of solve, solvebest, sweep is required", i))
 			return
 		}
 	}
@@ -91,7 +126,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	var outMu sync.Mutex
 	enc := json.NewEncoder(w)
-	emit := func(rec *BatchRecord) {
+	emit := func(it *BatchItem, oc outcome) {
+		rec := oc.record(it.Seq)
 		outMu.Lock()
 		defer outMu.Unlock()
 		_ = enc.Encode(rec)
@@ -106,12 +142,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Plain solve points ride the amortized batch path — per-point
 	// admission, then grouped compute on shared solver scratch — while
 	// the heavier arms (solvebest, sweep) keep the worker pool.
-	var solveItems, poolItems []*BatchItem
-	for i := range req.Items {
-		if req.Items[i].Solve != nil {
-			solveItems = append(solveItems, &req.Items[i])
+	var solveItems, poolItems []BatchItem
+	for _, it := range req.Items {
+		if it.Solve != nil {
+			solveItems = append(solveItems, it)
 		} else {
-			poolItems = append(poolItems, &req.Items[i])
+			poolItems = append(poolItems, it)
 		}
 	}
 
@@ -120,162 +156,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.batchSolves(ctx, clientID, solveItems, emit)
+			s.execSolves(ctx, clientID, solveItems, emit)
 		}()
 	}
 
 	items := make(chan *BatchItem)
-	workers := batchWorkers
-	if workers > len(poolItems) {
-		workers = len(poolItems)
-	}
+	workers := min(batchWorkers, len(poolItems))
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for it := range items {
-				emit(s.batchPoint(ctx, clientID, it))
+				emit(it, s.admitExec(ctx, clientID, it))
 			}
 		}()
 	}
 feed:
-	for _, it := range poolItems {
+	for i := range poolItems {
 		select {
-		case items <- it:
+		case items <- &poolItems[i]:
 		case <-ctx.Done():
 			break feed // client gone: stop feeding
 		}
 	}
 	close(items)
 	wg.Wait()
-}
-
-// batchSolves executes a batch's plain-solve points: per-point admission
-// exactly as batchPoint would apply it, then the admitted points run
-// through solveManyCore so points sharing a configuration share one
-// derivation and one pooled solver scratch. Shed points answer with the
-// admission taxonomy without ever reaching the solver; admission slots
-// for admitted points are held until their run completes, which is the
-// honest accounting for compute that is genuinely in flight together.
-func (s *Server) batchSolves(ctx context.Context, clientID string, items []*BatchItem, emit func(*BatchRecord)) {
-	admitted := make([]*BatchItem, 0, len(items))
-	releases := make([]func(), 0, len(items))
-	for _, it := range items {
-		if ctx.Err() != nil {
-			break // client gone: stop admitting new points
-		}
-		release, err := s.admitPoint(ctx, clientID, it.Solve.TimeoutMS, 1)
-		if err != nil {
-			emit(&BatchRecord{Seq: it.Seq, Error: errorResponseFor(err)})
-			continue
-		}
-		admitted = append(admitted, it)
-		releases = append(releases, release)
-	}
-	if len(admitted) == 0 {
-		return
-	}
-	reqs := make([]*SolveRequest, len(admitted))
-	for i, it := range admitted {
-		reqs[i] = it.Solve
-	}
-	outcomes := s.solveManyCore(ctx, reqs)
-	for i, it := range admitted {
-		if outcomes[i].err != nil {
-			emit(&BatchRecord{Seq: it.Seq, Error: errorResponseFor(outcomes[i].err)})
-		} else {
-			rj := toResultJSON(outcomes[i].res)
-			emit(&BatchRecord{Seq: it.Seq, Result: &rj})
-		}
-		releases[i]()
-	}
-}
-
-// batchPoint executes one batch item: per-point admission, then the
-// matching request core.
-func (s *Server) batchPoint(ctx context.Context, clientID string, it *BatchItem) *BatchRecord {
-	rec := &BatchRecord{Seq: it.Seq}
-	_, kind := it.arms()
-	var timeoutMS int64
-	scale := 1
-	switch kind {
-	case "solvebest":
-		timeoutMS, scale = it.SolveBest.TimeoutMS, 4
-	case "sweep":
-		timeoutMS, scale = it.Sweep.TimeoutMS, 8
-	default:
-		timeoutMS = it.Solve.TimeoutMS
-	}
-	release, err := s.admitPoint(ctx, clientID, timeoutMS, scale)
-	if err != nil {
-		rec.Error = errorResponseFor(err)
-		return rec
-	}
-	defer release()
-	switch kind {
-	case "solvebest":
-		best, err := s.solveBestCore(ctx, it.SolveBest)
-		if err != nil {
-			rec.Error = errorResponseFor(err)
-			return rec
-		}
-		resp := toSolveBestResponse(best)
-		rec.SolveBest = &resp
-	case "sweep":
-		results, err := s.sweepCore(ctx, it.Sweep)
-		if err != nil {
-			rec.Error = errorResponseFor(err)
-			return rec
-		}
-		out := make([]ResultJSON, len(results))
-		for i, res := range results {
-			out[i] = toResultJSON(res)
-		}
-		rec.Sweep = out
-	default:
-		res, err := s.solveCore(ctx, it.Solve)
-		if err != nil {
-			rec.Error = errorResponseFor(err)
-			return rec
-		}
-		rj := toResultJSON(res)
-		rec.Result = &rj
-	}
-	return rec
-}
-
-// admitPoint runs one point through the admission controller (a no-op
-// release when admission is off). The deadline hint comes from the
-// point's own timeout so the queue can shed points that would outlive
-// it, mirroring the DeadlineHeader convention of the single-request
-// endpoints; scale mirrors admitTargetScale.
-func (s *Server) admitPoint(ctx context.Context, clientID string, timeoutMS int64, scale int) (release func(), err error) {
-	if s.adm == nil {
-		return func() {}, nil
-	}
-	var deadline time.Time
-	if timeoutMS >= 0 {
-		if d := timeoutDuration(timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
-			deadline = time.Now().Add(d)
-		}
-	}
-	if err := s.adm.Admit(ctx, clientID, deadline); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	target := time.Duration(scale) * s.adm.Target()
-	return func() { s.adm.ReleaseWith(time.Since(start), target) }, nil
-}
-
-// errorResponseFor maps a point failure — admission shed or solver
-// error — onto the ErrorResponse taxonomy, identical to the status the
-// single-request endpoints would have attached.
-func errorResponseFor(err error) *ErrorResponse {
-	var se *admission.ShedError
-	if errors.As(err, &se) {
-		_, code := shedStatus(se)
-		return &ErrorResponse{Error: err.Error(), Code: code, RetryAfterMS: se.RetryAfter.Milliseconds()}
-	}
-	_, code := solveErrorCode(err)
-	return &ErrorResponse{Error: err.Error(), Code: code}
 }

@@ -4,17 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
 	"snoopmva"
+	"snoopmva/internal/admission"
 )
 
-// This file holds the transport-agnostic request cores: resolve the
-// specs, derive the deadline, run the solver. The JSON handlers, the
-// /v1/batch streamer and the binary wire listener all execute requests
-// through these, so a request means exactly the same thing — including
-// its brownout and error-taxonomy behavior — on every path. That shared
+// This file holds the one operation path every codec runs a request
+// through: admit → exec → project. The JSON endpoints, /v1/batch and the
+// binary wire listener all decode into a BatchItem (a seq plus exactly
+// one of solve, solvebest or sweep), so each per-kind decision is made
+// here once: the admission scale (opScale), the timeout
+// (BatchItem.kind), the core that runs the op (exec) and the error
+// taxonomy (failure). The codecs only decode and encode. That shared
 // spine is what the JSON↔binary equivalence suite leans on.
 
 // InputError marks a request-validation failure (an unresolvable spec, a
@@ -29,18 +33,143 @@ func (e *InputError) Error() string { return e.Err.Error() }
 // Unwrap exposes the wrapped validation failure.
 func (e *InputError) Unwrap() error { return e.Err }
 
-func errTimeoutNegative(ms int64) error {
-	return fmt.Errorf("timeout_ms: must be non-negative, got %d", ms)
+// inputErrorf formats an *InputError.
+func inputErrorf(format string, args ...any) error {
+	return &InputError{Err: fmt.Errorf(format, args...)}
 }
 
-func errSweepEmpty() error {
-	return fmt.Errorf("ns: at least one system size is required")
+// opKind is a request's kind. The zero value marks an item that carries
+// zero or several arms.
+type opKind uint8
+
+const (
+	opInvalid opKind = iota
+	opSolve
+	opSolveBest
+	opSweep
+	opCompare // HTTP-only: /v1/compare has no batch or wire form
+)
+
+// opScale scales the admission controller's base latency target per
+// kind: a sweep or compare runs many solves per request, so holding it
+// to the single-solve target would make every one look like congestion.
+var opScale = [...]int{opInvalid: 1, opSolve: 1, opSolveBest: 4, opSweep: 8, opCompare: 8}
+
+// outcome is one executed op in native snoopmva values: unless err is
+// set, the field matching kind holds the answer.
+type outcome struct {
+	kind  opKind
+	res   snoopmva.Result
+	best  snoopmva.BestResult
+	sweep []snoopmva.Result
+	err   error
+}
+
+// exec runs one op through its core; it is the only switch from kind to
+// core. Spec resolution and validation happen inside the cores,
+// after admission, so a shed always wins over an invalid request.
+func (s *Server) exec(ctx context.Context, it *BatchItem) outcome {
+	var oc outcome
+	oc.kind, _ = it.kind()
+	switch oc.kind {
+	case opSolve:
+		oc.res, oc.err = s.solveCore(ctx, it.Solve)
+	case opSolveBest:
+		oc.best, oc.err = s.solveBestCore(ctx, it.SolveBest)
+	case opSweep:
+		oc.sweep, oc.err = s.sweepCore(ctx, it.Sweep)
+	}
+	return oc
+}
+
+// admitExec admits one op and executes it while holding the admission
+// slot; a shed becomes the outcome's error.
+func (s *Server) admitExec(ctx context.Context, clientID string, it *BatchItem) outcome {
+	release, err := s.admitPoint(ctx, clientID, it)
+	if err != nil {
+		return outcome{err: err}
+	}
+	defer release()
+	return s.exec(ctx, it)
+}
+
+// execSolves executes a run of plain-solve items: per-point admission
+// exactly as admitExec would apply it, then the admitted points run
+// through solveManyCore so points sharing a configuration share one
+// derivation and one pooled solver scratch (a lone point goes straight
+// to exec). Shed points are emitted without ever reaching the solver;
+// admission slots for admitted points are held until their run
+// completes, which is the honest accounting for compute that is
+// genuinely in flight together.
+func (s *Server) execSolves(ctx context.Context, clientID string, items []BatchItem, emit func(*BatchItem, outcome)) {
+	admitted := make([]*BatchItem, 0, len(items))
+	releases := make([]func(), 0, len(items))
+	for i := range items {
+		if ctx.Err() != nil {
+			break // client gone: stop admitting new points
+		}
+		release, err := s.admitPoint(ctx, clientID, &items[i])
+		if err != nil {
+			emit(&items[i], outcome{err: err})
+			continue
+		}
+		admitted = append(admitted, &items[i])
+		releases = append(releases, release)
+	}
+	if len(admitted) == 1 {
+		emit(admitted[0], s.exec(ctx, admitted[0]))
+		releases[0]()
+		return
+	}
+	for i, oc := range s.solveManyCore(ctx, admitted) {
+		emit(admitted[i], oc)
+		releases[i]()
+	}
+}
+
+// admitPoint runs one point through the admission controller (a no-op
+// release when admission is off). The deadline hint comes from the
+// point's own timeout so the queue can shed points that would outlive
+// it, mirroring the DeadlineHeader convention of the single-request
+// endpoints; the release reports against the kind's scaled target.
+func (s *Server) admitPoint(ctx context.Context, clientID string, it *BatchItem) (release func(), err error) {
+	if s.adm == nil {
+		return func() {}, nil
+	}
+	k, timeoutMS := it.kind()
+	var deadline time.Time
+	if timeoutMS >= 0 {
+		if d := timeoutDuration(timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
+			deadline = time.Now().Add(d)
+		}
+	}
+	if err := s.adm.Admit(ctx, clientID, deadline); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	target := time.Duration(opScale[k]) * s.adm.Target()
+	return func() { s.adm.ReleaseWith(time.Since(start), target) }, nil
+}
+
+// msDuration converts a request's millisecond count to a Duration,
+// saturating at the Duration range instead of wrapping: a client asking
+// for more milliseconds than a Duration can hold means "effectively
+// forever", not whatever the multiplication overflows to.
+func msDuration(ms int64) time.Duration {
+	const perMS = int64(time.Millisecond)
+	switch {
+	case ms > math.MaxInt64/perMS:
+		return math.MaxInt64
+	case ms < math.MinInt64/perMS:
+		return math.MinInt64
+	}
+	return time.Duration(ms * perMS)
 }
 
 // timeoutDuration resolves a request's timeout_ms against the server's
 // default and cap. Zero means no deadline.
 func timeoutDuration(timeoutMS int64, def, max time.Duration) time.Duration {
-	d := time.Duration(timeoutMS) * time.Millisecond
+	d := msDuration(timeoutMS)
 	if d == 0 {
 		d = def
 	}
@@ -54,7 +183,7 @@ func timeoutDuration(timeoutMS int64, def, max time.Duration) time.Duration {
 // requested (or default) deadline, capped by cfg.MaxTimeout.
 func (s *Server) coreContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc, error) {
 	if timeoutMS < 0 {
-		return nil, nil, &InputError{Err: errTimeoutNegative(timeoutMS)}
+		return nil, nil, inputErrorf("timeout_ms: must be non-negative, got %d", timeoutMS)
 	}
 	d := timeoutDuration(timeoutMS, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if d == 0 {
@@ -65,17 +194,27 @@ func (s *Server) coreContext(parent context.Context, timeoutMS int64) (context.C
 	return ctx, cancel, nil
 }
 
+// resolve resolves a request's protocol and workload specs, in that
+// order; a failure is an *InputError.
+func resolve(ps ProtocolSpec, ws WorkloadSpec) (snoopmva.Protocol, snoopmva.Workload, error) {
+	p, err := ps.resolve()
+	if err != nil {
+		return p, snoopmva.Workload{}, &InputError{Err: err}
+	}
+	wl, err := ws.resolve()
+	if err != nil {
+		return p, wl, &InputError{Err: err}
+	}
+	return p, wl, nil
+}
+
 // solveCore executes a solve request. Validation failures return
 // *InputError; solver failures carry the root package's sentinel
 // taxonomy.
 func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.Result, error) {
-	p, err := req.Protocol.resolve()
+	p, wl, err := resolve(req.Protocol, req.Workload)
 	if err != nil {
-		return snoopmva.Result{}, &InputError{Err: err}
-	}
-	wl, err := req.Workload.resolve()
-	if err != nil {
-		return snoopmva.Result{}, &InputError{Err: err}
+		return snoopmva.Result{}, err
 	}
 	ctx, cancel, err := s.coreContext(parent, req.TimeoutMS)
 	if err != nil {
@@ -88,15 +227,7 @@ func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.
 	return snoopmva.SolveWithContext(ctx, p, wl, req.Timing.timing(), req.N, req.Options.options())
 }
 
-// solveOutcome is one point's result from the batched solve core:
-// exactly one of res/err is meaningful, mirroring what a standalone
-// solveCore call for that point would have returned.
-type solveOutcome struct {
-	res snoopmva.Result
-	err error
-}
-
-// solveManyCore executes a run of plain solve requests through the
+// solveManyCore executes a run of plain-solve items through the
 // amortized batch path: points are validated individually, grouped by
 // timeout (each group shares one derived deadline), and solved with the
 // root SolveMany so points sharing a configuration share one derivation
@@ -105,27 +236,20 @@ type solveOutcome struct {
 // falls back to per-point solveCore calls (each with a fresh deadline):
 // every point then reports exactly the outcome it would have reported
 // had it been submitted alone, at the cost of re-solving the innocents.
-func (s *Server) solveManyCore(parent context.Context, reqs []*SolveRequest) []solveOutcome {
-	out := make([]solveOutcome, len(reqs))
+func (s *Server) solveManyCore(parent context.Context, items []*BatchItem) []outcome {
+	out := make([]outcome, len(items))
 	type point struct {
 		i  int
 		in snoopmva.SolveInput
 	}
 	var order []int64
 	groups := make(map[int64][]point)
-	for i, req := range reqs {
-		p, err := req.Protocol.resolve()
+	for i, it := range items {
+		req := it.Solve
+		out[i].kind = opSolve
+		p, wl, err := resolve(req.Protocol, req.Workload)
 		if err != nil {
-			out[i].err = &InputError{Err: err}
-			continue
-		}
-		wl, err := req.Workload.resolve()
-		if err != nil {
-			out[i].err = &InputError{Err: err}
-			continue
-		}
-		if req.TimeoutMS < 0 {
-			out[i].err = &InputError{Err: errTimeoutNegative(req.TimeoutMS)}
+			out[i].err = err
 			continue
 		}
 		if _, ok := groups[req.TimeoutMS]; !ok {
@@ -171,7 +295,7 @@ func (s *Server) solveManyCore(parent context.Context, reqs []*SolveRequest) []s
 				out[pt.i].err = serr
 				continue
 			}
-			out[pt.i].res, out[pt.i].err = s.solveCore(parent, reqs[pt.i])
+			out[pt.i].res, out[pt.i].err = s.solveCore(parent, items[pt.i].Solve)
 		}
 	}
 	return out
@@ -183,13 +307,9 @@ func (s *Server) solveManyCore(parent context.Context, reqs []*SolveRequest) []s
 // stages are shed and the microsecond MVA solve answers, tagged
 // Degraded. A budget that was already MVA-only is served untouched.
 func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (snoopmva.BestResult, error) {
-	p, err := req.Protocol.resolve()
+	p, wl, err := resolve(req.Protocol, req.Workload)
 	if err != nil {
-		return snoopmva.BestResult{}, &InputError{Err: err}
-	}
-	wl, err := req.Workload.resolve()
-	if err != nil {
-		return snoopmva.BestResult{}, &InputError{Err: err}
+		return snoopmva.BestResult{}, err
 	}
 	ctx, cancel, err := s.coreContext(parent, req.TimeoutMS)
 	if err != nil {
@@ -231,15 +351,11 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 // sweepCore executes a sweep request; results are in request order.
 func (s *Server) sweepCore(parent context.Context, req *SweepRequest) ([]snoopmva.Result, error) {
 	if len(req.Ns) == 0 {
-		return nil, &InputError{Err: errSweepEmpty()}
+		return nil, inputErrorf("ns: at least one system size is required")
 	}
-	p, err := req.Protocol.resolve()
+	p, wl, err := resolve(req.Protocol, req.Workload)
 	if err != nil {
-		return nil, &InputError{Err: err}
-	}
-	wl, err := req.Workload.resolve()
-	if err != nil {
-		return nil, &InputError{Err: err}
+		return nil, err
 	}
 	ctx, cancel, err := s.coreContext(parent, req.TimeoutMS)
 	if err != nil {
@@ -258,25 +374,38 @@ func (s *Server) sweepCore(parent context.Context, req *SweepRequest) ([]snoopmv
 	}
 }
 
-// solveErrorCode maps a solver failure onto the shared status/code
-// taxonomy — the single mapping both the HTTP error writer and the
-// wire listener's Error frames go through.
-func solveErrorCode(err error) (status int, code string) {
+// failure projects an error onto the shared taxonomy — the one mapping
+// the JSON endpoints, /v1/batch and the wire codec all use. retry is
+// non-zero only for admission sheds (429, or 503 while draining): HTTP
+// adds a Retry-After header for it and the wire codec answers a
+// Backpressure frame instead of an Error frame.
+func failure(err error) (status int, resp ErrorResponse, retry time.Duration) {
+	resp.Error = err.Error()
+	var se *admission.ShedError
 	var ie *InputError
 	switch {
-	case errors.As(err, &ie):
-		return http.StatusBadRequest, "invalid_input"
-	case errors.Is(err, snoopmva.ErrInvalidInput):
-		return http.StatusBadRequest, "invalid_input"
+	case errors.As(err, &se):
+		status, resp.Code = http.StatusTooManyRequests, "overloaded"
+		switch se.Reason {
+		case admission.ReasonDraining:
+			status, resp.Code = http.StatusServiceUnavailable, "draining"
+		case admission.ReasonRateLimit:
+			resp.Code = "rate_limited"
+		}
+		resp.RetryAfterMS = se.RetryAfter.Milliseconds()
+		return status, resp, se.RetryAfter
+	case errors.As(err, &ie), errors.Is(err, snoopmva.ErrInvalidInput):
+		status, resp.Code = http.StatusBadRequest, "invalid_input"
 	case errors.Is(err, snoopmva.ErrCanceled):
-		return http.StatusGatewayTimeout, "deadline_exceeded"
+		status, resp.Code = http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, snoopmva.ErrNoConvergence):
-		return http.StatusUnprocessableEntity, "no_convergence"
+		status, resp.Code = http.StatusUnprocessableEntity, "no_convergence"
 	case errors.Is(err, snoopmva.ErrDiverged):
-		return http.StatusUnprocessableEntity, "diverged"
+		status, resp.Code = http.StatusUnprocessableEntity, "diverged"
 	case errors.Is(err, snoopmva.ErrStateExplosion):
-		return http.StatusUnprocessableEntity, "state_explosion"
+		status, resp.Code = http.StatusUnprocessableEntity, "state_explosion"
 	default:
-		return http.StatusInternalServerError, "internal"
+		status, resp.Code = http.StatusInternalServerError, "internal"
 	}
+	return status, resp, 0
 }

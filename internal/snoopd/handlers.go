@@ -1,9 +1,7 @@
 package snoopd
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"snoopmva"
-	"snoopmva/internal/admission"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
@@ -222,9 +219,9 @@ func (bs *BudgetSpec) budget() snoopmva.Budget {
 	}
 	return snoopmva.Budget{
 		MaxStates:   bs.MaxStates,
-		GTPNTimeout: time.Duration(bs.GTPNTimeoutMS) * time.Millisecond,
+		GTPNTimeout: msDuration(bs.GTPNTimeoutMS),
 		SimCycles:   bs.SimCycles,
-		SimTimeout:  time.Duration(bs.SimTimeoutMS) * time.Millisecond,
+		SimTimeout:  msDuration(bs.SimTimeoutMS),
 		Seed:        bs.Seed,
 	}
 }
@@ -315,13 +312,6 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// requestContext derives the solve context from the request: the client
-// disconnect cancellation from r.Context(), plus the requested (or
-// default) deadline, capped by cfg.MaxTimeout.
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc, error) {
-	return s.coreContext(r.Context(), timeoutMS)
-}
-
 // writeJSON writes v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
@@ -329,82 +319,44 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// badRequest writes a 400 with the given message.
-func badRequest(w http.ResponseWriter, msg string) {
-	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: msg, Code: "invalid_input"})
+// writeError answers a failed request through the shared failure
+// projection. Admission sheds also carry a Retry-After header in whole
+// seconds (rounded up, per RFC 9110) next to the precise retry_after_ms
+// in the body; they are written before the body is read, so a storm of
+// oversized requests costs the server nothing but headers.
+func writeError(w http.ResponseWriter, err error) {
+	status, resp, retry := failure(err)
+	if retry > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(int64((retry+time.Second-1)/time.Second), 10))
+	}
+	writeJSON(w, status, resp)
 }
 
-// writeSolveError maps a solver (or validation) failure onto the HTTP
-// status taxonomy via the shared solveErrorCode mapping.
-func writeSolveError(w http.ResponseWriter, err error) {
-	status, code := solveErrorCode(err)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
-}
-
-// shedStatus maps an admission refusal onto the shared status/code
-// taxonomy; the HTTP shed writer and the wire listener's Backpressure
-// frames both go through it.
-func shedStatus(se *admission.ShedError) (status int, code string) {
-	status, code = http.StatusTooManyRequests, "overloaded"
-	switch se.Reason {
-	case admission.ReasonDraining:
-		status, code = http.StatusServiceUnavailable, "draining"
-	case admission.ReasonRateLimit:
-		code = "rate_limited"
+// handleOp serves the single-point JSON route of kind k: the body
+// decodes into that arm of a BatchItem, runs through exec, and the
+// outcome is written as the route's response body.
+func (s *Server) handleOp(k opKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var it BatchItem
+		if err := decode(r, it.arm(k)); err != nil {
+			writeError(w, &InputError{Err: err})
+			return
+		}
+		oc := s.exec(r.Context(), &it)
+		if oc.err != nil {
+			writeError(w, oc.err)
+			return
+		}
+		rec := oc.record(it.Seq)
+		switch k {
+		case opSolveBest:
+			writeJSON(w, http.StatusOK, rec.SolveBest)
+		case opSweep:
+			writeJSON(w, http.StatusOK, SweepResponse{Results: rec.Sweep})
+		default:
+			writeJSON(w, http.StatusOK, SolveResponse{Result: *rec.Result})
+		}
 	}
-	return status, code
-}
-
-// writeShed maps an admission refusal onto the wire: 429 Too Many
-// Requests (503 while draining) with a Retry-After header in whole
-// seconds (rounded up, per RFC 9110) plus the precise retry_after_ms in
-// the body. Shed responses are written before the body is read, so a
-// storm of oversized requests costs the server nothing but headers.
-func writeShed(w http.ResponseWriter, err error) {
-	var se *admission.ShedError
-	if !errors.As(err, &se) {
-		writeSolveError(w, err)
-		return
-	}
-	status, code := shedStatus(se)
-	secs := int64((se.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, ErrorResponse{
-		Error:        err.Error(),
-		Code:         code,
-		RetryAfterMS: se.RetryAfter.Milliseconds(),
-	})
-}
-
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	res, err := s.solveCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SolveResponse{Result: toResultJSON(res)})
-}
-
-func (s *Server) handleSolveBest(w http.ResponseWriter, r *http.Request) {
-	var req SolveBestRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	best, err := s.solveBestCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toSolveBestResponse(best))
 }
 
 // toSolveBestResponse projects a BestResult onto the wire.
@@ -468,28 +420,10 @@ func SpecForBudget(b snoopmva.Budget) *BudgetSpec {
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
-		return
-	}
-	results, err := s.sweepCore(r.Context(), &req)
-	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	out := make([]ResultJSON, len(results))
-	for i, res := range results {
-		out[i] = toResultJSON(res)
-	}
-	writeJSON(w, http.StatusOK, SweepResponse{Results: out})
-}
-
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req CompareRequest
 	if err := decode(r, &req); err != nil {
-		badRequest(w, err.Error())
+		writeError(w, &InputError{Err: err})
 		return
 	}
 	var ps []snoopmva.Protocol
@@ -500,7 +434,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		for i, spec := range req.Protocols {
 			p, err := spec.resolve()
 			if err != nil {
-				badRequest(w, fmt.Sprintf("protocols[%d]: %v", i, err))
+				writeError(w, inputErrorf("protocols[%d]: %v", i, err))
 				return
 			}
 			ps[i] = p
@@ -508,12 +442,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	wl, err := req.Workload.resolve()
 	if err != nil {
-		badRequest(w, err.Error())
+		writeError(w, &InputError{Err: err})
 		return
 	}
-	ctx, cancel, err := s.requestContext(r, req.TimeoutMS)
+	ctx, cancel, err := s.coreContext(r.Context(), req.TimeoutMS)
 	if err != nil {
-		badRequest(w, err.Error())
+		writeError(w, err)
 		return
 	}
 	defer cancel()
@@ -524,7 +458,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		results, err = snoopmva.CompareParallelContext(ctx, ps, wl, req.N)
 	}
 	if err != nil {
-		writeSolveError(w, err)
+		writeError(w, err)
 		return
 	}
 	out := make([]CompareEntry, len(results))

@@ -1,15 +1,19 @@
-// Package snoopd implements the snoopmva HTTP service: JSON solve
-// endpoints over the deterministic solvers (POST /v1/solve, /v1/solvebest,
-// /v1/sweep, /v1/compare), Prometheus text-format metrics at /metrics,
-// liveness at /healthz, and the standard profiling surface at
-// /debug/pprof. Request
+// Package snoopd implements the snoopmva service: the JSON solve
+// endpoints (POST /v1/solve, /v1/solvebest, /v1/sweep, /v1/compare), the
+// NDJSON-streaming POST /v1/batch, Prometheus metrics at /metrics,
+// liveness at /healthz and profiling at /debug/pprof, plus the same
+// operations over the binary wire protocol (ServeWire). Every codec
+// decodes a request into a BatchItem and runs it through one op path
+// (core.go): admission, exec, then one failure projection. Request
 // deadlines are wired straight into the solvers' contexts, so a client
 // timeout (or disconnect) cancels the computation it was paying for, and
-// the failure taxonomy of the root package maps onto HTTP status codes:
+// the root package's failure taxonomy maps onto HTTP status codes (the
+// wire carries the same codes, and a shed as a Backpressure frame):
 //
 //	ErrInvalidInput                              → 400
 //	ErrNoConvergence, ErrDiverged, ErrStateExplosion → 422
 //	ErrCanceled (deadline or disconnect)          → 504
+//	admission shed                               → 429 (503 while draining)
 //	anything else                                → 500
 //
 // The Server is an http.Handler; graceful shutdown (draining in-flight
@@ -64,7 +68,6 @@ type Server struct {
 	mux      *http.ServeMux
 	adm      *admission.Controller
 	inflight *obs.Gauge
-	latency  map[string]*obs.Histogram // route → latency histogram
 	// Wire-listener metrics, minted at construction (metricreg: families
 	// at registration time, handlers only touch resolved series).
 	wireConns    *obs.Counter
@@ -88,16 +91,15 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		adm:      cfg.Admission,
 		inflight: reg.Gauge("snoopmva_http_inflight_requests", "Requests currently being served."),
-		latency:  map[string]*obs.Histogram{},
 	}
 	if cfg.Cache != nil {
 		cfg.Cache.RegisterMetrics(reg, "snoopd")
 	}
 
-	s.route("POST /v1/solve", s.admitted("POST /v1/solve", s.handleSolve))
-	s.route("POST /v1/solvebest", s.admitted("POST /v1/solvebest", s.handleSolveBest))
-	s.route("POST /v1/sweep", s.admitted("POST /v1/sweep", s.handleSweep))
-	s.route("POST /v1/compare", s.admitted("POST /v1/compare", s.handleCompare))
+	s.route("POST /v1/solve", s.admitted(opSolve, s.handleOp(opSolve)))
+	s.route("POST /v1/solvebest", s.admitted(opSolveBest, s.handleOp(opSolveBest)))
+	s.route("POST /v1/sweep", s.admitted(opSweep, s.handleOp(opSweep)))
+	s.route("POST /v1/compare", s.admitted(opCompare, s.handleCompare))
 	// Batch admits per point inside the handler, not per request.
 	s.route("POST /v1/batch", s.handleBatch)
 	s.route("GET /healthz", s.handleHealthz)
@@ -139,7 +141,6 @@ func (s *Server) route(pattern string, h http.HandlerFunc) {
 	lat := s.reg.Histogram("snoopmva_http_request_seconds",
 		"Request latency by route.",
 		obs.ExpBuckets(1e-5, 4, 10), obs.L("route", pattern))
-	s.latency[pattern] = lat
 	var requests [len(statusClasses)]*obs.Counter
 	for i, class := range statusClasses {
 		requests[i] = s.reg.Counter("snoopmva_http_requests_total",
@@ -169,33 +170,18 @@ const (
 	DeadlineHeader = "X-Snoop-Deadline-Ms"
 )
 
-// admitTargetScale scales the admission controller's base latency
-// target per route: a sweep or compare runs many solves per request, so
-// holding them to the single-solve target would make every batch
-// request look like congestion.
-var admitTargetScale = map[string]int{
-	"POST /v1/solve":     1,
-	"POST /v1/solvebest": 4,
-	"POST /v1/sweep":     8,
-	"POST /v1/compare":   8,
-}
-
-// admitted wraps a /v1 handler with the admission gate: shed requests
-// are answered immediately with 429/503 + Retry-After and never reach
-// the handler; admitted ones release their slot (with the observed
-// service latency) when the handler returns.
-func (s *Server) admitted(pattern string, h http.HandlerFunc) http.HandlerFunc {
+// admitted wraps a /v1 handler of kind k with the admission gate: shed
+// requests are answered immediately with 429/503 + Retry-After and never
+// reach the handler; admitted ones release their slot (with the observed
+// service latency, against k's scaled target) when the handler returns.
+func (s *Server) admitted(k opKind, h http.HandlerFunc) http.HandlerFunc {
 	if s.adm == nil {
 		return h
 	}
-	scale := admitTargetScale[pattern]
-	if scale < 1 {
-		scale = 1
-	}
-	target := time.Duration(scale) * s.adm.Target()
+	target := time.Duration(opScale[k]) * s.adm.Target()
 	return func(w http.ResponseWriter, r *http.Request) {
 		if err := s.adm.Admit(r.Context(), r.Header.Get(ClientIDHeader), admissionDeadline(r)); err != nil {
-			writeShed(w, err)
+			writeError(w, err)
 			return
 		}
 		start := time.Now()
@@ -211,7 +197,7 @@ func (s *Server) admitted(pattern string, h http.HandlerFunc) http.HandlerFunc {
 func admissionDeadline(r *http.Request) time.Time {
 	if v := r.Header.Get(DeadlineHeader); v != "" {
 		if ms, err := strconv.ParseInt(v, 10, 64); err == nil && ms > 0 {
-			return time.Now().Add(time.Duration(ms) * time.Millisecond)
+			return time.Now().Add(msDuration(ms))
 		}
 	}
 	if dl, ok := r.Context().Deadline(); ok {

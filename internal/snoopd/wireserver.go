@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"snoopmva/internal/admission"
 	"snoopmva/internal/wire"
 )
 
@@ -33,7 +32,7 @@ const (
 // single idle keepalive client would pin the ctx.Done → return path
 // (and the daemon's SIGTERM shutdown behind it) forever. In-flight
 // solves observe the same ctx and wind down with their connections.
-// Requests run through the same cores, admission gate and solve cache
+// Requests run through the same op path, admission gate and solve cache
 // as the HTTP endpoints.
 func (s *Server) ServeWire(ctx context.Context, ln net.Listener) error {
 	var mu sync.Mutex
@@ -128,10 +127,11 @@ func (wc *wireConn) write(typ wire.FrameType, payload []byte) {
 	wc.mu.Unlock()
 }
 
-// serveWireConn handshakes, then pipelines: request frames fan out to
-// bounded handler goroutines and responses stream back in completion
-// order. Any framing-layer failure — including an undecodable request
-// payload — is connection-fatal, per the wire package's contract.
+// serveWireConn handshakes, then pipelines: request frames decode into
+// BatchItems and fan out to bounded worker goroutines, and responses
+// stream back in completion order. Any framing-layer failure —
+// including an undecodable request payload — is connection-fatal, per
+// the wire package's contract.
 func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	s.wireConns.Inc()
@@ -151,14 +151,14 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 	// is busy the blocking send stops the read loop — TCP flow control
 	// then pushes back to the client, which is the per-connection
 	// backpressure story.
-	jobs := make(chan wireJob)
+	jobs := make(chan BatchItem)
 	workers := 0
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer close(jobs)
 	var scratch []byte // response-payload buffer of the inline fast path
-	var batchReqs []*SolveRequest
-	var batchSeqs []uint64
+	emit := func(it *BatchItem, oc outcome) { scratch = wc.writeOutcome(scratch, it.Seq, oc) }
+	var inline []BatchItem
 	for ctx.Err() == nil {
 		f, err := r.Next()
 		if err != nil {
@@ -172,71 +172,44 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 			}
 			wc.write(wire.TypePong, wire.AppendPong(nil, &wire.Pong{Seq: ping.Seq, Draining: s.draining.Load()}))
 		case wire.TypeSolveReq, wire.TypeSolveBestReq, wire.TypeSweepReq:
+			it, ok := s.wireItem(f)
+			if !ok {
+				wc.fail()
+				return
+			}
 			if f.Type == wire.TypeSolveReq && s.adm == nil {
 				// Inline fast path: a plain MVA solve is microseconds —
 				// cheaper than the worker handoff it would otherwise pay —
 				// and with no admission gate there is nothing to queue on,
-				// so the read loop answers directly, aliasing the reader's
-				// buffer instead of copying. SolveBest and sweeps (ms
-				// scale and up) still fan out to the pool, as does
+				// so the read loop answers directly. SolveBest and sweeps
+				// (ms scale and up) still fan out to the pool, as does
 				// everything when admission could make a request wait.
-				m, merr := wire.DecodeSolveRequest(f.Payload)
-				if merr != nil {
-					wc.fail()
-					return
-				}
-				s.wireRequests[f.Type].Inc()
-				batchReqs = append(batchReqs[:0], solveFromWire(&m))
-				batchSeqs = append(batchSeqs[:0], m.Seq)
+				//
 				// Greedy drain: pipelined solve frames already sitting in
 				// the reader's buffer (a SolveBatch burst typically lands
 				// in one read syscall) join this one in a single batched
 				// solve, sharing derivation and pooled solver scratch.
 				// Buffered never blocks, so a lone request still answers
 				// immediately.
-				for len(batchReqs) < wire.MaxBatchPoints {
-					t, ok := r.Buffered()
-					if !ok || t != wire.TypeSolveReq {
+				inline = append(inline[:0], it)
+				for len(inline) < wire.MaxBatchPoints {
+					if t, ok := r.Buffered(); !ok || t != wire.TypeSolveReq {
 						break
 					}
-					bf, berr := r.Next() // complete frame is buffered: cannot block
-					if berr != nil {
+					if f, err = r.Next(); err != nil { // complete frame is buffered: cannot block
 						return
 					}
-					bm, bmerr := wire.DecodeSolveRequest(bf.Payload)
-					if bmerr != nil {
+					if it, ok = s.wireItem(f); !ok {
 						wc.fail()
 						return
 					}
-					s.wireRequests[bf.Type].Inc()
-					batchReqs = append(batchReqs, solveFromWire(&bm))
-					batchSeqs = append(batchSeqs, bm.Seq)
+					inline = append(inline, it)
 				}
-				if len(batchReqs) == 1 {
-					res, serr := s.solveCore(ctx, batchReqs[0])
-					if serr != nil {
-						wc.writeError(batchSeqs[0], serr)
-						continue
-					}
-					scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: batchSeqs[0], Result: wireResult(res)})
-					wc.write(wire.TypeSolveResp, scratch)
-					continue
-				}
-				for i, oc := range s.solveManyCore(ctx, batchReqs) {
-					if oc.err != nil {
-						wc.writeError(batchSeqs[i], oc.err)
-						continue
-					}
-					scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: batchSeqs[i], Result: wireResult(oc.res)})
-					wc.write(wire.TypeSolveResp, scratch)
-				}
+				s.execSolves(ctx, clientID, inline, emit)
 				continue
 			}
-			// The payload aliases the reader's buffer; the handler
-			// goroutine outlives this iteration, so copy.
-			job := wireJob{typ: f.Type, payload: append([]byte(nil), f.Payload...)}
 			select {
-			case jobs <- job: // an idle worker took it
+			case jobs <- it: // an idle worker took it
 				continue
 			default:
 			}
@@ -245,13 +218,14 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for job := range jobs {
-						s.wirePoint(ctx, wc, clientID, job.typ, job.payload)
+					var buf []byte // this worker's response-payload buffer
+					for it := range jobs {
+						buf = wc.writeOutcome(buf, it.Seq, s.admitExec(ctx, clientID, &it))
 					}
 				}()
 			}
 			select {
-			case jobs <- job:
+			case jobs <- it:
 			case <-ctx.Done():
 				return
 			}
@@ -259,12 +233,6 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 			return // client sent a server-only frame type
 		}
 	}
-}
-
-// wireJob is one request frame handed to a connection's worker pool.
-type wireJob struct {
-	typ     wire.FrameType
-	payload []byte
 }
 
 // wireHandshake performs version negotiation: read the client's Hello,
@@ -301,67 +269,54 @@ func (s *Server) wireHandshake(wc *wireConn, r *wire.Reader) (clientID string, o
 	return hello.ClientName, true
 }
 
-// wirePoint executes one request frame: per-point admission (sheds
-// become Backpressure frames), then the matching core; failures become
-// Error frames carrying the same code taxonomy as the JSON API.
-func (s *Server) wirePoint(ctx context.Context, wc *wireConn, clientID string, typ wire.FrameType, payload []byte) {
-	switch typ {
+// wireItem decodes a request frame into the op it carries, through the
+// same spec types the JSON codec decodes into, and counts it. ok is
+// false for an undecodable payload.
+func (s *Server) wireItem(f wire.Frame) (it BatchItem, ok bool) {
+	switch f.Type {
 	case wire.TypeSolveReq:
-		m, err := wire.DecodeSolveRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 1, func() {
-			res, err := s.solveCore(ctx, solveFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			wc.write(wire.TypeSolveResp, wire.AppendSolveResponse(nil, &wire.SolveResponse{Seq: m.Seq, Result: wireResult(res)}))
-		}) {
-			return
-		}
+		m, err := wire.DecodeSolveRequest(f.Payload)
+		it, ok = BatchItem{Seq: m.Seq, Solve: solveFromWire(&m)}, err == nil
 	case wire.TypeSolveBestReq:
-		m, err := wire.DecodeSolveBestRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 4, func() {
-			best, err := s.solveBestCore(ctx, solveBestFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			wc.write(wire.TypeSolveBestResp, wire.AppendSolveBestResponse(nil, wireSolveBest(m.Seq, best)))
-		}) {
-			return
-		}
-	case wire.TypeSweepReq:
-		m, err := wire.DecodeSweepRequest(payload)
-		if err != nil {
-			wc.fail()
-			return
-		}
-		s.wireRequests[typ].Inc()
-		if !s.wireAdmit(ctx, wc, clientID, m.Seq, m.TimeoutMS, 8, func() {
-			results, err := s.sweepCore(ctx, sweepFromWire(&m))
-			if err != nil {
-				wc.writeError(m.Seq, err)
-				return
-			}
-			out := make([]wire.Result, len(results))
-			for i, res := range results {
-				out[i] = wireResult(res)
-			}
-			wc.write(wire.TypeSweepResp, wire.AppendSweepResponse(nil, &wire.SweepResponse{Seq: m.Seq, Results: out}))
-		}) {
-			return
-		}
+		m, err := wire.DecodeSolveBestRequest(f.Payload)
+		it, ok = BatchItem{Seq: m.Seq, SolveBest: solveBestFromWire(&m)}, err == nil
+	default:
+		m, err := wire.DecodeSweepRequest(f.Payload)
+		it, ok = BatchItem{Seq: m.Seq, Sweep: sweepFromWire(&m)}, err == nil
 	}
+	if ok {
+		s.wireRequests[f.Type].Inc()
+	}
+	return it, ok
+}
+
+// writeOutcome answers seq with the frame for oc — the kind's response
+// frame, an Error frame, or a Backpressure frame for an admission shed
+// (same code taxonomy and retry_after_ms precision as HTTP's 429/503) —
+// encoding the payload into scratch, which it returns for reuse.
+func (wc *wireConn) writeOutcome(scratch []byte, seq uint64, oc outcome) []byte {
+	typ := wire.TypeSolveResp
+	switch {
+	case oc.err != nil:
+		_, e, retry := failure(oc.err)
+		if retry > 0 {
+			typ, scratch = wire.TypeBackpressure, wire.AppendBackpressure(scratch[:0], &wire.BackpressureMsg{Seq: seq, Code: e.Code, RetryAfterMS: e.RetryAfterMS})
+		} else {
+			typ, scratch = wire.TypeError, wire.AppendError(scratch[:0], &wire.ErrorMsg{Seq: seq, Code: e.Code, Msg: e.Error})
+		}
+	case oc.kind == opSolveBest:
+		typ, scratch = wire.TypeSolveBestResp, wire.AppendSolveBestResponse(scratch[:0], wireSolveBest(seq, oc.best))
+	case oc.kind == opSweep:
+		out := make([]wire.Result, len(oc.sweep))
+		for i, res := range oc.sweep {
+			out[i] = wireResult(res)
+		}
+		typ, scratch = wire.TypeSweepResp, wire.AppendSweepResponse(scratch[:0], &wire.SweepResponse{Seq: seq, Results: out})
+	default:
+		scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: seq, Result: wireResult(oc.res)})
+	}
+	wc.write(typ, scratch)
+	return scratch
 }
 
 // fail marks the connection dead and closes it: the request payload was
@@ -372,33 +327,4 @@ func (wc *wireConn) fail() {
 	defer wc.mu.Unlock()
 	wc.dead = true
 	_ = wc.conn.Close()
-}
-
-// writeError answers seq with an Error frame via the shared taxonomy.
-func (wc *wireConn) writeError(seq uint64, err error) {
-	_, code := solveErrorCode(err)
-	wc.write(wire.TypeError, wire.AppendError(nil, &wire.ErrorMsg{Seq: seq, Code: code, Msg: err.Error()}))
-}
-
-// wireAdmit gates one request through the admission controller, running
-// run while holding the slot. A shed answers seq with a Backpressure
-// frame — same code taxonomy and retry_after_ms precision as the HTTP
-// path's 429/503 — and reports false.
-func (s *Server) wireAdmit(ctx context.Context, wc *wireConn, clientID string, seq uint64, timeoutMS int64, scale int, run func()) bool {
-	release, err := s.admitPoint(ctx, clientID, timeoutMS, scale)
-	if err != nil {
-		var se *admission.ShedError
-		if errors.As(err, &se) {
-			_, code := shedStatus(se)
-			wc.write(wire.TypeBackpressure, wire.AppendBackpressure(nil, &wire.BackpressureMsg{
-				Seq: seq, Code: code, RetryAfterMS: se.RetryAfter.Milliseconds(),
-			}))
-		} else {
-			wc.writeError(seq, err)
-		}
-		return false
-	}
-	defer release()
-	run()
-	return true
 }
