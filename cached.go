@@ -2,7 +2,6 @@ package snoopmva
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"snoopmva/internal/obs"
@@ -41,10 +40,11 @@ func (s CacheStats) HitRate() float64 {
 	return solvecache.Stats{Hits: s.Hits, Misses: s.Misses, Coalesced: s.Coalesced}.HitRate()
 }
 
-// CachedSolver wraps the package-level solvers with a bounded memoization
-// cache. Construct with NewCachedSolver; a CachedSolver is safe for
-// concurrent use by any number of goroutines, and a single instance is
-// meant to be shared process-wide (each instance has its own cache).
+// CachedSolver is the memoizing Solver: the package-level solvers behind
+// a bounded memoization cache. Construct with NewCachedSolver; a
+// CachedSolver is safe for concurrent use by any number of goroutines,
+// and a single instance is meant to be shared process-wide (each
+// instance has its own cache).
 //
 // Two configurations share a cache entry exactly when every input that
 // affects the solution is identical: protocol modification set (preset
@@ -59,7 +59,7 @@ func (s CacheStats) HitRate() float64 {
 // computation runs under the context of whichever caller started it; if
 // that context fires, every coalesced caller observes the resulting
 // ErrCanceled (and nothing is cached). Callers with independent deadlines
-// that must not share fate should use the uncached package-level solvers.
+// that must not share fate should use Direct.
 type CachedSolver struct {
 	cache *solvecache.Cache
 }
@@ -100,16 +100,6 @@ func (c *CachedSolver) Solve(p Protocol, w Workload, n int) (Result, error) {
 	return c.SolveWithContext(context.Background(), p, w, Timing{}, n, Options{})
 }
 
-// SolveContext is the cached SolveContext.
-func (c *CachedSolver) SolveContext(ctx context.Context, p Protocol, w Workload, n int) (Result, error) {
-	return c.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
-}
-
-// SolveWith is the cached SolveWith.
-func (c *CachedSolver) SolveWith(p Protocol, w Workload, t Timing, n int, opts Options) (Result, error) {
-	return c.SolveWithContext(context.Background(), p, w, t, n, opts)
-}
-
 // SolveWithContext is the cached SolveWithContext. The hit path is
 // allocation-free: the input is encoded into a pooled builder and probed
 // with Cache.Lookup; only a miss finalizes a canonical key and enters
@@ -137,20 +127,14 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	return v.(Result), nil
 }
 
-// SolveMany is the cached SolveMany: each point is served from the cache
-// when resident, and the misses are batch-solved on shared scratch (see
-// the package-level SolveMany) before being published to the cache.
-func (c *CachedSolver) SolveMany(inputs []SolveInput) ([]Result, error) {
-	return c.SolveManyContext(context.Background(), inputs)
-}
-
-// SolveManyContext is SolveMany with cancellation. Hits are probed with
-// the pooled allocation-free encoder; misses are grouped by
-// configuration and solved through the amortized batch path, then
-// published under singleflight. If a concurrent flight for the same key
-// is in progress, the flight's value (bitwise identical for a
-// successful flight) is preferred; a failed flight never masks this
-// batch's own successfully computed point.
+// SolveManyContext is the cached SolveManyContext: each point is served
+// from the cache when resident. Hits are probed with the pooled
+// allocation-free encoder; misses are grouped by configuration and
+// solved through the amortized batch path, then published under
+// singleflight. If a concurrent flight for the same key is in progress,
+// the flight's value (bitwise identical for a successful flight) is
+// preferred; a failed flight never masks this batch's own successfully
+// computed point.
 func (c *CachedSolver) SolveManyContext(ctx context.Context, inputs []SolveInput) (out []Result, err error) {
 	defer guard(&err)
 	out = make([]Result, len(inputs))
@@ -221,59 +205,24 @@ func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (B
 	return cloneBest(v.(BestResult)), true
 }
 
-// Compare is the cached Compare: per-protocol solves go through the cache,
-// and like the package-level variants every protocol is attempted with the
-// failures joined (each identified by its protocol).
-func (c *CachedSolver) Compare(ps []Protocol, w Workload, n int) ([]Result, error) {
-	return c.CompareContext(context.Background(), ps, w, n)
-}
-
-// CompareContext is Compare with cancellation.
-func (c *CachedSolver) CompareContext(ctx context.Context, ps []Protocol, w Workload, n int) (out []Result, err error) {
-	defer guard(&err)
-	return compareSerial(ps, func(p Protocol) (Result, error) {
-		return c.SolveContext(ctx, p, w, n)
-	})
-}
-
-// Sweep is the cached Sweep. Each size is solved (or fetched) on its own
-// canonical cold-start key: unlike the package-level warm-started Sweep,
-// cached sweep entries never depend on which sizes were solved before, so
-// a cache hit is bitwise identical to a cold per-size Solve. A repeated
-// sweep is then pure cache hits — cheaper than any warm start.
-func (c *CachedSolver) Sweep(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return c.SweepContext(context.Background(), p, w, ns)
-}
-
-// SweepContext is Sweep with cancellation: it stops at the first size
-// whose solve fails or is canceled.
+// SweepContext is the cached SweepContext. Each size is solved (or
+// fetched) on its own canonical cold-start key: unlike the package-level
+// warm-started sweep, cached sweep entries never depend on which sizes
+// were solved before, so a cache hit is bitwise identical to a cold
+// per-size Solve. A repeated sweep is then pure cache hits — cheaper
+// than any warm start. Like the package-level sweep it stops at the
+// first size whose solve fails or is canceled.
 func (c *CachedSolver) SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	out = make([]Result, 0, len(ns))
 	for _, n := range ns {
-		r, serr := c.SolveContext(ctx, p, w, n)
+		r, serr := c.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
 		if serr != nil {
 			return nil, fmt.Errorf("snoopmva: sweep at N=%d: %w", n, serr)
 		}
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// SweepParallel is the cached SweepParallel.
-func (c *CachedSolver) SweepParallel(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return c.SweepParallelContext(context.Background(), p, w, ns)
-}
-
-// SweepParallelContext is the cached SweepParallelContext: concurrent
-// sizes solve in parallel on first touch, identical concurrent sweeps
-// coalesce per size, and repeats are served from the cache. Error
-// aggregation matches the package-level variant.
-func (c *CachedSolver) SweepParallelContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
-	defer guard(&err)
-	return sweepParallel(ctx, ns, func(ctx context.Context, n int) (Result, error) {
-		return c.SolveContext(ctx, p, w, n)
-	})
 }
 
 // cloneBest gives the caller its own copy of the per-model detail structs.
@@ -352,16 +301,6 @@ func appendSolveKey(b *solvecache.KeyBuilder, p Protocol, w Workload, t Timing, 
 	b.Int(int64(n))
 }
 
-// solveKey finalizes a canonical Key for the miss path (Do needs the
-// canonical string to outlive the builder; hits never come here).
-func solveKey(p Protocol, w Workload, t Timing, n int, opts Options) solvecache.Key {
-	b := solvecache.AcquireKey()
-	appendSolveKey(b, p, w, t, n, opts)
-	k := b.Key()
-	b.Release()
-	return k
-}
-
 // appendBestKey canonicalizes one SolveBest input into a pooled builder.
 //
 //snoop:hotpath runs on every cached SolveBest; appends into the pooled builder's reused buffer
@@ -384,24 +323,4 @@ func bestKey(p Protocol, w Workload, n int, bg Budget) solvecache.Key {
 	k := b.Key()
 	b.Release()
 	return k
-}
-
-// compareSerial drives one solve per protocol in input order, attempting
-// every protocol and joining the per-protocol failures — the error shape
-// shared by Compare, CachedSolver.Compare and CompareParallelContext.
-func compareSerial(ps []Protocol, solve func(Protocol) (Result, error)) ([]Result, error) {
-	results := make([]Result, len(ps))
-	var joined []error
-	for i, p := range ps {
-		r, err := solve(p)
-		if err != nil {
-			joined = append(joined, fmt.Errorf("snoopmva: %v: %w", p, err))
-			continue
-		}
-		results[i] = r
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
-	}
-	return results, nil
 }

@@ -61,7 +61,7 @@ func TestCachedSolverKeyDiscrimination(t *testing.T) {
 
 	// The zero Timing means the paper defaults: must share with
 	// DefaultTiming().
-	if _, err := cs.SolveWith(Illinois(), w, DefaultTiming(), 8, Options{}); err != nil {
+	if _, err := cs.SolveWithContext(context.Background(), Illinois(), w, DefaultTiming(), 8, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if s := cs.Stats(); s.Misses != 1 || s.Hits != 2 {
@@ -77,7 +77,7 @@ func TestCachedSolverKeyDiscrimination(t *testing.T) {
 	if _, err := cs.Solve(Illinois(), w, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.SolveWith(Illinois(), w, Timing{}, 8, Options{SplitTransactionBus: true}); err != nil {
+	if _, err := cs.SolveWithContext(context.Background(), Illinois(), w, Timing{}, 8, Options{SplitTransactionBus: true}); err != nil {
 		t.Fatal(err)
 	}
 	if s := cs.Stats(); s.Misses != 4 {
@@ -226,10 +226,10 @@ func TestCachedSolverErrorsNotCachedAndClassified(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	heavy := AppendixA(Sharing20)
-	if _, err := cs.SolveContext(ctx, WriteOnce(), heavy, 100); !errors.Is(err, ErrCanceled) {
+	if _, err := cs.SolveWithContext(ctx, WriteOnce(), heavy, Timing{}, 100, Options{}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled solve: %v", err)
 	}
-	if got, err := cs.SolveContext(context.Background(), WriteOnce(), heavy, 100); err != nil || got.N != 100 {
+	if got, err := cs.SolveWithContext(context.Background(), WriteOnce(), heavy, Timing{}, 100, Options{}); err != nil || got.N != 100 {
 		t.Fatalf("solve after canceled flight: %+v, %v", got, err)
 	}
 }
@@ -242,7 +242,7 @@ func TestCachedSweepsMatchColdSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := cs.SweepParallelContext(context.Background(), Illinois(), w, ns)
+	par, err := SweepParallel(context.Background(), cs, Illinois(), w, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +270,11 @@ func TestCachedSweepsMatchColdSolves(t *testing.T) {
 func TestCachedCompareJoinsErrors(t *testing.T) {
 	cs := NewCachedSolver(0)
 	w := AppendixA(Sharing5)
-	good, err := cs.Compare([]Protocol{WriteOnce(), Illinois()}, w, 8)
+	good, err := Compare(context.Background(), cs, []Protocol{WriteOnce(), Illinois()}, w, 8)
 	if err != nil || len(good) != 2 {
 		t.Fatalf("Compare: %v, %v", good, err)
 	}
-	_, err = cs.Compare([]Protocol{WriteOnce(), WithMods(9)}, w, 8)
+	_, err = Compare(context.Background(), cs, []Protocol{WriteOnce(), WithMods(9)}, w, 8)
 	if !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("Compare with invalid protocol: %v", err)
 	}

@@ -299,8 +299,12 @@ func RunCampaign(ctx context.Context, spec CampaignSpec) (res CampaignResult, er
 	// Once ctx fires or the injected crash latches, no further point
 	// starts; in-flight state is preserved by the journal.
 	stop := func() bool { return ctx.Err() != nil || crashed.Load() }
+	var solver Solver = Direct
+	if spec.Cache != nil {
+		solver = spec.Cache
+	}
 	forEachIndex(len(pending), spec.Workers, stop, func(i int) {
-		pr, perr := solveCampaignPoint(ctx, spec, breaker, pending[i])
+		pr, perr := solveCampaignPoint(ctx, spec, solver, breaker, pending[i])
 		if perr != nil {
 			errOnce.Do(func() { firstErr = perr })
 			return // aborted attempt: the point is not completed, resume will redo it
@@ -513,11 +517,11 @@ func resilienceStatesSorted(m map[string]resilience.BreakerState) []resilience.B
 	return b.Snapshot() // sorted by key
 }
 
-// solveCampaignPoint runs one grid point through breaker gating, the
-// retry policy and the watchdog. A non-nil error means the attempt was
-// aborted by ctx (the point stays pending); a permanent failure is
-// reported inside the PointResult instead.
-func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilience.Breaker, idx int) (PointResult, error) {
+// solveCampaignPoint runs one grid point on solver through breaker
+// gating, the retry policy and the watchdog. A non-nil error means the
+// attempt was aborted by ctx (the point stays pending); a permanent
+// failure is reported inside the PointResult instead.
+func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, breaker *resilience.Breaker, idx int) (PointResult, error) {
 	pt := &spec.Points[idx]
 	budget := pt.Budget
 	var skipped []string
@@ -575,17 +579,13 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, breaker *resilie
 		// returns nil, where the done-channel receive inside Watchdog
 		// provides the happens-before edge for reading r.
 		var r BestResult
-		solve := SolveBest
-		if spec.Cache != nil {
-			solve = spec.Cache.SolveBest
-		}
 		var name string // the watchdog names only a timeout
 		if spec.PointTimeout > 0 {
 			name = fmt.Sprintf("campaign point %d", idx)
 		}
 		werr := resilience.Watchdog(ctx, name, spec.PointTimeout,
 			func(ctx context.Context) error {
-				br, serr := solve(ctx, pt.Protocol, pt.Workload, pt.N, budget)
+				br, serr := solver.SolveBest(ctx, pt.Protocol, pt.Workload, pt.N, budget)
 				if serr != nil {
 					return serr
 				}

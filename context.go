@@ -20,11 +20,6 @@ import (
 // recovers internal panics into *PanicError and maps errors onto the public
 // taxonomy (see errors.go).
 
-// SolveContext is Solve with cancellation.
-func SolveContext(ctx context.Context, p Protocol, w Workload, n int) (Result, error) {
-	return SolveWithContext(ctx, p, w, Timing{}, n, Options{})
-}
-
 // SolveWithContext is SolveWith with cancellation.
 func SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (res Result, err error) {
 	defer guard(&err)

@@ -1,6 +1,8 @@
 package snoopmva
 
 import (
+	"fmt"
+
 	"snoopmva/internal/hierarchy"
 )
 
@@ -76,6 +78,9 @@ func SolveHierarchical(p Protocol, w Workload, cfg HierarchicalConfig) (res Hier
 // from flattest (1×N) to deepest (N×1).
 func ClusterShapes(p Protocol, w Workload, total int, cfg HierarchicalConfig) (out []HierarchicalResult, err error) {
 	defer guard(&err)
+	if total < 1 {
+		return nil, fmt.Errorf("snoopmva: total processors %d < 1: %w", total, ErrInvalidInput)
+	}
 	for c := 1; c <= total; c++ {
 		if total%c != 0 {
 			continue

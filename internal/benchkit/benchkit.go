@@ -112,7 +112,7 @@ type AllocReport struct {
 	// 30-field build through the pooled solvecache.KeyBuilder API.
 	KeyEncode AllocSeries `json:"key_encode"`
 	// SolveBatch is one warm batchPoints-point batch through the cached
-	// SolveMany (per batch call, not per point). A pointer so baselines
+	// SolveManyContext (per batch call, not per point). A pointer so baselines
 	// generated before the batched API decode as nil and benchguard skips
 	// the series instead of gating against a phantom zero.
 	SolveBatch *AllocSeries `json:"solve_batch,omitempty"`
@@ -434,19 +434,19 @@ func benchAllocs(quick bool) (*AllocReport, error) {
 	key := measureAllocs(runs, func() { sink += encodeKeyFingerprint() })
 	_ = sink
 
-	// Batched path: a warm batch through the cached SolveMany — pooled key
+	// Batched path: a warm batch through the cached SolveManyContext — pooled key
 	// probes plus result-slice assembly, the steady state of a repeated
 	// design-space sweep.
 	inputs := make([]snoopmva.SolveInput, batchPoints)
 	for i := range inputs {
 		inputs[i] = snoopmva.SolveInput{Protocol: p, Workload: w, N: i + 1}
 	}
-	if _, err := cs.SolveMany(inputs); err != nil {
+	if _, err := cs.SolveManyContext(context.Background(), inputs); err != nil {
 		return nil, err
 	}
 	var batchErr error
 	batch := measureAllocs(runs/batchPoints+1, func() {
-		if _, err := cs.SolveMany(inputs); err != nil && batchErr == nil {
+		if _, err := cs.SolveManyContext(context.Background(), inputs); err != nil && batchErr == nil {
 			batchErr = err
 		}
 	})

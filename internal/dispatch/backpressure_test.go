@@ -12,6 +12,7 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/admission"
+	"snoopmva/internal/faultinject"
 	"snoopmva/internal/obs"
 	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
@@ -246,12 +247,40 @@ func TestChaosBrownoutWorkerGridCompletes(t *testing.T) {
 		t.Fatalf("brownout should be active before the run: %+v", ctrl.State())
 	}
 
-	brownedOut := httptest.NewServer(snoopd.New(snoopd.Config{Registry: obs.NewRegistry(), Admission: ctrl}))
+	// Force the overlap the backpressure assertion needs instead of
+	// hoping two dispatches meet at the 1-slot limiter: every MVA solve
+	// waits (via the SolveDelay hook) until the browned-out worker has
+	// answered one solvebest while another is still in flight. The held
+	// one owns the only admission slot, so the answered one can only be
+	// a 429; the healthy worker's solves wait too, so the grid cannot
+	// drain around the browned-out worker first.
+	var inflight atomic.Int32
+	overlapped := make(chan struct{})
+	var overlapOnce sync.Once
+	inner := snoopd.New(snoopd.Config{Registry: obs.NewRegistry(), Admission: ctrl})
+	brownedOut := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != routeSolveBest {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		inflight.Add(1)
+		inner.ServeHTTP(w, r)
+		if inflight.Add(-1) > 0 {
+			overlapOnce.Do(func() { close(overlapped) })
+		}
+	}))
 	defer brownedOut.Close()
 	healthy := newWorker(t)
 
 	points := testGrid(t, 12)
 	want := localReference(t, points)
+	restore := faultinject.Activate(&faultinject.Set{
+		SolveDelay: func(int) time.Duration {
+			awaitOrBackstop(overlapped)
+			return 0
+		},
+	})
+	defer restore()
 
 	cfg := quickCfg(transportsFor(brownedOut, healthy))
 	cfg.MaxInflight = 2      // two concurrent dispatches per worker: guarantees contention at the 1-slot limiter

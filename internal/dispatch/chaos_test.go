@@ -28,13 +28,16 @@ func TestChaosWorkerDeathMidGrid(t *testing.T) {
 
 	// The victim dies — connections severed, listener closed, which is
 	// what the coordinator sees of a SIGKILL — once it has served a few
-	// solves.
+	// solves. The healthy workers hold their solves until then, so the
+	// kill lands mid-grid however the scheduler orders the dispatches.
 	var served atomic.Int32
+	killed := make(chan struct{})
 	var victim *httptest.Server
 	inner := snoopd.New(snoopd.Config{Registry: obs.NewRegistry()})
 	victim = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inner.ServeHTTP(w, r)
 		if r.URL.Path == routeSolveBest && served.Add(1) == 3 {
+			close(killed)
 			go func() {
 				victim.CloseClientConnections()
 				victim.Close()
@@ -42,7 +45,7 @@ func TestChaosWorkerDeathMidGrid(t *testing.T) {
 		}
 	}))
 	t.Cleanup(victim.Close)
-	ts := transportsFor(victim, newWorker(t), newWorker(t))
+	ts := transportsFor(victim, heldWorker(t, killed), heldWorker(t, killed))
 
 	cfg := quickCfg(ts)
 	cfg.QuarantineAfter = 2
@@ -71,15 +74,22 @@ func TestChaosPartitionQuarantinesWorker(t *testing.T) {
 	cutAddr := ts[0].Addr()
 
 	// Partition the first worker for the whole run: every request to it
-	// fails without touching the network. Pace the healthy worker's
-	// solves so probes have time to observe the partition and quarantine.
+	// fails without touching the network. Hold the healthy worker's
+	// solves until the probes have quarantined it. The probe loop records
+	// each probe before starting the next, so the third probe of the cut
+	// worker means two failed probes (QuarantineAfter) are on record.
+	var cutProbes atomic.Int32
+	quarantined := make(chan struct{})
 	restore := faultinject.Activate(&faultinject.Set{
 		HTTPFault: func(addr, route string) (time.Duration, error) {
 			if addr == cutAddr {
+				if route == routeHealthz && cutProbes.Add(1) == 3 {
+					close(quarantined)
+				}
 				return 0, errors.New("faultinject: partitioned")
 			}
 			if route == routeSolveBest {
-				return 15 * time.Millisecond, nil
+				awaitOrBackstop(quarantined)
 			}
 			return 0, nil
 		},
@@ -119,19 +129,34 @@ func TestChaosPartitionHealsAndWorkerReadmitted(t *testing.T) {
 	ts := transportsFor(cut, w2)
 	cutAddr := ts[0].Addr()
 
-	// Partition the first worker until the healthy one has served 6
-	// solves, then heal. The coordinator must quarantine it, readmit it
-	// after the heal, and may route tail work back to it.
-	var healthySolves atomic.Int32
+	// Partition the first worker until the probes have quarantined it,
+	// then heal. The coordinator must quarantine it, readmit it after the
+	// heal, and may route tail work back to it. The probe loop records
+	// each probe before starting the next: the cut worker's third probe
+	// means two failed probes (QuarantineAfter) are on record, so it
+	// heals the partition and succeeds itself; the fourth means that
+	// success (ReadmitAfter) is on record. The healthy worker's solves
+	// wait for the readmission, so the grid cannot finish first.
+	var cutProbes atomic.Int32
+	healed, readmitted := make(chan struct{}), make(chan struct{})
 	restore := faultinject.Activate(&faultinject.Set{
 		HTTPFault: func(addr, route string) (time.Duration, error) {
-			healed := healthySolves.Load() >= 6
-			if addr == cutAddr && !healed {
-				return 0, errors.New("faultinject: partitioned")
+			if addr == cutAddr && route == routeHealthz {
+				switch cutProbes.Add(1) {
+				case 3:
+					close(healed)
+				case 4:
+					close(readmitted)
+				}
 			}
-			if addr != cutAddr && route == routeSolveBest {
-				healthySolves.Add(1)
-				return 15 * time.Millisecond, nil
+			if addr == cutAddr {
+				select {
+				case <-healed:
+				default:
+					return 0, errors.New("faultinject: partitioned")
+				}
+			} else if route == routeSolveBest {
+				awaitOrBackstop(readmitted)
 			}
 			return 0, nil
 		},
@@ -239,4 +264,29 @@ func TestChaosResumeInteropWithLocalRunner(t *testing.T) {
 		t.Errorf("resumed = %d, want >= 4", got.Resumed)
 	}
 	assertSameResults(t, want, got)
+}
+
+// awaitOrBackstop blocks until release closes or a 10s backstop passes,
+// so a forced scenario that never happens fails on its test's own
+// assertions instead of hanging.
+func awaitOrBackstop(release <-chan struct{}) {
+	select {
+	case <-release:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// heldWorker is a healthy worker whose solves wait (awaitOrBackstop)
+// until release closes; health probes pass straight through.
+func heldWorker(t *testing.T, release <-chan struct{}) *httptest.Server {
+	t.Helper()
+	inner := snoopd.New(snoopd.Config{Registry: obs.NewRegistry()})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == routeSolveBest {
+			awaitOrBackstop(release)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv
 }

@@ -25,6 +25,7 @@ func init() {
 }
 
 func runFig41(cfg RunConfig) (*Report, error) {
+	cfg = cfg.withDefaults()
 	rep := &Report{ID: "fig4.1", Title: "Figure 4.1 — the mean value analysis performance results"}
 	plot := tables.NewPlot("Figure 4.1: speedup vs number of processors", "processors", "speedup")
 	ns := make([]int, 0, 20)
@@ -54,7 +55,7 @@ func runFig41(cfg RunConfig) (*Report, error) {
 	tb := tables.New("Figure 4.1 series", "curve", "N", "speedup")
 	for _, c := range curves {
 		m := mva.Model{Workload: workload.AppendixA(c.sharing), Mods: c.ms}
-		results, err := m.Sweep(ns, mva.Options{})
+		results, err := m.SolveManyContext(cfg.Ctx, ns, mva.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("fig4.1 %s: %w", c.label, err)
 		}

@@ -19,10 +19,10 @@
 package hierarchy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
+	"snoopmva/internal/mva"
 	"snoopmva/internal/protocol"
 	"snoopmva/internal/queueing"
 	"snoopmva/internal/workload"
@@ -57,10 +57,10 @@ type Config struct {
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Clusters < 1 {
-		return fmt.Errorf("hierarchy: clusters = %d < 1", c.Clusters)
+		return fmt.Errorf("hierarchy: clusters = %d < 1: %w", c.Clusters, workload.ErrInvalid)
 	}
 	if c.PerCluster < 1 {
-		return fmt.Errorf("hierarchy: per-cluster = %d < 1", c.PerCluster)
+		return fmt.Errorf("hierarchy: per-cluster = %d < 1: %w", c.PerCluster, workload.ErrInvalid)
 	}
 	for _, p := range []struct {
 		name string
@@ -70,11 +70,11 @@ func (c Config) Validate() error {
 		{"global broadcast fraction", c.GlobalBcFraction},
 	} {
 		if math.IsNaN(p.v) || p.v < 0 || p.v > 1 {
-			return fmt.Errorf("hierarchy: %s = %v outside [0,1]", p.name, p.v)
+			return fmt.Errorf("hierarchy: %s = %v outside [0,1]: %w", p.name, p.v, workload.ErrInvalid)
 		}
 	}
 	if c.GlobalSpeedRatio < 0 {
-		return fmt.Errorf("hierarchy: negative global speed ratio %v", c.GlobalSpeedRatio)
+		return fmt.Errorf("hierarchy: negative global speed ratio %v: %w", c.GlobalSpeedRatio, workload.ErrInvalid)
 	}
 	return nil
 }
@@ -341,7 +341,7 @@ func Solve(cfg Config, opts Options) (Result, error) {
 			return res, nil
 		}
 	}
-	return res, errors.New("hierarchy: fixed point did not converge")
+	return res, fmt.Errorf("hierarchy: %w after %d iterations", mva.ErrNoConvergence, o.MaxIter)
 }
 
 // Crossover sweeps cluster shapes for a fixed total processor count and
@@ -351,7 +351,7 @@ func Crossover(base Config, total int, shapes [][2]int, opts Options) ([]Result,
 	out := make([]Result, 0, len(shapes))
 	for _, s := range shapes {
 		if s[0]*s[1] != total {
-			return nil, fmt.Errorf("hierarchy: shape %dx%d != total %d", s[0], s[1], total)
+			return nil, fmt.Errorf("hierarchy: shape %dx%d != total %d: %w", s[0], s[1], total, workload.ErrInvalid)
 		}
 		cfg := base
 		cfg.Clusters, cfg.PerCluster = s[0], s[1]

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -215,5 +216,31 @@ func TestConverges(t *testing.T) {
 	}
 	if res.Iterations <= 0 || res.Iterations > 5000 {
 		t.Errorf("iterations = %d", res.Iterations)
+	}
+}
+
+// TestErrorsCarrySentinels pins the error taxonomy the public facade
+// classifies: bad configurations wrap workload.ErrInvalid and an
+// exhausted iteration budget wraps mva.ErrNoConvergence.
+func TestErrorsCarrySentinels(t *testing.T) {
+	invalid := []func(*Config){
+		func(c *Config) { c.Clusters = 0 },
+		func(c *Config) { c.PerCluster = 0 },
+		func(c *Config) { c.GlobalMissFraction = 1.5 },
+		func(c *Config) { c.GlobalBcFraction = math.NaN() },
+		func(c *Config) { c.GlobalSpeedRatio = -1 },
+	}
+	for i, mutate := range invalid {
+		cfg := baseCfg(2, 2)
+		mutate(&cfg)
+		if _, err := Solve(cfg, Options{}); !errors.Is(err, workload.ErrInvalid) {
+			t.Errorf("case %d: err = %v, want workload.ErrInvalid", i, err)
+		}
+	}
+	if _, err := Crossover(baseCfg(1, 16), 16, [][2]int{{3, 5}}, Options{}); !errors.Is(err, workload.ErrInvalid) {
+		t.Errorf("inconsistent shape: err = %v, want workload.ErrInvalid", err)
+	}
+	if _, err := Solve(baseCfg(8, 8), Options{MaxIter: 1}); !errors.Is(err, mva.ErrNoConvergence) {
+		t.Errorf("one-iteration budget: err = %v, want mva.ErrNoConvergence", err)
 	}
 }

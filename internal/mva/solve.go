@@ -77,12 +77,6 @@ func (m Model) SolveContext(ctx context.Context, n int, opts Options) (Result, e
 	return m.solveWithScratch(ctx, n, opts, sc)
 }
 
-// SolveMany solves the model at each size in ns, in order, on one pooled
-// scratch. See SolveManyContext.
-func (m Model) SolveMany(ns []int, opts Options) ([]Result, error) {
-	return m.SolveManyContext(context.Background(), ns, opts)
-}
-
 // SolveManyContext solves the model at each size in ns, in order,
 // amortizing the per-solve setup: the model inputs are derived once and
 // every size's fixed point (including its damping-ladder attempts) runs
@@ -423,29 +417,6 @@ func inDomain(r, wBus, wMem float64) bool {
 // seeding a nearby configuration via Options.Warm.
 func (r Result) Warm() WarmState {
 	return WarmState{R: r.R, WBus: r.WBus, WMem: r.WMem}
-}
-
-// Sweep solves the model for each system size in ns, in order.
-func (m Model) Sweep(ns []int, opts Options) ([]Result, error) {
-	return m.SweepContext(context.Background(), ns, opts)
-}
-
-// SweepContext is Sweep with cancellation. Like SolveManyContext it runs
-// every size off one pooled scratch (the model is derived once); unlike
-// it, the caller's Options — including a warm start — apply unchanged to
-// every size.
-func (m Model) SweepContext(ctx context.Context, ns []int, opts Options) ([]Result, error) {
-	sc := acquireScratch()
-	defer sc.release()
-	out := make([]Result, 0, len(ns))
-	for _, n := range ns {
-		r, err := m.solveWithScratch(ctx, n, opts, sc)
-		if err != nil {
-			return nil, fmt.Errorf("mva: sweep at N=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // AsymptoticSpeedup returns the bus-saturation speedup bound

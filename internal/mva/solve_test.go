@@ -111,14 +111,14 @@ func TestSpeedupMonotoneInN(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	rs, err := baseModel().Sweep([]int{1, 2, 4}, Options{})
+	rs, err := baseModel().SolveManyContext(context.Background(), []int{1, 2, 4}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 3 || rs[0].N != 1 || rs[2].N != 4 {
 		t.Errorf("sweep wrong: %+v", rs)
 	}
-	if _, err := baseModel().Sweep([]int{1, 0}, Options{}); err == nil {
+	if _, err := baseModel().SolveManyContext(context.Background(), []int{1, 0}, Options{}); err == nil {
 		t.Error("sweep should propagate solve errors")
 	}
 }

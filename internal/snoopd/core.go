@@ -221,17 +221,14 @@ func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.
 		return snoopmva.Result{}, err
 	}
 	defer cancel()
-	if s.cfg.Cache != nil {
-		return s.cfg.Cache.SolveWithContext(ctx, p, wl, req.Timing.timing(), req.N, req.Options.options())
-	}
-	return snoopmva.SolveWithContext(ctx, p, wl, req.Timing.timing(), req.N, req.Options.options())
+	return s.solver.SolveWithContext(ctx, p, wl, req.Timing.timing(), req.N, req.Options.options())
 }
 
 // solveManyCore executes a run of plain-solve items through the
 // amortized batch path: points are validated individually, grouped by
-// timeout (each group shares one derived deadline), and solved with the
-// root SolveMany so points sharing a configuration share one derivation
-// and one pooled solver scratch. The batch solve is fail-fast, so a
+// timeout (each group shares one derived deadline), and solved with
+// SolveManyContext so points sharing a configuration share one
+// derivation and one pooled solver scratch. The batch solve is fail-fast, so a
 // group whose run fails — other than by the caller's own cancellation —
 // falls back to per-point solveCore calls (each with a fresh deadline):
 // every point then reports exactly the outcome it would have reported
@@ -276,13 +273,7 @@ func (s *Server) solveManyCore(parent context.Context, items []*BatchItem) []out
 		for j, pt := range pts {
 			inputs[j] = pt.in
 		}
-		var results []snoopmva.Result
-		var serr error
-		if s.cfg.Cache != nil {
-			results, serr = s.cfg.Cache.SolveManyContext(ctx, inputs)
-		} else {
-			results, serr = snoopmva.SolveManyContext(ctx, inputs)
-		}
+		results, serr := s.solver.SolveManyContext(ctx, inputs)
 		cancel()
 		if serr == nil {
 			for j, pt := range pts {
@@ -316,10 +307,6 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 		return snoopmva.BestResult{}, err
 	}
 	defer cancel()
-	solve := snoopmva.SolveBest
-	if s.cfg.Cache != nil {
-		solve = s.cfg.Cache.SolveBest
-	}
 	b := req.Budget.budget()
 	brownedOut := false
 	if s.adm != nil && s.adm.BrownoutActive() {
@@ -333,7 +320,7 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 			brownedOut = true
 		}
 	}
-	best, err := solve(ctx, p, wl, req.N, b)
+	best, err := s.solver.SolveBest(ctx, p, wl, req.N, b)
 	if err != nil {
 		return snoopmva.BestResult{}, err
 	}
@@ -362,16 +349,10 @@ func (s *Server) sweepCore(parent context.Context, req *SweepRequest) ([]snoopmv
 		return nil, err
 	}
 	defer cancel()
-	switch {
-	case s.cfg.Cache != nil && req.Parallel:
-		return s.cfg.Cache.SweepParallelContext(ctx, p, wl, req.Ns)
-	case s.cfg.Cache != nil:
-		return s.cfg.Cache.SweepContext(ctx, p, wl, req.Ns)
-	case req.Parallel:
-		return snoopmva.SweepParallelContext(ctx, p, wl, req.Ns)
-	default:
-		return snoopmva.SweepContext(ctx, p, wl, req.Ns)
+	if req.Parallel {
+		return snoopmva.SweepParallel(ctx, s.solver, p, wl, req.Ns)
 	}
+	return s.solver.SweepContext(ctx, p, wl, req.Ns)
 }
 
 // failure projects an error onto the shared taxonomy — the one mapping

@@ -451,12 +451,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	var results []snoopmva.Result
-	if s.cfg.Cache != nil {
-		results, err = s.cfg.Cache.CompareContext(ctx, ps, wl, req.N)
-	} else {
-		results, err = snoopmva.CompareParallelContext(ctx, ps, wl, req.N)
-	}
+	results, err := snoopmva.Compare(ctx, s.solver, ps, wl, req.N)
 	if err != nil {
 		writeError(w, err)
 		return

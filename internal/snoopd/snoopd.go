@@ -67,6 +67,7 @@ type Server struct {
 	reg      *obs.Registry
 	mux      *http.ServeMux
 	adm      *admission.Controller
+	solver   snoopmva.Solver // cfg.Cache when set, else snoopmva.Direct
 	inflight *obs.Gauge
 	// Wire-listener metrics, minted at construction (metricreg: families
 	// at registration time, handlers only touch resolved series).
@@ -91,9 +92,13 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		adm:      cfg.Admission,
 		inflight: reg.Gauge("snoopmva_http_inflight_requests", "Requests currently being served."),
+		solver:   snoopmva.Direct,
 	}
+	// A nil *CachedSolver stored in s.solver would be a non-nil Solver,
+	// so the cache is chosen explicitly.
 	if cfg.Cache != nil {
 		cfg.Cache.RegisterMetrics(reg, "snoopd")
+		s.solver = cfg.Cache
 	}
 
 	s.route("POST /v1/solve", s.admitted(opSolve, s.handleOp(opSolve)))

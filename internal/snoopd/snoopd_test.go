@@ -1,6 +1,7 @@
 package snoopd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -313,6 +314,32 @@ func TestCachedServerSharesSolves(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n--- got ---\n%s", want, body)
+		}
+	}
+}
+
+// TestCachedServerMatchesUncached pins that the server's one Solver
+// choice is invisible on the wire: a cached and an uncached server
+// answer /v1/compare and the parallel /v1/sweep with byte-identical
+// status and body, successes and failures alike, and the cached server
+// again once its entries are resident.
+func TestCachedServerMatchesUncached(t *testing.T) {
+	plain := newTestServer(t, Config{})
+	cached := newTestServer(t, Config{Cache: snoopmva.NewCachedSolver(0)})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/compare", `{"workload": {"appendix_a": 5}, "n": 10}`},
+		{"/v1/compare", `{"protocols": [{"name": "Illinois"}, {"mods": [9]}, {"name": "Dragon"}, {"mods": [7]}],
+			"workload": {"appendix_a": 20}, "n": 8}`},
+		{"/v1/sweep", `{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": [1, 2, 4, 8, 16, 32], "parallel": true}`},
+		{"/v1/sweep", `{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": [4, 0, -1], "parallel": true}`},
+	} {
+		want := post(t, plain, tc.path, tc.body)
+		for _, pass := range []string{"cold", "resident"} {
+			got := post(t, cached, tc.path, tc.body)
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Errorf("%s %s (%s cache): cached %d %s\nuncached %d %s",
+					tc.path, tc.body, pass, got.Code, got.Body, want.Code, want.Body)
+			}
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepParallel(WriteOnce(), w, ns)
+	par, err := SweepParallel(context.Background(), Direct, WriteOnce(), w, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,10 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSweepParallelPropagatesErrors(t *testing.T) {
-	if _, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}); err == nil {
+	if _, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}); err == nil {
 		t.Error("invalid N accepted")
 	}
-	empty, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), nil)
+	empty, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), nil)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty sweep: %v, %v", empty, err)
 	}
@@ -65,7 +65,7 @@ func TestSweepParallelStopsSchedulingAfterError(t *testing.T) {
 	for i := 1; i < len(ns); i++ {
 		ns[i] = 4
 	}
-	if _, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), ns); err == nil {
+	if _, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns); err == nil {
 		t.Fatal("invalid N accepted")
 	}
 	// Each scheduled size costs up to 3 solve attempts (the damping
@@ -109,7 +109,7 @@ func TestSweepParallelReportsConcurrentFailures(t *testing.T) {
 	// short-circuiting, each scheduled failure must surface in the joined
 	// error — at minimum the first, which is always scheduled.
 	ns := []int{0, -1, -2}
-	_, err := SweepParallel(WriteOnce(), AppendixA(Sharing5), ns)
+	_, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns)
 	if err == nil {
 		t.Fatal("invalid sizes accepted")
 	}
@@ -137,7 +137,7 @@ func TestSweepParallelContextCancellation(t *testing.T) {
 	for i := range ns {
 		ns[i] = 4
 	}
-	_, err := SweepParallelContext(ctx, WriteOnce(), AppendixA(Sharing5), ns)
+	_, err := SweepParallel(ctx, Direct, WriteOnce(), AppendixA(Sharing5), ns)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled sweep: err = %v, want ErrCanceled", err)
 	}
@@ -152,7 +152,7 @@ func TestSweepParallelContextCancellation(t *testing.T) {
 func TestCompareParallelContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CompareParallelContext(ctx, Protocols(), AppendixA(Sharing5), 2000)
+	_, err := Compare(ctx, Direct, Protocols(), AppendixA(Sharing5), 2000)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled compare: err = %v, want ErrCanceled", err)
 	}
@@ -160,7 +160,7 @@ func TestCompareParallelContextCancellation(t *testing.T) {
 
 func TestCompareParallelReportsEveryFailure(t *testing.T) {
 	ps := []Protocol{WithMods(9), Illinois(), WithMods(8)}
-	_, err := CompareParallel(ps, AppendixA(Sharing5), 4)
+	_, err := Compare(context.Background(), Direct, ps, AppendixA(Sharing5), 4)
 	if err == nil {
 		t.Fatal("invalid protocols accepted")
 	}
@@ -175,22 +175,33 @@ func TestCompareParallelReportsEveryFailure(t *testing.T) {
 func TestCompareParallelMatchesSequential(t *testing.T) {
 	w := AppendixA(Sharing20)
 	ps := Protocols()
-	seq, err := Compare(ps, w, 10)
+	par, err := Compare(context.Background(), Direct, ps, w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompareParallel(ps, w, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		if seq[i] != par[i] {
-			t.Errorf("%v: parallel %+v != sequential %+v", ps[i], par[i], seq[i])
+	for i, p := range ps {
+		seq, err := Solve(p, w, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != par[i] {
+			t.Errorf("%v: parallel %+v != sequential %+v", p, par[i], seq)
 		}
 	}
-	if _, err := CompareParallel([]Protocol{WithMods(9)}, w, 4); err == nil {
+	if _, err := Compare(context.Background(), Direct, []Protocol{WithMods(9)}, w, 4); err == nil {
 		t.Error("invalid protocol accepted")
 	}
+}
+
+// gatedSolver is a Solver whose SolveWithContext is f; its other methods
+// are never called by the code under test.
+type gatedSolver struct {
+	Solver
+	f func(ctx context.Context, n int) (Result, error)
+}
+
+func (g gatedSolver) SolveWithContext(ctx context.Context, _ Protocol, _ Workload, _ Timing, n int, _ Options) (Result, error) {
+	return g.f(ctx, n)
 }
 
 // TestSweepParallelFeederCancellationWithBlockedWorkers pins the feeder's
@@ -215,11 +226,11 @@ func TestSweepParallelFeederCancellationWithBlockedWorkers(t *testing.T) {
 	var started atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		_, err := sweepParallel(ctx, ns, func(ctx context.Context, n int) (Result, error) {
+		_, err := SweepParallel(ctx, gatedSolver{f: func(ctx context.Context, n int) (Result, error) {
 			started.Add(1)
 			<-gate // a slow solve that ignores ctx: the worst case for the feeder
 			return Result{}, ctx.Err()
-		})
+		}}, WriteOnce(), AppendixA(Sharing5), ns)
 		done <- err
 	}()
 

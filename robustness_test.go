@@ -87,7 +87,7 @@ func TestSolveContextHonorsPreCanceledContext(t *testing.T) {
 		MVAStall: func(int) bool { return true },
 	})
 	defer restore()
-	_, err := SolveContext(ctx, WriteOnce(), AppendixA(Sharing5), 10)
+	_, err := SolveWithContext(ctx, WriteOnce(), AppendixA(Sharing5), Timing{}, 10, Options{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("err = %v, want ErrCanceled", err)
 	}
@@ -331,11 +331,11 @@ func TestBackgroundDelegationUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := SolveContext(context.Background(), Illinois(), AppendixA(Sharing20), 10)
+	r2, err := SolveWithContext(context.Background(), Illinois(), AppendixA(Sharing20), Timing{}, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Errorf("Solve %+v != SolveContext %+v", r1, r2)
+		t.Errorf("Solve %+v != SolveWithContext %+v", r1, r2)
 	}
 }

@@ -20,7 +20,8 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 	bad := good
 	bad.HPrivate = 2 // probability outside [0,1]
 
-	canceled, cancel := context.WithCancel(context.Background())
+	bg := context.Background()
+	canceled, cancel := context.WithCancel(bg)
 	cancel()
 
 	// poison forces the MVA fixed point to produce a NaN iterate on its
@@ -60,8 +61,6 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			}, ErrInvalidInput},
 		{"SolveWith diverged", poison,
 			func() error { _, err := SolveWith(WriteOnce(), good, DefaultTiming(), 4, Options{}); return err }, ErrDiverged},
-		{"SolveContext canceled", stall,
-			func() error { _, err := SolveContext(canceled, WriteOnce(), good, 4); return err }, ErrCanceled},
 		{"SolveWithContext canceled", stall,
 			func() error {
 				_, err := SolveWithContext(canceled, WriteOnce(), good, DefaultTiming(), 4, Options{})
@@ -74,15 +73,16 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 		{"SweepContext canceled", stall,
 			func() error { _, err := SweepContext(canceled, WriteOnce(), good, []int{2, 4}); return err }, ErrCanceled},
 		{"SweepParallel invalid size", nil,
-			func() error { _, err := SweepParallel(WriteOnce(), good, []int{0}); return err }, ErrInvalidInput},
+			func() error { _, err := SweepParallel(bg, Direct, WriteOnce(), good, []int{0}); return err }, ErrInvalidInput},
 		{"SweepParallel diverged", poison,
-			func() error { _, err := SweepParallel(WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
+			func() error { _, err := SweepParallel(bg, Direct, WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
 		{"Compare invalid workload", nil,
-			func() error { _, err := Compare([]Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
-		{"CompareParallel invalid workload", nil,
-			func() error { _, err := CompareParallel([]Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
-		{"CompareParallel diverged", poison,
-			func() error { _, err := CompareParallel([]Protocol{WriteOnce(), Illinois()}, good, 4); return err }, ErrDiverged},
+			func() error { _, err := Compare(bg, Direct, []Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
+		{"Compare diverged", poison,
+			func() error {
+				_, err := Compare(bg, Direct, []Protocol{WriteOnce(), Illinois()}, good, 4)
+				return err
+			}, ErrDiverged},
 		{"SolveDetailed invalid size", nil,
 			func() error { _, err := SolveDetailed(WriteOnce(), good, 0); return err }, ErrInvalidInput},
 		{"SolveDetailedContext canceled", nil,
@@ -111,6 +111,23 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 				_, err := SolveHierarchical(WriteOnce(), bad, HierarchicalConfig{Clusters: 2, PerCluster: 2})
 				return err
 			}, ErrInvalidInput},
+		{"SolveHierarchical zero clusters", nil,
+			func() error {
+				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 0, PerCluster: 2})
+				return err
+			}, ErrInvalidInput},
+		{"SolveHierarchical miss fraction above one", nil,
+			func() error {
+				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 2, PerCluster: 2, GlobalMissFraction: 1.5})
+				return err
+			}, ErrInvalidInput},
+		{"SolveHierarchical negative speed ratio", nil,
+			func() error {
+				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 2, PerCluster: 2, GlobalSpeedRatio: -1})
+				return err
+			}, ErrInvalidInput},
+		{"ClusterShapes zero total", nil,
+			func() error { _, err := ClusterShapes(WriteOnce(), good, 0, HierarchicalConfig{}); return err }, ErrInvalidInput},
 		{"ClusterShapes invalid workload", nil,
 			func() error {
 				_, err := ClusterShapes(WriteOnce(), bad, 4, HierarchicalConfig{})

@@ -1,6 +1,7 @@
 package snoopmva
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -131,14 +132,14 @@ func TestSweepAndCompare(t *testing.T) {
 	if _, err := Sweep(WriteOnce(), w, []int{0}); err == nil {
 		t.Error("sweep should propagate errors")
 	}
-	cs, err := Compare([]Protocol{WriteOnce(), Illinois(), Dragon()}, w, 10)
+	cs, err := Compare(context.Background(), Direct, []Protocol{WriteOnce(), Illinois(), Dragon()}, w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(cs[0].Speedup <= cs[1].Speedup && cs[1].Speedup <= cs[2].Speedup) {
 		t.Errorf("protocol ordering broken: %v %v %v", cs[0].Speedup, cs[1].Speedup, cs[2].Speedup)
 	}
-	if _, err := Compare([]Protocol{WithMods(9)}, w, 4); err == nil {
+	if _, err := Compare(context.Background(), Direct, []Protocol{WithMods(9)}, w, 4); err == nil {
 		t.Error("compare should propagate errors")
 	}
 }

@@ -93,7 +93,7 @@ func Sweep(p Protocol, w Workload, ns []int) ([]Result, error) {
 	return SweepContext(context.Background(), p, w, ns)
 }
 
-// SolveInput is one configuration in a SolveMany batch.
+// SolveInput is one configuration in a SolveManyContext batch.
 type SolveInput struct {
 	Protocol Protocol
 	Workload Workload
@@ -105,19 +105,14 @@ type SolveInput struct {
 	Options Options
 }
 
-// SolveMany solves a batch of configurations, amortizing derivation and
-// solver-scratch acquisition across points that share a (protocol,
-// workload, timing, options) configuration — the interactive
-// design-space-sweep shape the paper's Section 4 argues the MVA
-// technique makes cheap. Results are returned in input order and are
-// bitwise identical to a sequential loop of Solve/SolveWith calls over
-// the same inputs (every point is cold-started; only setup is shared).
-func SolveMany(inputs []SolveInput) ([]Result, error) {
-	return SolveManyContext(context.Background(), inputs)
-}
-
-// SolveManyContext is SolveMany with cancellation. The batch is
-// fail-fast: the first point whose solve fails (or is canceled) aborts
+// SolveManyContext solves a batch of configurations, amortizing
+// derivation and solver-scratch acquisition across points that share a
+// (protocol, workload, timing, options) configuration — the interactive
+// design-space-sweep shape the paper's Section 4 argues the MVA technique
+// makes cheap. Results are returned in input order and are bitwise
+// identical to a sequential loop of SolveWithContext calls over the same
+// inputs (every point is cold-started; only setup is shared). The batch
+// is fail-fast: the first point whose solve fails (or is canceled) aborts
 // the batch, and the error names the failing system size.
 func SolveManyContext(ctx context.Context, inputs []SolveInput) (out []Result, err error) {
 	defer guard(&err)
@@ -132,7 +127,7 @@ func SolveManyContext(ctx context.Context, inputs []SolveInput) (out []Result, e
 	return out, nil
 }
 
-// batchConfig is the amortization unit of a SolveMany batch: points
+// batchConfig is the amortization unit of a SolveManyContext batch: points
 // whose derived model and solver options are identical share one
 // grouped solve (and therefore one derivation and one pooled scratch).
 type batchConfig struct {
@@ -174,18 +169,6 @@ func solveBatch(ctx context.Context, inputs []SolveInput, idxs []int, out []Resu
 		}
 	}
 	return nil
-}
-
-// Compare solves several protocols at the same workload and system size,
-// returned in input order. Every protocol is attempted; the returned error
-// joins the per-protocol failures, each identified by its protocol — the
-// same shape CompareParallelContext produces, so errors.Is classification
-// works identically through both paths.
-func Compare(ps []Protocol, w Workload, n int) (out []Result, err error) {
-	defer guard(&err)
-	return compareSerial(ps, func(p Protocol) (Result, error) {
-		return Solve(p, w, n)
-	})
 }
 
 // DetailedResult holds the GTPN (detailed-model) outputs.

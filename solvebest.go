@@ -142,7 +142,7 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 		}
 	}
 
-	m, merr := SolveContext(ctx, p, w, n)
+	m, merr := SolveWithContext(ctx, p, w, Timing{}, n, Options{})
 	if merr != nil {
 		if len(reasons) > 0 {
 			return BestResult{}, fmt.Errorf("snoopmva: SolveBest exhausted all models (%s): mva: %w",

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// randBatch builds a mixed SolveMany batch over seeded random workloads:
-// several configurations interleaved out of order, so the grouped batch
-// path has to reassemble runs and map results back to input order.
+// randBatch builds a mixed SolveManyContext batch over seeded random
+// workloads: several configurations interleaved out of order, so the
+// grouped batch path has to reassemble runs and map results back to
+// input order.
 func randBatch(t *testing.T, rng *rand.Rand, points int) []SolveInput {
 	t.Helper()
 	protos := []Protocol{Illinois(), Berkeley(), WriteOnce(), Dragon()}
@@ -37,9 +38,9 @@ func TestSolveManyMatchesSequentialSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
 	for round := 0; round < 5; round++ {
 		batch := randBatch(t, rng, 32)
-		got, err := SolveMany(batch)
+		got, err := SolveManyContext(context.Background(), batch)
 		if err != nil {
-			t.Fatalf("round %d: SolveMany: %v", round, err)
+			t.Fatalf("round %d: SolveManyContext: %v", round, err)
 		}
 		if len(got) != len(batch) {
 			t.Fatalf("round %d: got %d results for %d inputs", round, len(got), len(batch))
@@ -61,21 +62,21 @@ func TestSolveManyFailFast(t *testing.T) {
 		{Protocol: Illinois(), Workload: AppendixA(Sharing5), N: 4},
 		{Protocol: Illinois(), Workload: AppendixA(Sharing5), N: 0}, // invalid size
 	}
-	if _, err := SolveMany(batch); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("SolveMany with invalid size = %v, want ErrInvalidInput", err)
+	if _, err := SolveManyContext(context.Background(), batch); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("SolveManyContext with invalid size = %v, want ErrInvalidInput", err)
 	}
 
 	bad := Workload{} // fails validation inside the solver
 	batch[1] = SolveInput{Protocol: Illinois(), Workload: bad, N: 4}
-	if _, err := SolveMany(batch); err == nil {
-		t.Fatal("SolveMany with invalid workload succeeded")
+	if _, err := SolveManyContext(context.Background(), batch); err == nil {
+		t.Fatal("SolveManyContext with invalid workload succeeded")
 	}
 }
 
 func TestSolveManyEmptyBatch(t *testing.T) {
-	out, err := SolveMany(nil)
+	out, err := SolveManyContext(context.Background(), nil)
 	if err != nil || len(out) != 0 {
-		t.Fatalf("SolveMany(nil) = %v, %v", out, err)
+		t.Fatalf("SolveManyContext(nil) = %v, %v", out, err)
 	}
 }
 
@@ -85,7 +86,7 @@ func TestSolveManyEmptyBatch(t *testing.T) {
 func TestSolveManyRaceStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(2027))
 	batch := randBatch(t, rng, 16)
-	want, err := SolveMany(batch)
+	want, err := SolveManyContext(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSolveManyRaceStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				got, err := SolveMany(batch)
+				got, err := SolveManyContext(context.Background(), batch)
 				if err != nil {
 					errs <- err
 					return
@@ -125,13 +126,13 @@ func TestSolveManyRaceStorm(t *testing.T) {
 func TestCachedSolveManyMatchesAndCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3011))
 	batch := randBatch(t, rng, 24)
-	want, err := SolveMany(batch)
+	want, err := SolveManyContext(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := NewCachedSolver(0)
-	got, err := c.SolveMany(batch)
+	got, err := c.SolveManyContext(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCachedSolveManyMatchesAndCaches(t *testing.T) {
 	}
 
 	h0 := c.Stats().Hits
-	again, err := c.SolveMany(batch)
+	again, err := c.SolveManyContext(context.Background(), batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestCachedSolveManyMatchesAndCaches(t *testing.T) {
 	}
 
 	in := batch[0]
-	r, err := c.SolveWith(in.Protocol, in.Workload, in.Timing, in.N, in.Options)
+	r, err := c.SolveWithContext(context.Background(), in.Protocol, in.Workload, in.Timing, in.N, in.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,8 @@ func TestCachedSolveManyMatchesAndCaches(t *testing.T) {
 
 // TestCachedSolveHitPathIsAllocationFree pins the tentpole: a resident
 // cached solve — key encode, cache probe, result return — performs zero
-// heap allocations.
+// heap allocations, called on the concrete type and through the Solver
+// interface alike.
 func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 	c := NewCachedSolver(0)
 	p, w := Illinois(), AppendixA(Sharing5)
@@ -175,12 +177,18 @@ func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := c.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}); err != nil {
-			t.Fatal(err)
+	var s Solver = c
+	for name, solve := range map[string]func() (Result, error){
+		"*CachedSolver": func() (Result, error) { return c.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
+		"Solver":        func() (Result, error) { return s.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := solve(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: cache hit allocates %v/op, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("cache hit allocates %v/op, want 0", allocs)
 	}
 }
