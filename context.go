@@ -58,8 +58,7 @@ func fromMVA(r mva.Result) Result {
 // curve). Every point still converges to the same tolerance as a cold
 // solve — warm starting changes the iteration trajectory, not the fixed
 // point — so results agree with per-size Solve calls to within the solver
-// tolerance (the property suite enforces this; cmd/bench quantifies the
-// iteration savings).
+// tolerance (TestPropertyWarmStartAgreesWithCold enforces this).
 func SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
 	defer guard(&err)
 	m, merr := model(p, w, Timing{})

@@ -60,7 +60,6 @@ var governedPaths = []string{
 	"snoopmva/internal/dispatch",
 	"snoopmva/internal/admission",
 	"snoopmva/internal/wire",
-	"snoopmva/internal/benchkit",
 	"snoopmva/cmd/snoopd",
 	"snoopmva/cmd/campaign",
 	"snoopmva/cmd/campaignd",

@@ -142,7 +142,7 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 // itself is straight-line float arithmetic (one Exp, two divisions-free
 // busy-probability evaluations) with no allocation and no struct copies.
 //
-//snoop:hotpath steady-state iterate must not allocate (gated by benchguard's zero-growth allocation budget)
+//snoop:hotpath steady-state iterate must not allocate (pinned at 0 allocs by TestSolveIsAllocationFree)
 func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bool, sc *solveScratch) (Result, error) {
 	o := opts.withDefaults()
 	if h := faultinject.Hooks(); h != nil && h.MVAEnter != nil {

@@ -166,6 +166,40 @@ func TestLookupIsAllocationFree(t *testing.T) {
 	}
 }
 
+// encodeKeyFingerprint builds a representative solver key — the field
+// count and type mix of a real solve-key encoding — through the pooled
+// acquire/append/fingerprint/release path the cache's hit probe uses,
+// and returns its fingerprint.
+func encodeKeyFingerprint() uint64 {
+	b := AcquireKey()
+	b.String("bench")
+	for i := 0; i < 8; i++ {
+		b.Float(1.5 + float64(i))
+	}
+	for i := 0; i < 8; i++ {
+		b.Int(int64(i))
+	}
+	for i := 0; i < 6; i++ {
+		b.Bool(i%2 == 0)
+	}
+	b.Uint(42)
+	sum := b.Fingerprint()
+	b.Release()
+	return sum
+}
+
+// TestEncodeKeyFingerprintIsAllocationFree pins the pooled key encode
+// every cache probe starts with at zero allocations.
+func TestEncodeKeyFingerprintIsAllocationFree(t *testing.T) {
+	if encodeKeyFingerprint() == 0 {
+		t.Fatal("degenerate fingerprint")
+	}
+	allocs := testing.AllocsPerRun(500, func() { _ = encodeKeyFingerprint() })
+	if allocs != 0 {
+		t.Fatalf("pooled key encode allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestPooledBuildersUnderRace(t *testing.T) {
 	// Concurrent acquire/build/lookup/release storm: with -race this
 	// catches any cross-goroutine state bleed through the pool.

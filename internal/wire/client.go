@@ -212,8 +212,8 @@ type SolveBatchResult struct {
 // SolveBatch pipelines many solve requests as one batch: every frame is
 // queued before the first flush, so the whole batch typically rides one
 // write syscall out and a few reads back — the binary analogue of the
-// JSON API's POST /v1/batch, and the shape the snoopbench batched mode
-// measures. Results are positional (out[i] answers reqs[i]); per-point
+// JSON API's POST /v1/batch, and the shape snoopbench's batch_binary
+// phase measures. Results are positional (out[i] answers reqs[i]); per-point
 // failures land in the point's Err, and only client-level failures
 // (closed, version mismatch, ctx cancellation) fail the call as a
 // whole. Seq fields are assigned by the client.

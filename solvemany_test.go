@@ -173,7 +173,11 @@ func TestCachedSolveManyMatchesAndCaches(t *testing.T) {
 func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 	c := NewCachedSolver(0)
 	p, w := Illinois(), AppendixA(Sharing5)
+	wo := WriteOnce()
 	if _, err := c.Solve(p, w, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Solve(wo, w, 16); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -181,6 +185,7 @@ func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 	for name, solve := range map[string]func() (Result, error){
 		"*CachedSolver": func() (Result, error) { return c.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
 		"Solver":        func() (Result, error) { return s.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
+		"Solve":         func() (Result, error) { return c.Solve(wo, w, 16) },
 	} {
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, err := solve(); err != nil {
@@ -190,5 +195,20 @@ func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: cache hit allocates %v/op, want 0", name, allocs)
 		}
+	}
+}
+
+// TestSolveIsAllocationFree pins the cold MVA solve — model build, the
+// accelerated fixed-point iterate and result assembly — at zero heap
+// allocations; the //snoop:hotpath budgets on the mva iterate rest on it.
+func TestSolveIsAllocationFree(t *testing.T) {
+	p, w := WriteOnce(), AppendixA(Sharing5)
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := Solve(p, w, 16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Solve allocates %v/op, want 0", allocs)
 	}
 }
