@@ -655,6 +655,15 @@ func recordBreakerOutcomes(breaker *resilience.Breaker, budget Budget, success M
 	}
 }
 
+// workloadKey is Workload without its JSON tags: the frozen form the
+// journal fingerprint hashes, keyed by Go field name as journals have
+// always been, so the API schema's tags can never move the hash.
+type workloadKey struct {
+	Tau, PPrivate, PSro, PSw, HPrivate, HSro, HSw, RPrivate, RSw       float64
+	AmodPrivate, AmodSw, CsupplySro, CsupplySw, WbCsupply, RepP, RepSw float64
+	FixedParams                                                        bool
+}
+
 // CampaignFingerprint hashes a point grid so a journal can refuse a
 // resume under a different spec. It covers everything that changes
 // results: protocol, workload, system size and budget of every point, in
@@ -663,18 +672,18 @@ func recordBreakerOutcomes(breaker *resilience.Breaker, budget Budget, success M
 // distributed coordinator, without being refused.
 func CampaignFingerprint(points []CampaignPoint) string {
 	type pointKey struct {
-		Protocol     string   `json:"protocol"`
-		WriteThrough bool     `json:"write_through"`
-		Workload     Workload `json:"workload"`
-		N            int      `json:"n"`
-		Budget       Budget   `json:"budget"`
+		Protocol     string      `json:"protocol"`
+		WriteThrough bool        `json:"write_through"`
+		Workload     workloadKey `json:"workload"`
+		N            int         `json:"n"`
+		Budget       Budget      `json:"budget"`
 	}
 	keys := make([]pointKey, len(points))
 	for i, pt := range points {
 		keys[i] = pointKey{
 			Protocol:     pt.Protocol.String(),
 			WriteThrough: pt.Protocol.inner.WriteThroughBase,
-			Workload:     pt.Workload,
+			Workload:     workloadKey(pt.Workload),
 			N:            pt.N,
 			Budget:       pt.Budget,
 		}

@@ -32,7 +32,8 @@ import (
 )
 
 // Options tunes the fixed-point solution and enables the ablation switches
-// used by the bench harness to quantify each modeling ingredient.
+// used by the §4.3 stress experiment (internal/exp/stress.go) to isolate
+// the submodels the detailed model shares.
 type Options struct {
 	// Tol is the convergence tolerance on the largest change one (damped)
 	// update of the equations makes to (R, w_bus, w_mem), relative to

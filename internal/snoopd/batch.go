@@ -83,12 +83,9 @@ func (oc *outcome) record(seq uint64) *BatchRecord {
 		best := toSolveBestResponse(oc.best)
 		rec.SolveBest = &best
 	case oc.kind == opSweep:
-		rec.Sweep = make([]ResultJSON, len(oc.sweep))
-		for i, res := range oc.sweep {
-			rec.Sweep[i] = toResultJSON(res)
-		}
+		rec.Sweep = oc.sweep
 	default:
-		res := toResultJSON(oc.res)
+		res := oc.res // a copy, so the record does not pin the whole outcome
 		rec.Result = &res
 	}
 	return rec

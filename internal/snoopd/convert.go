@@ -1,133 +1,69 @@
 package snoopd
 
 import (
-	"time"
-
 	"snoopmva"
 	"snoopmva/internal/wire"
 )
 
-// Conversions between the binary protocol's payload structs and the JSON
-// spec structs. Both transports resolve through the same spec types (and
-// so the same validation code and error text), which is what keeps the
-// JSON↔binary equivalence suite honest: the wire structs never grow
-// semantics of their own.
-
-func protocolFromWire(p wire.ProtocolSpec) ProtocolSpec {
-	if p.Name != "" {
-		return ProtocolSpec{Name: p.Name}
-	}
-	mods := p.Mods
-	if mods == nil {
-		mods = []int{}
-	}
-	return ProtocolSpec{Mods: mods}
-}
+// Conversions between the binary protocol's request envelopes and the
+// JSON spec structs. The workload, timing, options and result inside
+// them are the root package's types on both transports; only the
+// envelopes (Has* flags vs optional pointers) and the protocol/budget
+// specs are separate types, and those convert as structs. Both
+// transports resolve through the same spec types (and so the same
+// validation code and error text), which is what keeps the JSON↔binary
+// equivalence suite honest: the wire structs never grow semantics of
+// their own. A decoded wire.ProtocolSpec always carries exactly one arm
+// (a non-empty Name, or non-nil Mods), so it converts as is.
 
 func workloadFromWire(w wire.WorkloadSpec) WorkloadSpec {
 	switch w.Kind {
 	case wire.WorkloadAppendixA:
-		lvl := w.AppendixA
-		return WorkloadSpec{AppendixA: &lvl}
+		return WorkloadSpec{AppendixA: &w.AppendixA}
 	case wire.WorkloadStress:
 		return WorkloadSpec{Stress: true}
 	default:
-		f := w.Params
-		return WorkloadSpec{Params: &WorkloadParams{
-			Tau:      f.Tau,
-			PPrivate: f.PPrivate, PSro: f.PSro, PSw: f.PSw,
-			HPrivate: f.HPrivate, HSro: f.HSro, HSw: f.HSw,
-			RPrivate: f.RPrivate, RSw: f.RSw,
-			AmodPrivate: f.AmodPrivate, AmodSw: f.AmodSw,
-			CsupplySro: f.CsupplySro, CsupplySw: f.CsupplySw,
-			WbCsupply: f.WbCsupply,
-			RepP:      f.RepP, RepSw: f.RepSw,
-			FixedParams: f.FixedParams,
-		}}
-	}
-}
-
-func timingFromWire(has bool, t wire.TimingSpec) *TimingSpec {
-	if !has {
-		return nil
-	}
-	return &TimingSpec{
-		TSupply: t.TSupply, TWrite: t.TWrite, TInval: t.TInval,
-		DMem: t.DMem, BlockSize: t.BlockSize, TBlock: t.TBlock,
-	}
-}
-
-func optionsFromWire(has bool, o wire.OptionsSpec) *OptionsSpec {
-	if !has {
-		return nil
-	}
-	return &OptionsSpec{
-		Tolerance:            o.Tolerance,
-		MaxIterations:        o.MaxIterations,
-		NoCacheInterference:  o.NoCacheInterference,
-		NoMemoryInterference: o.NoMemoryInterference,
-		NoResidualLife:       o.NoResidualLife,
-		ExponentialBus:       o.ExponentialBus,
-		NoArrivalCorrection:  o.NoArrivalCorrection,
-		SplitTransactionBus:  o.SplitTransactionBus,
-	}
-}
-
-func budgetFromWire(has bool, b wire.BudgetSpec) *BudgetSpec {
-	if !has {
-		return nil
-	}
-	return &BudgetSpec{
-		MaxStates:     b.MaxStates,
-		GTPNTimeoutMS: b.GTPNTimeoutMS,
-		SimCycles:     b.SimCycles,
-		SimTimeoutMS:  b.SimTimeoutMS,
-		Seed:          b.Seed,
+		return WorkloadSpec{Params: &w.Params}
 	}
 }
 
 func solveFromWire(m *wire.SolveRequest) *SolveRequest {
-	return &SolveRequest{
-		Protocol:  protocolFromWire(m.Protocol),
+	req := &SolveRequest{
+		Protocol:  ProtocolSpec(m.Protocol),
 		Workload:  workloadFromWire(m.Workload),
 		N:         m.N,
-		Timing:    timingFromWire(m.HasTiming, m.Timing),
-		Options:   optionsFromWire(m.HasOptions, m.Options),
 		TimeoutMS: m.TimeoutMS,
 	}
+	if m.HasTiming {
+		req.Timing = &m.Timing
+	}
+	if m.HasOptions {
+		req.Options = &m.Options
+	}
+	return req
 }
 
 func solveBestFromWire(m *wire.SolveBestRequest) *SolveBestRequest {
-	return &SolveBestRequest{
-		Protocol:  protocolFromWire(m.Protocol),
+	req := &SolveBestRequest{
+		Protocol:  ProtocolSpec(m.Protocol),
 		Workload:  workloadFromWire(m.Workload),
 		N:         m.N,
-		Budget:    budgetFromWire(m.HasBudget, m.Budget),
 		TimeoutMS: m.TimeoutMS,
 	}
+	if m.HasBudget {
+		b := BudgetSpec(m.Budget)
+		req.Budget = &b
+	}
+	return req
 }
 
 func sweepFromWire(m *wire.SweepRequest) *SweepRequest {
 	return &SweepRequest{
-		Protocol:  protocolFromWire(m.Protocol),
+		Protocol:  ProtocolSpec(m.Protocol),
 		Workload:  workloadFromWire(m.Workload),
 		Ns:        m.Ns,
 		Parallel:  m.Parallel,
 		TimeoutMS: m.TimeoutMS,
-	}
-}
-
-func wireResult(r snoopmva.Result) wire.Result {
-	return wire.Result{
-		N:               r.N,
-		Speedup:         r.Speedup,
-		ProcessingPower: r.ProcessingPower,
-		R:               r.R,
-		BusUtilization:  r.BusUtilization,
-		BusWait:         r.BusWait,
-		MemUtilization:  r.MemUtilization,
-		MemWait:         r.MemWait,
-		Iterations:      r.Iterations,
 	}
 }
 
@@ -151,42 +87,20 @@ func wireSolveBest(seq uint64, best snoopmva.BestResult) *wire.SolveBestResponse
 
 // WireProtocolSpec returns the wire.ProtocolSpec that resolves back to p.
 func WireProtocolSpec(p snoopmva.Protocol) wire.ProtocolSpec {
-	if name := p.Name(); name != "" {
-		return wire.ProtocolSpec{Name: name}
-	}
-	mods := p.Mods()
-	if mods == nil {
-		mods = []int{}
-	}
-	return wire.ProtocolSpec{Mods: mods}
+	return wire.ProtocolSpec(SpecForProtocol(p))
 }
 
 // WireWorkloadSpec returns the fully spelled-out wire.WorkloadSpec for w.
 func WireWorkloadSpec(w snoopmva.Workload) wire.WorkloadSpec {
-	return wire.WorkloadSpec{Kind: wire.WorkloadParams, Params: wire.WorkloadFields{
-		Tau:      w.Tau,
-		PPrivate: w.PPrivate, PSro: w.PSro, PSw: w.PSw,
-		HPrivate: w.HPrivate, HSro: w.HSro, HSw: w.HSw,
-		RPrivate: w.RPrivate, RSw: w.RSw,
-		AmodPrivate: w.AmodPrivate, AmodSw: w.AmodSw,
-		CsupplySro: w.CsupplySro, CsupplySw: w.CsupplySw,
-		WbCsupply: w.WbCsupply,
-		RepP:      w.RepP, RepSw: w.RepSw,
-		FixedParams: w.FixedParams,
-	}}
+	return wire.WorkloadSpec{Kind: wire.WorkloadParams, Params: w}
 }
 
 // WireBudgetSpec returns the wire budget for b; has is false for the
-// zero budget (travels as absent, like the JSON path's nil).
+// zero budget (travels as absent, like the JSON path's nil). It rounds
+// exactly as SpecForBudget does.
 func WireBudgetSpec(b snoopmva.Budget) (has bool, spec wire.BudgetSpec) {
-	if b == (snoopmva.Budget{}) {
-		return false, wire.BudgetSpec{}
+	if bs := SpecForBudget(b); bs != nil {
+		return true, wire.BudgetSpec(*bs)
 	}
-	return true, wire.BudgetSpec{
-		MaxStates:     b.MaxStates,
-		GTPNTimeoutMS: int64(b.GTPNTimeout / time.Millisecond),
-		SimCycles:     b.SimCycles,
-		SimTimeoutMS:  int64(b.SimTimeout / time.Millisecond),
-		Seed:          b.Seed,
-	}
+	return false, wire.BudgetSpec{}
 }

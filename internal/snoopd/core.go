@@ -221,7 +221,7 @@ func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.
 		return snoopmva.Result{}, err
 	}
 	defer cancel()
-	return s.solver.SolveWithContext(ctx, p, wl, req.Timing.timing(), req.N, req.Options.options())
+	return s.solver.SolveWithContext(ctx, p, wl, orZero(req.Timing), req.N, orZero(req.Options))
 }
 
 // solveManyCore executes a run of plain-solve items through the
@@ -255,9 +255,9 @@ func (s *Server) solveManyCore(parent context.Context, items []*BatchItem) []out
 		groups[req.TimeoutMS] = append(groups[req.TimeoutMS], point{i, snoopmva.SolveInput{
 			Protocol: p,
 			Workload: wl,
-			Timing:   req.Timing.timing(),
+			Timing:   orZero(req.Timing),
 			N:        req.N,
-			Options:  req.Options.options(),
+			Options:  orZero(req.Options),
 		}})
 	}
 	for _, tm := range order {

@@ -50,40 +50,9 @@ type WorkloadSpec struct {
 	Params    *WorkloadParams `json:"params,omitempty"`
 }
 
-// WorkloadParams mirrors snoopmva.Workload field-for-field on the wire.
-type WorkloadParams struct {
-	Tau         float64 `json:"tau"`
-	PPrivate    float64 `json:"p_private"`
-	PSro        float64 `json:"p_sro"`
-	PSw         float64 `json:"p_sw"`
-	HPrivate    float64 `json:"h_private"`
-	HSro        float64 `json:"h_sro"`
-	HSw         float64 `json:"h_sw"`
-	RPrivate    float64 `json:"r_private"`
-	RSw         float64 `json:"r_sw"`
-	AmodPrivate float64 `json:"amod_private"`
-	AmodSw      float64 `json:"amod_sw"`
-	CsupplySro  float64 `json:"csupply_sro"`
-	CsupplySw   float64 `json:"csupply_sw"`
-	WbCsupply   float64 `json:"wb_csupply"`
-	RepP        float64 `json:"rep_p"`
-	RepSw       float64 `json:"rep_sw"`
-	FixedParams bool    `json:"fixed_params,omitempty"`
-}
-
-func (wp WorkloadParams) workload() snoopmva.Workload {
-	return snoopmva.Workload{
-		Tau:      wp.Tau,
-		PPrivate: wp.PPrivate, PSro: wp.PSro, PSw: wp.PSw,
-		HPrivate: wp.HPrivate, HSro: wp.HSro, HSw: wp.HSw,
-		RPrivate: wp.RPrivate, RSw: wp.RSw,
-		AmodPrivate: wp.AmodPrivate, AmodSw: wp.AmodSw,
-		CsupplySro: wp.CsupplySro, CsupplySw: wp.CsupplySw,
-		WbCsupply: wp.WbCsupply,
-		RepP:      wp.RepP, RepSw: wp.RepSw,
-		FixedParams: wp.FixedParams,
-	}
-}
+// WorkloadParams is a fully spelled-out workload. The JSON schema is
+// snoopmva.Workload's own tags.
+type WorkloadParams = snoopmva.Workload
 
 func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
 	if ws.AppendixA != nil && ws.Stress {
@@ -106,86 +75,29 @@ func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
 		}
 		return snoopmva.StressWorkload(), nil
 	case ws.Params != nil:
-		return ws.Params.workload(), nil
+		return *ws.Params, nil
 	default:
 		return snoopmva.Workload{}, fmt.Errorf("workload: specify appendix_a, stress, or params")
 	}
 }
 
-// TimingSpec mirrors snoopmva.Timing; omit (or zero) for the paper's
+// TimingSpec is snoopmva.Timing; omit (or zero) for the paper's
 // defaults.
-type TimingSpec struct {
-	TSupply   float64 `json:"t_supply,omitempty"`
-	TWrite    float64 `json:"t_write,omitempty"`
-	TInval    float64 `json:"t_inval,omitempty"`
-	DMem      float64 `json:"d_mem,omitempty"`
-	BlockSize int     `json:"block_size,omitempty"`
-	TBlock    float64 `json:"t_block,omitempty"`
-}
+type TimingSpec = snoopmva.Timing
 
-func (ts *TimingSpec) timing() snoopmva.Timing {
-	if ts == nil {
-		return snoopmva.Timing{}
-	}
-	return snoopmva.Timing{
-		TSupply: ts.TSupply, TWrite: ts.TWrite, TInval: ts.TInval,
-		DMem: ts.DMem, BlockSize: ts.BlockSize, TBlock: ts.TBlock,
-	}
-}
+// OptionsSpec is snoopmva.Options; omit for the paper's scheme.
+type OptionsSpec = snoopmva.Options
 
-// OptionsSpec mirrors snoopmva.Options; omit for the paper's scheme.
-type OptionsSpec struct {
-	Tolerance            float64 `json:"tolerance,omitempty"`
-	MaxIterations        int     `json:"max_iterations,omitempty"`
-	NoCacheInterference  bool    `json:"no_cache_interference,omitempty"`
-	NoMemoryInterference bool    `json:"no_memory_interference,omitempty"`
-	NoResidualLife       bool    `json:"no_residual_life,omitempty"`
-	ExponentialBus       bool    `json:"exponential_bus,omitempty"`
-	NoArrivalCorrection  bool    `json:"no_arrival_correction,omitempty"`
-	SplitTransactionBus  bool    `json:"split_transaction_bus,omitempty"`
-}
+// ResultJSON is snoopmva.Result, whose tags are the result body schema.
+type ResultJSON = snoopmva.Result
 
-func (os *OptionsSpec) options() snoopmva.Options {
-	if os == nil {
-		return snoopmva.Options{}
+// orZero dereferences an optional request arm; absent means the zero
+// value, which the solvers read as the paper's defaults.
+func orZero[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
 	}
-	return snoopmva.Options{
-		Tolerance:            os.Tolerance,
-		MaxIterations:        os.MaxIterations,
-		NoCacheInterference:  os.NoCacheInterference,
-		NoMemoryInterference: os.NoMemoryInterference,
-		NoResidualLife:       os.NoResidualLife,
-		ExponentialBus:       os.ExponentialBus,
-		NoArrivalCorrection:  os.NoArrivalCorrection,
-		SplitTransactionBus:  os.SplitTransactionBus,
-	}
-}
-
-// ResultJSON is the wire form of snoopmva.Result.
-type ResultJSON struct {
-	N               int     `json:"n"`
-	Speedup         float64 `json:"speedup"`
-	ProcessingPower float64 `json:"processing_power"`
-	R               float64 `json:"r"`
-	BusUtilization  float64 `json:"bus_utilization"`
-	BusWait         float64 `json:"bus_wait"`
-	MemUtilization  float64 `json:"mem_utilization"`
-	MemWait         float64 `json:"mem_wait"`
-	Iterations      int     `json:"iterations"`
-}
-
-func toResultJSON(r snoopmva.Result) ResultJSON {
-	return ResultJSON{
-		N:               r.N,
-		Speedup:         r.Speedup,
-		ProcessingPower: r.ProcessingPower,
-		R:               r.R,
-		BusUtilization:  r.BusUtilization,
-		BusWait:         r.BusWait,
-		MemUtilization:  r.MemUtilization,
-		MemWait:         r.MemWait,
-		Iterations:      r.Iterations,
-	}
+	return v
 }
 
 // SolveRequest is the body of POST /v1/solve.
@@ -392,32 +304,35 @@ func SpecForProtocol(p snoopmva.Protocol) ProtocolSpec {
 }
 
 // SpecForWorkload returns the fully spelled-out WorkloadSpec for w.
-func SpecForWorkload(w snoopmva.Workload) WorkloadSpec {
-	return WorkloadSpec{Params: &WorkloadParams{
-		Tau:      w.Tau,
-		PPrivate: w.PPrivate, PSro: w.PSro, PSw: w.PSw,
-		HPrivate: w.HPrivate, HSro: w.HSro, HSw: w.HSw,
-		RPrivate: w.RPrivate, RSw: w.RSw,
-		AmodPrivate: w.AmodPrivate, AmodSw: w.AmodSw,
-		CsupplySro: w.CsupplySro, CsupplySw: w.CsupplySw,
-		WbCsupply: w.WbCsupply,
-		RepP:      w.RepP, RepSw: w.RepSw,
-		FixedParams: w.FixedParams,
-	}}
-}
+func SpecForWorkload(w snoopmva.Workload) WorkloadSpec { return WorkloadSpec{Params: &w} }
 
 // SpecForBudget returns the BudgetSpec for b (nil for the zero budget).
+// Stage timeouts are rounded away from zero to whole milliseconds, so a
+// sub-millisecond deadline stays a deadline (0 would mean none) and a
+// negative one stays invalid, exactly as a local SolveBest sees them.
 func SpecForBudget(b snoopmva.Budget) *BudgetSpec {
 	if b == (snoopmva.Budget{}) {
 		return nil
 	}
 	return &BudgetSpec{
 		MaxStates:     b.MaxStates,
-		GTPNTimeoutMS: int64(b.GTPNTimeout / time.Millisecond),
+		GTPNTimeoutMS: wholeMS(b.GTPNTimeout),
 		SimCycles:     b.SimCycles,
-		SimTimeoutMS:  int64(b.SimTimeout / time.Millisecond),
+		SimTimeoutMS:  wholeMS(b.SimTimeout),
 		Seed:          b.Seed,
 	}
+}
+
+// wholeMS rounds d away from zero to whole milliseconds.
+func wholeMS(d time.Duration) int64 {
+	ms, rem := int64(d/time.Millisecond), d%time.Millisecond
+	switch {
+	case rem > 0:
+		ms++
+	case rem < 0:
+		ms--
+	}
+	return ms
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -458,7 +373,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]CompareEntry, len(results))
 	for i, res := range results {
-		out[i] = CompareEntry{Protocol: ps[i].String(), Result: toResultJSON(res)}
+		out[i] = CompareEntry{Protocol: ps[i].String(), Result: res}
 	}
 	writeJSON(w, http.StatusOK, CompareResponse{Results: out})
 }

@@ -307,13 +307,9 @@ func (wc *wireConn) writeOutcome(scratch []byte, seq uint64, oc outcome) []byte 
 	case oc.kind == opSolveBest:
 		typ, scratch = wire.TypeSolveBestResp, wire.AppendSolveBestResponse(scratch[:0], wireSolveBest(seq, oc.best))
 	case oc.kind == opSweep:
-		out := make([]wire.Result, len(oc.sweep))
-		for i, res := range oc.sweep {
-			out[i] = wireResult(res)
-		}
-		typ, scratch = wire.TypeSweepResp, wire.AppendSweepResponse(scratch[:0], &wire.SweepResponse{Seq: seq, Results: out})
+		typ, scratch = wire.TypeSweepResp, wire.AppendSweepResponse(scratch[:0], &wire.SweepResponse{Seq: seq, Results: oc.sweep})
 	default:
-		scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: seq, Result: wireResult(oc.res)})
+		scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: seq, Result: oc.res})
 	}
 	wc.write(typ, scratch)
 	return scratch

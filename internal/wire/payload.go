@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+
+	"snoopmva"
 )
 
 // The payload schemas of protocol version 1. Every message begins with
@@ -10,11 +12,13 @@ import (
 // order, not request order) can be matched without decoding the rest —
 // PeekSeq is that fast path.
 //
-// The spec structs mirror the JSON API's wire forms field for field
-// (internal/snoopd converts both into the same resolved solver inputs),
-// so the two transports cannot drift apart semantically: the equivalence
-// suite drives identical requests through both and asserts bitwise-equal
-// answers.
+// The codec encodes the root package's Workload, Timing, Options and
+// Result directly — the same structs whose JSON tags are the HTTP API's
+// schema — so the two transports share one definition of the model's
+// inputs and outputs. Only the request envelopes differ (explicit Has*
+// flags here, optional pointers in JSON); internal/snoopd resolves both
+// through the same spec types, and the equivalence suite drives
+// identical requests through both and asserts bitwise-equal answers.
 
 // ProtocolSpec names a protocol by preset name or by explicit
 // modification set. Exactly one arm is encodable: Name when non-empty,
@@ -43,50 +47,17 @@ type WorkloadSpec struct {
 	Params    WorkloadFields // when Kind == WorkloadParams
 }
 
-// WorkloadFields mirrors snoopmva.Workload field for field.
-type WorkloadFields struct {
-	Tau         float64
-	PPrivate    float64
-	PSro        float64
-	PSw         float64
-	HPrivate    float64
-	HSro        float64
-	HSw         float64
-	RPrivate    float64
-	RSw         float64
-	AmodPrivate float64
-	AmodSw      float64
-	CsupplySro  float64
-	CsupplySw   float64
-	WbCsupply   float64
-	RepP        float64
-	RepSw       float64
-	FixedParams bool
-}
+// WorkloadFields is the spelled-out workload, encoded field by field.
+type WorkloadFields = snoopmva.Workload
 
-// TimingSpec mirrors snoopmva.Timing.
-type TimingSpec struct {
-	TSupply   float64
-	TWrite    float64
-	TInval    float64
-	DMem      float64
-	BlockSize int
-	TBlock    float64
-}
+// TimingSpec is the architectural timing, encoded field by field.
+type TimingSpec = snoopmva.Timing
 
-// OptionsSpec mirrors snoopmva.Options.
-type OptionsSpec struct {
-	Tolerance            float64
-	MaxIterations        int
-	NoCacheInterference  bool
-	NoMemoryInterference bool
-	NoResidualLife       bool
-	ExponentialBus       bool
-	NoArrivalCorrection  bool
-	SplitTransactionBus  bool
-}
+// OptionsSpec is the MVA solver options, encoded field by field.
+type OptionsSpec = snoopmva.Options
 
-// BudgetSpec mirrors the JSON BudgetSpec (wall-clock budgets in ms).
+// BudgetSpec has the JSON BudgetSpec's shape (wall-clock budgets in
+// ms), so the two convert into each other.
 type BudgetSpec struct {
 	MaxStates     int
 	GTPNTimeoutMS int64
@@ -95,18 +66,8 @@ type BudgetSpec struct {
 	Seed          uint64
 }
 
-// Result mirrors snoopmva.Result on the wire.
-type Result struct {
-	N               int
-	Speedup         float64
-	ProcessingPower float64
-	R               float64
-	BusUtilization  float64
-	BusWait         float64
-	MemUtilization  float64
-	MemWait         float64
-	Iterations      int
-}
+// Result is the MVA result, encoded field by field.
+type Result = snoopmva.Result
 
 // SolveRequest is the payload of TypeSolveReq.
 type SolveRequest struct {

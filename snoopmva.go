@@ -61,32 +61,41 @@ func (s Sharing) internal() (workload.Sharing, error) {
 // Workload holds the paper's basic workload parameters (Section 2.3).
 // Construct with AppendixA and adjust fields, or fill it directly; all
 // probabilities are in [0,1] and the three stream probabilities must sum
-// to one.
+// to one. The JSON tags are the schema of the snoopd API's spelled-out
+// workload; the binary codec in internal/wire encodes the same struct.
 type Workload struct {
 	// Tau is the mean processor execution time between memory requests,
 	// in cycles.
-	Tau float64
+	Tau float64 `json:"tau"`
 	// PPrivate, PSro, PSw partition references into private, shared
 	// read-only and shared-writable streams.
-	PPrivate, PSro, PSw float64
+	PPrivate float64 `json:"p_private"`
+	PSro     float64 `json:"p_sro"`
+	PSw      float64 `json:"p_sw"`
 	// HPrivate, HSro, HSw are per-stream cache hit rates.
-	HPrivate, HSro, HSw float64
+	HPrivate float64 `json:"h_private"`
+	HSro     float64 `json:"h_sro"`
+	HSw      float64 `json:"h_sw"`
 	// RPrivate, RSw are per-stream read probabilities (sro is read-only).
-	RPrivate, RSw float64
+	RPrivate float64 `json:"r_private"`
+	RSw      float64 `json:"r_sw"`
 	// AmodPrivate, AmodSw are the probabilities that a write hit finds
 	// the block already modified.
-	AmodPrivate, AmodSw float64
+	AmodPrivate float64 `json:"amod_private"`
+	AmodSw      float64 `json:"amod_sw"`
 	// CsupplySro, CsupplySw are the probabilities that another cache
 	// holds a requested block.
-	CsupplySro, CsupplySw float64
+	CsupplySro float64 `json:"csupply_sro"`
+	CsupplySw  float64 `json:"csupply_sw"`
 	// WbCsupply is the probability the cache supplier holds the block
 	// dirty.
-	WbCsupply float64
+	WbCsupply float64 `json:"wb_csupply"`
 	// RepP, RepSw are the probabilities that a replaced block is dirty.
-	RepP, RepSw float64
+	RepP  float64 `json:"rep_p"`
+	RepSw float64 `json:"rep_sw"`
 	// FixedParams suppresses the paper's automatic per-protocol
 	// parameter adjustments (rep_p, rep_sw, h_sw; Appendix A notes).
-	FixedParams bool
+	FixedParams bool `json:"fixed_params,omitempty"`
 }
 
 // AppendixA returns the workload of the paper's experiments at the given
@@ -140,33 +149,24 @@ func fromInternalParams(p workload.Params) Workload {
 
 // Timing holds the architectural constants (cycles). The zero value means
 // the paper's defaults: T_supply = T_write = T_inval = 1, d_mem = 3,
-// block size 4 words, T_block = 4.
+// block size 4 words, T_block = 4. Zero fields are omitted from JSON.
 type Timing struct {
-	TSupply   float64
-	TWrite    float64
-	TInval    float64
-	DMem      float64
-	BlockSize int
-	TBlock    float64
+	TSupply   float64 `json:"t_supply,omitempty"`
+	TWrite    float64 `json:"t_write,omitempty"`
+	TInval    float64 `json:"t_inval,omitempty"`
+	DMem      float64 `json:"d_mem,omitempty"`
+	BlockSize int     `json:"block_size,omitempty"`
+	TBlock    float64 `json:"t_block,omitempty"`
 }
 
 // DefaultTiming returns the paper's timing constants.
-func DefaultTiming() Timing {
-	t := workload.DefaultTiming()
-	return Timing{
-		TSupply: t.TSupply, TWrite: t.TWrite, TInval: t.TInval,
-		DMem: t.DMem, BlockSize: t.BlockSize, TBlock: t.TBlock,
-	}
-}
+func DefaultTiming() Timing { return Timing(workload.DefaultTiming()) }
 
 func (t Timing) internal() workload.Timing {
 	if t == (Timing{}) {
 		return workload.DefaultTiming()
 	}
-	return workload.Timing{
-		TSupply: t.TSupply, TWrite: t.TWrite, TInval: t.TInval,
-		DMem: t.DMem, BlockSize: t.BlockSize, TBlock: t.TBlock,
-	}
+	return workload.Timing(t)
 }
 
 // Protocol identifies a snooping cache-consistency protocol: Write-Once

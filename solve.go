@@ -9,46 +9,48 @@ import (
 	"snoopmva/internal/mva"
 )
 
-// Result holds the MVA model's outputs for one configuration.
+// Result holds the MVA model's outputs for one configuration; its JSON
+// form is the snoopd API's result body.
 type Result struct {
 	// N is the number of processors solved for.
-	N int
+	N int `json:"n"`
 	// Speedup is N·(τ+T_supply)/R, the paper's Section 4 metric.
-	Speedup float64
+	Speedup float64 `json:"speedup"`
 	// ProcessingPower is the sum of processor utilizations, N·τ/R.
-	ProcessingPower float64
+	ProcessingPower float64 `json:"processing_power"`
 	// R is the mean total time between memory requests (equation 1).
-	R float64
+	R float64 `json:"r"`
 	// BusUtilization and BusWait are the equation (7)/(5) bus measures.
-	BusUtilization float64
-	BusWait        float64
+	BusUtilization float64 `json:"bus_utilization"`
+	BusWait        float64 `json:"bus_wait"`
 	// MemUtilization and MemWait are the equation (12)/(11) memory
 	// measures.
-	MemUtilization float64
-	MemWait        float64
+	MemUtilization float64 `json:"mem_utilization"`
+	MemWait        float64 `json:"mem_wait"`
 	// Iterations is the fixed-point iteration count (Section 3.2).
-	Iterations int
+	Iterations int `json:"iterations"`
 }
 
 // Options tunes the MVA solution; the zero value iterates the paper's
 // equations from zero waits (Section 3.2) to a tight tolerance, with the
-// substitution Anderson-accelerated.
+// substitution Anderson-accelerated. Zero fields are omitted from JSON.
 type Options struct {
 	// Tolerance for the fixed point; 0 means 1e-10.
-	Tolerance float64
+	Tolerance float64 `json:"tolerance,omitempty"`
 	// MaxIterations bounds the iteration count; 0 means 10000.
-	MaxIterations int
+	MaxIterations int `json:"max_iterations,omitempty"`
 
-	// Ablation switches (see the bench harness): disable individual
-	// submodels to quantify their contribution.
-	NoCacheInterference  bool
-	NoMemoryInterference bool
-	NoResidualLife       bool
-	ExponentialBus       bool
-	NoArrivalCorrection  bool
+	// Ablation switches (see the §4.3 stress experiment in
+	// internal/exp/stress.go): disable individual submodels to quantify
+	// their contribution.
+	NoCacheInterference  bool `json:"no_cache_interference,omitempty"`
+	NoMemoryInterference bool `json:"no_memory_interference,omitempty"`
+	NoResidualLife       bool `json:"no_residual_life,omitempty"`
+	ExponentialBus       bool `json:"exponential_bus,omitempty"`
+	NoArrivalCorrection  bool `json:"no_arrival_correction,omitempty"`
 	// SplitTransactionBus models a split-transaction bus: memory-supplied
 	// reads release the bus during the memory latency.
-	SplitTransactionBus bool
+	SplitTransactionBus bool `json:"split_transaction_bus,omitempty"`
 }
 
 func (o Options) internal() mva.Options {
