@@ -19,19 +19,24 @@ import (
 // Set is one collection of fault hooks. A nil member leaves the
 // corresponding instrumentation point inactive.
 type Set struct {
-	// MVAEnter is called once at the start of every MVA fixed-point
-	// solve attempt with the system size (used to observe scheduling,
-	// e.g. that a failed sweep stops issuing work).
+	// The three MVA hooks are consulted by the fixed-point driver shared
+	// by every MVA variant (flat, heterogeneous and two-level), so they
+	// reach all three models.
+	//
+	// MVAEnter is called once per MVA fixed-point solve, when its
+	// iteration starts (after input validation; the damping ladder's
+	// fallback rungs do not call it again), with the system size (used to
+	// observe scheduling, e.g. that a failed sweep stops issuing work).
 	MVAEnter func(n int)
 	// MVAStall returns true to suppress convergence of the MVA fixed
 	// point at the given iteration, forcing an iteration-stall
 	// (ErrNoConvergence) failure.
 	MVAStall func(iter int) bool
-	// MVAPoison returns a replacement iterate and true to poison the MVA
-	// fixed point at the given iteration (typically with NaN or Inf),
-	// exercising the ErrDiverged guardrail. The poison value is supplied
-	// by the test so production code never constructs a non-finite
-	// sentinel itself.
+	// MVAPoison returns a replacement for the first coordinate of the
+	// MVA fixed point's image and true to poison it at the given
+	// iteration (typically with NaN or Inf), exercising the ErrDiverged
+	// guardrail. The poison value is supplied by the test so production
+	// code never constructs a non-finite sentinel itself.
 	MVAPoison func(iter int) (float64, bool)
 	// PetriExplode returns true to force a state-explosion error from the
 	// reachability BFS once it has reached the given number of states.
@@ -62,8 +67,8 @@ type Set struct {
 	// assert that a failed rotation leaves no temp-file residue and that
 	// post-rename failures latch the journal broken.
 	JournalRotateFault func(path, stage string) error
-	// SolveDelay is consulted once per MVA solve (before the fixed-point
-	// damping ladder) with the system size; a positive duration stalls
+	// SolveDelay is consulted once per flat MVA solve (before the
+	// fixed-point iteration) with the system size; a positive duration stalls
 	// the solve for that long, interruptible by the solve context. Tests
 	// use it to shrink a server's effective capacity deterministically —
 	// the overload storms slow every solve to a known service time so

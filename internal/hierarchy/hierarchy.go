@@ -19,12 +19,13 @@
 package hierarchy
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 
 	"snoopmva/internal/mva"
 	"snoopmva/internal/protocol"
-	"snoopmva/internal/queueing"
 	"snoopmva/internal/workload"
 )
 
@@ -50,7 +51,8 @@ type Config struct {
 	// block is shared across clusters.
 	GlobalBcFraction float64
 	// GlobalSpeedRatio scales global-bus transfer times relative to the
-	// local bus (≥ 1 means the global bus is no faster). Zero means 1.
+	// local bus (≥ 1 means the global bus is no faster). Zero means 1;
+	// negative and non-finite ratios are invalid.
 	GlobalSpeedRatio float64
 }
 
@@ -73,8 +75,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("hierarchy: %s = %v outside [0,1]: %w", p.name, p.v, workload.ErrInvalid)
 		}
 	}
-	if c.GlobalSpeedRatio < 0 {
-		return fmt.Errorf("hierarchy: negative global speed ratio %v: %w", c.GlobalSpeedRatio, workload.ErrInvalid)
+	if r := c.GlobalSpeedRatio; r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
+		return fmt.Errorf("hierarchy: global speed ratio %v is negative or not finite: %w", r, workload.ErrInvalid)
 	}
 	return nil
 }
@@ -94,23 +96,9 @@ func (c Config) derive() (workload.Derived, error) {
 	return workload.Derive(p, c.timing(), c.Mods)
 }
 
-// Options mirrors the flat solver's iteration controls.
-type Options struct {
-	// Tol is the convergence tolerance; zero means 1e-10.
-	Tol float64
-	// MaxIter bounds iterations; zero means 20000.
-	MaxIter int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tol == 0 {
-		o.Tol = 1e-10
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 20000
-	}
-	return o
-}
+// Options are the flat solver's iteration controls (Tol, MaxIter and
+// Damping; the flat model's ablation switches and warm start do not apply).
+type Options = mva.Options
 
 // Result holds the hierarchical model's outputs.
 type Result struct {
@@ -140,10 +128,16 @@ func (r Result) String() string {
 		r.Clusters, r.PerCluster, r.Speedup, r.R, r.ULocalBus, r.UGlobalBus)
 }
 
-// Solve computes the steady state by fixed-point iteration over the two
-// bus waiting times, the two memory waits, and R.
+// Solve computes the steady state; see SolveContext.
 func Solve(cfg Config, opts Options) (Result, error) {
-	o := opts.withDefaults()
+	return SolveContext(context.Background(), cfg, opts)
+}
+
+// SolveContext computes the steady state by fixed-point iteration over
+// (R, w_lbus, w_gbus), checking ctx every few iterations. Both memory
+// waits depend on R alone (equations 11–12), so each evaluation derives
+// them first.
+func SolveContext(ctx context.Context, cfg Config, opts Options) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -175,134 +169,68 @@ func Solve(cfg Config, opts Options) (Result, error) {
 	// requester write-back if any.
 	tReadGlobal := (1 + t.DMem + t.TBlock) * gRatio
 	// Local-bus legs of a global read: the address/request cycle and the
-	// response delivery (one block transfer).
-	lbusReqLeg := 1.0
-	lbusRespLeg := t.TBlock
-	// The requester's replacement write-back stays on the local bus and
-	// the cluster memory path.
-	lbusWbLeg := t.TBlock * d.PReqWbRR
+	// response delivery (one block transfer). The requester's replacement
+	// write-back stays on the local bus and the cluster memory path.
+	lbusGlobalRead := 1.0 + t.TBlock + t.TBlock*d.PReqWbRR
+
+	// Memory operations per request at the two levels (equation 12).
+	memOpsLocal := pRrLocal*(d.PCsupWbRR+d.PReqWbRR) + pRrGlobal*d.PReqWbRR
+	memOpsGlobal := pRrGlobal
+	if d.BroadcastTouchesMemory {
+		memOpsLocal += pBcLocal
+		memOpsGlobal += pBcGlobal
+	}
 
 	iv := d.Interference(cfg.PerCluster) // snooping is a cluster-local affair
-
-	var wLBus, wGBus, wCMem, wGMem float64
-	r := tau + t.TSupply + pBcLocal*d.TBc(0) + pRrLocal*d.TRead +
-		pBcGlobal*(d.TBc(0)+t.TWrite*gRatio) +
-		pRrGlobal*(lbusReqLeg+lbusRespLeg+lbusWbLeg+tReadGlobal)
 
 	res := Result{
 		Clusters:        cfg.Clusters,
 		PerCluster:      cfg.PerCluster,
 		TotalProcessors: cfg.Clusters * cfg.PerCluster,
 	}
-	for iter := 1; iter <= o.MaxIter; iter++ {
-		tBcL := d.TBc(wCMem)
+	var uL, uG float64
+	r0 := tau + t.TSupply + pBcLocal*d.TBc(0) + pRrLocal*d.TRead +
+		pBcGlobal*(d.TBc(0)+t.TWrite*gRatio) + pRrGlobal*(lbusGlobalRead+tReadGlobal)
+	fp := mva.NewFixedPoint(res.TotalProcessors, mva.State{r0, 0, 0}, opts)
+	for fp.Next(ctx) {
+		r, wLBus, wGBus := fp.X[0], fp.X[1], fp.X[2]
+
+		// --- memory interference at both levels (equations 11–12) ---
+		uCMem := k * (1 / float64(t.BlockSize)) * memOpsLocal * t.DMem / r
+		res.WClusterMem = mva.BusyProbability(uCMem, k) * t.DMem / 2
+		uGMem := cTot * (1 / float64(t.BlockSize)) * memOpsGlobal * (t.DMem * gRatio) / r
+		res.WGlobalMem = mva.BusyProbability(uGMem, cTot) * t.DMem * gRatio / 2
+
+		tBcL := d.TBc(res.WClusterMem)
+		tBcG := t.TWrite*gRatio + res.WGlobalMem
 
 		// Local-bus occupancy per request (what each transaction holds
-		// the local bus for).
-		lbusTimeLocal := pBcLocal*tBcL + pRrLocal*d.TRead
-		lbusTimeGlobal := pBcGlobal*tBcL + pRrGlobal*(lbusReqLeg+lbusRespLeg+lbusWbLeg)
-		lbusDemand := lbusTimeLocal + lbusTimeGlobal
-
-		// Global-bus occupancy per request.
-		gbusDemand := pBcGlobal*(t.TWrite*gRatio+wGMem) + pRrGlobal*tReadGlobal
+		// the local bus for) and global-bus occupancy per request.
+		lbusDemand := (pBcLocal+pBcGlobal)*tBcL + pRrLocal*d.TRead + pRrGlobal*lbusGlobalRead
+		gbusDemand := pBcGlobal*tBcG + pRrGlobal*tReadGlobal
 
 		// Response-time components.
 		rBcLocal := pBcLocal * (wLBus + tBcL)
 		rRrLocal := pRrLocal * (wLBus + d.TRead)
-		rBcGlobal := pBcGlobal * (wLBus + tBcL + wGBus + t.TWrite*gRatio + wGMem)
-		rRrGlobal := pRrGlobal * (wLBus + lbusReqLeg + wGBus + tReadGlobal + wLBus + lbusRespLeg + lbusWbLeg)
+		rBcGlobal := pBcGlobal * (wLBus + tBcL + wGBus + tBcG)
+		rRrGlobal := pRrGlobal * (2*wLBus + wGBus + lbusGlobalRead + tReadGlobal)
 
 		// --- local bus (K customers per cluster) ---
-		qL := (k - 1) * (rBcLocal + rRrLocal + rBcGlobal + rRrGlobal) / r
-		if qL < 0 {
-			qL = 0
-		}
-		uL := k * lbusDemand / r
-		pBusyL, err := queueing.BusyProbabilityFinite(uL, cfg.PerCluster)
-		if err != nil {
-			return Result{}, err
-		}
-		var tL, tResL float64
-		if lbusDemand > 0 {
-			// Mean and residual of local-bus holding times, weighted by
-			// time (deterministic service → residual = half).
-			wSum := lbusDemand
-			tL = (pBcLocal+pBcGlobal)*tBcL + pRrLocal*d.TRead + pRrGlobal*(lbusReqLeg+lbusRespLeg+lbusWbLeg)
-			den := pBcLocal + pBcGlobal + pRrLocal + pRrGlobal
-			if den > 0 {
-				tL /= den
-			}
-			tResL = 0
-			for _, c := range []struct{ p, dur float64 }{
-				{pBcLocal + pBcGlobal, tBcL},
-				{pRrLocal, d.TRead},
-				{pRrGlobal, lbusReqLeg + lbusRespLeg + lbusWbLeg},
-			} {
-				if c.p <= 0 || c.dur <= 0 {
-					continue
-				}
-				tResL += (c.p * c.dur / wSum) * (c.dur / 2)
-			}
-		}
-		waitingL := qL - pBusyL
-		if waitingL < 0 {
-			waitingL = 0
-		}
-		newWLBus := waitingL*tL + pBusyL*tResL
+		qL := math.Max((k-1)*(rBcLocal+rRrLocal+rBcGlobal+rRrGlobal)/r, 0)
+		uL = k * lbusDemand / r
+		pBusyL := mva.BusyProbability(uL, k)
+		// Mean and residual of local-bus holding times, residual weighted
+		// by time (deterministic service → residual = half).
+		tL, tResL := holding(lbusDemand,
+			class{pBcLocal + pBcGlobal, tBcL}, class{pRrLocal, d.TRead}, class{pRrGlobal, lbusGlobalRead})
+		newWLBus := math.Max(qL-pBusyL, 0)*tL + pBusyL*tResL
 
 		// --- global bus (C·K processors via C cluster ports) ---
-		qG := (cTot - 1) * (rBcGlobal + rRrGlobal) / r
-		if qG < 0 {
-			qG = 0
-		}
-		uG := cTot * gbusDemand / r
-		pBusyG, err := queueing.BusyProbabilityFinite(uG, cfg.Clusters*cfg.PerCluster)
-		if err != nil {
-			return Result{}, err
-		}
-		var tG, tResG float64
-		if gbusDemand > 0 {
-			den := pBcGlobal + pRrGlobal
-			tG = (pBcGlobal*(t.TWrite*gRatio+wGMem) + pRrGlobal*tReadGlobal) / den
-			wSum := gbusDemand
-			for _, c := range []struct{ p, dur float64 }{
-				{pBcGlobal, t.TWrite*gRatio + wGMem},
-				{pRrGlobal, tReadGlobal},
-			} {
-				if c.p <= 0 || c.dur <= 0 {
-					continue
-				}
-				tResG += (c.p * c.dur / wSum) * (c.dur / 2)
-			}
-		}
-		waitingG := qG - pBusyG
-		if waitingG < 0 {
-			waitingG = 0
-		}
-		newWGBus := waitingG*tG + pBusyG*tResG
-
-		// --- memory interference at both levels (equations 11–12) ---
-		var newWCMem, newWGMem float64
-		memOpsLocal := pRrLocal*(d.PCsupWbRR+d.PReqWbRR) + pRrGlobal*d.PReqWbRR
-		if d.BroadcastTouchesMemory {
-			memOpsLocal += pBcLocal
-		}
-		uCMem := k * (1 / float64(t.BlockSize)) * memOpsLocal * t.DMem / r
-		pBusyCM, err := queueing.BusyProbabilityFinite(uCMem, cfg.PerCluster)
-		if err != nil {
-			return Result{}, err
-		}
-		newWCMem = pBusyCM * t.DMem / 2
-		memOpsGlobal := pRrGlobal
-		if d.BroadcastTouchesMemory {
-			memOpsGlobal += pBcGlobal
-		}
-		uGMem := cTot * (1 / float64(t.BlockSize)) * memOpsGlobal * (t.DMem * gRatio) / r
-		pBusyGM, err := queueing.BusyProbabilityFinite(uGMem, cfg.Clusters*cfg.PerCluster)
-		if err != nil {
-			return Result{}, err
-		}
-		newWGMem = pBusyGM * t.DMem * gRatio / 2
+		qG := math.Max((cTot-1)*(rBcGlobal+rRrGlobal)/r, 0)
+		uG = cTot * gbusDemand / r
+		pBusyG := mva.BusyProbability(uG, cTot)
+		tG, tResG := holding(gbusDemand, class{pBcGlobal, tBcG}, class{pRrGlobal, tReadGlobal})
+		newWGBus := math.Max(qG-pBusyG, 0)*tG + pBusyG*tResG
 
 		// --- cache interference (equation 13, cluster-local) ---
 		var rLocal float64
@@ -317,31 +245,44 @@ func Solve(cfg Config, opts Options) (Result, error) {
 		}
 
 		newR := tau + t.TSupply + rLocal + rBcLocal + rRrLocal + rBcGlobal + rRrGlobal
-
-		delta := math.Max(math.Abs(newR-r),
-			math.Max(math.Abs(newWLBus-wLBus), math.Abs(newWGBus-wGBus)))
-		// Under-relax: the two coupled queues oscillate under plain
-		// substitution near saturation.
-		const damp = 0.5
-		wLBus = damp*newWLBus + (1-damp)*wLBus
-		wGBus = damp*newWGBus + (1-damp)*wGBus
-		wCMem = damp*newWCMem + (1-damp)*wCMem
-		wGMem = damp*newWGMem + (1-damp)*wGMem
-		r = damp*newR + (1-damp)*r
-		res.Iterations = iter
-		if delta < o.Tol*(1+math.Abs(r)) {
-			res.R = r
-			res.Speedup = cTot * (tau + t.TSupply) / r
-			res.ULocalBus = math.Min(uL, 1)
-			res.UGlobalBus = math.Min(uG, 1)
-			res.WLocalBus = wLBus
-			res.WGlobalBus = wGBus
-			res.WClusterMem = wCMem
-			res.WGlobalMem = wGMem
-			return res, nil
-		}
+		fp.Step(mva.State{newR, newWLBus, newWGBus})
 	}
-	return res, fmt.Errorf("hierarchy: %w after %d iterations", mva.ErrNoConvergence, o.MaxIter)
+	res.Iterations = fp.Iter
+	switch {
+	case errors.Is(fp.Err, mva.ErrNoConvergence):
+		return res, fmt.Errorf("hierarchy: %w after %d iterations", mva.ErrNoConvergence, fp.Iter)
+	case fp.Err != nil:
+		return res, fp.Err
+	}
+	res.R, res.WLocalBus, res.WGlobalBus = fp.X[0], fp.X[1], fp.X[2]
+	res.Speedup = cTot * (tau + t.TSupply) / res.R
+	res.ULocalBus = math.Min(uL, 1)
+	res.UGlobalBus = math.Min(uG, 1)
+	return res, nil
+}
+
+// class is one transaction class on a bus: its per-request probability
+// and its bus holding time.
+type class struct{ p, dur float64 }
+
+// holding returns a bus's mean holding time per transaction (weighted by
+// operations) and its mean residual life (weighted by time, deterministic
+// service → half the duration), given the classes and their total time
+// per request, demand.
+func holding(demand float64, classes ...class) (mean, residual float64) {
+	if demand <= 0 {
+		return 0, 0
+	}
+	var ops float64
+	for _, c := range classes {
+		if c.p <= 0 || c.dur <= 0 {
+			continue
+		}
+		ops += c.p
+		mean += c.p * c.dur
+		residual += (c.p * c.dur / demand) * (c.dur / 2)
+	}
+	return mean / ops, residual
 }
 
 // Crossover sweeps cluster shapes for a fixed total processor count and

@@ -43,7 +43,10 @@ carry a cancellation path.`,
 // own fixture package is included so the analysistest suite can exercise
 // it; no real package shares that name.
 var solverPackages = map[string]bool{
-	"mva":        true,
+	"mva": true,
+	// The two-level model iterates through the mva fixed-point driver;
+	// covering it keeps a hand-rolled loop from coming back.
+	"hierarchy":  true,
 	"petri":      true,
 	"markov":     true,
 	"cachesim":   true,

@@ -17,37 +17,37 @@ const (
 )
 
 // anderson is the mixing state of a depth-2 Anderson (type-II)
-// acceleration of the fixed-point map x ↦ G(x) over the solver state
-// x = (R, w_bus, w_mem). Each step takes the last three residuals
-// f_j = G(x_j) − x_j and images g_j = G(x_j), finds the γ minimizing
+// acceleration of the fixed-point map x ↦ G(x) over a model's State. Each
+// step takes the last three residuals f_j = G(x_j) − x_j and images
+// g_j = G(x_j), finds the γ minimizing
 // ‖f_k − ΔF·γ‖₂ over the residual differences ΔF, and moves to
 // g_k − ΔG·γ instead of the plain g_k. Near saturation the plain map
 // converges as a slowly damped oscillation (a complex eigenvalue pair);
 // the extrapolation cancels that pair, which is what cuts hundreds of
 // plain steps to about a dozen.
 //
-// The zero value is ready to use. It lives on the solver's stack: the
+// The zero value is ready to use. It lives in the FixedPoint: the
 // history is fixed-size arrays, so a step allocates nothing.
 type anderson struct {
-	f, g     [3][3]float64 // residuals and images, newest first
-	have     int           // valid history entries (0..3)
-	best     float64       // smallest residual since the last restart; 0 = none yet
-	stale    int           // steps since best last improved
+	f, g     [3]State // residuals and images, newest first
+	have     int      // valid history entries (0..3)
+	best     float64  // smallest residual since the last restart; 0 = none yet
+	stale    int      // steps since best last improved
 	restarts int
 	off      bool // safeguards exhausted: plain substitution from here on
 }
 
 // next returns the iterate that follows x, given its image g = G(x) and
 // the residual norm res = ‖g − x‖∞. It falls back to the plain step g in
-// two cases. If the extrapolated point leaves the solver's domain (R ≤ 0,
-// a negative wait, a non-finite value), the history is cut back to the
+// two cases. If the extrapolated point leaves the solver's domain (see
+// State.inDomain), the history is cut back to the
 // newest pair, so mixing resumes from the current residual at the next
 // step. If the residual has not improved on its best for andersonWindow
 // steps, the history is emptied; after andersonRestarts such restarts the
 // rung continues as plain substitution.
 //
 //snoop:hotpath accelerated steady-state iterate must not allocate (pinned at 0 allocs by TestSolveIsAllocationFree)
-func (a *anderson) next(x, g [3]float64, res float64) [3]float64 {
+func (a *anderson) next(x, g State, res float64) State {
 	if a.off {
 		return g
 	}
@@ -99,11 +99,11 @@ func (a *anderson) next(x, g [3]float64, res float64) [3]float64 {
 		}
 	}
 
-	var out [3]float64
+	var out State
 	for i := range out {
 		out[i] = g[i] - gamma1*(a.g[0][i]-a.g[1][i]) - gamma2*(a.g[1][i]-a.g[2][i])
 	}
-	if !inDomain(out[0], out[1], out[2]) {
+	if !out.inDomain() {
 		a.have = 1 // keep only (f_k, g_k)
 		return g
 	}

@@ -1,0 +1,113 @@
+package mva
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"snoopmva/internal/faultinject"
+	"snoopmva/internal/protocol"
+)
+
+// flatAnswersSHA256 is the SHA-256 of every flat-model answer the pin
+// below produces: the Float64bits of each float field of each Result
+// (nested Derived and Interference included), its integer fields, and the
+// error text of any failed solve.
+const flatAnswersSHA256 = "dbff229dc61d510d729b5e35d741957d21d61b0c55a0ae31f3de50f2fb0883b2"
+
+// TestFlatAnswersBitwisePinned pins the flat solver's answers bit for
+// bit over seeded random configurations, at the default ladder, at the
+// paper's plain substitution (Damping 1), under-relaxed (Damping 0.5),
+// warm-started from a neighbouring size, and on the ladder's fallback
+// rungs (a budget too small for any rung, and a first rung stalled by
+// the MVAStall hook so the damped rungs restart from the cold state). A
+// refactor of the iteration that moves any answer by one ulp, or changes
+// an iteration count or an error, fails here.
+//
+// Only amd64 is pinned: other architectures may fuse x*y+z into one FMA
+// and round differently.
+func TestFlatAnswersBitwisePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bitwise pin is recorded on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	const draws = 2000
+	rng := rand.New(rand.NewSource(19))
+	modSets := protocol.AllModSets()
+	h := sha256.New()
+	record := func(res Result, err error) { hashAnswer(h, res, err) }
+	for i := 0; i < draws; i++ {
+		m, o, n := oracleModel(t, rng, modSets)
+		var cold Result
+		for _, damping := range []float64{0, 1, 0.5} {
+			opts := o
+			opts.Damping = damping
+			res, err := m.Solve(n, opts)
+			record(res, err)
+			if damping == 0 && err == nil {
+				cold = res
+			}
+		}
+		opts := o
+		switch i % 4 {
+		case 0:
+			if cold.Iterations > 0 {
+				warm := cold.Warm()
+				opts.Warm = &warm
+				record(m.Solve(n%256+1, opts))
+			}
+		case 1:
+			opts.MaxIter = 6
+			record(m.Solve(n, opts))
+		case 2:
+			opts.MaxIter = 400
+			calls := 0
+			restore := faultinject.Activate(&faultinject.Set{
+				MVAStall: func(int) bool { calls++; return calls <= opts.MaxIter },
+			})
+			record(m.Solve(n, opts))
+			restore()
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != flatAnswersSHA256 {
+		t.Errorf("flat answers hash to %s, pinned %s", got, flatAnswersSHA256)
+	}
+}
+
+// hashAnswer feeds one solve's outcome into h.
+func hashAnswer(h hash.Hash, res Result, err error) {
+	var buf [8]byte
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Float64:
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float()))
+			h.Write(buf[:])
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			binary.LittleEndian.PutUint64(buf[:], uint64(v.Int()))
+			h.Write(buf[:])
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			binary.LittleEndian.PutUint64(buf[:], v.Uint())
+			h.Write(buf[:])
+		case reflect.Bool:
+			fmt.Fprint(h, v.Bool())
+		default:
+			panic("hashAnswer: unhandled kind " + v.Kind().String())
+		}
+	}
+	walk(reflect.ValueOf(res))
+	if err != nil {
+		io.WriteString(h, err.Error())
+	}
+}

@@ -2,10 +2,10 @@ package mva
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
-	"snoopmva/internal/queueing"
 	"snoopmva/internal/workload"
 )
 
@@ -57,22 +57,22 @@ func SolveHeterogeneous(groups []Group, opts Options) (HeteroResult, error) {
 
 // SolveHeterogeneousContext is SolveHeterogeneous with cancellation: the
 // joint fixed point checks ctx every few iterations and returns ctx.Err()
-// when it fires.
+// (wrapped) when it fires.
+//
+// The fixed-point state is (w_bus, w_mem, Q̄_bus): the waits are shared by
+// every group, and each group's R follows from them directly (equations
+// 1–4 and 13), so the state does not grow with the number of groups.
 func SolveHeterogeneousContext(ctx context.Context, groups []Group, opts Options) (HeteroResult, error) {
-	o := opts.withDefaults()
 	if len(groups) == 0 {
 		return HeteroResult{}, fmt.Errorf("mva: no groups: %w", workload.ErrInvalid)
 	}
 	type gState struct {
-		g     Group
-		d     workload.Derived
-		iv    workload.Interference
-		r     float64
-		tau   float64
-		nf    float64
-		rBc   float64
-		rRr   float64
-		local float64
+		g   Group
+		d   workload.Derived
+		iv  workload.Interference
+		r   float64
+		tau float64
+		nf  float64
 	}
 	gs := make([]gState, len(groups))
 	total := 0
@@ -97,127 +97,84 @@ func SolveHeterogeneousContext(ctx context.Context, groups []Group, opts Options
 	for i := range gs {
 		// Snooping interference sees the whole machine.
 		gs[i].iv = gs[i].d.Interference(total)
-		d := gs[i].d
-		gs[i].r = gs[i].tau + t.TSupply + d.PBc*d.TBc(0) + d.PRr*d.TRead
 	}
 
-	var wBus, wMem float64
-	res := HeteroResult{TotalProcessors: total}
-	for iter := 1; iter <= o.MaxIter; iter++ {
-		if iter%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, fmt.Errorf("mva: heterogeneous solve canceled after %d iterations: %w", iter, err)
+	totalF := float64(total)
+	var uBus, uMem float64
+	fp := NewFixedPoint(total, State{}, opts)
+	for fp.Next(ctx) {
+		wBus, wMem, q := fp.X[0], fp.X[1], fp.X[2]
+		// Per-group response time with the current shared state, and the
+		// shared-bus aggregates it implies.
+		var busOpRate, qBus float64
+		uBus, uMem = 0, 0
+		for i := range gs {
+			d, iv := &gs[i].d, &gs[i].iv
+			tBc := d.TBc(wMem)
+			rBusRes := d.PBc*(wBus+tBc) + d.PRr*(wBus+d.TRead)
+			var rLocal float64
+			if q > 0 && iv.P > 0 {
+				var nInt float64
+				if iv.PPrime >= 1 {
+					nInt = iv.P * q
+				} else {
+					nInt = iv.P * (1 - math.Pow(iv.PPrime, q)) / (1 - iv.PPrime)
+				}
+				rLocal = d.PLocal * nInt * iv.TInterference
 			}
+			r := gs[i].tau + t.TSupply + rLocal + rBusRes
+			gs[i].r = r
+			busOpRate += gs[i].nf * (d.PBc + d.PRr) / r
+			uBus += gs[i].nf * (d.PBc*tBc + d.PRr*d.TRead) / r
+			// Queue seen by an arrival: every processor's steady-state
+			// bus residence, scaled by the population-wide correction of
+			// equation (6) (a per-group (N_g−1)/N_g would make w_bus
+			// class-dependent).
+			qBus += gs[i].nf * rBusRes / r
+			uMem += gs[i].nf * (1 / float64(t.BlockSize)) * d.MemOpsPerRequest() * t.DMem / r
 		}
-		// Per-group response components with the current shared waits.
-		for i := range gs {
-			d := gs[i].d
-			tBc := d.TBc(wMem)
-			gs[i].rBc = d.PBc * (wBus + tBc)
-			gs[i].rRr = d.PRr * (wBus + d.TRead)
-		}
-		// Shared-bus aggregates.
-		var uBus, busOpRate, busTimeRate float64
-		for i := range gs {
-			d := gs[i].d
-			tBc := d.TBc(wMem)
-			demand := d.PBc*tBc + d.PRr*d.TRead
-			uBus += gs[i].nf * demand / gs[i].r
-			busOpRate += gs[i].nf * (d.PBc + d.PRr) / gs[i].r
-			busTimeRate += gs[i].nf * demand / gs[i].r
-		}
+		qBus *= (totalF - 1) / totalF
 		// Mean access time over all classes (op-weighted) and residual
 		// life (time-weighted, deterministic service).
 		var tBus, tRes float64
 		if busOpRate > 0 {
 			for i := range gs {
-				d := gs[i].d
+				d := &gs[i].d
 				tBc := d.TBc(wMem)
 				wBcOps := gs[i].nf * d.PBc / gs[i].r
 				wRrOps := gs[i].nf * d.PRr / gs[i].r
 				tBus += (wBcOps*tBc + wRrOps*d.TRead) / busOpRate
-				if busTimeRate > 0 {
-					tRes += (wBcOps * tBc / busTimeRate) * (tBc / 2)
-					tRes += (wRrOps * d.TRead / busTimeRate) * (d.TRead / 2)
+				if uBus > 0 {
+					tRes += (wBcOps * tBc / uBus) * (tBc / 2)
+					tRes += (wRrOps * d.TRead / uBus) * (d.TRead / 2)
 				}
 			}
 		}
-		pBusyBus, err := queueing.BusyProbabilityFinite(uBus, total)
-		if err != nil {
-			return HeteroResult{}, err
-		}
-		// Queue seen by an arrival: every processor's steady-state bus
-		// residence, minus the arriving customer's own share (approximated
-		// by scaling its own group's term by (N_g−1)/N_g would make w_bus
-		// class-dependent; we use the population-wide correction as in
-		// equation (6) with mixed classes).
-		var qBus float64
-		for i := range gs {
-			qBus += gs[i].nf * (gs[i].rBc + gs[i].rRr) / gs[i].r
-		}
-		qBus *= float64(total-1) / float64(total)
-		waiting := qBus - pBusyBus
-		if waiting < 0 {
-			waiting = 0
-		}
-		newWBus := waiting*tBus + pBusyBus*tRes
-
-		// Shared-memory interference.
-		var uMem float64
-		for i := range gs {
-			uMem += gs[i].nf * (1 / float64(t.BlockSize)) * gs[i].d.MemOpsPerRequest() * t.DMem / gs[i].r
-		}
-		pBusyMem, err := queueing.BusyProbabilityFinite(uMem, total)
-		if err != nil {
-			return HeteroResult{}, err
-		}
-		newWMem := pBusyMem * t.DMem / 2
-
-		// Per-group cache interference and response.
-		var maxDelta float64
-		for i := range gs {
-			d := gs[i].d
-			iv := gs[i].iv
-			var rLocal float64
-			if qBus > 0 && iv.P > 0 {
-				var nInt float64
-				if iv.PPrime >= 1 {
-					nInt = iv.P * qBus
-				} else {
-					nInt = iv.P * (1 - math.Pow(iv.PPrime, qBus)) / (1 - iv.PPrime)
-				}
-				rLocal = d.PLocal * nInt * iv.TInterference
-			}
-			gs[i].local = rLocal
-			newR := gs[i].tau + t.TSupply + rLocal + gs[i].rBc + gs[i].rRr
-			delta := math.Abs(newR - gs[i].r)
-			if delta > maxDelta {
-				maxDelta = delta
-			}
-			gs[i].r = 0.5*newR + 0.5*gs[i].r
-		}
-		dw := math.Max(math.Abs(newWBus-wBus), math.Abs(newWMem-wMem))
-		wBus = 0.5*newWBus + 0.5*wBus
-		wMem = 0.5*newWMem + 0.5*wMem
-		res.Iterations = iter
-		if math.Max(maxDelta, dw) < o.Tol*(1+wBus) {
-			res.WBus = wBus
-			res.WMem = wMem
-			res.UBus = math.Min(uBus, 1)
-			res.UMem = math.Min(uMem, 1)
-			for i := range gs {
-				gr := GroupResult{
-					Name:    gs[i].g.Name,
-					Count:   gs[i].g.Count,
-					R:       gs[i].r,
-					Speedup: gs[i].nf * (gs[i].tau + t.TSupply) / gs[i].r,
-				}
-				res.PerGroup = append(res.PerGroup, gr)
-				res.Speedup += gr.Speedup
-				res.ProcessingPower += gs[i].nf * gs[i].tau / gs[i].r
-			}
-			return res, nil
-		}
+		pBusyBus := BusyProbability(uBus, totalF)
+		newWBus := math.Max(qBus-pBusyBus, 0)*tBus + pBusyBus*tRes
+		newWMem := BusyProbability(uMem, totalF) * t.DMem / 2
+		fp.Step(State{newWBus, newWMem, qBus})
 	}
-	return res, fmt.Errorf("%w (heterogeneous, %d groups)", ErrNoConvergence, len(groups))
+
+	res := HeteroResult{TotalProcessors: total, Iterations: fp.Iter}
+	switch {
+	case errors.Is(fp.Err, ErrNoConvergence):
+		return res, fmt.Errorf("%w (heterogeneous, %d groups)", ErrNoConvergence, len(groups))
+	case fp.Err != nil:
+		return res, fp.Err
+	}
+	res.WBus, res.WMem = fp.X[0], fp.X[1]
+	res.UBus, res.UMem = math.Min(uBus, 1), math.Min(uMem, 1)
+	for i := range gs {
+		gr := GroupResult{
+			Name:    gs[i].g.Name,
+			Count:   gs[i].g.Count,
+			R:       gs[i].r,
+			Speedup: gs[i].nf * (gs[i].tau + t.TSupply) / gs[i].r,
+		}
+		res.PerGroup = append(res.PerGroup, gr)
+		res.Speedup += gr.Speedup
+		res.ProcessingPower += gs[i].nf * gs[i].tau / gs[i].r
+	}
+	return res, nil
 }

@@ -33,7 +33,7 @@ var (
 )
 
 // recordSolve feeds one completed public solve attempt into the metrics.
-func recordSolve(res Result, warm bool, err error) {
+func recordSolve(res *Result, warm bool, err error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNoConvergence):

@@ -31,17 +31,21 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// Options tunes the fixed-point solution and enables the ablation switches
-// used by the §4.3 stress experiment (internal/exp/stress.go) to isolate
-// the submodels the detailed model shares.
+// Options tunes the fixed-point solution of every MVA variant — Tol,
+// MaxIter and Damping drive the FixedPoint of the flat, heterogeneous and
+// two-level models alike — and enables the flat model's warm start and
+// the ablation switches used by the §4.3 stress experiment
+// (internal/exp/stress.go) to isolate the submodels the detailed model
+// shares.
 type Options struct {
 	// Tol is the convergence tolerance on the largest change one (damped)
-	// update of the equations makes to (R, w_bus, w_mem), relative to
-	// 1+|R|. Zero means 1e-10.
+	// update of the equations makes to the fixed-point State — (R, w_bus,
+	// w_mem) for the flat model — relative to 1 plus the magnitude of its
+	// first coordinate. Zero means 1e-10.
 	Tol float64
-	// MaxIter bounds the iteration count. Zero means 10000. (The paper
-	// reports convergence within 15 iterations for all its experiments;
-	// see Result.Iterations.)
+	// MaxIter bounds the iteration count of each rung. Zero means 10000.
+	// (The paper reports convergence within 15 iterations for all its
+	// experiments; see Result.Iterations.)
 	MaxIter int
 	// Damping in (0,1] under-relaxes the waiting-time updates of an
 	// unaccelerated iteration; 1 is the paper's plain substitution. Zero
@@ -97,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 10000
-	}
-	if o.Damping == 0 {
-		o.Damping = 1
 	}
 	return o
 }

@@ -81,13 +81,14 @@ func (sc *solveScratch) prepareN(n int) {
 	sc.haveN = true
 }
 
-// busyProbability is queueing.BusyProbabilityFinite with the error
-// plumbing stripped for the steady-state iterate: the preconditions
-// (population >= 1, utilization >= 0) are established once per solve, so
-// the per-iteration call reduces to the arithmetic. The operations match
-// the queueing helper exactly (same order, same division by nf), so the
-// computed probability is bit-identical.
-func busyProbability(util, nf float64) float64 {
+// BusyProbability is equation (8)'s probability that an arrival finds a
+// server busy, (U − U/N)/(1 − U/N) clamped to [0,1], for a population of
+// nf customers. It is queueing.BusyProbabilityFinite without the error
+// plumbing, for the iterates of every MVA variant: their preconditions
+// (population >= 1, utilization >= 0) hold at every state the FixedPoint
+// driver evaluates. The operations match the queueing helper exactly
+// (same order, same division by nf), so the probability is bit-identical.
+func BusyProbability(util, nf float64) float64 {
 	if nf <= 1 {
 		return 0
 	}

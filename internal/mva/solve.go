@@ -11,52 +11,6 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// ErrNoConvergence indicates the fixed point did not reach tolerance within
-// the iteration budget.
-var ErrNoConvergence = errors.New("mva: fixed point did not converge")
-
-// ErrDiverged indicates the fixed-point iteration produced a non-finite
-// iterate (NaN or Inf) — a silent numerical blow-up converted into a typed,
-// recoverable error. The returned error is a *DivergenceError carrying the
-// offending iterate.
-var ErrDiverged = errors.New("mva: fixed point diverged to a non-finite iterate")
-
-// DivergenceError records the offending iterate of a diverged fixed point.
-// It wraps ErrDiverged.
-type DivergenceError struct {
-	N         int
-	Iteration int
-	R         float64
-	WBus      float64
-	WMem      float64
-}
-
-func (e *DivergenceError) Error() string {
-	return fmt.Sprintf("mva: fixed point diverged to a non-finite iterate at iteration %d (N=%d, R=%v, w_bus=%v, w_mem=%v)",
-		e.Iteration, e.N, e.R, e.WBus, e.WMem)
-}
-
-// Unwrap makes errors.Is(err, ErrDiverged) hold.
-func (e *DivergenceError) Unwrap() error { return ErrDiverged }
-
-// ctxCheckInterval is how many fixed-point iterations run between
-// cancellation checks (one atomic load per check). The first check is at
-// iteration 1, so a solve under an already-canceled context fails even
-// when it would converge in fewer iterations than the interval.
-const ctxCheckInterval = 64
-
-// rung is one attempt of the default solve's fallback ladder.
-type rung struct {
-	damping    float64
-	accelerate bool // Anderson-mix the iterate (damping is then 1)
-}
-
-// defaultLadder is the rung sequence of a solve with the zero Damping:
-// the paper's plain substitution with Anderson acceleration first, then
-// the unaccelerated iteration under-relaxed, for the deep-saturation
-// configurations where the accelerated rung gives up.
-var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
-
 // Solve computes the steady-state performance measures for n processors.
 // The equations are iterated from zero waiting times (Section 3.2). With
 // the default (zero) Damping, the paper's plain substitution is tried
@@ -97,12 +51,11 @@ func (m Model) SolveManyContext(ctx context.Context, ns []int, opts Options) ([]
 	return out, nil
 }
 
-// solveWithScratch is one public solve attempt over a caller-provided
-// scratch: the damping ladder, fault hooks and metrics of SolveContext
-// with the derivation state shared across attempts (and, for batched
-// callers, across solves).
+// solveWithScratch is one public solve over a caller-provided scratch:
+// the delay hook and metrics of SolveContext around solveOnce, with the
+// derivation state shared across batched solves.
 func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *solveScratch) (res Result, err error) {
-	defer func() { recordSolve(res, opts.Warm != nil, err) }()
+	defer func() { recordSolve(&res, opts.Warm != nil, err) }()
 	if h := faultinject.Hooks(); h != nil && h.SolveDelay != nil {
 		if d := h.SolveDelay(n); d > 0 {
 			timer := time.NewTimer(d)
@@ -114,47 +67,24 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 			}
 		}
 	}
-	if opts.Damping == 0 {
-		var lastErr error
-		for _, rg := range defaultLadder {
-			o := opts
-			o.Damping = rg.damping
-			res, err := m.solveOnce(ctx, n, o, rg.accelerate, sc)
-			if err == nil {
-				return res, nil
-			}
-			if !errors.Is(err, ErrNoConvergence) {
-				return res, err
-			}
-			lastErr = err
-		}
-		return Result{}, lastErr
-	}
 	return m.solveOnce(ctx, n, opts, false, sc)
 }
 
-// solveOnce runs the damped fixed-point iteration at one damping factor,
-// Anderson-accelerated when accelerate is set (damping must then be 1):
-// the inner loop every sweep point and campaign point reduces to. The
-// caller's scratch carries the derived inputs and per-size interference
-// quantities across ladder attempts and batched solves; every remaining
-// loop quantity is hoisted to a precomputed scalar here, so the iterate
-// itself is straight-line float arithmetic (one Exp, two divisions-free
-// busy-probability evaluations) with no allocation and no struct copies.
+// solveOnce evaluates the flat model's map inside the FixedPoint loop: the
+// inner loop every sweep point and campaign point reduces to. With
+// accelerate set it runs the ladder's accelerated rung alone, without its
+// fallbacks (o.Damping must then be 1). The caller's scratch carries
+// the derived inputs and per-size interference quantities across batched
+// solves; every remaining loop quantity is hoisted to a precomputed
+// scalar here, so the iterate itself is straight-line float arithmetic
+// (one Exp, two division-free busy-probability evaluations) with no
+// allocation and no struct copies.
 //
 //snoop:hotpath steady-state iterate must not allocate (pinned at 0 allocs by TestSolveIsAllocationFree)
-func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bool, sc *solveScratch) (Result, error) {
-	o := opts.withDefaults()
-	if h := faultinject.Hooks(); h != nil && h.MVAEnter != nil {
-		h.MVAEnter(n)
-	}
+func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool, sc *solveScratch) (Result, error) {
 	if n < 1 {
 		//lint:allow hotalloc invalid-input error exit, off the steady-state iterate
 		return Result{}, fmt.Errorf("mva: system size %d < 1: %w", n, workload.ErrInvalid)
-	}
-	if o.Damping <= 0 || o.Damping > 1 {
-		//lint:allow hotalloc invalid-input error exit, off the steady-state iterate
-		return Result{}, fmt.Errorf("mva: damping %v outside (0,1]: %w", o.Damping, workload.ErrInvalid)
 	}
 	if err := sc.prepare(m); err != nil {
 		return Result{}, err
@@ -217,32 +147,28 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bo
 		invIntDenom = 1 - iv.PPrime
 	}
 
-	// Fixed-point state: waiting times start at zero (Section 3.2), or at
-	// a caller-supplied converged state (warm start — same fixed point,
-	// shorter trajectory; see Options.Warm).
-	var wBus, wMem float64
-	// Initial R with zero waits.
-	r := tau + tSupply + pBc*d.TBc(0) + pRr*tRead
+	// Fixed-point state (R, w_bus, w_mem): waiting times start at zero
+	// (Section 3.2), or at a caller-supplied converged state (warm start —
+	// same fixed point, shorter trajectory; see Options.Warm).
+	x0 := State{tau + tSupply + pBc*d.TBc(0) + pRr*tRead, 0, 0}
 	if o.Warm != nil {
 		ws := *o.Warm
-		if !inDomain(ws.R, ws.WBus, ws.WMem) {
+		x0 = State{ws.R, ws.WBus, ws.WMem}
+		if !x0.inDomain() {
 			return Result{}, fmt.Errorf("mva: warm-start state (R=%v, w_bus=%v, w_mem=%v) is not a converged solver state: %w",
 				//lint:allow hotalloc invalid-warm-start error exit, off the steady-state iterate
 				ws.R, ws.WBus, ws.WMem, workload.ErrInvalid)
 		}
-		r, wBus, wMem = ws.R, ws.WBus, ws.WMem
 	}
 
-	iterations := 0
-	hooks := faultinject.Hooks()
-	var aa anderson
-	for iter := 1; iter <= o.MaxIter; iter++ {
-		if iter%ctxCheckInterval == 1 {
-			if err := ctx.Err(); err != nil {
-				//lint:allow hotalloc cancellation exit, taken at most once per solve
-				return partialResult(n, m, sc, iterations), fmt.Errorf("mva: solve interrupted at iteration %d (N=%d): %w", iter, n, err)
-			}
-		}
+	fp := NewFixedPoint(n, x0, o)
+	if accelerate {
+		fp.rung, fp.fallback = defaultLadder[0], nil
+	}
+	// The measures of the last evaluation, reported on convergence.
+	var rLocal, rBroadcast, rRemoteRead, qBus, uBus, tBus, tRes, uMem, nInt float64
+	for fp.Next(ctx) {
+		r, wBus, wMem := fp.X[0], fp.X[1], fp.X[2]
 		// Broadcast bus occupancy (T_write + w_mem, or T_inval) — the
 		// inlined body of Derived.TBc.
 		tBc := tInval
@@ -251,30 +177,30 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bo
 		}
 
 		// Equations (3) and (4): weighted response-time components.
-		rBroadcast := pBc * (wBus + tBc)
-		rRemoteRead := pRr * (wBus + tRead)
+		rBroadcast = pBc * (wBus + tBc)
+		rRemoteRead = pRr * (wBus + tRead)
 
 		// Equation (6): mean bus-queue population seen by an arrival —
 		// the arrival-theorem heuristic (other N−1 caches at their
 		// steady-state behavior).
-		qBus := others * (rBroadcast + rRemoteRead) / r
+		qBus = others * (rBroadcast + rRemoteRead) / r
 		if qBus < 0 {
 			qBus = 0
 		}
 
 		// Equation (7): bus utilization from per-cache bus demand.
 		busDemand := pBc*tBc + pRr*tReadBus
-		uBus := nf * busDemand / r
+		uBus = nf * busDemand / r
 		// Equation (8): probability an arrival finds the bus busy.
 		var pBusyBus float64
 		if o.NoArrivalCorrection {
 			pBusyBus = math.Min(uBus, 1)
 		} else {
-			pBusyBus = busyProbability(uBus, nf)
+			pBusyBus = BusyProbability(uBus, nf)
 		}
 
 		// Equations (9) and (10): mean access time and residual life.
-		var tBus, tRes float64
+		tBus, tRes = 0, 0
 		if busDemand > 0 {
 			tBus = fBc*tBc + fRr*tReadBus
 			// Residual life weights each class by its share of bus *time*
@@ -300,20 +226,20 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bo
 
 		// Equations (11) and (12): memory-module interference.
 		var newWMem float64
-		var uMem float64
+		uMem = 0
 		if !o.NoMemoryInterference {
 			uMem = memFactor / r
 			var pBusyMem float64
 			if o.NoArrivalCorrection {
 				pBusyMem = math.Min(uMem, 1)
 			} else {
-				pBusyMem = busyProbability(uMem, nf)
+				pBusyMem = BusyProbability(uMem, nf)
 			}
 			newWMem = pBusyMem * dMem / 2
 		}
 
 		// Equation (13) and (2): cache interference on local requests.
-		var nInt, rLocal float64
+		nInt, rLocal = 0, 0
 		if !o.NoCacheInterference && qBus > 0 {
 			switch {
 			case ppGE1:
@@ -330,68 +256,37 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bo
 
 		// Equation (1).
 		newR := tau + rLocal + rBroadcast + rRemoteRead + tSupply
-
-		stalled := false
-		if hooks != nil {
-			if hooks.MVAPoison != nil {
-				if poison, ok := hooks.MVAPoison(iter); ok {
-					newR = poison
-				}
-			}
-			if hooks.MVAStall != nil && hooks.MVAStall(iter) {
-				stalled = true
-			}
-		}
-
-		// Numerical guardrail: a NaN or Inf iterate would otherwise
-		// propagate silently through the damped update and either
-		// "converge" to garbage or spin out the iteration budget.
-		if !isFinite(newR) || !isFinite(newWBus) || !isFinite(newWMem) {
-			//lint:allow hotalloc divergence error exit, taken at most once per solve
-			return partialResult(n, m, sc, iterations), &DivergenceError{N: n, Iteration: iter, R: newR, WBus: newWBus, WMem: newWMem}
-		}
-
-		// Damped update and joint convergence check on the fixed-point
-		// state (R, w_bus, w_mem) — checking R alone can declare false
-		// convergence on the first iteration, before the waiting times
-		// have moved off their zero start.
-		prevWBus, prevWMem, prevR := wBus, wMem, r
-		wBus = o.Damping*newWBus + (1-o.Damping)*wBus
-		wMem = o.Damping*newWMem + (1-o.Damping)*wMem
-		r = o.Damping*newR + (1-o.Damping)*r
-
-		iterations = iter
-		delta := math.Max(math.Abs(r-prevR),
-			math.Max(math.Abs(wBus-prevWBus), math.Abs(wMem-prevWMem)))
-
-		if delta < o.Tol*(1+math.Abs(r)) && !stalled {
-			res := partialResult(n, m, sc, iterations)
-			res.Residual = delta
-			res.R = r
-			res.RLocal = rLocal
-			res.RBroadcast = rBroadcast
-			res.RRemoteRead = rRemoteRead
-			res.WBus = wBus
-			res.QBus = qBus
-			res.UBus = math.Min(uBus, 1)
-			res.TBus = tBus
-			res.TResBus = tRes
-			res.WMem = wMem
-			res.UMem = math.Min(uMem, 1)
-			res.NInterference = nInt
-			res.Speedup = nf * (tau + tSupply) / r
-			res.ProcessingPower = nf * tau / r
-			return res, nil
-		}
-		if accelerate {
-			// Not converged: the accelerated rung moves from x to the
-			// mixed iterate instead of the plain image G(x) just taken.
-			x := aa.next([3]float64{prevR, prevWBus, prevWMem}, [3]float64{r, wBus, wMem}, delta)
-			r, wBus, wMem = x[0], x[1], x[2]
-		}
+		fp.Step(State{newR, newWBus, newWMem})
 	}
-	//lint:allow hotalloc no-convergence error exit, off the steady-state iterate
-	return partialResult(n, m, sc, iterations), fmt.Errorf("%w within %d iterations (N=%d, %v)", ErrNoConvergence, o.MaxIter, n, m.Mods)
+
+	res := partialResult(n, m, sc, fp.Iter)
+	switch {
+	case errors.Is(fp.Err, ErrNoConvergence):
+		if o.Damping == 0 {
+			// No one rung's iterate describes an exhausted ladder.
+			res = Result{}
+		}
+		//lint:allow hotalloc no-convergence error exit, off the steady-state iterate
+		return res, fmt.Errorf("%w within %d iterations (N=%d, %v)", ErrNoConvergence, fp.Iter, n, m.Mods)
+	case fp.Err != nil:
+		return res, fp.Err
+	}
+	res.Residual = fp.Residual
+	res.R = fp.X[0]
+	res.RLocal = rLocal
+	res.RBroadcast = rBroadcast
+	res.RRemoteRead = rRemoteRead
+	res.WBus = fp.X[1]
+	res.QBus = qBus
+	res.UBus = math.Min(uBus, 1)
+	res.TBus = tBus
+	res.TResBus = tRes
+	res.WMem = fp.X[2]
+	res.UMem = math.Min(uMem, 1)
+	res.NInterference = nInt
+	res.Speedup = nf * (tau + tSupply) / fp.X[0]
+	res.ProcessingPower = nf * tau / fp.X[0]
+	return res, nil
 }
 
 // partialResult assembles the identity/provenance fields of a Result —
@@ -400,17 +295,6 @@ func (m Model) solveOnce(ctx context.Context, n int, opts Options, accelerate bo
 // want to know how far the iteration got).
 func partialResult(n int, m Model, sc *solveScratch, iterations int) Result {
 	return Result{N: n, Mods: m.Mods, Derived: sc.d, Interference: sc.iv, Iterations: iterations}
-}
-
-// isFinite reports whether v is neither NaN nor ±Inf.
-func isFinite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// inDomain reports whether (R, w_bus, w_mem) is a state the iterate may
-// start from: finite, R > 0 and non-negative waits.
-func inDomain(r, wBus, wMem float64) bool {
-	return isFinite(r) && r > 0 && isFinite(wBus) && wBus >= 0 && isFinite(wMem) && wMem >= 0
 }
 
 // Warm returns the converged fixed-point state of a successful solve, for
