@@ -73,6 +73,16 @@ func TestClusterShapes(t *testing.T) {
 			t.Errorf("shape %dx%d total %d", s.Clusters, s.PerCluster, s.TotalProcessors)
 		}
 	}
+	// Some clustered shape must beat the flat 1x16 bus at this escalation
+	// level (1x16 reads 5.32; the clustered shapes read 9.20–13.31).
+	flat := shapes[0].Speedup
+	beaten := false
+	for _, s := range shapes[1:] {
+		beaten = beaten || s.Speedup > flat
+	}
+	if !beaten {
+		t.Errorf("no clustered shape beat the flat bus: %+v", shapes)
+	}
 }
 
 func TestSimulateAdaptiveThreshold(t *testing.T) {

@@ -97,7 +97,6 @@ type Simulator struct {
 	queueLenSum   int64
 	busWaitSum    int64
 	busServed     int64
-	batch         *stats.BatchMeans
 	batchStart    int64
 	batchCompl    int64
 	obs           observedCounters
@@ -209,11 +208,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.memBusyUntil = make([]int64, s.tm.modules)
 	s.cacheBusyUntil = make([]int64, cfg.N)
-	bm, err := stats.NewBatchMeans(1) // placeholder; batches pushed manually
-	if err != nil {
-		return nil, err
-	}
-	s.batch = bm
 	return s, nil
 }
 

@@ -284,23 +284,3 @@ func holding(demand float64, classes ...class) (mean, residual float64) {
 	}
 	return mean / ops, residual
 }
-
-// Crossover sweeps cluster shapes for a fixed total processor count and
-// returns the results in the order of the shapes slice. Shapes whose
-// product differs from total are rejected.
-func Crossover(base Config, total int, shapes [][2]int, opts Options) ([]Result, error) {
-	out := make([]Result, 0, len(shapes))
-	for _, s := range shapes {
-		if s[0]*s[1] != total {
-			return nil, fmt.Errorf("hierarchy: shape %dx%d != total %d: %w", s[0], s[1], total, workload.ErrInvalid)
-		}
-		cfg := base
-		cfg.Clusters, cfg.PerCluster = s[0], s[1]
-		r, err := Solve(cfg, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

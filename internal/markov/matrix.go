@@ -1,6 +1,6 @@
-// Package markov provides steady-state solvers for discrete- and
-// continuous-time Markov chains, the numerical substrate underneath the
-// GTPN engine (internal/petri).
+// Package markov provides steady-state solvers for discrete-time Markov
+// chains, the numerical substrate underneath the GTPN engine
+// (internal/petri).
 //
 // Two solver families are provided:
 //

@@ -174,135 +174,3 @@ func SteadyStateGaussSeidel(ctx context.Context, p *Sparse, opts IterOptions) ([
 	}
 	return nil, fmt.Errorf("%w after %d sweeps", ErrNoConvergence, maxIter)
 }
-
-// SteadyStateCTMC computes the stationary distribution of an irreducible
-// CTMC given its generator matrix Q (off-diagonal rates >= 0, rows sum to
-// zero) by uniformization to a DTMC solved with GTH.
-//
-// Q is not modified.
-func SteadyStateCTMC(q *Dense) ([]float64, error) {
-	n := q.N()
-	// Validate generator structure and find the uniformization constant.
-	var lambda float64
-	for i := 0; i < n; i++ {
-		var off float64
-		for j := 0; j < n; j++ {
-			v := q.At(i, j)
-			if i == j {
-				continue
-			}
-			if v < 0 {
-				return nil, fmt.Errorf("markov: negative off-diagonal rate Q[%d][%d]=%v", i, j, v)
-			}
-			off += v
-		}
-		if math.Abs(q.At(i, i)+off) > 1e-6*(1+off) {
-			return nil, fmt.Errorf("markov: generator row %d does not sum to zero", i)
-		}
-		if off > lambda {
-			lambda = off
-		}
-	}
-	if lambda == 0 {
-		return nil, errors.New("markov: generator has no transitions")
-	}
-	lambda *= 1.05   // keep self-loop probability strictly positive (aperiodicity)
-	p := newDense(n) // n = q.N() ≥ 1 by construction
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				p.Set(i, j, 1+q.At(i, i)/lambda)
-			} else {
-				p.Set(i, j, q.At(i, j)/lambda)
-			}
-		}
-	}
-	return SteadyStateGTH(p)
-}
-
-// MeanRecurrenceTimes returns the mean recurrence time 1/π_i for each state
-// of a DTMC given its stationary distribution. A state with non-positive
-// stationary probability has no finite recurrence time (it is transient or
-// the distribution is malformed), which is reported as an error rather
-// than an in-band Inf.
-func MeanRecurrenceTimes(pi []float64) ([]float64, error) {
-	out := make([]float64, len(pi))
-	for i, p := range pi {
-		if p <= 0 {
-			return nil, fmt.Errorf("markov: state %d has stationary probability %v; its recurrence time is not finite", i, p)
-		}
-		out[i] = 1 / p
-	}
-	return out, nil
-}
-
-// ExpectedReward returns Σ_i π_i·r_i, the long-run average reward of a chain
-// with stationary distribution pi and per-state reward r.
-func ExpectedReward(pi, r []float64) (float64, error) {
-	if len(pi) != len(r) {
-		return 0, fmt.Errorf("markov: reward length %d != distribution length %d", len(r), len(pi))
-	}
-	var sum float64
-	for i := range pi {
-		sum += pi[i] * r[i]
-	}
-	return sum, nil
-}
-
-// SolveLinear solves the dense linear system A·x = b by Gaussian elimination
-// with partial pivoting. A and b are not modified.
-//
-// Exposed as a general utility (the queueing package uses it for open-network
-// traffic equations).
-func SolveLinear(a *Dense, b []float64) ([]float64, error) {
-	n := a.N()
-	if len(b) != n {
-		return nil, fmt.Errorf("markov: rhs length %d != matrix dimension %d", len(b), n)
-	}
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		best, bestAbs := col, math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > bestAbs {
-				best, bestAbs = r, v
-			}
-		}
-		if bestAbs < 1e-300 {
-			return nil, fmt.Errorf("markov: singular matrix at column %d", col)
-		}
-		if best != col {
-			for j := 0; j < n; j++ {
-				tmp := m.At(col, j)
-				m.Set(col, j, m.At(best, j))
-				m.Set(best, j, tmp)
-			}
-			x[col], x[best] = x[best], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			for j := col; j < n; j++ {
-				m.Add(r, j, -f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}

@@ -235,118 +235,6 @@ func TestGaussSeidelReducibleChain(t *testing.T) {
 	}
 }
 
-func TestCTMCBirthDeath(t *testing.T) {
-	// M/M/1/3 queue: lambda=1, mu=2 => pi_i ∝ (1/2)^i.
-	const lambda, mu = 1.0, 2.0
-	q := newDense(4)
-	for i := 0; i < 3; i++ {
-		q.Add(i, i+1, lambda)
-		q.Add(i, i, -lambda)
-		q.Add(i+1, i, mu)
-		q.Add(i+1, i+1, -mu)
-	}
-	pi, err := SteadyStateCTMC(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z := 1 + 0.5 + 0.25 + 0.125
-	want := []float64{1 / z, 0.5 / z, 0.25 / z, 0.125 / z}
-	for i := range want {
-		if !approx(pi[i], want[i], 1e-9) {
-			t.Errorf("pi[%d] = %v, want %v", i, pi[i], want[i])
-		}
-	}
-}
-
-func TestCTMCValidation(t *testing.T) {
-	q := newDense(2)
-	q.Set(0, 1, -1) // negative rate
-	q.Set(0, 0, 1)
-	if _, err := SteadyStateCTMC(q); err == nil {
-		t.Error("expected error for negative rate")
-	}
-	q2 := newDense(2)
-	q2.Set(0, 1, 1) // row doesn't sum to zero
-	if _, err := SteadyStateCTMC(q2); err == nil {
-		t.Error("expected error for bad generator row")
-	}
-	q3 := newDense(2) // all-zero generator
-	if _, err := SteadyStateCTMC(q3); err == nil {
-		t.Error("expected error for empty generator")
-	}
-}
-
-func TestMeanRecurrenceTimes(t *testing.T) {
-	rt, err := MeanRecurrenceTimes([]float64{0.25, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(rt[0], 4, 1e-12) || !approx(rt[1], 4.0/3.0, 1e-12) {
-		t.Errorf("recurrence times = %v", rt)
-	}
-	if _, err := MeanRecurrenceTimes([]float64{0.25, 0.75, 0}); err == nil {
-		t.Error("zero stationary probability should be an error, not an Inf recurrence time")
-	}
-}
-
-func TestExpectedReward(t *testing.T) {
-	got, err := ExpectedReward([]float64{0.5, 0.5}, []float64{2, 4})
-	if err != nil || got != 3 {
-		t.Errorf("ExpectedReward = %v, %v; want 3", got, err)
-	}
-	if _, err := ExpectedReward([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected length-mismatch error")
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	a := newDense(3)
-	//  2x + y - z = 8 ;  -3x - y + 2z = -11 ;  -2x + y + 2z = -3
-	// solution x=2, y=3, z=-1
-	vals := [3][3]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}}
-	for i := range vals {
-		for j := range vals[i] {
-			a.Set(i, j, vals[i][j])
-		}
-	}
-	x, err := SolveLinear(a, []float64{8, -11, -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if !approx(x[i], want[i], 1e-10) {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveLinearSingularAndMismatch(t *testing.T) {
-	a := newDense(2) // zero matrix: singular
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
-		t.Error("expected singular-matrix error")
-	}
-	if _, err := SolveLinear(newDense(2), []float64{1}); err == nil {
-		t.Error("expected dimension-mismatch error")
-	}
-}
-
-func TestSolveLinearNeedsPivoting(t *testing.T) {
-	// Leading zero forces a row swap.
-	a := newDense(2)
-	a.Set(0, 0, 0)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 1)
-	a.Set(1, 1, 0)
-	x, err := SolveLinear(a, []float64{5, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(x[0], 7, 1e-12) || !approx(x[1], 5, 1e-12) {
-		t.Errorf("x = %v, want [7 5]", x)
-	}
-}
-
 func TestSparseBuilderDuplicatesSummed(t *testing.T) {
 	b := mustSparse(2)
 	b.Add(0, 1, 0.25)

@@ -83,11 +83,9 @@ func (sc *solveScratch) prepareN(n int) {
 
 // BusyProbability is equation (8)'s probability that an arrival finds a
 // server busy, (U − U/N)/(1 − U/N) clamped to [0,1], for a population of
-// nf customers. It is queueing.BusyProbabilityFinite without the error
-// plumbing, for the iterates of every MVA variant: their preconditions
-// (population >= 1, utilization >= 0) hold at every state the FixedPoint
-// driver evaluates. The operations match the queueing helper exactly
-// (same order, same division by nf), so the probability is bit-identical.
+// nf customers. It serves the iterates of every MVA variant and has no
+// error return: its preconditions (population >= 1, utilization >= 0)
+// hold at every state the FixedPoint driver evaluates.
 func BusyProbability(util, nf float64) float64 {
 	if nf <= 1 {
 		return 0

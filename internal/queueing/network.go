@@ -1,20 +1,17 @@
-// Package queueing implements the classical queueing-network analysis
-// toolkit of Lazowska, Zahorjan, Graham & Sevcik, "Quantitative System
-// Performance" [LZGS84] — the theory that the paper's customized mean-value
-// equations specialize:
+// Package queueing implements textbook single-class Mean Value Analysis
+// for closed networks, from Lazowska, Zahorjan, Graham & Sevcik,
+// "Quantitative System Performance" [LZGS84] — the theory that the
+// paper's customized mean-value equations specialize:
 //
-//   - exact Mean Value Analysis (MVA) for closed product-form networks,
-//     single- and multi-class;
+//   - exact MVA for closed product-form networks;
 //   - approximate MVA (the Schweitzer / Bard fixed point), whose
 //     "arriving customer sees the steady state with one customer removed"
-//     heuristic is exactly the approximation in the paper's equation (6);
-//   - asymptotic bounds analysis (balanced-job bounds and simple
-//     bottleneck bounds);
-//   - elementary single-station results: M/M/1, M/M/c, and the M/G/1
-//     Pollaczek–Khinchine formulas that justify the paper's residual-life
-//     term (equation 10).
+//     heuristic is exactly the approximation in the paper's equation (6).
 //
-// Everything is closed-form or small fixed-point iteration; no simulation.
+// No program links it. It is the oracle the reduction test in
+// internal/mva checks the flat model against: with cache interference,
+// memory interference and the residual-life term switched off, the flat
+// model must match SolveSchweitzer on a delay station plus one bus.
 package queueing
 
 import (
@@ -73,27 +70,6 @@ func (nw *Network) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalDemand returns the sum of demands over all stations.
-func (nw *Network) TotalDemand() float64 {
-	var d float64
-	for _, s := range nw.Stations {
-		d += s.Demand
-	}
-	return d
-}
-
-// MaxDemand returns the largest queueing-station demand (the bottleneck
-// demand) and its index, or (0, -1) if there is no queueing station.
-func (nw *Network) MaxDemand() (float64, int) {
-	best, idx := 0.0, -1
-	for i, s := range nw.Stations {
-		if s.Kind == Queueing && s.Demand > best {
-			best, idx = s.Demand, i
-		}
-	}
-	return best, idx
 }
 
 // Result holds the per-station and system-level outputs of an MVA solution.
@@ -247,47 +223,4 @@ func (nw *Network) SolveSchweitzer(n int, opts SchweitzerOptions) (*Result, erro
 		res.Response += ri
 	}
 	return res, nil
-}
-
-// Bounds holds asymptotic bounds on system throughput for population n.
-type Bounds struct {
-	N int
-	// ThroughputLower/Upper bracket X(n).
-	ThroughputLower float64
-	ThroughputUpper float64
-	// NStar is the population at which the bottleneck asymptote and the
-	// no-contention asymptote intersect.
-	NStar float64
-}
-
-// AsymptoticBounds computes simple bottleneck bounds [LZGS84 §5]:
-//
-//	X(n) <= min( n / D_total , 1 / D_max )
-//	X(n) >= n / (D_total + (n-1)·D_max)
-func (nw *Network) AsymptoticBounds(n int) (Bounds, error) {
-	if err := nw.Validate(); err != nil {
-		return Bounds{}, err
-	}
-	if n < 1 {
-		return Bounds{}, fmt.Errorf("queueing: population %d < 1", n)
-	}
-	dtot := nw.TotalDemand()
-	dmax, _ := nw.MaxDemand()
-	if dtot == 0 {
-		return Bounds{}, errors.New("queueing: zero total demand")
-	}
-	b := Bounds{N: n}
-	upper := float64(n) / dtot
-	if dmax > 0 && 1/dmax < upper {
-		upper = 1 / dmax
-	}
-	b.ThroughputUpper = upper
-	b.ThroughputLower = float64(n) / (dtot + float64(n-1)*dmax)
-	if dmax > 0 {
-		b.NStar = dtot / dmax
-	} else {
-		//lint:allow naninf with no bottleneck demand the knee population N* is mathematically infinite
-		b.NStar = math.Inf(1)
-	}
-	return b, nil
 }

@@ -235,66 +235,6 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
-func TestAsymptoticBounds(t *testing.T) {
-	nw := &Network{Stations: []Station{
-		{Name: "bus", Kind: Queueing, Demand: 2},
-		{Name: "think", Kind: Delay, Demand: 8},
-	}}
-	for _, n := range []int{1, 2, 5, 10, 40} {
-		b, err := nw.AsymptoticBounds(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := nw.SolveExact(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Throughput > b.ThroughputUpper+1e-12 {
-			t.Errorf("N=%d: X=%v exceeds upper bound %v", n, res.Throughput, b.ThroughputUpper)
-		}
-		if res.Throughput < b.ThroughputLower-1e-12 {
-			t.Errorf("N=%d: X=%v below lower bound %v", n, res.Throughput, b.ThroughputLower)
-		}
-	}
-	b, _ := nw.AsymptoticBounds(1)
-	if !approx(b.NStar, 5, 1e-12) {
-		t.Errorf("NStar = %v, want 5", b.NStar)
-	}
-}
-
-func TestAsymptoticBoundsEdgeCases(t *testing.T) {
-	if _, err := machineRepair(1, 1).AsymptoticBounds(0); err == nil {
-		t.Error("expected error for n=0")
-	}
-	delayOnly := &Network{Stations: []Station{{Kind: Delay, Demand: 2}}}
-	b, err := delayOnly.AsymptoticBounds(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(b.NStar, 1) {
-		t.Errorf("delay-only NStar = %v, want +Inf", b.NStar)
-	}
-	if !approx(b.ThroughputUpper, 1.5, 1e-12) {
-		t.Errorf("delay-only upper bound = %v, want 1.5", b.ThroughputUpper)
-	}
-}
-
-func TestMaxDemand(t *testing.T) {
-	nw := &Network{Stations: []Station{
-		{Kind: Delay, Demand: 100},
-		{Kind: Queueing, Demand: 2},
-		{Kind: Queueing, Demand: 3},
-	}}
-	d, idx := nw.MaxDemand()
-	if d != 3 || idx != 2 {
-		t.Errorf("MaxDemand = %v, %d; want 3, 2 (delay station excluded)", d, idx)
-	}
-	delayOnly := &Network{Stations: []Station{{Kind: Delay, Demand: 1}}}
-	if d, idx := delayOnly.MaxDemand(); d != 0 || idx != -1 {
-		t.Errorf("delay-only MaxDemand = %v, %d", d, idx)
-	}
-}
-
 // Property: for random two-station repair networks, exact MVA satisfies
 // Little's law and utilization = X·D.
 func TestExactMVAPropertiesQuick(t *testing.T) {

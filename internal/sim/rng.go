@@ -1,6 +1,5 @@
-// Package sim provides the discrete-event simulation substrate used by the
-// detailed multiprocessor simulator (internal/cachesim): deterministic
-// splittable pseudo-random streams and a time-ordered event calendar.
+// Package sim provides the deterministic, splittable pseudo-random streams
+// used by the detailed multiprocessor simulator (internal/cachesim).
 //
 // Reproducibility is a design requirement — every simulator run is fully
 // determined by its seed, so experiments and tests can pin exact outputs.
@@ -61,18 +60,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Exponential returns an exponential variate with the given mean.
-func (r *RNG) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
 }
 
 // Geometric returns a geometric variate counting the number of trials up to

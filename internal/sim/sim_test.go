@@ -101,25 +101,6 @@ func TestBernoulli(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(5)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Exponential(2.5)
-		if v < 0 {
-			t.Fatalf("negative exponential %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-2.5) > 0.05 {
-		t.Errorf("Exponential mean = %v, want ~2.5", mean)
-	}
-	if r.Exponential(0) != 0 || r.Exponential(-1) != 0 {
-		t.Error("non-positive mean should yield 0")
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(6)
 	var sum float64
@@ -193,125 +174,5 @@ func TestChooseValidIndexQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCalendarOrdering(t *testing.T) {
-	c := NewCalendar()
-	var order []int
-	mustSchedule(t, c, 5, func() { order = append(order, 3) })
-	mustSchedule(t, c, 1, func() { order = append(order, 1) })
-	mustSchedule(t, c, 3, func() { order = append(order, 2) })
-	for c.Step() {
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order = %v", order)
-	}
-	if c.Now() != 5 {
-		t.Errorf("Now = %v, want 5", c.Now())
-	}
-}
-
-func TestCalendarFIFOTies(t *testing.T) {
-	c := NewCalendar()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		mustSchedule(t, c, 2, func() { order = append(order, i) })
-	}
-	for c.Step() {
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie-broken order not FIFO: %v", order)
-		}
-	}
-}
-
-func TestCalendarNestedScheduling(t *testing.T) {
-	c := NewCalendar()
-	var hits int
-	var rec func()
-	rec = func() {
-		hits++
-		if hits < 5 {
-			mustSchedule(t, c, 1, rec)
-		}
-	}
-	mustSchedule(t, c, 0, rec)
-	c.RunUntil(100)
-	if hits != 5 {
-		t.Errorf("hits = %d, want 5", hits)
-	}
-	if c.Now() != 100 {
-		t.Errorf("RunUntil should advance to limit, Now = %v", c.Now())
-	}
-}
-
-func TestCalendarRunUntilStopsAtLimit(t *testing.T) {
-	c := NewCalendar()
-	ran := false
-	mustSchedule(t, c, 10, func() { ran = true })
-	c.RunUntil(5)
-	if ran {
-		t.Error("event after limit should not run")
-	}
-	if c.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", c.Pending())
-	}
-	c.RunUntil(15)
-	if !ran {
-		t.Error("event should run when limit passes it")
-	}
-}
-
-func TestCalendarCancel(t *testing.T) {
-	c := NewCalendar()
-	ran := false
-	e, err := c.Schedule(1, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Cancel(e)
-	c.RunUntil(10)
-	if ran {
-		t.Error("cancelled event ran")
-	}
-	c.Cancel(e) // double cancel is a no-op
-	c.Cancel(nil)
-}
-
-func TestCalendarScheduleErrors(t *testing.T) {
-	c := NewCalendar()
-	if _, err := c.Schedule(-1, func() {}); err == nil {
-		t.Error("negative delay accepted")
-	}
-	if _, err := c.Schedule(math.NaN(), func() {}); err == nil {
-		t.Error("NaN delay accepted")
-	}
-	if _, err := c.Schedule(1, nil); err == nil {
-		t.Error("nil action accepted")
-	}
-}
-
-func TestCalendarRunBudget(t *testing.T) {
-	c := NewCalendar()
-	count := 0
-	var loop func()
-	loop = func() {
-		count++
-		mustSchedule(t, c, 1, loop)
-	}
-	mustSchedule(t, c, 1, loop)
-	n := c.Run(7)
-	if n != 7 || count != 7 {
-		t.Errorf("Run executed %d events, count %d; want 7", n, count)
-	}
-}
-
-func mustSchedule(t *testing.T, c *Calendar, d float64, f func()) {
-	t.Helper()
-	if _, err := c.Schedule(d, f); err != nil {
-		t.Fatal(err)
 	}
 }

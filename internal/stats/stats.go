@@ -1,7 +1,6 @@
 // Package stats provides the sample-statistics machinery used by the
 // detailed simulator and the experiment harness: running summaries,
-// Student-t confidence intervals, and batch-means analysis for steady-state
-// simulation output.
+// Student-t confidence intervals and quantiles.
 //
 // Everything here is deliberately dependency-free (stdlib math only) and
 // allocation-light so it can run inside the simulator's hot loop.
@@ -66,14 +65,6 @@ func (s *Summary) Add(x float64) {
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// AddN records the same observation value n times (useful for weighted
-// tallies such as "k cycles at queue length q").
-func (s *Summary) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		s.Add(x)
-	}
 }
 
 // Merge folds another summary into s (parallel-run combination).

@@ -41,17 +41,6 @@ func TestSummaryBasic(t *testing.T) {
 	}
 }
 
-func TestSummaryAddN(t *testing.T) {
-	var a, b Summary
-	a.AddN(3.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3.5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
-		t.Fatalf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-}
-
 func TestSummaryMergeMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var whole, left, right Summary
@@ -339,148 +328,5 @@ func TestQuantile(t *testing.T) {
 	}
 	if got, err := Quantile([]float64{4}, 0.9); err != nil || got != 4 {
 		t.Errorf("single-element quantile = %v, %v", got, err)
-	}
-}
-
-func TestBatchMeans(t *testing.T) {
-	bm, err := NewBatchMeans(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		bm.Add(5 + rng.NormFloat64())
-	}
-	if bm.Batches() != 100 {
-		t.Fatalf("Batches = %d, want 100", bm.Batches())
-	}
-	if bm.BatchSize() != 10 {
-		t.Fatalf("BatchSize = %d, want 10", bm.BatchSize())
-	}
-	gm, err := bm.GrandMean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(gm, 5, 0.15) {
-		t.Errorf("GrandMean = %v, want ~5", gm)
-	}
-	iv, err := bm.ConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(5) {
-		t.Errorf("interval %v should contain 5", iv)
-	}
-	rho, err := bm.LagOneCorrelation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rho) > 0.3 {
-		t.Errorf("iid batches should have small lag-1 correlation, got %v", rho)
-	}
-	rel, err := bm.RelativeError(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel <= 0 || rel > 0.1 {
-		t.Errorf("RelativeError = %v, want small positive", rel)
-	}
-}
-
-func TestBatchMeansErrors(t *testing.T) {
-	if _, err := NewBatchMeans(0); err == nil {
-		t.Error("expected error for batch size 0")
-	}
-	bm, _ := NewBatchMeans(5)
-	if _, err := bm.GrandMean(); err == nil {
-		t.Error("expected error with no batches")
-	}
-	if _, err := bm.ConfidenceInterval(0.95); err == nil {
-		t.Error("expected error with <2 batches")
-	}
-	if _, err := bm.LagOneCorrelation(); err == nil {
-		t.Error("expected error with <3 batches")
-	}
-	for i := 0; i < 10; i++ {
-		bm.Add(float64(i))
-	}
-	if bm.Batches() != 2 {
-		t.Fatalf("Batches = %d, want 2", bm.Batches())
-	}
-	if _, err := bm.ConfidenceInterval(0.95); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-func TestBatchMeansConstantData(t *testing.T) {
-	bm, _ := NewBatchMeans(4)
-	for i := 0; i < 40; i++ {
-		bm.Add(2.5)
-	}
-	rho, err := bm.LagOneCorrelation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rho != 0 {
-		t.Errorf("constant data lag-1 correlation = %v, want 0", rho)
-	}
-	iv, err := bm.ConfidenceInterval(0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iv.Mean != 2.5 || iv.HalfWidth != 0 {
-		t.Errorf("constant interval = %v", iv)
-	}
-}
-
-func TestTimeWeighted(t *testing.T) {
-	var tw TimeWeighted
-	if tw.Mean() != 0 {
-		t.Error("empty mean should be 0")
-	}
-	tw.Observe(2, 10) // queue length 2 for 10 cycles
-	tw.Observe(4, 10)
-	if !almostEqual(tw.Mean(), 3, 1e-12) {
-		t.Errorf("Mean = %v, want 3", tw.Mean())
-	}
-	if tw.Total() != 20 {
-		t.Errorf("Total = %v, want 20", tw.Total())
-	}
-	if tw.Min() != 2 || tw.Max() != 4 {
-		t.Errorf("Min/Max = %v/%v", tw.Min(), tw.Max())
-	}
-	tw.Observe(100, -5) // ignored
-	if tw.Total() != 20 {
-		t.Error("negative duration should be ignored")
-	}
-	// zero-duration observation still updates extremes
-	tw.Observe(0, 0)
-	if tw.Min() != 0 {
-		t.Errorf("Min after zero-duration observe = %v, want 0", tw.Min())
-	}
-}
-
-// Property: time-weighted mean lies in [min, max] of observed values.
-func TestTimeWeightedBoundsQuick(t *testing.T) {
-	f := func(vals []float64, durs []uint8) bool {
-		var tw TimeWeighted
-		n := len(vals)
-		if len(durs) < n {
-			n = len(durs)
-		}
-		for i := 0; i < n; i++ {
-			v := vals[i]
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e50 {
-				continue
-			}
-			tw.Observe(v, float64(durs[i]))
-		}
-		if tw.Total() == 0 {
-			return true
-		}
-		return tw.Mean() >= tw.Min()-1e-9 && tw.Mean() <= tw.Max()+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
