@@ -57,3 +57,42 @@ func TestCachedSolveManyAllocationBound(t *testing.T) {
 		t.Fatalf("warm %d-point cached batch allocates %d B/op, want at most %d", points, bytes, limit)
 	}
 }
+
+// TestSolveBestMVAOnlyIsAllocationFree pins an MVA-only SolveBest ladder
+// at zero heap allocations: the answer record holds no pointer, so
+// returning it by value copies nothing to the heap, and the MVA rung is
+// itself allocation-free (TestSolveIsAllocationFree).
+func TestSolveBestMVAOnlyIsAllocationFree(t *testing.T) {
+	p, w := WriteOnce(), AppendixA(Sharing5)
+	b := Budget{MaxStates: -1, SimCycles: -1}
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := SolveBest(ctx, p, w, 16, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("MVA-only SolveBest allocates %v/op, want 0", allocs)
+	}
+}
+
+// TestCachedSolveBestHitAllocationBound pins a resident cached SolveBest
+// at one allocation: the cache hands back its stored record by value,
+// with no per-hit copy of per-model detail.
+func TestCachedSolveBestHitAllocationBound(t *testing.T) {
+	c := NewCachedSolver(0)
+	p, w := WriteOnce(), AppendixA(Sharing5)
+	b := Budget{MaxStates: -1, SimCycles: -1}
+	ctx := context.Background()
+	if _, err := c.SolveBest(ctx, p, w, 16, b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := c.SolveBest(ctx, p, w, 16, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("cached SolveBest hit allocates %v/op, want at most 1", allocs)
+	}
+}

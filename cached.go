@@ -187,9 +187,7 @@ func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n 
 	if err != nil {
 		return BestResult{}, err
 	}
-	// The detailed-result pointers are shared with the cache: hand every
-	// caller its own copy so a mutation cannot poison later hits.
-	return cloneBest(v.(BestResult)), nil
+	return v.(BestResult), nil
 }
 
 // PeekSolveBest probes the cache for a SolveBest result computed under
@@ -202,7 +200,7 @@ func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (B
 	if !ok {
 		return BestResult{}, false
 	}
-	return cloneBest(v.(BestResult)), true
+	return v.(BestResult), true
 }
 
 // SweepContext is the cached SweepContext. Each size is solved (or
@@ -223,23 +221,6 @@ func (c *CachedSolver) SweepContext(ctx context.Context, p Protocol, w Workload,
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// cloneBest gives the caller its own copy of the per-model detail structs.
-func cloneBest(b BestResult) BestResult {
-	if b.GTPN != nil {
-		g := *b.GTPN
-		b.GTPN = &g
-	}
-	if b.Sim != nil {
-		s := *b.Sim
-		b.Sim = &s
-	}
-	if b.MVA != nil {
-		m := *b.MVA
-		b.MVA = &m
-	}
-	return b
 }
 
 // --- canonical cache keys ---

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -182,28 +183,26 @@ func TestCachedReSolveSpeedup(t *testing.T) {
 	}
 }
 
-func TestCachedSolveBestClonesDetailPointers(t *testing.T) {
-	cs := NewCachedSolver(0)
-	w := AppendixA(Sharing5)
-	b := Budget{MaxStates: -1, SimCycles: -1} // MVA only: cheap
-	first, err := cs.SolveBest(context.Background(), WriteOnce(), w, 8, b)
-	if err != nil {
-		t.Fatal(err)
+// TestBestResultHoldsNoReferences guards the cached SolveBest's
+// return-by-value: the cache hands every caller a copy of the stored
+// BestResult, which is only a private copy while no field can share
+// memory with the cache's own.
+func TestBestResultHoldsNoReferences(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: a cache hit would share it with every caller", path, typ.Kind())
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
 	}
-	if first.MVA == nil {
-		t.Fatal("MVA-only SolveBest returned no MVA detail")
-	}
-	first.MVA.Speedup = -1 // caller scribbles on its copy
-	second, err := cs.SolveBest(context.Background(), WriteOnce(), w, 8, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.MVA.Speedup == -1 {
-		t.Fatal("mutating a returned BestResult poisoned the cache")
-	}
-	if second.MVA == first.MVA {
-		t.Fatal("cache handed two callers the same detail pointer")
-	}
+	check("BestResult", reflect.TypeOf(BestResult{}))
 }
 
 func TestCachedSolverErrorsNotCachedAndClassified(t *testing.T) {

@@ -103,19 +103,12 @@ type PointResult struct {
 	Index int `json:"index"`
 	// Attempts is the number of solve attempts made (≥1).
 	Attempts int `json:"attempts"`
-	// Method, Degraded and FallbackReason carry the BestResult
-	// provenance (empty on a failed point).
-	Method         Method `json:"method,omitempty"`
-	Degraded       bool   `json:"degraded,omitempty"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
+	// BestResult carries the answer and its provenance (zero on a failed
+	// point).
+	BestResult
 	// SkippedStages lists ladder stages the circuit breaker skipped for
 	// this point (they were neither attempted nor counted as failures).
 	SkippedStages []string `json:"skipped_stages,omitempty"`
-	// Headline measures (zero on a failed point).
-	N              int     `json:"n"`
-	Speedup        float64 `json:"speedup"`
-	R              float64 `json:"r"`
-	BusUtilization float64 `json:"bus_utilization"`
 	// Err is the final error of a permanently failed point ("" on
 	// success). Failed points are journaled too: they are completed work.
 	Err string `json:"err,omitempty"`
@@ -615,13 +608,7 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 		}
 		return pr, nil
 	}
-	pr.Method = best.Method
-	pr.Degraded = best.Degraded
-	pr.FallbackReason = best.FallbackReason
-	pr.N = best.N
-	pr.Speedup = best.Speedup
-	pr.R = best.R
-	pr.BusUtilization = best.BusUtilization
+	pr.BestResult = best
 	if breaker != nil {
 		recordBreakerOutcomes(breaker, budget, best.Method)
 	}

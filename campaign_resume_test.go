@@ -8,6 +8,7 @@ package snoopmva
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -130,4 +131,55 @@ func TestCampaignCrashResumeParallelWorkersSetEquality(t *testing.T) {
 			t.Errorf("journal point %d diverged from reference: %+v vs %+v", i, pr, ref.Results[i])
 		}
 	}
+}
+
+// TestJournalPointRecordsRoundTrip pins the journal's point-record bytes:
+// lines in the format earlier releases wrote must decode into
+// campaignRecord and re-encode byte for byte, so a resumed journal keeps
+// the bytes its points were written with. A point the circuit breaker
+// trimmed is pinned by value only: where its skipped_stages key falls is
+// free, since decoding ignores key order.
+func TestJournalPointRecordsRoundTrip(t *testing.T) {
+	for _, line := range []string{
+		`{"kind":"point","point":{"index":0,"attempts":1,"method":"gtpn","n":1,"speedup":0.8660740245839502,"r":4.041225000000838,"bus_utilization":0.13392597541584253}}`,
+		`{"kind":"point","point":{"index":1,"attempts":1,"method":"mva","degraded":true,"fallback_reason":"gtpn: petri: state space exceeded budget: 62 states reached (MaxStates=60)","n":2,"speedup":1.6893746103502525,"r":4.143545165834304,"bus_utilization":0.2612376495676621}}`,
+		`{"kind":"point","point":{"index":7,"attempts":3,"n":12,"speedup":0,"r":0,"bus_utilization":0,"err":"snoopmva: SolveBest exhausted all models (gtpn: injected fault): mva: snoopmva: solver did not converge"}}`,
+	} {
+		var rec campaignRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("decode %s: %v", line, err)
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != line {
+			t.Errorf("re-encoded point record differs:\n got %s\nwant %s", b, line)
+		}
+	}
+
+	skipped := `{"kind":"point","point":{"index":3,"attempts":1,"method":"mva","skipped_stages":["gtpn"],"n":4,"speedup":3.2507819273733722,"r":4.306656156204235,"bus_utilization":0.5026869853265168}}`
+	var want PointResult
+	want.Index, want.Attempts, want.SkippedStages = 3, 1, []string{stageGTPN}
+	want.Method, want.N = MethodMVA, 4
+	want.Speedup, want.R, want.BusUtilization = 3.2507819273733722, 4.306656156204235, 0.5026869853265168
+	var rec campaignRecord
+	if err := json.Unmarshal([]byte(skipped), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Kind != "point" || rec.Point == nil || !reflect.DeepEqual(*rec.Point, want) {
+		t.Fatalf("decoded %+v, want point %+v", rec, want)
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again campaignRecord
+	if err := json.Unmarshal(b, &again); err != nil {
+		t.Fatal(err)
+	}
+	if again.Point == nil || !reflect.DeepEqual(*again.Point, want) {
+		t.Fatalf("re-encoded %s decodes to %+v, want %+v", b, again.Point, want)
+	}
+	t.Logf("skipped-stages point re-encodes as %s", b)
 }

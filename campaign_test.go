@@ -84,7 +84,7 @@ func mvaCurves() []CampaignPoint {
 // solve must stay small next to it. Bytes are read from MemStats, not
 // timed, and the least of several runs is taken, so neither a busy host
 // nor a GC that empties the solver pools mid-run can flake it. The limit
-// is the measured ~413 B (three allocations) per point, ~573 B under the
+// is the measured ~320 B (two allocations) per point, ~470 B under the
 // race detector's instrumentation, plus a margin.
 func TestCampaignHotPathAllocationBound(t *testing.T) {
 	spec := CampaignSpec{Points: mvaCurves(), Workers: 2}
@@ -102,7 +102,7 @@ func TestCampaignHotPathAllocationBound(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	const limit = 640
+	const limit = 540
 	if perPoint := least / uint64(len(spec.Points)); perPoint > limit {
 		t.Fatalf("RunCampaign allocated %d B per point over %d points, want at most %d",
 			perPoint, len(spec.Points), limit)

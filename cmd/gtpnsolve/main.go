@@ -89,9 +89,11 @@ func main() {
 			}
 		}
 		if *compare {
+			// Like for like: the net models no cache interference, and
+			// memory interference only under -memory.
 			p := snoopmva.WithMods(modsToInts(ms)...)
 			m, err := snoopmva.SolveWith(p, snoopmva.AppendixA(snoopmva.Sharing(*sharing)),
-				snoopmva.Timing{}, size, snoopmva.Options{NoCacheInterference: true, NoMemoryInterference: true})
+				snoopmva.Timing{}, size, snoopmva.Options{NoCacheInterference: true, NoMemoryInterference: !*memory})
 			if err != nil {
 				fatal(err)
 			}

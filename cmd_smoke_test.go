@@ -36,6 +36,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-n", "4", "-explain"}, "equation 1"},
 		{"mvasolve", []string{"-stress", "-n", "4"}, "speedup"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
+		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
 		{"cachesim", []string{"-protocol", "Illinois", "-n", "4", "-cycles", "40000", "-compare"}, "Illinois"},
 		{"paperrepro", []string{"-list"}, "tab4.1a"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0"}, "4.32"},

@@ -7,9 +7,7 @@ import (
 
 	"snoopmva/internal/cachesim"
 	"snoopmva/internal/exp"
-	"snoopmva/internal/gtpnmodel"
 	"snoopmva/internal/mva"
-	"snoopmva/internal/petri"
 )
 
 // This file holds the context-aware variants of the solver entry points.
@@ -84,22 +82,7 @@ func SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []
 // solve every 64 Gauss–Seidel sweeps.
 func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (res DetailedResult, err error) {
 	defer guard(&err)
-	if err := p.validate(); err != nil {
-		return DetailedResult{}, err
-	}
-	g, err := gtpnmodel.SolveContext(ctx, gtpnmodel.Config{
-		Workload:         w.internal(),
-		Mods:             p.inner.Mods,
-		RawParams:        w.FixedParams,
-		WriteThroughBase: p.inner.WriteThroughBase,
-		N:                n,
-	}, petri.Options{})
-	if err != nil {
-		return DetailedResult{}, err
-	}
-	return DetailedResult{
-		N: g.N, Speedup: g.Speedup, R: g.R, BusUtilization: g.UBus, States: g.States,
-	}, nil
+	return solveDetailedBudgeted(ctx, p, w, n, 0)
 }
 
 // SimulateContext is Simulate with cancellation: the cycle loop checks ctx

@@ -604,17 +604,7 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		return
 	}
 	if err == nil {
-		c.commitLocked(w, pt, fl, snoopmva.PointResult{
-			Index:          pt,
-			Attempts:       1,
-			Method:         best.Method,
-			Degraded:       best.Degraded,
-			FallbackReason: best.FallbackReason,
-			N:              best.N,
-			Speedup:        best.Speedup,
-			R:              best.R,
-			BusUtilization: best.BusUtilization,
-		})
+		c.commitLocked(w, pt, fl, snoopmva.PointResult{Index: pt, Attempts: 1, BestResult: best})
 		return
 	}
 	if ctx.Err() != nil {
@@ -625,12 +615,7 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		// The worker answered: this point fails on the model itself.
 		// Commit it exactly as the local runner journals failed points.
 		c.breakerSuccess(w)
-		c.commitLocked(w, pt, fl, snoopmva.PointResult{
-			Index:    pt,
-			Attempts: 1,
-			N:        c.points[pt].N,
-			Err:      remote.Msg,
-		})
+		c.commitLocked(w, pt, fl, c.failedPoint(pt, remote.Msg))
 		return
 	}
 
@@ -658,12 +643,8 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		}
 		if c.backpressures[pt] > c.cfg.BackpressureLimit {
 			// Deterministic message, like the requeue-limit one below.
-			c.commitLocked(w, pt, fl, snoopmva.PointResult{
-				Index:    pt,
-				Attempts: 1,
-				N:        c.points[pt].N,
-				Err:      fmt.Sprintf("dispatch: point %d: worker backpressure exhausted the requeue limit (%d)", pt, c.cfg.BackpressureLimit),
-			})
+			c.commitLocked(w, pt, fl, c.failedPoint(pt, fmt.Sprintf(
+				"dispatch: point %d: worker backpressure exhausted the requeue limit (%d)", pt, c.cfg.BackpressureLimit)))
 			return
 		}
 		c.queue = append(c.queue, pt)
@@ -687,17 +668,18 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 	if c.requeues[pt] > c.cfg.RequeueLimit {
 		// Deterministic message: which workers failed and why varies run
 		// to run, so the journaled text must not depend on it.
-		c.commitLocked(w, pt, fl, snoopmva.PointResult{
-			Index:    pt,
-			Attempts: 1,
-			N:        c.points[pt].N,
-			Err:      fmt.Sprintf("dispatch: point %d: transport failures exhausted the requeue limit (%d)", pt, c.cfg.RequeueLimit),
-		})
+		c.commitLocked(w, pt, fl, c.failedPoint(pt, fmt.Sprintf(
+			"dispatch: point %d: transport failures exhausted the requeue limit (%d)", pt, c.cfg.RequeueLimit)))
 		return
 	}
 	c.stats.Redispatches++
 	c.queue = append(c.queue, pt)
 	c.progressLocked()
+}
+
+// failedPoint is the record of a point that failed for good.
+func (c *Coordinator) failedPoint(pt int, msg string) snoopmva.PointResult {
+	return snoopmva.PointResult{Index: pt, Attempts: 1, BestResult: snoopmva.BestResult{N: c.points[pt].N}, Err: msg}
 }
 
 // commitLocked journals and records the first answer for a point,

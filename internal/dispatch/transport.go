@@ -213,21 +213,13 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		var ok snoopd.SolveBestResponse
+		var ok snoopmva.BestResult
 		dec := json.NewDecoder(resp.Body)
 		if derr := dec.Decode(&ok); derr != nil {
 			return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
 				Err: fmt.Errorf("decoding 200 response: %w", derr)}
 		}
-		return snoopmva.BestResult{
-			Method:         snoopmva.Method(ok.Method),
-			Degraded:       ok.Degraded,
-			FallbackReason: ok.FallbackReason,
-			N:              ok.N,
-			Speedup:        ok.Speedup,
-			R:              ok.R,
-			BusUtilization: ok.BusUtilization,
-		}, nil
+		return ok, nil
 	}
 	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	if rerr != nil {

@@ -114,15 +114,7 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 		}
 		return snoopmva.BestResult{}, t.mapError(err)
 	}
-	return snoopmva.BestResult{
-		Method:         snoopmva.Method(resp.Method),
-		Degraded:       resp.Degraded,
-		FallbackReason: resp.FallbackReason,
-		N:              resp.N,
-		Speedup:        resp.Speedup,
-		R:              resp.R,
-		BusUtilization: resp.BusUtilization,
-	}, nil
+	return resp.BestResult, nil
 }
 
 // mapError converts a wire client failure onto the dispatch error

@@ -80,7 +80,7 @@ func (oc *outcome) record(seq uint64) *BatchRecord {
 		_, e, _ := failure(oc.err)
 		rec.Error = &e
 	case oc.kind == opSolveBest:
-		best := toSolveBestResponse(oc.best)
+		best := oc.best
 		rec.SolveBest = &best
 	case oc.kind == opSweep:
 		rec.Sweep = oc.sweep

@@ -67,19 +67,6 @@ func sweepFromWire(m *wire.SweepRequest) *SweepRequest {
 	}
 }
 
-func wireSolveBest(seq uint64, best snoopmva.BestResult) *wire.SolveBestResponse {
-	return &wire.SolveBestResponse{
-		Seq:            seq,
-		Method:         string(best.Method),
-		Degraded:       best.Degraded,
-		FallbackReason: best.FallbackReason,
-		N:              best.N,
-		Speedup:        best.Speedup,
-		R:              best.R,
-		BusUtilization: best.BusUtilization,
-	}
-}
-
 // The WireSpec helpers build binary-protocol specs that resolve back to
 // the given in-memory values — the binary counterparts of SpecForProtocol
 // and friends, used by the dispatch WireTransport to put campaign points

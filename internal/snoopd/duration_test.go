@@ -83,7 +83,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
 			t.Fatal(err)
 		}
-		if jr.Method != string(snoopmva.MethodGTPN) || jr.Degraded {
+		if jr.Method != snoopmva.MethodGTPN || jr.Degraded {
 			t.Fatalf("json solvebest degraded: %+v", jr)
 		}
 		wr, err := c.SolveBest(ctx, &wire.SolveBestRequest{Protocol: proto, Workload: wl, N: 3,
@@ -91,7 +91,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wire solvebest: %v", err)
 		}
-		if wr.Method != string(snoopmva.MethodGTPN) || wr.Degraded {
+		if wr.Method != snoopmva.MethodGTPN || wr.Degraded {
 			t.Fatalf("wire solvebest degraded: %+v", wr)
 		}
 	})

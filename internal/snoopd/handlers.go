@@ -150,17 +150,9 @@ type SolveBestRequest struct {
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
-// SolveBestResponse is the body of a successful POST /v1/solvebest: the
-// provenance-tagged headline measures of snoopmva.BestResult.
-type SolveBestResponse struct {
-	Method         string  `json:"method"`
-	Degraded       bool    `json:"degraded,omitempty"`
-	FallbackReason string  `json:"fallback_reason,omitempty"`
-	N              int     `json:"n"`
-	Speedup        float64 `json:"speedup"`
-	R              float64 `json:"r"`
-	BusUtilization float64 `json:"bus_utilization"`
-}
+// SolveBestResponse is the body of a successful POST /v1/solvebest:
+// snoopmva.BestResult, whose tags are the answer's schema.
+type SolveBestResponse = snoopmva.BestResult
 
 // SweepRequest is the body of POST /v1/sweep. Parallel selects the
 // worker-pool sweep (cold per-size solves) over the warm-started
@@ -268,19 +260,6 @@ func (s *Server) handleOp(k opKind) http.HandlerFunc {
 		default:
 			writeJSON(w, http.StatusOK, SolveResponse{Result: *rec.Result})
 		}
-	}
-}
-
-// toSolveBestResponse projects a BestResult onto the wire.
-func toSolveBestResponse(best snoopmva.BestResult) SolveBestResponse {
-	return SolveBestResponse{
-		Method:         string(best.Method),
-		Degraded:       best.Degraded,
-		FallbackReason: best.FallbackReason,
-		N:              best.N,
-		Speedup:        best.Speedup,
-		R:              best.R,
-		BusUtilization: best.BusUtilization,
 	}
 }
 

@@ -369,7 +369,7 @@ func TestBrownoutDegradesSolveBest(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Degraded || resp.Method != string(snoopmva.MethodMVA) ||
+	if !resp.Degraded || resp.Method != snoopmva.MethodMVA ||
 		!strings.Contains(resp.FallbackReason, "brownout") {
 		t.Fatalf("browned-out response = %+v, want Degraded MVA with brownout provenance", resp)
 	}
@@ -386,7 +386,7 @@ func TestBrownoutDegradesSolveBest(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Degraded || !strings.EqualFold(resp.Method, string(snoopmva.MethodMVA)) {
+	if resp.Degraded || !strings.EqualFold(string(resp.Method), string(snoopmva.MethodMVA)) {
 		t.Fatalf("MVA-only budget under brownout: %+v, want an unmarked mva answer", resp)
 	}
 }

@@ -12,6 +12,7 @@ import (
 func TestJSONSchemaBytes(t *testing.T) {
 	// Every workload field carries a distinct value so a swapped tag shows.
 	level := 5
+	best := SolveBestResponse{Method: "mva", N: 10, Speedup: 7.5, R: 4.25, BusUtilization: 0.875}
 	one := ResultJSON{N: 8, Speedup: 6.25, ProcessingPower: 5.5, R: 3.75, BusUtilization: 0.625,
 		BusWait: 0.125, MemUtilization: 0.25, MemWait: 0.0625, Iterations: 12}
 	cases := []struct {
@@ -56,6 +57,13 @@ func TestJSONSchemaBytes(t *testing.T) {
 			v: BatchRecord{Seq: 3, Result: &one}},
 		{name: "batch record, sweep arm", want: `{"seq":4,"sweep":[{"n":8,"speedup":6.25,"processing_power":5.5,"r":3.75,"bus_utilization":0.625,"bus_wait":0.125,"mem_utilization":0.25,"mem_wait":0.0625,"iterations":12},{"n":0,"speedup":0,"processing_power":0,"r":0,"bus_utilization":0,"bus_wait":0,"mem_utilization":0,"mem_wait":0,"iterations":0}]}`,
 			v: BatchRecord{Seq: 4, Sweep: []ResultJSON{one, {}}}},
+		{name: "solvebest, clean MVA answer", want: `{"method":"mva","n":10,"speedup":7.5,"r":4.25,"bus_utilization":0.875}`,
+			v: best},
+		{name: "solvebest, degraded simulation answer", want: `{"method":"simulation","degraded":true,"fallback_reason":"gtpn: state explosion","n":4,"speedup":3.25,"r":4.5,"bus_utilization":0.5}`,
+			v: SolveBestResponse{Method: "simulation", Degraded: true, FallbackReason: "gtpn: state explosion",
+				N: 4, Speedup: 3.25, R: 4.5, BusUtilization: 0.5}},
+		{name: "batch record, solvebest arm", want: `{"seq":5,"solvebest":{"method":"mva","n":10,"speedup":7.5,"r":4.25,"bus_utilization":0.875}}`,
+			v: BatchRecord{Seq: 5, SolveBest: &best}},
 	}
 	for _, c := range cases {
 		b, err := json.Marshal(c.v)

@@ -420,11 +420,11 @@ func TestSolveBestSuccessMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Method != string(want.Method) || resp.N != want.N ||
+	if resp.Method != want.Method || resp.N != want.N ||
 		resp.Speedup != want.Speedup || resp.R != want.R || resp.BusUtilization != want.BusUtilization {
 		t.Fatalf("served BestResult diverges from library: got %+v want %+v", resp, want)
 	}
-	if resp.Method != string(snoopmva.MethodMVA) || resp.Degraded {
+	if resp.Method != snoopmva.MethodMVA || resp.Degraded {
 		t.Fatalf("MVA-only budget should land on a non-degraded mva result: %+v", resp)
 	}
 }

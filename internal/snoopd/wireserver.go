@@ -305,7 +305,7 @@ func (wc *wireConn) writeOutcome(scratch []byte, seq uint64, oc outcome) []byte 
 			typ, scratch = wire.TypeError, wire.AppendError(scratch[:0], &wire.ErrorMsg{Seq: seq, Code: e.Code, Msg: e.Error})
 		}
 	case oc.kind == opSolveBest:
-		typ, scratch = wire.TypeSolveBestResp, wire.AppendSolveBestResponse(scratch[:0], wireSolveBest(seq, oc.best))
+		typ, scratch = wire.TypeSolveBestResp, wire.AppendSolveBestResponse(scratch[:0], &wire.SolveBestResponse{Seq: seq, BestResult: oc.best})
 	case oc.kind == opSweep:
 		typ, scratch = wire.TypeSweepResp, wire.AppendSweepResponse(scratch[:0], &wire.SweepResponse{Seq: seq, Results: oc.sweep})
 	default:

@@ -12,9 +12,9 @@ import (
 // order, not request order) can be matched without decoding the rest —
 // PeekSeq is that fast path.
 //
-// The codec encodes the root package's Workload, Timing, Options and
-// Result directly — the same structs whose JSON tags are the HTTP API's
-// schema — so the two transports share one definition of the model's
+// The codec encodes the root package's Workload, Timing, Options, Result
+// and BestResult directly — the same structs whose JSON tags are the HTTP
+// API's schema — so the two transports share one definition of the model's
 // inputs and outputs. Only the request envelopes differ (explicit Has*
 // flags here, optional pointers in JSON); internal/snoopd resolves both
 // through the same spec types, and the equivalence suite drives
@@ -101,14 +101,8 @@ type SolveBestRequest struct {
 
 // SolveBestResponse is the payload of TypeSolveBestResp.
 type SolveBestResponse struct {
-	Seq            uint64
-	Method         string
-	Degraded       bool
-	FallbackReason string
-	N              int
-	Speedup        float64
-	R              float64
-	BusUtilization float64
+	Seq uint64
+	snoopmva.BestResult
 }
 
 // SweepRequest is the payload of TypeSweepReq.
@@ -310,7 +304,7 @@ func AppendSolveBestRequest(dst []byte, m *SolveBestRequest) []byte {
 // AppendSolveBestResponse appends m's payload encoding to dst.
 func AppendSolveBestResponse(dst []byte, m *SolveBestResponse) []byte {
 	dst = binary.AppendUvarint(dst, m.Seq)
-	dst = appendString(dst, m.Method)
+	dst = appendString(dst, string(m.Method))
 	dst = appendBool(dst, m.Degraded)
 	dst = appendString(dst, m.FallbackReason)
 	dst = binary.AppendVarint(dst, int64(m.N))
@@ -662,7 +656,7 @@ func DecodeSolveBestResponse(payload []byte) (SolveBestResponse, error) {
 	d := dec{b: payload}
 	var m SolveBestResponse
 	m.Seq = d.uvarint("seq")
-	m.Method = d.str("method")
+	m.Method = snoopmva.Method(d.str("method"))
 	m.Degraded = d.boolean("degraded")
 	m.FallbackReason = d.str("fallback_reason")
 	m.N = d.intv("n")

@@ -9,6 +9,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"snoopmva"
 )
 
 // sampleMessages is one fully-populated instance of every payload type,
@@ -63,11 +65,11 @@ func sampleMessages() map[FrameType]any {
 			Budget:    BudgetSpec{MaxStates: 100000, GTPNTimeoutMS: 2000, SimCycles: 1 << 20, SimTimeoutMS: 3000, Seed: 42},
 			TimeoutMS: 60000,
 		},
-		TypeSolveBestResp: &SolveBestResponse{
-			Seq: 2, Method: "gtpn", Degraded: true,
+		TypeSolveBestResp: &SolveBestResponse{Seq: 2, BestResult: snoopmva.BestResult{
+			Method: "gtpn", Degraded: true,
 			FallbackReason: "brownout: gtpn/sim stages shed under overload",
 			N:              16, Speedup: 11.5, R: 33.1, BusUtilization: 0.71,
-		},
+		}},
 		TypeSweepReq: &SweepRequest{
 			Seq:      3,
 			Protocol: ProtocolSpec{Name: "Berkeley"},

@@ -115,12 +115,12 @@ func TestSolveBestDegradesOnStateExplosion(t *testing.T) {
 	if !strings.Contains(best.FallbackReason, "gtpn") || !strings.Contains(best.FallbackReason, "state") {
 		t.Errorf("FallbackReason = %q, want the gtpn state-explosion recorded", best.FallbackReason)
 	}
-	if best.MVA == nil || best.GTPN != nil || best.Sim != nil {
-		t.Errorf("want only the MVA payload populated, got MVA=%v GTPN=%v Sim=%v",
-			best.MVA != nil, best.GTPN != nil, best.Sim != nil)
+	m, err := Solve(WriteOnce(), AppendixA(Sharing5), 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if best.Speedup <= 0 || best.Speedup != best.MVA.Speedup {
-		t.Errorf("headline speedup %v does not match MVA payload %v", best.Speedup, best.MVA.Speedup)
+	if best.N != m.N || best.Speedup != m.Speedup || best.R != m.R || best.BusUtilization != m.BusUtilization {
+		t.Errorf("headline %+v is not bitwise the direct Solve %+v", best, m)
 	}
 }
 
@@ -134,8 +134,12 @@ func TestSolveBestPrefersGTPNWhenItFits(t *testing.T) {
 		t.Errorf("got method=%q degraded=%v reason=%q, want a clean GTPN result",
 			best.Method, best.Degraded, best.FallbackReason)
 	}
-	if best.GTPN == nil || best.GTPN.States == 0 {
-		t.Error("GTPN payload missing")
+	g, err := SolveDetailed(WriteOnce(), AppendixA(Sharing5), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.N != g.N || best.Speedup != g.Speedup || best.R != g.R || best.BusUtilization != g.BusUtilization {
+		t.Errorf("headline %+v is not bitwise the direct SolveDetailed %+v", best, g)
 	}
 }
 
@@ -153,8 +157,13 @@ func TestSolveBestFallsBackToSimulation(t *testing.T) {
 	if best.Method != MethodSimulation || !best.Degraded {
 		t.Errorf("got method=%q degraded=%v, want degraded simulation", best.Method, best.Degraded)
 	}
-	if best.Sim == nil {
-		t.Fatal("Sim payload missing")
+	sim, err := SimulateContext(context.Background(), WriteOnce(), AppendixA(Sharing5), 4,
+		SimOptions{Seed: 7, MeasureCycles: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.N != sim.N || best.Speedup != sim.Speedup || best.R != sim.R || best.BusUtilization != sim.BusUtilization {
+		t.Errorf("headline %+v is not bitwise the direct simulation %+v", best, sim)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Smoke test for cmd/snoopd: start the server on a private port, hit
-# /healthz, /metrics and /v1/solve over real HTTP, then send SIGTERM and
+# /healthz, /metrics, /v1/solve and /v1/solvebest over real HTTP, then send SIGTERM and
 # verify the graceful drain exits 0. Exercises the real binary end to
 # end — the in-process httptest suite covers the handler logic.
 set -eu
@@ -47,6 +47,18 @@ solve=$(curl -sf -X POST "$base/v1/solve" -d '{
 case "$solve" in
     *'"speedup"'*) ;;
     *) echo "snoopd_smoke: solve response lacks a speedup: $solve" >&2; exit 1 ;;
+esac
+
+echo "snoopd_smoke: /v1/solvebest"
+best=$(curl -sf -X POST "$base/v1/solvebest" -d '{
+    "protocol": {"name": "Illinois"},
+    "workload": {"appendix_a": 5},
+    "n": 10,
+    "budget": {"max_states": -1, "sim_cycles": -1}
+}')
+case "$best" in
+    '{"method":"mva","n":10,"speedup":'*) ;;
+    *) echo "snoopd_smoke: unexpected MVA-only solvebest body: $best" >&2; exit 1 ;;
 esac
 
 echo "snoopd_smoke: /metrics"

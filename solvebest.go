@@ -40,28 +40,24 @@ type Budget struct {
 }
 
 // BestResult is the provenance-tagged outcome of SolveBest: the headline
-// measures from whichever model the ladder landed on, plus that model's
-// full result.
+// measures from whichever model the ladder landed on. Its JSON tags are
+// the schema of the /v1/solvebest body, the batch API's solvebest arm and
+// the campaign journal's point records.
 type BestResult struct {
 	// Method names the model that produced the numbers.
-	Method Method
+	Method Method `json:"method,omitempty"`
 	// Degraded is true when a higher-fidelity stage was attempted and
 	// failed, so the numbers come from a cheaper model than requested.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// FallbackReason records why each abandoned stage failed (empty when
 	// Degraded is false).
-	FallbackReason string
+	FallbackReason string `json:"fallback_reason,omitempty"`
 
 	// Headline measures, populated for every method.
-	N              int
-	Speedup        float64
-	R              float64
-	BusUtilization float64
-
-	// Exactly one of the following is non-nil, matching Method.
-	GTPN *DetailedResult
-	Sim  *SimResult
-	MVA  *Result
+	N              int     `json:"n"`
+	Speedup        float64 `json:"speedup"`
+	R              float64 `json:"r"`
+	BusUtilization float64 `json:"bus_utilization"`
 }
 
 // SolveBest answers "the most accurate speedup estimate you can give me
@@ -117,7 +113,6 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 			return BestResult{
 				Method: MethodGTPN,
 				N:      g.N, Speedup: g.Speedup, R: g.R, BusUtilization: g.BusUtilization,
-				GTPN: &g,
 			}, nil
 		}
 		if err := abandon("gtpn", gerr); err != nil {
@@ -134,7 +129,6 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 				Method:   MethodSimulation,
 				Degraded: len(reasons) > 0, FallbackReason: strings.Join(reasons, "; "),
 				N: s.N, Speedup: s.Speedup, R: s.R, BusUtilization: s.BusUtilization,
-				Sim: &s,
 			}, nil
 		}
 		if err := abandon("simulation", serr); err != nil {
@@ -154,7 +148,6 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 		Method:   MethodMVA,
 		Degraded: len(reasons) > 0, FallbackReason: strings.Join(reasons, "; "),
 		N: m.N, Speedup: m.Speedup, R: m.R, BusUtilization: m.BusUtilization,
-		MVA: &m,
 	}, nil
 }
 
@@ -167,7 +160,7 @@ func boundedCtx(ctx context.Context, timeout time.Duration) (context.Context, co
 }
 
 // solveDetailedBudgeted is SolveDetailedContext with an explicit state
-// budget (the public entry point uses the engine default).
+// budget (0 is the engine default, which the public entry point uses).
 func solveDetailedBudgeted(ctx context.Context, p Protocol, w Workload, n, maxStates int) (DetailedResult, error) {
 	if err := p.validate(); err != nil {
 		return DetailedResult{}, err
