@@ -56,7 +56,7 @@ func TestGoldenFrames(t *testing.T) {
 		}
 	}
 
-	vectors := readGolden(t)
+	vectors := readVectors(t, goldenPath)
 	if len(vectors) != len(goldenOrder) {
 		t.Fatalf("golden file has %d vectors, want %d", len(vectors), len(goldenOrder))
 	}
@@ -112,11 +112,13 @@ func TestGoldenCoversEveryFrameType(t *testing.T) {
 	}
 }
 
-func readGolden(t *testing.T) map[string][]byte {
+// readVectors reads a "<name> <hex>" vector file, skipping blank and
+// comment lines.
+func readVectors(t *testing.T, path string) map[string][]byte {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("golden vectors missing (run with -update to generate): %v", err)
+		t.Fatalf("vectors missing (run with -update to generate): %v", err)
 	}
 	defer f.Close()
 	vectors := map[string][]byte{}
@@ -129,11 +131,11 @@ func readGolden(t *testing.T) map[string][]byte {
 		}
 		name, hexStr, ok := strings.Cut(line, " ")
 		if !ok {
-			t.Fatalf("bad golden line: %q", line)
+			t.Fatalf("bad vector line: %q", line)
 		}
 		b, err := hex.DecodeString(hexStr)
 		if err != nil {
-			t.Fatalf("bad hex in golden line %q: %v", name, err)
+			t.Fatalf("bad hex in vector line %q: %v", name, err)
 		}
 		vectors[name] = b
 	}
