@@ -186,8 +186,11 @@ func (rep *report) run(base, wireAddr string) error {
 	ns := []int{4, 8, 12, 16}
 	bodies := make([][]byte, len(ns))
 	for i, n := range ns {
-		bodies[i] = []byte(fmt.Sprintf(
-			`{"protocol":{"name":"Illinois"},"workload":{"appendix_a":5},"n":%d}`, n))
+		body, err := json.Marshal(solveReq(n))
+		if err != nil {
+			return err
+		}
+		bodies[i] = body
 	}
 	warm := &http.Client{Timeout: 30 * time.Second}
 	for _, body := range bodies {
@@ -216,6 +219,17 @@ func (rep *report) run(base, wireAddr string) error {
 		rep.BatchSpeedup = rep.BatchBinary.RequestsPerSec / rep.JSONSingle.RequestsPerSec
 	}
 	return nil
+}
+
+// solveReq is the request every phase sends, over JSON and binary
+// alike: Illinois at Appendix A sharing level 5 on n processors.
+func solveReq(n int) *wire.SolveRequest {
+	level := 5
+	return &wire.SolveRequest{
+		Protocol: wire.ProtocolSpec{Name: "Illinois"},
+		Workload: wire.WorkloadSpec{AppendixA: &level},
+		N:        n,
+	}
 }
 
 // jsonSingle is the baseline phase: sequential JSON POSTs, one
@@ -253,13 +267,7 @@ func (rep *report) wirePhase(addr string, ns []int, window int) (series, error) 
 	return runPhase(rep.Connections, rep.RequestsPerConn, func(conn int, lat []float64) error {
 		c := wire.NewClient(addr, wire.ClientOptions{ClientName: "snoopbench"})
 		defer func() { _ = c.Close() }()
-		req := func(i int) *wire.SolveRequest {
-			return &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        ns[(conn+i)%len(ns)],
-			}
-		}
+		req := func(i int) *wire.SolveRequest { return solveReq(ns[(conn+i)%len(ns)]) }
 		if window <= 1 {
 			for i := range lat {
 				start := time.Now()

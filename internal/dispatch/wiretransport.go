@@ -92,12 +92,12 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	if err := t.fault(ctx); err != nil {
 		return snoopmva.BestResult{}, err
 	}
-	req := &wire.SolveBestRequest{
-		Protocol: snoopd.WireProtocolSpec(p),
-		Workload: snoopd.WireWorkloadSpec(w),
+	req := &snoopd.SolveBestRequest{
+		Protocol: snoopd.SpecForProtocol(p),
+		Workload: snoopd.SpecForWorkload(w),
 		N:        n,
+		Budget:   snoopd.SpecForBudget(b),
 	}
-	req.HasBudget, req.Budget = snoopd.WireBudgetSpec(b)
 	// The wire protocol has no deadline header: the request's timeout_ms
 	// carries the remaining deadline so the worker's admission queue can
 	// shed points that would expire waiting, like the HTTP path does.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"snoopmva"
-	"snoopmva/internal/wire"
 )
 
 // TestBudgetSpecRoundsAwayFromZero checks that both transports carry a
@@ -37,9 +36,6 @@ func TestBudgetSpecRoundsAwayFromZero(t *testing.T) {
 			spec := SpecForBudget(b)
 			if got := spec.GTPNTimeoutMS + spec.SimTimeoutMS; got != c.wantMS {
 				t.Errorf("SpecForBudget(%+v): timeout %d ms, want %d", b, got, c.wantMS)
-			}
-			if has, ws := WireBudgetSpec(b); !has || ws != wire.BudgetSpec(*spec) {
-				t.Errorf("WireBudgetSpec(%+v) = %v, %+v, want %+v", b, has, ws, *spec)
 			}
 			_, localErr := snoopmva.SolveBest(context.Background(), snoopmva.Illinois(), wl, 2, b)
 			body, _ := json.Marshal(SolveBestRequest{Protocol: SpecForProtocol(snoopmva.Illinois()),

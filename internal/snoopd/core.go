@@ -197,11 +197,11 @@ func (s *Server) coreContext(parent context.Context, timeoutMS int64) (context.C
 // resolve resolves a request's protocol and workload specs, in that
 // order; a failure is an *InputError.
 func resolve(ps ProtocolSpec, ws WorkloadSpec) (snoopmva.Protocol, snoopmva.Workload, error) {
-	p, err := ps.resolve()
+	p, err := resolveProtocol(ps)
 	if err != nil {
 		return p, snoopmva.Workload{}, &InputError{Err: err}
 	}
-	wl, err := ws.resolve()
+	wl, err := resolveWorkload(ws)
 	if err != nil {
 		return p, wl, &InputError{Err: err}
 	}
@@ -307,7 +307,7 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 		return snoopmva.BestResult{}, err
 	}
 	defer cancel()
-	b := req.Budget.budget()
+	b := resolveBudget(req.Budget)
 	brownedOut := false
 	if s.adm != nil && s.adm.BrownoutActive() {
 		if s.cfg.Cache != nil {

@@ -48,7 +48,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 	c := wireClient(t, startWire(t, s))
 	ctx := context.Background()
 	proto := wire.ProtocolSpec{Name: "Illinois"}
-	wl := wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5}
+	wl := appendixA(5)
 
 	for _, ms := range []int64{math.MaxInt64, 9223372036854776} {
 		t.Run(fmt.Sprintf("timeout_ms=%d", ms), func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 				t.Fatalf("json solvebest: status %d: %s", rec.Code, rec.Body.String())
 			}
 			if _, err := c.SolveBest(ctx, &wire.SolveBestRequest{Protocol: proto, Workload: wl, N: 3,
-				HasBudget: true, Budget: wire.BudgetSpec{SimCycles: -1}, TimeoutMS: ms}); err != nil {
+				Budget: &wire.BudgetSpec{SimCycles: -1}, TimeoutMS: ms}); err != nil {
 				t.Fatalf("wire solvebest: %v", err)
 			}
 		})
@@ -87,7 +87,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 			t.Fatalf("json solvebest degraded: %+v", jr)
 		}
 		wr, err := c.SolveBest(ctx, &wire.SolveBestRequest{Protocol: proto, Workload: wl, N: 3,
-			HasBudget: true, Budget: wire.BudgetSpec{GTPNTimeoutMS: ms, SimCycles: -1}})
+			Budget: &wire.BudgetSpec{GTPNTimeoutMS: ms, SimCycles: -1}})
 		if err != nil {
 			t.Fatalf("wire solvebest: %v", err)
 		}

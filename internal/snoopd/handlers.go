@@ -9,21 +9,34 @@ import (
 	"time"
 
 	"snoopmva"
+	"snoopmva/internal/wire"
 )
 
 // maxBodyBytes bounds request bodies; the largest legitimate request (a
 // compare of every preset with a fully spelled-out workload) is a few KB.
 const maxBodyBytes = 1 << 20
 
-// ProtocolSpec names a protocol either by preset name (case-insensitive:
-// "Write-Once", "Synapse", "Berkeley", "Illinois", "Dragon", "RWB",
-// "Write-Through") or as an explicit set of the paper's modifications.
-type ProtocolSpec struct {
-	Name string `json:"name,omitempty"`
-	Mods []int  `json:"mods,omitempty"`
-}
+// The request bodies are declared once, in internal/wire, with the JSON
+// tags of this API; the binary codec encodes the same structs.
+type (
+	// ProtocolSpec names a protocol by preset name or modification set.
+	ProtocolSpec = wire.ProtocolSpec
+	// WorkloadSpec selects an Appendix A level, the stress test, or
+	// spelled-out parameters.
+	WorkloadSpec = wire.WorkloadSpec
+	// BudgetSpec is snoopmva.Budget with wall-clock budgets in ms.
+	BudgetSpec = wire.BudgetSpec
+	// SolveRequest is the body of POST /v1/solve.
+	SolveRequest = wire.SolveRequest
+	// SolveBestRequest is the body of POST /v1/solvebest, the endpoint
+	// the distributed campaign coordinator (internal/dispatch) shards
+	// grids over.
+	SolveBestRequest = wire.SolveBestRequest
+	// SweepRequest is the body of POST /v1/sweep.
+	SweepRequest = wire.SweepRequest
+)
 
-func (ps ProtocolSpec) resolve() (snoopmva.Protocol, error) {
+func resolveProtocol(ps ProtocolSpec) (snoopmva.Protocol, error) {
 	switch {
 	case ps.Name != "" && ps.Mods != nil:
 		return snoopmva.Protocol{}, fmt.Errorf("protocol: name and mods are mutually exclusive")
@@ -40,21 +53,11 @@ func (ps ProtocolSpec) resolve() (snoopmva.Protocol, error) {
 	}
 }
 
-// WorkloadSpec selects a workload: one of the paper's Appendix A sharing
-// levels (1, 5 or 20), the Section 4.3 stress test, or fully spelled-out
-// parameters. Params may also be combined with appendix_a or stress, in
-// which case non-zero params override the base workload's fields.
-type WorkloadSpec struct {
-	AppendixA *int            `json:"appendix_a,omitempty"`
-	Stress    bool            `json:"stress,omitempty"`
-	Params    *WorkloadParams `json:"params,omitempty"`
-}
-
 // WorkloadParams is a fully spelled-out workload. The JSON schema is
 // snoopmva.Workload's own tags.
 type WorkloadParams = snoopmva.Workload
 
-func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
+func resolveWorkload(ws WorkloadSpec) (snoopmva.Workload, error) {
 	if ws.AppendixA != nil && ws.Stress {
 		return snoopmva.Workload{}, fmt.Errorf("workload: appendix_a and stress are mutually exclusive")
 	}
@@ -81,6 +84,20 @@ func (ws WorkloadSpec) resolve() (snoopmva.Workload, error) {
 	}
 }
 
+// resolveBudget converts a request's budget; nil is the zero budget.
+func resolveBudget(bs *BudgetSpec) snoopmva.Budget {
+	if bs == nil {
+		return snoopmva.Budget{}
+	}
+	return snoopmva.Budget{
+		MaxStates:   bs.MaxStates,
+		GTPNTimeout: msDuration(bs.GTPNTimeoutMS),
+		SimCycles:   bs.SimCycles,
+		SimTimeout:  msDuration(bs.SimTimeoutMS),
+		Seed:        bs.Seed,
+	}
+}
+
 // TimingSpec is snoopmva.Timing; omit (or zero) for the paper's
 // defaults.
 type TimingSpec = snoopmva.Timing
@@ -100,70 +117,14 @@ func orZero[T any](p *T) (v T) {
 	return v
 }
 
-// SolveRequest is the body of POST /v1/solve.
-type SolveRequest struct {
-	Protocol  ProtocolSpec `json:"protocol"`
-	Workload  WorkloadSpec `json:"workload"`
-	N         int          `json:"n"`
-	Timing    *TimingSpec  `json:"timing,omitempty"`
-	Options   *OptionsSpec `json:"options,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
 // SolveResponse is the body of a successful POST /v1/solve.
 type SolveResponse struct {
 	Result ResultJSON `json:"result"`
 }
 
-// BudgetSpec mirrors snoopmva.Budget on the wire: stage budgets for the
-// SolveBest degradation ladder, with wall-clock budgets in milliseconds.
-type BudgetSpec struct {
-	MaxStates     int    `json:"max_states,omitempty"`
-	GTPNTimeoutMS int64  `json:"gtpn_timeout_ms,omitempty"`
-	SimCycles     int64  `json:"sim_cycles,omitempty"`
-	SimTimeoutMS  int64  `json:"sim_timeout_ms,omitempty"`
-	Seed          uint64 `json:"seed,omitempty"`
-}
-
-func (bs *BudgetSpec) budget() snoopmva.Budget {
-	if bs == nil {
-		return snoopmva.Budget{}
-	}
-	return snoopmva.Budget{
-		MaxStates:   bs.MaxStates,
-		GTPNTimeout: msDuration(bs.GTPNTimeoutMS),
-		SimCycles:   bs.SimCycles,
-		SimTimeout:  msDuration(bs.SimTimeoutMS),
-		Seed:        bs.Seed,
-	}
-}
-
-// SolveBestRequest is the body of POST /v1/solvebest: one grid point of a
-// campaign, driven through the GTPN → simulation → MVA degradation
-// ladder under the given budget. This is the endpoint the distributed
-// campaign coordinator (internal/dispatch) shards grids over.
-type SolveBestRequest struct {
-	Protocol  ProtocolSpec `json:"protocol"`
-	Workload  WorkloadSpec `json:"workload"`
-	N         int          `json:"n"`
-	Budget    *BudgetSpec  `json:"budget,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
 // SolveBestResponse is the body of a successful POST /v1/solvebest:
 // snoopmva.BestResult, whose tags are the answer's schema.
 type SolveBestResponse = snoopmva.BestResult
-
-// SweepRequest is the body of POST /v1/sweep. Parallel selects the
-// worker-pool sweep (cold per-size solves) over the warm-started
-// sequential one.
-type SweepRequest struct {
-	Protocol  ProtocolSpec `json:"protocol"`
-	Workload  WorkloadSpec `json:"workload"`
-	Ns        []int        `json:"ns"`
-	Parallel  bool         `json:"parallel,omitempty"`
-	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
 
 // SweepResponse is the body of a successful POST /v1/sweep; results are
 // in request order.
@@ -263,27 +224,38 @@ func (s *Server) handleOp(k opKind) http.HandlerFunc {
 	}
 }
 
-// The SpecFor helpers build wire specs that resolve back to the given
-// in-memory values; the dispatch HTTP transport uses them to put campaign
+// The SpecFor helpers build request specs that resolve back to the given
+// in-memory values; both dispatch transports use them to put campaign
 // points on the wire. A protocol with a preset name travels by name,
 // anything else by its modification set (a protocol carrying invalid
 // modification numbers is not representable and is sanitized by the
 // round-trip; campaign grids are validated before dispatch).
 
-// SpecForProtocol returns the ProtocolSpec that resolves back to p.
+// SpecForProtocol returns the ProtocolSpec that resolves back to p. The
+// unnamed base protocol travels as the Write-Once preset it equals: an
+// empty mods list would vanish from a JSON body.
 func SpecForProtocol(p snoopmva.Protocol) ProtocolSpec {
 	if name := p.Name(); name != "" {
 		return ProtocolSpec{Name: name}
 	}
-	mods := p.Mods()
-	if mods == nil {
-		mods = []int{} // non-nil so resolve picks the mods arm
+	if mods := p.Mods(); mods != nil {
+		return ProtocolSpec{Mods: mods}
 	}
-	return ProtocolSpec{Mods: mods}
+	return ProtocolSpec{Name: snoopmva.WriteOnce().Name()}
 }
 
 // SpecForWorkload returns the fully spelled-out WorkloadSpec for w.
 func SpecForWorkload(w snoopmva.Workload) WorkloadSpec { return WorkloadSpec{Params: &w} }
+
+// WireProtocolSpec is SpecForProtocol.
+//
+// Deprecated: both transports take the ProtocolSpec SpecForProtocol returns.
+func WireProtocolSpec(p snoopmva.Protocol) ProtocolSpec { return SpecForProtocol(p) }
+
+// WireWorkloadSpec is SpecForWorkload.
+//
+// Deprecated: both transports take the WorkloadSpec SpecForWorkload returns.
+func WireWorkloadSpec(w snoopmva.Workload) WorkloadSpec { return SpecForWorkload(w) }
 
 // SpecForBudget returns the BudgetSpec for b (nil for the zero budget).
 // Stage timeouts are rounded away from zero to whole milliseconds, so a
@@ -326,7 +298,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ps = make([]snoopmva.Protocol, len(req.Protocols))
 		for i, spec := range req.Protocols {
-			p, err := spec.resolve()
+			p, err := resolveProtocol(spec)
 			if err != nil {
 				writeError(w, inputErrorf("protocols[%d]: %v", i, err))
 				return
@@ -334,7 +306,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			ps[i] = p
 		}
 	}
-	wl, err := req.Workload.resolve()
+	wl, err := resolveWorkload(req.Workload)
 	if err != nil {
 		writeError(w, &InputError{Err: err})
 		return

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"snoopmva"
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/obs"
+	"snoopmva/internal/wire"
 )
 
 // newTestServer builds a Server on a fresh registry so metric assertions
@@ -445,30 +447,38 @@ func TestSolveBestInvalidInputs(t *testing.T) {
 }
 
 func TestSpecHelpersRoundTrip(t *testing.T) {
-	// Every named preset and an anonymous mod set must survive the wire
-	// encoding the dispatch transport uses.
-	protos := append(snoopmva.Protocols(), snoopmva.WithMods(1, 3))
-	for _, p := range protos {
-		spec := SpecForProtocol(p)
-		got, err := spec.resolve()
-		if err != nil {
-			t.Fatalf("%s: resolve: %v", p, err)
-		}
-		if got.String() != p.String() {
-			t.Fatalf("protocol round-trip: got %s want %s", got, p)
-		}
-	}
+	// Every named preset, an anonymous mod set and the unnamed base
+	// protocol must survive both encodings the dispatch transports use:
+	// a JSON body and a binary frame.
+	protos := append(snoopmva.Protocols(), snoopmva.WithMods(1, 3), snoopmva.WithMods())
 	w := snoopmva.AppendixA(snoopmva.Sharing20)
-	got, err := SpecForWorkload(w).resolve()
-	if err != nil {
-		t.Fatalf("workload resolve: %v", err)
-	}
-	if got != w {
-		t.Fatalf("workload round-trip: got %+v want %+v", got, w)
-	}
 	b := snoopmva.Budget{MaxStates: -1, SimCycles: 50000, Seed: 7}
-	if gb := SpecForBudget(b).budget(); gb != b {
-		t.Fatalf("budget round-trip: got %+v want %+v", gb, b)
+	for _, p := range protos {
+		req := SolveBestRequest{Protocol: SpecForProtocol(p), Workload: SpecForWorkload(w), N: 4, Budget: SpecForBudget(b)}
+		body, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaJSON := wireRequest(t, "/v1/solvebest", string(body)).(*SolveBestRequest)
+		_, viaWire, err := wire.DecodeSolveBestRequest(wire.AppendSolveBestRequest(nil, 1, &req))
+		if err != nil {
+			t.Fatalf("%s: wire decode: %v", p, err)
+		}
+		for via, got := range map[string]*SolveBestRequest{"json": viaJSON, "wire": &viaWire} {
+			gp, err := resolveProtocol(got.Protocol)
+			if err != nil {
+				t.Fatalf("%s via %s: resolve: %v", p, via, err)
+			}
+			if !slices.Equal(gp.Mods(), p.Mods()) || (p.Name() != "" && gp.String() != p.String()) {
+				t.Fatalf("protocol round-trip via %s: got %s want %s", via, gp, p)
+			}
+			if gw, err := resolveWorkload(got.Workload); err != nil || gw != w {
+				t.Fatalf("workload round-trip via %s: got %+v, %v want %+v", via, gw, err, w)
+			}
+			if gb := resolveBudget(got.Budget); gb != b {
+				t.Fatalf("budget round-trip via %s: got %+v want %+v", via, gb, b)
+			}
+		}
 	}
 	if SpecForBudget(snoopmva.Budget{}) != nil {
 		t.Fatal("zero budget should travel as an omitted field")

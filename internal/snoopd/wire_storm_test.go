@@ -172,7 +172,7 @@ func TestWireStorm(t *testing.T) {
 					defer calls.Done()
 					resp, err := c.Solve(context.Background(), &wire.SolveRequest{
 						Protocol: wire.ProtocolSpec{Name: "Illinois"},
-						Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+						Workload: appendixA(5),
 						N:        n,
 					})
 					mu.Lock()

@@ -51,12 +51,27 @@ func wireClient(t *testing.T, addr string) *wire.Client {
 // bit-identical results across transports, not approximate ones.
 func f64eq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// eqCase is one request expressed in both transports.
+// appendixA is the workload spec of an Appendix A sharing level.
+func appendixA(level int) wire.WorkloadSpec { return wire.WorkloadSpec{AppendixA: &level} }
+
+// eqCase is one request, sent over both transports.
 type eqCase struct {
 	name string
 	json string // JSON request body
-	wire any    // *wire.SolveRequest | *wire.SolveBestRequest | *wire.SweepRequest
 	path string // JSON endpoint
+}
+
+// wireRequest strictly decodes a JSON request body into the request
+// type of path, exactly as the endpoint does, so the same request can
+// be sent over the wire.
+func wireRequest(t *testing.T, path, body string) any {
+	t.Helper()
+	var it BatchItem
+	v := it.arm(map[string]opKind{"/v1/solve": opSolve, "/v1/solvebest": opSolveBest, "/v1/sweep": opSweep}[path])
+	if err := decode(httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)), v); err != nil {
+		t.Fatalf("decode %s body: %v", path, err)
+	}
+	return v
 }
 
 func equivalenceCases(t *testing.T) []eqCase {
@@ -72,23 +87,10 @@ func equivalenceCases(t *testing.T) []eqCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireParams := wire.WorkloadFields{
-		Tau: base.Tau, PPrivate: base.PPrivate, PSro: base.PSro, PSw: base.PSw,
-		HPrivate: base.HPrivate, HSro: base.HSro, HSw: base.HSw,
-		RPrivate: base.RPrivate, RSw: base.RSw,
-		AmodPrivate: base.AmodPrivate, AmodSw: base.AmodSw,
-		CsupplySro: base.CsupplySro, CsupplySw: base.CsupplySw,
-		WbCsupply: base.WbCsupply, RepP: base.RepP, RepSw: base.RepSw,
-	}
 	return []eqCase{
 		{
 			name: "solve appendix",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": 10}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        10,
-			},
 			path: "/v1/solve",
 		},
 		{
@@ -96,59 +98,27 @@ func equivalenceCases(t *testing.T) []eqCase {
 			json: `{"protocol": {"mods": [1,2,3]}, "workload": {"params": ` + string(params) + `},
 				"n": 8, "timing": {"d_mem": 5, "block_size": 8, "t_block": 8},
 				"options": {"tolerance": 1e-8, "split_transaction_bus": true}}`,
-			wire: &wire.SolveRequest{
-				Protocol:   wire.ProtocolSpec{Mods: []int{1, 2, 3}},
-				Workload:   wire.WorkloadSpec{Kind: wire.WorkloadParams, Params: wireParams},
-				N:          8,
-				HasTiming:  true,
-				Timing:     wire.TimingSpec{DMem: 5, BlockSize: 8, TBlock: 8},
-				HasOptions: true,
-				Options:    wire.OptionsSpec{Tolerance: 1e-8, SplitTransactionBus: true},
-			},
 			path: "/v1/solve",
 		},
 		{
 			name: "solve stress",
 			json: `{"protocol": {"name": "Write-Once"}, "workload": {"stress": true}, "n": 6}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Write-Once"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadStress},
-				N:        6,
-			},
 			path: "/v1/solve",
 		},
 		{
 			name: "solvebest mva-only budget",
 			json: `{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 1}, "n": 6,
 				"budget": {"max_states": -1, "sim_cycles": -1, "seed": 7}}`,
-			wire: &wire.SolveBestRequest{
-				Protocol:  wire.ProtocolSpec{Name: "Berkeley"},
-				Workload:  wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 1},
-				N:         6,
-				HasBudget: true,
-				Budget:    wire.BudgetSpec{MaxStates: -1, SimCycles: -1, Seed: 7},
-			},
 			path: "/v1/solvebest",
 		},
 		{
 			name: "sweep serial",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 20}, "ns": [1, 2, 4, 8]}`,
-			wire: &wire.SweepRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 20},
-				Ns:       []int{1, 2, 4, 8},
-			},
 			path: "/v1/sweep",
 		},
 		{
 			name: "sweep parallel",
 			json: `{"protocol": {"name": "Dragon"}, "workload": {"appendix_a": 5}, "ns": [2, 3, 5], "parallel": true}`,
-			wire: &wire.SweepRequest{
-				Protocol: wire.ProtocolSpec{Name: "Dragon"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				Ns:       []int{2, 3, 5},
-				Parallel: true,
-			},
 			path: "/v1/sweep",
 		},
 	}
@@ -182,7 +152,7 @@ func TestWireJSONEquivalenceResults(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("json status %d: %s", rec.Code, rec.Body.String())
 			}
-			switch req := tc.wire.(type) {
+			switch req := wireRequest(t, tc.path, tc.json).(type) {
 			case *wire.SolveRequest:
 				var jr SolveResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
@@ -235,7 +205,6 @@ func TestWireJSONEquivalenceErrors(t *testing.T) {
 	cases := []struct {
 		name       string
 		json       string
-		wire       any
 		path       string
 		wantStatus int
 		wantCode   string
@@ -244,72 +213,37 @@ func TestWireJSONEquivalenceErrors(t *testing.T) {
 		{
 			name: "unknown protocol",
 			json: `{"protocol": {"name": "MESIF"}, "workload": {"appendix_a": 5}, "n": 4}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "MESIF"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        4,
-			},
 			path: "/v1/solve", wantStatus: 400, wantCode: "invalid_input",
 		},
 		{
 			name: "bad sharing level",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 7}, "n": 4}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 7},
-				N:        4,
-			},
 			path: "/v1/solve", wantStatus: 400, wantCode: "invalid_input",
 		},
 		{
 			name: "negative n",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": -3}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        -3,
-			},
 			path: "/v1/solve", wantStatus: 400, wantCode: "invalid_input",
 		},
 		{
 			name: "negative timeout",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": 4, "timeout_ms": -1}`,
-			wire: &wire.SolveRequest{
-				Protocol:  wire.ProtocolSpec{Name: "Illinois"},
-				Workload:  wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:         4,
-				TimeoutMS: -1,
-			},
 			path: "/v1/solve", wantStatus: 400, wantCode: "invalid_input",
 		},
 		{
 			name: "empty sweep ns",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "ns": []}`,
-			wire: &wire.SweepRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-			},
 			path: "/v1/sweep", wantStatus: 400, wantCode: "invalid_input",
 		},
 		{
 			name: "no convergence",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": 6}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        6,
-			},
 			path: "/v1/solve", wantStatus: 422, wantCode: "no_convergence",
 			hooks: &faultinject.Set{MVAStall: func(int) bool { return true }},
 		},
 		{
 			name: "diverged",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": 6}`,
-			wire: &wire.SolveRequest{
-				Protocol: wire.ProtocolSpec{Name: "Illinois"},
-				Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
-				N:        6,
-			},
 			path: "/v1/solve", wantStatus: 422, wantCode: "diverged",
 			hooks: &faultinject.Set{MVAPoison: func(int) (float64, bool) { return math.NaN(), true }},
 		},
@@ -333,7 +267,7 @@ func TestWireJSONEquivalenceErrors(t *testing.T) {
 			}
 
 			var werr error
-			switch req := tc.wire.(type) {
+			switch req := wireRequest(t, tc.path, tc.json).(type) {
 			case *wire.SolveRequest:
 				_, werr = c.Solve(context.Background(), req)
 			case *wire.SweepRequest:
@@ -379,7 +313,7 @@ func TestWireBackpressureMatchesJSONShed(t *testing.T) {
 	go func() {
 		_, err := c.Solve(context.Background(), &wire.SolveRequest{
 			Protocol: wire.ProtocolSpec{Name: "Illinois"},
-			Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+			Workload: appendixA(5),
 			N:        4,
 		})
 		solveDone <- err
@@ -399,7 +333,7 @@ func TestWireBackpressureMatchesJSONShed(t *testing.T) {
 	// Wire shed, same code, same hint semantics.
 	_, werr := c.Solve(context.Background(), &wire.SolveRequest{
 		Protocol: wire.ProtocolSpec{Name: "Illinois"},
-		Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+		Workload: appendixA(5),
 		N:        5,
 	})
 	bp, ok := werr.(*wire.BackpressureError)
@@ -582,7 +516,7 @@ func TestWireMetrics(t *testing.T) {
 	c := wireClient(t, startWire(t, s))
 	if _, err := c.Solve(context.Background(), &wire.SolveRequest{
 		Protocol: wire.ProtocolSpec{Name: "Illinois"},
-		Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+		Workload: appendixA(5),
 		N:        4,
 	}); err != nil {
 		t.Fatal(err)
@@ -616,13 +550,13 @@ func TestWireSolveBatchMatchesSingles(t *testing.T) {
 		protos := []string{"Illinois", "Berkeley", "Write-Once"}
 		reqs[i] = &wire.SolveRequest{
 			Protocol: wire.ProtocolSpec{Name: protos[i%len(protos)]},
-			Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+			Workload: appendixA(5),
 			N:        i%16 + 1,
 		}
 	}
 	reqs[7] = &wire.SolveRequest{ // one poisoned point mid-batch
 		Protocol: wire.ProtocolSpec{Name: "NoSuchProtocol"},
-		Workload: wire.WorkloadSpec{Kind: wire.WorkloadAppendixA, AppendixA: 5},
+		Workload: appendixA(5),
 		N:        4,
 	}
 

@@ -269,25 +269,26 @@ func (s *Server) wireHandshake(wc *wireConn, r *wire.Reader) (clientID string, o
 	return hello.ClientName, true
 }
 
-// wireItem decodes a request frame into the op it carries, through the
-// same spec types the JSON codec decodes into, and counts it. ok is
-// false for an undecodable payload.
+// wireItem decodes a request frame into the op it carries and counts
+// it. ok is false for an undecodable payload.
 func (s *Server) wireItem(f wire.Frame) (it BatchItem, ok bool) {
+	var err error
 	switch f.Type {
 	case wire.TypeSolveReq:
-		m, err := wire.DecodeSolveRequest(f.Payload)
-		it, ok = BatchItem{Seq: m.Seq, Solve: solveFromWire(&m)}, err == nil
+		it.Solve = new(SolveRequest)
+		it.Seq, *it.Solve, err = wire.DecodeSolveRequest(f.Payload)
 	case wire.TypeSolveBestReq:
-		m, err := wire.DecodeSolveBestRequest(f.Payload)
-		it, ok = BatchItem{Seq: m.Seq, SolveBest: solveBestFromWire(&m)}, err == nil
+		it.SolveBest = new(SolveBestRequest)
+		it.Seq, *it.SolveBest, err = wire.DecodeSolveBestRequest(f.Payload)
 	default:
-		m, err := wire.DecodeSweepRequest(f.Payload)
-		it, ok = BatchItem{Seq: m.Seq, Sweep: sweepFromWire(&m)}, err == nil
+		it.Sweep = new(SweepRequest)
+		it.Seq, *it.Sweep, err = wire.DecodeSweepRequest(f.Payload)
 	}
-	if ok {
-		s.wireRequests[f.Type].Inc()
+	if err != nil {
+		return BatchItem{}, false
 	}
-	return it, ok
+	s.wireRequests[f.Type].Inc()
+	return it, true
 }
 
 // writeOutcome answers seq with the frame for oc — the kind's response

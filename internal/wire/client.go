@@ -185,11 +185,11 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Solve round-trips a solve request. req.Seq is assigned by the client.
+// Solve round-trips a solve request under a sequence id the client
+// assigns.
 func (c *Client) Solve(ctx context.Context, req *SolveRequest) (SolveResponse, error) {
 	res, err := c.roundTrip(ctx, func(seq uint64) []byte {
-		req.Seq = seq
-		return AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, req))
+		return AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, seq, req))
 	})
 	if err == nil {
 		err = unexpectedType(res, TypeSolveResp)
@@ -216,7 +216,7 @@ type SolveBatchResult struct {
 // phase measures. Results are positional (out[i] answers reqs[i]); per-point
 // failures land in the point's Err, and only client-level failures
 // (closed, version mismatch, ctx cancellation) fail the call as a
-// whole. Seq fields are assigned by the client.
+// whole. The client assigns the sequence ids.
 func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveBatchResult, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -239,8 +239,7 @@ func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveB
 	index := make(map[uint64]int, len(reqs))
 	for i, req := range reqs {
 		c.seq++
-		req.Seq = c.seq
-		frame := AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, req))
+		frame := AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, c.seq, req))
 		c.pending[c.seq] = &pendingCall{frame: frame, done: done}
 		index[c.seq] = i
 		c.sendLocked(frame)
@@ -277,12 +276,11 @@ func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveB
 	return out, nil
 }
 
-// SolveBest round-trips a solvebest request. req.Seq is assigned by the
-// client.
+// SolveBest round-trips a solvebest request under a sequence id the
+// client assigns.
 func (c *Client) SolveBest(ctx context.Context, req *SolveBestRequest) (SolveBestResponse, error) {
 	res, err := c.roundTrip(ctx, func(seq uint64) []byte {
-		req.Seq = seq
-		return AppendFrame(nil, TypeSolveBestReq, AppendSolveBestRequest(nil, req))
+		return AppendFrame(nil, TypeSolveBestReq, AppendSolveBestRequest(nil, seq, req))
 	})
 	if err == nil {
 		err = unexpectedType(res, TypeSolveBestResp)
@@ -293,11 +291,11 @@ func (c *Client) SolveBest(ctx context.Context, req *SolveBestRequest) (SolveBes
 	return DecodeSolveBestResponse(res.payload)
 }
 
-// Sweep round-trips a sweep request. req.Seq is assigned by the client.
+// Sweep round-trips a sweep request under a sequence id the client
+// assigns.
 func (c *Client) Sweep(ctx context.Context, req *SweepRequest) (SweepResponse, error) {
 	res, err := c.roundTrip(ctx, func(seq uint64) []byte {
-		req.Seq = seq
-		return AppendFrame(nil, TypeSweepReq, AppendSweepRequest(nil, req))
+		return AppendFrame(nil, TypeSweepReq, AppendSweepRequest(nil, seq, req))
 	})
 	if err == nil {
 		err = unexpectedType(res, TypeSweepResp)

@@ -88,18 +88,18 @@ func (s *testServer) acceptLoop() {
 
 // echoSolve answers a solve request with a recognizable result.
 func echoSolve(payload []byte) [][]byte {
-	req, err := DecodeSolveRequest(payload)
+	seq, req, err := DecodeSolveRequest(payload)
 	if err != nil {
 		return nil
 	}
-	resp := &SolveResponse{Seq: req.Seq, Result: Result{N: req.N, Speedup: float64(req.N) / 2, Iterations: 3}}
+	resp := &SolveResponse{Seq: seq, Result: Result{N: req.N, Speedup: float64(req.N) / 2, Iterations: 3}}
 	return [][]byte{AppendFrame(nil, TypeSolveResp, AppendSolveResponse(nil, resp))}
 }
 
 func solveReq(n int) *SolveRequest {
 	return &SolveRequest{
 		Protocol: ProtocolSpec{Name: "Illinois"},
-		Workload: WorkloadSpec{Kind: WorkloadAppendixA, AppendixA: 5},
+		Workload: WorkloadSpec{AppendixA: intp(5)},
 		N:        n,
 	}
 }

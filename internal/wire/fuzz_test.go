@@ -3,9 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
+	"unicode/utf8"
+
+	"snoopmva"
 )
 
 // mustKind asserts err is inside the decoder's closed error taxonomy:
@@ -91,9 +97,9 @@ func FuzzBatchRequest(f *testing.F) {
 	// back to back — plus the corruption corpus mid-stream.
 	var batch []byte
 	batch = AppendFrame(batch, TypeHello, AppendHello(nil, samples[TypeHello].(*Hello)))
-	batch = AppendFrame(batch, TypeSolveReq, AppendSolveRequest(nil, samples[TypeSolveReq].(*SolveRequest)))
-	batch = AppendFrame(batch, TypeSolveBestReq, AppendSolveBestRequest(nil, samples[TypeSolveBestReq].(*SolveBestRequest)))
-	batch = AppendFrame(batch, TypeSweepReq, AppendSweepRequest(nil, samples[TypeSweepReq].(*SweepRequest)))
+	for _, typ := range []FrameType{TypeSolveReq, TypeSolveBestReq, TypeSweepReq} {
+		batch = AppendFrame(batch, typ, encodeMessage(typ, samples[typ]))
+	}
 	f.Add(batch, uint8(1))
 	f.Add(batch, uint8(3))
 	f.Add(batch, uint8(255))
@@ -156,6 +162,93 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		if (gotErr == io.EOF) != (wantErr == io.EOF) || gk != wk {
 			t.Fatalf("terminal error diverged across chunkings: chunk %d → %v, 1 → %v", c, gotErr, wantErr)
+		}
+	})
+}
+
+// jsonTrip sends r's request through json.Marshal and a strict JSON
+// decode. ok is false when JSON cannot carry the request: a NaN or
+// infinite float has no JSON spelling, a negative zero under omitempty
+// comes back as +0, and a name that is not valid UTF-8 comes back with
+// replacement characters.
+func jsonTrip[T any](t *testing.T, r *seqReq[T]) (back *seqReq[T], ok bool) {
+	body, err := json.Marshal(&r.req)
+	var unsupported *json.UnsupportedValueError
+	if errors.As(err, &unsupported) {
+		return nil, false
+	}
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	back = &seqReq[T]{seq: r.seq}
+	if err := dec.Decode(&back.req); err != nil {
+		t.Fatalf("strict decode of %s: %v", body, err)
+	}
+	return back, true
+}
+
+// jsonCarries reports whether the request's protocol name and its
+// omitempty floats survive JSON (see jsonTrip).
+func jsonCarries(p ProtocolSpec, tm *snoopmva.Timing, o *snoopmva.Options) bool {
+	var omitted []float64
+	if tm != nil {
+		omitted = append(omitted, tm.TSupply, tm.TWrite, tm.TInval, tm.DMem, tm.TBlock)
+	}
+	if o != nil {
+		omitted = append(omitted, o.Tolerance)
+	}
+	for _, v := range omitted {
+		if v == 0 && math.Signbit(v) {
+			return false
+		}
+	}
+	return utf8.ValidString(p.Name)
+}
+
+// FuzzRequestJSONWire pins that the one request schema loses nothing on
+// either codec: any request payload that decodes, and that JSON can
+// carry, encodes to the same bytes after json.Marshal, a strict JSON
+// decode and a re-encode as it does re-encoded directly. (The direct
+// re-encode is the reference because the decoder accepts non-minimal
+// varints, which every encoder writes minimally.)
+func FuzzRequestJSONWire(f *testing.F) {
+	reqTypes := []FrameType{TypeSolveReq, TypeSolveBestReq, TypeSweepReq}
+	samples := sampleMessages()
+	for i, typ := range reqTypes {
+		f.Add(uint8(i), encodeMessage(typ, samples[typ]))
+	}
+	for _, s := range requestShapes() {
+		f.Add(uint8(slices.Index(reqTypes, s.typ)), encodeMessage(s.typ, s.msg))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		typ := reqTypes[int(kind)%len(reqTypes)]
+		m, err := decodeMessage(typ, payload)
+		if err != nil {
+			return
+		}
+		var back any
+		ok := false
+		switch v := m.(type) {
+		case *seqReq[SolveRequest]:
+			if jsonCarries(v.req.Protocol, v.req.Timing, v.req.Options) {
+				back, ok = jsonTrip(t, v)
+			}
+		case *seqReq[SolveBestRequest]:
+			if jsonCarries(v.req.Protocol, nil, nil) {
+				back, ok = jsonTrip(t, v)
+			}
+		case *seqReq[SweepRequest]:
+			if jsonCarries(v.req.Protocol, nil, nil) {
+				back, ok = jsonTrip(t, v)
+			}
+		}
+		if !ok {
+			return
+		}
+		if got, want := encodeMessage(typ, back), encodeMessage(typ, m); !bytes.Equal(got, want) {
+			t.Fatalf("%v: JSON trip changed the encoding\n got %x\nwant %x", typ, got, want)
 		}
 	})
 }

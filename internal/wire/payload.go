@@ -12,74 +12,67 @@ import (
 // order, not request order) can be matched without decoding the rest —
 // PeekSeq is that fast path.
 //
-// The codec encodes the root package's Workload, Timing, Options, Result
-// and BestResult directly — the same structs whose JSON tags are the HTTP
-// API's schema — so the two transports share one definition of the model's
-// inputs and outputs. Only the request envelopes differ (explicit Has*
-// flags here, optional pointers in JSON); internal/snoopd resolves both
-// through the same spec types, and the equivalence suite drives
-// identical requests through both and asserts bitwise-equal answers.
+// Each request is declared once, here, and is the schema of both
+// transports: the structs carry the HTTP API's JSON tags and optional
+// pointers (internal/snoopd names them as aliases). The codec writes a
+// presence byte for each optional pointer and a kind byte for the
+// workload arm that is set. The sequence id is a transport field:
+// Append*Request takes it and Decode*Request returns it. Workload,
+// Timing, Options, Result and BestResult are the root package's types,
+// encoded field by field. The equivalence suite drives identical
+// requests through both transports and asserts bitwise-equal answers.
 
-// ProtocolSpec names a protocol by preset name or by explicit
-// modification set. Exactly one arm is encodable: Name when non-empty,
-// otherwise Mods (which may be empty but non-nil, the base protocol).
+// ProtocolSpec names a protocol either by preset name (case-insensitive:
+// "Write-Once", "Synapse", "Berkeley", "Illinois", "Dragon", "RWB",
+// "Write-Through") or as an explicit set of the paper's modifications.
+// The binary codec encodes one arm: Name when non-empty, otherwise Mods
+// (an empty list there is the base protocol).
 type ProtocolSpec struct {
-	Name string
-	Mods []int
+	Name string `json:"name,omitempty"`
+	Mods []int  `json:"mods,omitempty"`
 }
 
-// WorkloadKind selects a WorkloadSpec arm.
-type WorkloadKind uint8
+// WorkloadSpec selects a workload: one of the paper's Appendix A sharing
+// levels (1, 5 or 20), the Section 4.3 stress test, or fully spelled-out
+// parameters. The binary codec encodes one arm, the first set of
+// appendix_a, stress and params; the zero spec encodes as appendix level
+// 0. Decoding sets exactly the encoded arm.
+type WorkloadSpec struct {
+	AppendixA *int               `json:"appendix_a,omitempty"`
+	Stress    bool               `json:"stress,omitempty"`
+	Params    *snoopmva.Workload `json:"params,omitempty"`
+}
 
+// The workload kind bytes.
 const (
-	// WorkloadAppendixA is one of the paper's Appendix A sharing levels.
-	WorkloadAppendixA WorkloadKind = 0
-	// WorkloadStress is the Section 4.3 stress test.
-	WorkloadStress WorkloadKind = 1
-	// WorkloadParams is a fully spelled-out parameter set.
-	WorkloadParams WorkloadKind = 2
+	kindAppendixA = 0
+	kindStress    = 1
+	kindParams    = 2
 )
 
-// WorkloadSpec selects a workload, mirroring the JSON API's arms.
-type WorkloadSpec struct {
-	Kind      WorkloadKind
-	AppendixA int            // when Kind == WorkloadAppendixA
-	Params    WorkloadFields // when Kind == WorkloadParams
-}
-
-// WorkloadFields is the spelled-out workload, encoded field by field.
-type WorkloadFields = snoopmva.Workload
-
-// TimingSpec is the architectural timing, encoded field by field.
-type TimingSpec = snoopmva.Timing
-
-// OptionsSpec is the MVA solver options, encoded field by field.
-type OptionsSpec = snoopmva.Options
-
-// BudgetSpec has the JSON BudgetSpec's shape (wall-clock budgets in
-// ms), so the two convert into each other.
+// BudgetSpec is snoopmva.Budget as a request carries it: stage budgets
+// for the SolveBest degradation ladder, with wall-clock budgets in
+// milliseconds.
 type BudgetSpec struct {
-	MaxStates     int
-	GTPNTimeoutMS int64
-	SimCycles     int64
-	SimTimeoutMS  int64
-	Seed          uint64
+	MaxStates     int    `json:"max_states,omitempty"`
+	GTPNTimeoutMS int64  `json:"gtpn_timeout_ms,omitempty"`
+	SimCycles     int64  `json:"sim_cycles,omitempty"`
+	SimTimeoutMS  int64  `json:"sim_timeout_ms,omitempty"`
+	Seed          uint64 `json:"seed,omitempty"`
 }
 
 // Result is the MVA result, encoded field by field.
 type Result = snoopmva.Result
 
-// SolveRequest is the payload of TypeSolveReq.
+// SolveRequest is the body of POST /v1/solve and the payload of
+// TypeSolveReq. A nil Timing or Options means the paper's defaults.
 type SolveRequest struct {
-	Seq        uint64
-	Protocol   ProtocolSpec
-	Workload   WorkloadSpec
-	N          int
-	HasTiming  bool
-	Timing     TimingSpec
-	HasOptions bool
-	Options    OptionsSpec
-	TimeoutMS  int64
+	Protocol  ProtocolSpec      `json:"protocol"`
+	Workload  WorkloadSpec      `json:"workload"`
+	N         int               `json:"n"`
+	Timing    *snoopmva.Timing  `json:"timing,omitempty"`
+	Options   *snoopmva.Options `json:"options,omitempty"`
+	TimeoutMS int64             `json:"timeout_ms,omitempty"`
 }
 
 // SolveResponse is the payload of TypeSolveResp.
@@ -88,15 +81,16 @@ type SolveResponse struct {
 	Result Result
 }
 
-// SolveBestRequest is the payload of TypeSolveBestReq.
+// SolveBestRequest is the body of POST /v1/solvebest and the payload
+// of TypeSolveBestReq: one grid point of a campaign, driven through the
+// GTPN → simulation → MVA degradation ladder under the given budget (nil
+// is the zero budget).
 type SolveBestRequest struct {
-	Seq       uint64
-	Protocol  ProtocolSpec
-	Workload  WorkloadSpec
-	N         int
-	HasBudget bool
-	Budget    BudgetSpec
-	TimeoutMS int64
+	Protocol  ProtocolSpec `json:"protocol"`
+	Workload  WorkloadSpec `json:"workload"`
+	N         int          `json:"n"`
+	Budget    *BudgetSpec  `json:"budget,omitempty"`
+	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
 // SolveBestResponse is the payload of TypeSolveBestResp.
@@ -105,14 +99,15 @@ type SolveBestResponse struct {
 	snoopmva.BestResult
 }
 
-// SweepRequest is the payload of TypeSweepReq.
+// SweepRequest is the body of POST /v1/sweep and the payload of
+// TypeSweepReq. Parallel selects the worker-pool sweep (cold per-size
+// solves) over the warm-started sequential one.
 type SweepRequest struct {
-	Seq       uint64
-	Protocol  ProtocolSpec
-	Workload  WorkloadSpec
-	Ns        []int
-	Parallel  bool
-	TimeoutMS int64
+	Protocol  ProtocolSpec `json:"protocol"`
+	Workload  WorkloadSpec `json:"workload"`
+	Ns        []int        `json:"ns"`
+	Parallel  bool         `json:"parallel,omitempty"`
+	TimeoutMS int64        `json:"timeout_ms,omitempty"`
 }
 
 // SweepResponse is the payload of TypeSweepResp.
@@ -204,12 +199,15 @@ func appendProtocol(dst []byte, p ProtocolSpec) []byte {
 }
 
 func appendWorkload(dst []byte, w WorkloadSpec) []byte {
-	dst = append(dst, byte(w.Kind))
-	switch w.Kind {
-	case WorkloadAppendixA:
-		dst = binary.AppendVarint(dst, int64(w.AppendixA))
-	case WorkloadParams:
-		f := &w.Params
+	switch {
+	case w.AppendixA != nil:
+		dst = append(dst, kindAppendixA)
+		return binary.AppendVarint(dst, int64(*w.AppendixA))
+	case w.Stress:
+		return append(dst, kindStress)
+	case w.Params != nil:
+		dst = append(dst, kindParams)
+		f := w.Params
 		for _, v := range [...]float64{
 			f.Tau, f.PPrivate, f.PSro, f.PSw, f.HPrivate, f.HSro, f.HSw,
 			f.RPrivate, f.RSw, f.AmodPrivate, f.AmodSw, f.CsupplySro,
@@ -217,14 +215,14 @@ func appendWorkload(dst []byte, w WorkloadSpec) []byte {
 		} {
 			dst = appendFloat(dst, v)
 		}
-		dst = appendBool(dst, f.FixedParams)
+		return appendBool(dst, f.FixedParams)
 	}
-	return dst
+	return append(dst, kindAppendixA, 0) // the zero spec: appendix level 0
 }
 
-func appendTiming(dst []byte, has bool, t TimingSpec) []byte {
-	dst = appendBool(dst, has)
-	if !has {
+func appendTiming(dst []byte, t *snoopmva.Timing) []byte {
+	dst = appendBool(dst, t != nil)
+	if t == nil {
 		return dst
 	}
 	dst = appendFloat(dst, t.TSupply)
@@ -235,9 +233,9 @@ func appendTiming(dst []byte, has bool, t TimingSpec) []byte {
 	return appendFloat(dst, t.TBlock)
 }
 
-func appendOptions(dst []byte, has bool, o OptionsSpec) []byte {
-	dst = appendBool(dst, has)
-	if !has {
+func appendOptions(dst []byte, o *snoopmva.Options) []byte {
+	dst = appendBool(dst, o != nil)
+	if o == nil {
 		return dst
 	}
 	dst = appendFloat(dst, o.Tolerance)
@@ -250,9 +248,9 @@ func appendOptions(dst []byte, has bool, o OptionsSpec) []byte {
 	return appendBool(dst, o.SplitTransactionBus)
 }
 
-func appendBudget(dst []byte, has bool, b BudgetSpec) []byte {
-	dst = appendBool(dst, has)
-	if !has {
+func appendBudget(dst []byte, b *BudgetSpec) []byte {
+	dst = appendBool(dst, b != nil)
+	if b == nil {
 		return dst
 	}
 	dst = binary.AppendVarint(dst, int64(b.MaxStates))
@@ -274,14 +272,15 @@ func appendResult(dst []byte, r Result) []byte {
 	return binary.AppendVarint(dst, int64(r.Iterations))
 }
 
-// AppendSolveRequest appends m's payload encoding to dst.
-func AppendSolveRequest(dst []byte, m *SolveRequest) []byte {
-	dst = binary.AppendUvarint(dst, m.Seq)
+// AppendSolveRequest appends the payload encoding of m under sequence
+// id seq to dst.
+func AppendSolveRequest(dst []byte, seq uint64, m *SolveRequest) []byte {
+	dst = binary.AppendUvarint(dst, seq)
 	dst = appendProtocol(dst, m.Protocol)
 	dst = appendWorkload(dst, m.Workload)
 	dst = binary.AppendVarint(dst, int64(m.N))
-	dst = appendTiming(dst, m.HasTiming, m.Timing)
-	dst = appendOptions(dst, m.HasOptions, m.Options)
+	dst = appendTiming(dst, m.Timing)
+	dst = appendOptions(dst, m.Options)
 	return binary.AppendVarint(dst, m.TimeoutMS)
 }
 
@@ -291,13 +290,14 @@ func AppendSolveResponse(dst []byte, m *SolveResponse) []byte {
 	return appendResult(dst, m.Result)
 }
 
-// AppendSolveBestRequest appends m's payload encoding to dst.
-func AppendSolveBestRequest(dst []byte, m *SolveBestRequest) []byte {
-	dst = binary.AppendUvarint(dst, m.Seq)
+// AppendSolveBestRequest appends the payload encoding of m under
+// sequence id seq to dst.
+func AppendSolveBestRequest(dst []byte, seq uint64, m *SolveBestRequest) []byte {
+	dst = binary.AppendUvarint(dst, seq)
 	dst = appendProtocol(dst, m.Protocol)
 	dst = appendWorkload(dst, m.Workload)
 	dst = binary.AppendVarint(dst, int64(m.N))
-	dst = appendBudget(dst, m.HasBudget, m.Budget)
+	dst = appendBudget(dst, m.Budget)
 	return binary.AppendVarint(dst, m.TimeoutMS)
 }
 
@@ -313,9 +313,10 @@ func AppendSolveBestResponse(dst []byte, m *SolveBestResponse) []byte {
 	return appendFloat(dst, m.BusUtilization)
 }
 
-// AppendSweepRequest appends m's payload encoding to dst.
-func AppendSweepRequest(dst []byte, m *SweepRequest) []byte {
-	dst = binary.AppendUvarint(dst, m.Seq)
+// AppendSweepRequest appends the payload encoding of m under sequence
+// id seq to dst.
+func AppendSweepRequest(dst []byte, seq uint64, m *SweepRequest) []byte {
+	dst = binary.AppendUvarint(dst, seq)
 	dst = appendProtocol(dst, m.Protocol)
 	dst = appendWorkload(dst, m.Workload)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Ns)))
@@ -536,14 +537,16 @@ func (d *dec) workload() WorkloadSpec {
 		d.fail("payload: workload: truncated kind")
 		return w
 	}
-	w.Kind = WorkloadKind(d.b[d.off])
+	kind := d.b[d.off]
 	d.off++
-	switch w.Kind {
-	case WorkloadAppendixA:
-		w.AppendixA = d.intv("workload appendix_a")
-	case WorkloadStress:
-	case WorkloadParams:
-		f := &w.Params
+	switch kind {
+	case kindAppendixA:
+		lvl := d.intv("workload appendix_a")
+		w.AppendixA = &lvl
+	case kindStress:
+		w.Stress = true
+	case kindParams:
+		f := new(snoopmva.Workload)
 		for _, p := range [...]*float64{
 			&f.Tau, &f.PPrivate, &f.PSro, &f.PSw, &f.HPrivate, &f.HSro, &f.HSw,
 			&f.RPrivate, &f.RSw, &f.AmodPrivate, &f.AmodSw, &f.CsupplySro,
@@ -552,31 +555,32 @@ func (d *dec) workload() WorkloadSpec {
 			*p = d.f64("workload param")
 		}
 		f.FixedParams = d.boolean("workload fixed_params")
+		w.Params = f
 	default:
-		d.fail("payload: workload: unknown kind 0x%02x", byte(w.Kind))
+		d.fail("payload: workload: unknown kind 0x%02x", kind)
 	}
 	return w
 }
 
-func (d *dec) timing() (bool, TimingSpec) {
-	var t TimingSpec
+func (d *dec) timing() *snoopmva.Timing {
 	if !d.boolean("timing present") {
-		return false, t
+		return nil
 	}
+	t := new(snoopmva.Timing)
 	t.TSupply = d.f64("t_supply")
 	t.TWrite = d.f64("t_write")
 	t.TInval = d.f64("t_inval")
 	t.DMem = d.f64("d_mem")
 	t.BlockSize = d.intv("block_size")
 	t.TBlock = d.f64("t_block")
-	return d.err == nil, t
+	return t
 }
 
-func (d *dec) options() (bool, OptionsSpec) {
-	var o OptionsSpec
+func (d *dec) options() *snoopmva.Options {
 	if !d.boolean("options present") {
-		return false, o
+		return nil
 	}
+	o := new(snoopmva.Options)
 	o.Tolerance = d.f64("tolerance")
 	o.MaxIterations = d.intv("max_iterations")
 	o.NoCacheInterference = d.boolean("no_cache_interference")
@@ -585,20 +589,20 @@ func (d *dec) options() (bool, OptionsSpec) {
 	o.ExponentialBus = d.boolean("exponential_bus")
 	o.NoArrivalCorrection = d.boolean("no_arrival_correction")
 	o.SplitTransactionBus = d.boolean("split_transaction_bus")
-	return d.err == nil, o
+	return o
 }
 
-func (d *dec) budget() (bool, BudgetSpec) {
-	var b BudgetSpec
+func (d *dec) budget() *BudgetSpec {
 	if !d.boolean("budget present") {
-		return false, b
+		return nil
 	}
+	b := new(BudgetSpec)
 	b.MaxStates = d.intv("max_states")
 	b.GTPNTimeoutMS = d.varint("gtpn_timeout_ms")
 	b.SimCycles = d.varint("sim_cycles")
 	b.SimTimeoutMS = d.varint("sim_timeout_ms")
 	b.Seed = d.uvarint("seed")
-	return d.err == nil, b
+	return b
 }
 
 func (d *dec) result() Result {
@@ -615,18 +619,18 @@ func (d *dec) result() Result {
 	return r
 }
 
-// DecodeSolveRequest decodes a TypeSolveReq payload.
-func DecodeSolveRequest(payload []byte) (SolveRequest, error) {
+// DecodeSolveRequest decodes a TypeSolveReq payload into its sequence
+// id and request.
+func DecodeSolveRequest(payload []byte) (seq uint64, m SolveRequest, err error) {
 	d := dec{b: payload}
-	var m SolveRequest
-	m.Seq = d.uvarint("seq")
+	seq = d.uvarint("seq")
 	m.Protocol = d.protocol()
 	m.Workload = d.workload()
 	m.N = d.intv("n")
-	m.HasTiming, m.Timing = d.timing()
-	m.HasOptions, m.Options = d.options()
+	m.Timing = d.timing()
+	m.Options = d.options()
 	m.TimeoutMS = d.varint("timeout_ms")
-	return m, d.finish()
+	return seq, m, d.finish()
 }
 
 // DecodeSolveResponse decodes a TypeSolveResp payload.
@@ -638,17 +642,17 @@ func DecodeSolveResponse(payload []byte) (SolveResponse, error) {
 	return m, d.finish()
 }
 
-// DecodeSolveBestRequest decodes a TypeSolveBestReq payload.
-func DecodeSolveBestRequest(payload []byte) (SolveBestRequest, error) {
+// DecodeSolveBestRequest decodes a TypeSolveBestReq payload into its
+// sequence id and request.
+func DecodeSolveBestRequest(payload []byte) (seq uint64, m SolveBestRequest, err error) {
 	d := dec{b: payload}
-	var m SolveBestRequest
-	m.Seq = d.uvarint("seq")
+	seq = d.uvarint("seq")
 	m.Protocol = d.protocol()
 	m.Workload = d.workload()
 	m.N = d.intv("n")
-	m.HasBudget, m.Budget = d.budget()
+	m.Budget = d.budget()
 	m.TimeoutMS = d.varint("timeout_ms")
-	return m, d.finish()
+	return seq, m, d.finish()
 }
 
 // DecodeSolveBestResponse decodes a TypeSolveBestResp payload.
@@ -666,11 +670,11 @@ func DecodeSolveBestResponse(payload []byte) (SolveBestResponse, error) {
 	return m, d.finish()
 }
 
-// DecodeSweepRequest decodes a TypeSweepReq payload.
-func DecodeSweepRequest(payload []byte) (SweepRequest, error) {
+// DecodeSweepRequest decodes a TypeSweepReq payload into its sequence
+// id and request.
+func DecodeSweepRequest(payload []byte) (seq uint64, m SweepRequest, err error) {
 	d := dec{b: payload}
-	var m SweepRequest
-	m.Seq = d.uvarint("seq")
+	seq = d.uvarint("seq")
 	m.Protocol = d.protocol()
 	m.Workload = d.workload()
 	n := d.count("ns")
@@ -680,7 +684,7 @@ func DecodeSweepRequest(payload []byte) (SweepRequest, error) {
 	}
 	m.Parallel = d.boolean("parallel")
 	m.TimeoutMS = d.varint("timeout_ms")
-	return m, d.finish()
+	return seq, m, d.finish()
 }
 
 // DecodeSweepResponse decodes a TypeSweepResp payload.

@@ -13,12 +13,22 @@ import (
 	"snoopmva"
 )
 
+// seqReq is a request together with the sequence id it travels under:
+// the request structs carry no transport fields, so the codec takes and
+// returns the id beside them.
+type seqReq[T any] struct {
+	seq uint64
+	req T
+}
+
+func intp(v int) *int { return &v }
+
 // sampleMessages is one fully-populated instance of every payload type,
 // shared by the round-trip, golden and fuzz-corpus tests. Floats include
 // negative-zero and subnormal values so bitwise fidelity — not numeric
 // equality — is what round-trips pin down.
 func sampleMessages() map[FrameType]any {
-	fields := WorkloadFields{
+	fields := &snoopmva.Workload{
 		Tau: 24.5, PPrivate: 0.5162, PSro: 0.0953, PSw: 0.0385,
 		HPrivate: 0.97, HSro: 0.873, HSw: 0.973,
 		RPrivate: 1.533, RSw: 2.196, AmodPrivate: 0.45, AmodSw: 0.1,
@@ -34,20 +44,17 @@ func sampleMessages() map[FrameType]any {
 		TypeBackpressure: &BackpressureMsg{
 			Seq: 11, Code: "overloaded", RetryAfterMS: 250,
 		},
-		TypeSolveReq: &SolveRequest{
-			Seq:        1,
-			Protocol:   ProtocolSpec{Name: "Illinois"},
-			Workload:   WorkloadSpec{Kind: WorkloadParams, Params: fields},
-			N:          12,
-			HasTiming:  true,
-			Timing:     TimingSpec{TSupply: 3, TWrite: 1, TInval: 1, DMem: 4, BlockSize: 4, TBlock: 5},
-			HasOptions: true,
-			Options: OptionsSpec{
+		TypeSolveReq: &seqReq[SolveRequest]{1, SolveRequest{
+			Protocol: ProtocolSpec{Name: "Illinois"},
+			Workload: WorkloadSpec{Params: fields},
+			N:        12,
+			Timing:   &snoopmva.Timing{TSupply: 3, TWrite: 1, TInval: 1, DMem: 4, BlockSize: 4, TBlock: 5},
+			Options: &snoopmva.Options{
 				Tolerance: 1e-9, MaxIterations: 500,
 				NoResidualLife: true, SplitTransactionBus: true,
 			},
 			TimeoutMS: 1500,
-		},
+		}},
 		TypeSolveResp: &SolveResponse{
 			Seq: 1,
 			Result: Result{
@@ -56,27 +63,24 @@ func sampleMessages() map[FrameType]any {
 				MemUtilization: math.Copysign(0, -1), MemWait: 5e-324, Iterations: 17,
 			},
 		},
-		TypeSolveBestReq: &SolveBestRequest{
-			Seq:       2,
+		TypeSolveBestReq: &seqReq[SolveBestRequest]{2, SolveBestRequest{
 			Protocol:  ProtocolSpec{Mods: []int{1, 2, 3}},
-			Workload:  WorkloadSpec{Kind: WorkloadAppendixA, AppendixA: 5},
+			Workload:  WorkloadSpec{AppendixA: intp(5)},
 			N:         16,
-			HasBudget: true,
-			Budget:    BudgetSpec{MaxStates: 100000, GTPNTimeoutMS: 2000, SimCycles: 1 << 20, SimTimeoutMS: 3000, Seed: 42},
+			Budget:    &BudgetSpec{MaxStates: 100000, GTPNTimeoutMS: 2000, SimCycles: 1 << 20, SimTimeoutMS: 3000, Seed: 42},
 			TimeoutMS: 60000,
-		},
+		}},
 		TypeSolveBestResp: &SolveBestResponse{Seq: 2, BestResult: snoopmva.BestResult{
 			Method: "gtpn", Degraded: true,
 			FallbackReason: "brownout: gtpn/sim stages shed under overload",
 			N:              16, Speedup: 11.5, R: 33.1, BusUtilization: 0.71,
 		}},
-		TypeSweepReq: &SweepRequest{
-			Seq:      3,
+		TypeSweepReq: &seqReq[SweepRequest]{3, SweepRequest{
 			Protocol: ProtocolSpec{Name: "Berkeley"},
-			Workload: WorkloadSpec{Kind: WorkloadStress},
+			Workload: WorkloadSpec{Stress: true},
 			Ns:       []int{1, 2, 4, 8, 16},
 			Parallel: true,
-		},
+		}},
 		TypeSweepResp: &SweepResponse{
 			Seq: 3,
 			Results: []Result{
@@ -102,16 +106,16 @@ func encodeMessage(t FrameType, m any) []byte {
 		return AppendError(nil, v)
 	case *BackpressureMsg:
 		return AppendBackpressure(nil, v)
-	case *SolveRequest:
-		return AppendSolveRequest(nil, v)
+	case *seqReq[SolveRequest]:
+		return AppendSolveRequest(nil, v.seq, &v.req)
 	case *SolveResponse:
 		return AppendSolveResponse(nil, v)
-	case *SolveBestRequest:
-		return AppendSolveBestRequest(nil, v)
+	case *seqReq[SolveBestRequest]:
+		return AppendSolveBestRequest(nil, v.seq, &v.req)
 	case *SolveBestResponse:
 		return AppendSolveBestResponse(nil, v)
-	case *SweepRequest:
-		return AppendSweepRequest(nil, v)
+	case *seqReq[SweepRequest]:
+		return AppendSweepRequest(nil, v.seq, &v.req)
 	case *SweepResponse:
 		return AppendSweepResponse(nil, v)
 	}
@@ -141,20 +145,20 @@ func decodeMessage(t FrameType, payload []byte) (any, error) {
 		m, err := DecodeBackpressure(payload)
 		return &m, err
 	case TypeSolveReq:
-		m, err := DecodeSolveRequest(payload)
-		return &m, err
+		seq, m, err := DecodeSolveRequest(payload)
+		return &seqReq[SolveRequest]{seq, m}, err
 	case TypeSolveResp:
 		m, err := DecodeSolveResponse(payload)
 		return &m, err
 	case TypeSolveBestReq:
-		m, err := DecodeSolveBestRequest(payload)
-		return &m, err
+		seq, m, err := DecodeSolveBestRequest(payload)
+		return &seqReq[SolveBestRequest]{seq, m}, err
 	case TypeSolveBestResp:
 		m, err := DecodeSolveBestResponse(payload)
 		return &m, err
 	case TypeSweepReq:
-		m, err := DecodeSweepRequest(payload)
-		return &m, err
+		seq, m, err := DecodeSweepRequest(payload)
+		return &seqReq[SweepRequest]{seq, m}, err
 	case TypeSweepResp:
 		m, err := DecodeSweepResponse(payload)
 		return &m, err
@@ -447,16 +451,16 @@ func TestDecodeBoundsRejected(t *testing.T) {
 	over = binary.AppendUvarint(over, 1)                // seq
 	over = append(over, 0)                              // protocol tag: name
 	over = appendString(over, "Illinois")               // name
-	over = append(over, byte(WorkloadStress))           // workload kind
+	over = append(over, kindStress)                     // workload kind
 	over = binary.AppendUvarint(over, MaxBatchPoints+1) // ns count
 
 	cases := map[string]func() error{
 		"solve name too long": func() error {
-			_, err := DecodeSolveRequest(longName)
+			_, _, err := DecodeSolveRequest(longName)
 			return err
 		},
 		"sweep ns over bound": func() error {
-			_, err := DecodeSweepRequest(over)
+			_, _, err := DecodeSweepRequest(over)
 			return err
 		},
 		"hello name too long": func() error {
@@ -483,12 +487,12 @@ func TestDecodeBoundsRejected(t *testing.T) {
 // rule: a decoded empty name is rejected; a mods arm round-trips even
 // when empty (the base protocol).
 func TestProtocolSpecArms(t *testing.T) {
-	base := AppendSolveRequest(nil, &SolveRequest{
+	base := AppendSolveRequest(nil, 1, &SolveRequest{
 		Protocol: ProtocolSpec{Mods: []int{}},
-		Workload: WorkloadSpec{Kind: WorkloadAppendixA, AppendixA: 1},
+		Workload: WorkloadSpec{AppendixA: intp(1)},
 		N:        1,
 	})
-	m, err := DecodeSolveRequest(base)
+	_, m, err := DecodeSolveRequest(base)
 	if err != nil {
 		t.Fatalf("empty mods: %v", err)
 	}
@@ -500,7 +504,7 @@ func TestProtocolSpecArms(t *testing.T) {
 	b = binary.AppendUvarint(b, 1) // seq
 	b = append(b, 0)               // tag 0 = name
 	b = appendString(b, "")        // empty name: invalid
-	_, err = DecodeSolveRequest(b)
+	_, _, err = DecodeSolveRequest(b)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Kind != KindMalformed {
 		t.Fatalf("empty name: err = %v, want KindMalformed", err)
