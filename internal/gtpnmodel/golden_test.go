@@ -1,0 +1,134 @@
+package gtpnmodel
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+
+	"snoopmva/internal/petri"
+	"snoopmva/internal/protocol"
+	"snoopmva/internal/workload"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/solve_golden.txt")
+
+const goldenPath = "testdata/solve_golden.txt"
+
+// goldenCase is one pinned solve: the named protocols × Sharing {1, 5, 20}
+// × N = 1..6, plus Write-Once with memory contention at N = 2..4.
+type goldenCase struct {
+	name string
+	cfg  Config
+}
+
+func goldenCases() []goldenCase {
+	var cs []goldenCase
+	levels := []struct {
+		name string
+		s    workload.Sharing
+	}{{"s1", workload.Sharing1}, {"s5", workload.Sharing5}, {"s20", workload.Sharing20}}
+	for _, p := range protocol.Named() {
+		for _, lv := range levels {
+			for n := 1; n <= 6; n++ {
+				cs = append(cs, goldenCase{fmt.Sprintf("%s/%s/n%d", p.Name, lv.name, n), Config{
+					Workload: workload.AppendixA(lv.s), Mods: p.Mods, WriteThroughBase: p.WriteThroughBase, N: n,
+				}})
+			}
+		}
+	}
+	for n := 2; n <= 4; n++ {
+		cs = append(cs, goldenCase{fmt.Sprintf("Write-Once/s5/n%d/memory", n), Config{
+			Workload: workload.AppendixA(workload.Sharing5), ModelMemory: true, N: n,
+		}})
+	}
+	return cs
+}
+
+func hexf(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
+
+// TestSolveMatchesGolden pins the lumped GTPN over the golden grid: the
+// state count exactly, U_bus bitwise (it is a sum over the stationary
+// distribution, so it moves with any bit of π), and Speedup and R within
+// 1e-12 relative (they sum expected firing counts, whose accumulation
+// order an engine change may reassociate). Regenerate only for an intended
+// change of behaviour, with
+//
+//	go test ./internal/gtpnmodel -run TestSolveMatchesGolden -update
+func TestSolveMatchesGolden(t *testing.T) {
+	cases := goldenCases()
+	got := make([]Result, len(cases))
+	for i, c := range cases {
+		res, err := Solve(c.cfg, petri.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got[i] = res
+	}
+	if *updateGolden {
+		var sb strings.Builder
+		sb.WriteString("# Lumped GTPN solves: name States UBus Speedup R, floats in hex. Regenerate:\n")
+		sb.WriteString("#   go test ./internal/gtpnmodel -run TestSolveMatchesGolden -update\n")
+		for i, c := range cases {
+			fmt.Fprintf(&sb, "%s %d %s %s %s\n", c.name, got[i].States, hexf(got[i].UBus), hexf(got[i].Speedup), hexf(got[i].R))
+		}
+		if err := os.WriteFile(goldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want [][]string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+			want = append(want, strings.Fields(line))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(cases) {
+		t.Fatalf("golden has %d solves, the grid has %d", len(want), len(cases))
+	}
+	parse := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	var worst float64
+	for i, c := range cases {
+		w, g := want[i], got[i]
+		if len(w) != 5 || w[0] != c.name {
+			t.Fatalf("golden line %d is %q, want the fields of %s", i, w, c.name)
+		}
+		if states := strconv.Itoa(g.States); states != w[1] {
+			t.Errorf("%s: States = %s, want %s", c.name, states, w[1])
+		}
+		if u := hexf(g.UBus); u != w[2] {
+			t.Errorf("%s: UBus = %s, want %s (bitwise)", c.name, u, w[2])
+		}
+		for _, q := range []struct {
+			name string
+			got  float64
+			want string
+		}{{"Speedup", g.Speedup, w[3]}, {"R", g.R, w[4]}} {
+			want := parse(q.want)
+			rel := math.Abs(q.got-want) / want
+			if !(rel <= 1e-12) {
+				t.Errorf("%s: %s = %v, want %v (rel %.2g > 1e-12)", c.name, q.name, q.got, want, rel)
+			}
+			worst = math.Max(worst, rel)
+		}
+	}
+	t.Logf("largest relative Speedup or R difference: %.3g", worst)
+}
