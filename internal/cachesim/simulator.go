@@ -11,18 +11,6 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// blk is one cache block identity with its full coherence state vector.
-type blk struct {
-	class  class
-	owner  int32 // owning processor for private blocks, -1 otherwise
-	states []protocol.State
-	pos    []int32 // index into the per-cache valid list, -1 when invalid
-	// futility counts consecutive absorbed update-writes per cache since
-	// the cache's last own reference (RWB adaptive switching; allocated
-	// only when the mechanism is enabled).
-	futility []uint8
-}
-
 type procPhase int
 
 const (
@@ -70,7 +58,14 @@ type Simulator struct {
 	rng     *sim.RNG
 	procRng []*sim.RNG
 
-	blocks []blk
+	// Per-block, per-cache arrays, contiguous: entry bid*N + c is block bid
+	// in cache c. states is the coherence state; pos is the block's index
+	// in the cache's valid list, -1 when invalid; futility counts
+	// consecutive absorbed update-writes since the cache's last own
+	// reference (RWB adaptive switching; nil unless the mechanism is on).
+	states   []protocol.State
+	pos      []int32
+	futility []uint8
 	// valid[cache][class] lists the block ids valid in that cache.
 	valid [][][]int32
 
@@ -108,7 +103,8 @@ type Simulator struct {
 // parCache caches the per-class generation probabilities.
 type parCache struct {
 	tau      float64
-	pClass   []float64 // weights for Choose
+	think    sim.Geometric // think time: geometric with mean τ
+	pClass   []float64     // weights for Choose
 	readProb [3]float64
 	hitRate  [3]float64
 }
@@ -147,6 +143,7 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{cfg: cfg}
 	s.par = parCache{
 		tau:      p.Tau,
+		think:    sim.NewGeometric(1 / p.Tau),
 		pClass:   []float64{p.PPrivate, p.PSro, p.PSw},
 		readProb: [3]float64{p.RPrivate, 1, p.RSw},
 		hitRate:  [3]float64{p.HPrivate, p.HSro, p.HSw},
@@ -170,32 +167,13 @@ func New(cfg Config) (*Simulator, error) {
 	}
 
 	nblocks := cfg.SWBlocks + cfg.SROBlocks + cfg.PrivBlocks*cfg.N
-	s.blocks = make([]blk, 0, nblocks)
-	addBlock := func(cl class, owner int32) {
-		b := blk{
-			class:  cl,
-			owner:  owner,
-			states: make([]protocol.State, cfg.N),
-			pos:    make([]int32, cfg.N),
-		}
-		if cfg.AdaptiveThreshold > 0 {
-			b.futility = make([]uint8, cfg.N)
-		}
-		for i := range b.pos {
-			b.pos[i] = -1
-		}
-		s.blocks = append(s.blocks, b)
+	s.states = make([]protocol.State, nblocks*cfg.N)
+	s.pos = make([]int32, nblocks*cfg.N)
+	for i := range s.pos {
+		s.pos[i] = -1
 	}
-	for i := 0; i < cfg.SWBlocks; i++ {
-		addBlock(classSW, -1)
-	}
-	for i := 0; i < cfg.SROBlocks; i++ {
-		addBlock(classSRO, -1)
-	}
-	for pr := 0; pr < cfg.N; pr++ {
-		for i := 0; i < cfg.PrivBlocks; i++ {
-			addBlock(classPrivate, int32(pr))
-		}
+	if cfg.AdaptiveThreshold > 0 {
+		s.futility = make([]uint8, nblocks*cfg.N)
 	}
 	s.valid = make([][][]int32, cfg.N)
 	for c := 0; c < cfg.N; c++ {
@@ -204,7 +182,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.procs = make([]processor, cfg.N)
 	for i := range s.procs {
 		s.procs[i].phase = phaseThink
-		s.procs[i].readyAt = int64(s.procRng[i].Geometric(1 / s.par.tau))
+		s.procs[i].readyAt = int64(s.par.think.Draw(s.procRng[i]))
 	}
 	s.memBusyUntil = make([]int64, s.tm.modules)
 	s.cacheBusyUntil = make([]int64, cfg.N)
@@ -244,31 +222,51 @@ func (s *Simulator) recordResponse(cl class, resp float64) {
 // (used by the test suite; slows the run down).
 func (s *Simulator) SetInvariantChecks(on bool) { s.checkInvariants = on }
 
+// classOf returns the class of block bid: the pools are laid out
+// shared-writable, then shared read-only, then private per processor.
+func (s *Simulator) classOf(bid int32) class {
+	switch {
+	case int(bid) < s.cfg.SWBlocks:
+		return classSW
+	case int(bid) < s.cfg.SWBlocks+s.cfg.SROBlocks:
+		return classSRO
+	default:
+		return classPrivate
+	}
+}
+
+// blockStates returns block bid's state in every cache, indexed by cache.
+func (s *Simulator) blockStates(bid int32) []protocol.State {
+	i := int(bid) * s.cfg.N
+	return s.states[i : i+s.cfg.N : i+s.cfg.N]
+}
+
 // setState updates a block's state in one cache, maintaining the valid
 // lists.
 func (s *Simulator) setState(bid int32, cache int, next protocol.State) {
-	b := &s.blocks[bid]
-	cur := b.states[cache]
+	n := s.cfg.N
+	at := int(bid)*n + cache
+	cur := s.states[at]
 	if cur.Valid() == next.Valid() {
-		b.states[cache] = next
+		s.states[at] = next
 		return
 	}
+	cl := s.classOf(bid)
+	lst := s.valid[cache][cl]
 	if next.Valid() {
 		// insert
-		lst := s.valid[cache][b.class]
-		b.pos[cache] = int32(len(lst))
-		s.valid[cache][b.class] = append(lst, bid)
+		s.pos[at] = int32(len(lst))
+		s.valid[cache][cl] = append(lst, bid)
 	} else {
 		// remove (swap with last)
-		lst := s.valid[cache][b.class]
-		i := b.pos[cache]
+		i := s.pos[at]
 		last := lst[len(lst)-1]
 		lst[i] = last
-		s.blocks[last].pos[cache] = i
-		s.valid[cache][b.class] = lst[:len(lst)-1]
-		b.pos[cache] = -1
+		s.pos[int(last)*n+cache] = i
+		s.valid[cache][cl] = lst[:len(lst)-1]
+		s.pos[at] = -1
 	}
-	b.states[cache] = next
+	s.states[at] = next
 }
 
 // pickValid returns a random valid block of class cl in cache c, or -1.
@@ -296,13 +294,13 @@ func (s *Simulator) pickMissTarget(c int, cl class, rng *sim.RNG) int32 {
 	// so a handful of tries suffices; fall back to a linear scan.
 	for try := 0; try < 8; try++ {
 		bid := int32(lo + rng.Intn(n))
-		if !s.blocks[bid].states[c].Valid() {
+		if !s.states[int(bid)*s.cfg.N+c].Valid() {
 			return bid
 		}
 	}
 	for i := 0; i < n; i++ {
 		bid := int32(lo + i)
-		if !s.blocks[bid].states[c].Valid() {
+		if !s.states[int(bid)*s.cfg.N+c].Valid() {
 			return bid
 		}
 	}

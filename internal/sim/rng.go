@@ -62,23 +62,36 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a geometric variate counting the number of trials up to
-// and including the first success, with success probability p in (0,1].
-// The mean is 1/p. A probability outside (0,1] panics: the only production
-// caller draws think times with p = 1/τ after cachesim.New has rejected
-// τ < 1, so this guards an internal invariant, not caller input.
-func (r *RNG) Geometric(p float64) int {
+// Geometric draws geometric variates counting the number of trials up to
+// and including the first success, with a success probability p in (0,1]
+// fixed at construction. The mean is 1/p.
+type Geometric struct {
+	p    float64
+	logQ float64 // log(1-p), taken once rather than on every draw
+}
+
+// NewGeometric returns the distribution with success probability p. A
+// probability outside (0,1] panics: the only production caller draws think
+// times with p = 1/τ after cachesim.New has rejected τ < 1, so this guards
+// an internal invariant, not caller input.
+func NewGeometric(p float64) Geometric {
 	if p <= 0 || p > 1 {
 		panic("sim: internal invariant violated: Geometric success probability outside (0,1] (τ >= 1 is enforced by cachesim.New)")
 	}
-	if p >= 1 { // p > 1 already panicked, so this is exactly p = 1
+	return Geometric{p: p, logQ: math.Log(1 - p)}
+}
+
+// Draw returns one variate from r's stream. With p = 1 it is always 1 and
+// consumes no random bits.
+func (g Geometric) Draw(r *RNG) int {
+	if g.p >= 1 {
 		return 1
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return 1 + int(math.Log(u)/math.Log(1-p))
+	return 1 + int(math.Log(u)/g.logQ)
 }
 
 // Choose returns an index in [0, len(weights)) with probability

@@ -106,7 +106,7 @@ func TestGeometricMean(t *testing.T) {
 	var sum float64
 	const n = 200000
 	for i := 0; i < n; i++ {
-		v := r.Geometric(0.4)
+		v := NewGeometric(0.4).Draw(r)
 		if v < 1 {
 			t.Fatalf("geometric below 1: %d", v)
 		}
@@ -115,7 +115,7 @@ func TestGeometricMean(t *testing.T) {
 	if mean := sum / n; math.Abs(mean-2.5) > 0.05 {
 		t.Errorf("Geometric(0.4) mean = %v, want ~2.5", mean)
 	}
-	if r.Geometric(1) != 1 {
+	if NewGeometric(1).Draw(r) != 1 {
 		t.Error("Geometric(1) must be 1")
 	}
 	defer func() {
@@ -123,7 +123,7 @@ func TestGeometricMean(t *testing.T) {
 			t.Error("Geometric(0) should panic")
 		}
 	}()
-	r.Geometric(0)
+	NewGeometric(0)
 }
 
 func TestChoose(t *testing.T) {
