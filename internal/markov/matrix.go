@@ -159,12 +159,23 @@ func NewSparse(n int, rowPtr, colIdx []int, values []float64) (*Sparse, error) {
 	return &Sparse{n: n, rowPtr: rowPtr, colIdx: colIdx, values: values}, nil
 }
 
-// transposeOffDiag returns Sᵀ with the diagonal left out, and the
-// diagonal separately: row j of the transpose lists the (i, S[i][j]) that
-// flow into j, the access pattern of a Gauss–Seidel sweep.
-func (s *Sparse) transposeOffDiag() (*Sparse, []float64) {
+// inflow is a Sparse matrix transposed with the diagonal left out: row j
+// lists the (i, S[i][j]) that flow into j, the access pattern of a
+// Gauss–Seidel sweep. Its indices are 32-bit, so more of it stays in
+// cache.
+type inflow struct {
+	rowPtr, colIdx []int32
+	values         []float64
+}
+
+// transposeOffDiag returns Sᵀ with the diagonal left out, and the diagonal
+// separately. It fails when S has more entries than 32-bit indices reach.
+func (s *Sparse) transposeOffDiag() (inflow, []float64, error) {
+	if len(s.values) > math.MaxInt32 {
+		return inflow{}, nil, fmt.Errorf("markov: %d entries exceed the Gauss–Seidel solver's 32-bit indices", len(s.values))
+	}
 	diag := make([]float64, s.n)
-	t := &Sparse{n: s.n, rowPtr: make([]int, s.n+1)}
+	t := inflow{rowPtr: make([]int32, s.n+1)}
 	for i := 0; i < s.n; i++ {
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
 			if j := s.colIdx[k]; j != i {
@@ -175,9 +186,9 @@ func (s *Sparse) transposeOffDiag() (*Sparse, []float64) {
 	for j := 0; j < s.n; j++ {
 		t.rowPtr[j+1] += t.rowPtr[j]
 	}
-	t.colIdx = make([]int, t.rowPtr[s.n])
+	t.colIdx = make([]int32, t.rowPtr[s.n])
 	t.values = make([]float64, t.rowPtr[s.n])
-	next := append([]int(nil), t.rowPtr[:s.n]...)
+	next := append([]int32(nil), t.rowPtr[:s.n]...)
 	for i := 0; i < s.n; i++ {
 		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
 			j := s.colIdx[k]
@@ -185,12 +196,12 @@ func (s *Sparse) transposeOffDiag() (*Sparse, []float64) {
 				diag[i] += s.values[k]
 				continue
 			}
-			t.colIdx[next[j]] = i
+			t.colIdx[next[j]] = int32(i)
 			t.values[next[j]] = s.values[k]
 			next[j]++
 		}
 	}
-	return t, diag
+	return t, diag, nil
 }
 
 // N returns the dimension.

@@ -123,7 +123,10 @@ func SteadyStateGaussSeidel(ctx context.Context, p *Sparse, opts IterOptions) ([
 	if n == 1 {
 		return []float64{1}, nil
 	}
-	in, diag := p.transposeOffDiag()
+	in, diag, err := p.transposeOffDiag()
+	if err != nil {
+		return nil, err
+	}
 	// An absorbing state (P_jj = 1) or one nothing else flows into makes
 	// the chain reducible. Absorbing states are reported first: they are
 	// the ones that would mint an Inf in scale[j] = 1/(1−P_jj).
@@ -152,9 +155,11 @@ func SteadyStateGaussSeidel(ctx context.Context, p *Sparse, opts IterOptions) ([
 		}
 		var sum float64
 		for j := 0; j < n; j++ {
+			lo, hi := in.rowPtr[j], in.rowPtr[j+1]
+			vals := in.values[lo:hi]
 			var s float64
-			for k := in.rowPtr[j]; k < in.rowPtr[j+1]; k++ {
-				s += x[in.colIdx[k]] * in.values[k]
+			for k, i := range in.colIdx[lo:hi] {
+				s += x[i] * vals[k]
 			}
 			prev[j] = x[j]
 			x[j] = s * scale[j]

@@ -16,7 +16,7 @@ func AnalyzeBoth(n *Net, opts Options) (gs, gth *Result, piGS, piGTH []float64, 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	ns := len(g.states)
+	ns := g.states.len()
 	p, err := markov.NewSparse(ns, g.rowPtr, g.colIdx, g.prob)
 	if err != nil {
 		return nil, nil, nil, nil, err
