@@ -186,7 +186,7 @@ func explainRun(proto snoopmva.Protocol, w snoopmva.Workload, n int) error {
 	if err != nil {
 		return err
 	}
-	return mva.Explain(os.Stdout, res)
+	return mva.Explain(os.Stdout, m, res)
 }
 
 // fromParams converts internal workload parameters to the public type.

@@ -84,5 +84,5 @@ func Explain(w io.Writer, p Protocol, wl Workload, n int) (err error) {
 	if err != nil {
 		return err
 	}
-	return mva.Explain(w, res)
+	return mva.Explain(w, m, res)
 }

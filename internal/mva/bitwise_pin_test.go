@@ -15,12 +15,13 @@ import (
 
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/protocol"
+	"snoopmva/internal/workload"
 )
 
 // flatAnswersSHA256 is the SHA-256 of every flat-model answer the pin
-// below produces: the Float64bits of each float field of each Result
-// (nested Derived and Interference included), its integer fields, and the
-// error text of any failed solve.
+// below produces: the Float64bits of each float field of each Result and
+// of the model inputs behind it (Derived and Interference, see
+// hashAnswer), its integer fields, and the error text of any failed solve.
 const flatAnswersSHA256 = "dbff229dc61d510d729b5e35d741957d21d61b0c55a0ae31f3de50f2fb0883b2"
 
 // TestFlatAnswersBitwisePinned pins the flat solver's answers bit for
@@ -42,9 +43,9 @@ func TestFlatAnswersBitwisePinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	modSets := protocol.AllModSets()
 	h := sha256.New()
-	record := func(res Result, err error) { hashAnswer(h, res, err) }
 	for i := 0; i < draws; i++ {
 		m, o, n := oracleModel(t, rng, modSets)
+		record := func(res Result, err error) { hashAnswer(h, m, res, err) }
 		var cold Result
 		for _, damping := range []float64{0, 1, 0.5} {
 			opts := o
@@ -81,8 +82,12 @@ func TestFlatAnswersBitwisePinned(t *testing.T) {
 	}
 }
 
-// hashAnswer feeds one solve's outcome into h.
-func hashAnswer(h hash.Hash, res Result, err error) {
+// hashAnswer feeds one solve's outcome of m into h. The stream is the one
+// the pin was recorded with, when Result still carried its model inputs:
+// m.Derive() and its Interference(res.N) go in right after
+// NInterference, where those fields were, and zeros where the result is
+// the zero Result (an error exit before or instead of the iterate).
+func hashAnswer(h hash.Hash, m Model, res Result, err error) {
 	var buf [8]byte
 	var walk func(v reflect.Value)
 	walk = func(v reflect.Value) {
@@ -106,7 +111,23 @@ func hashAnswer(h hash.Hash, res Result, err error) {
 			panic("hashAnswer: unhandled kind " + v.Kind().String())
 		}
 	}
-	walk(reflect.ValueOf(res))
+	var d workload.Derived
+	var iv workload.Interference
+	if res.N != 0 {
+		var derr error
+		if d, derr = m.Derive(); derr != nil {
+			panic("hashAnswer: a solved model fails to derive: " + derr.Error())
+		}
+		iv = d.Interference(res.N)
+	}
+	rv := reflect.ValueOf(res)
+	for i := 0; i < rv.NumField(); i++ {
+		walk(rv.Field(i))
+		if rv.Type().Field(i).Name == "NInterference" {
+			walk(reflect.ValueOf(iv))
+			walk(reflect.ValueOf(d))
+		}
+	}
 	if err != nil {
 		io.WriteString(h, err.Error())
 	}

@@ -5,12 +5,17 @@ import (
 	"io"
 )
 
-// Explain writes an equation-by-equation breakdown of a solved result: the
-// derived inputs, each response-time component with the equation number it
-// comes from, and the interference submodels. It is the model made
-// auditable — every number can be traced to a line of Section 3.
-func Explain(w io.Writer, r Result) error {
-	d := r.Derived
+// Explain writes an equation-by-equation breakdown of r, a solved result
+// of m: the derived inputs, each response-time component with the
+// equation number it comes from, and the interference submodels. It is
+// the model made auditable — every number can be traced to a line of
+// Section 3.
+func Explain(w io.Writer, m Model, r Result) error {
+	d, err := m.Derive()
+	if err != nil {
+		return err
+	}
+	iv := d.Interference(r.N)
 	t := d.Timing
 	p := func(format string, args ...any) error {
 		_, err := fmt.Fprintf(w, format, args...)
@@ -51,7 +56,7 @@ func Explain(w io.Writer, r Result) error {
 				"  p'           = %.4f   (held for the whole transaction)\n"+
 				"  t_interf     = %.4f   cycles per interfering request\n"+
 				"  n_interf     = %.4f   expected interfering requests\n\n",
-				r.Interference.P, r.Interference.PPrime, r.Interference.TInterference, r.NInterference)
+				iv.P, iv.PPrime, iv.TInterference, r.NInterference)
 		},
 		func() error {
 			return p("Response time (equation 1):\n"+

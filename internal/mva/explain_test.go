@@ -15,7 +15,7 @@ func TestExplainCoversEveryEquation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := Explain(&sb, res); err != nil {
+	if err := Explain(&sb, m, res); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -46,7 +46,7 @@ func TestExplainPropagatesWriteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Explain(&failWriter{n: 2}, res); err == nil {
+	if err := Explain(&failWriter{n: 2}, m, res); err == nil {
 		t.Error("write error not propagated")
 	}
 }

@@ -143,12 +143,10 @@ type Result struct {
 	WMem float64
 	UMem float64
 
-	// Cache-interference quantities (equation 13, Appendix B).
+	// NInterference is equation (13)'s expected number of interfering
+	// requests. The inputs behind it are Model.Derive and
+	// Derived.Interference(N).
 	NInterference float64
-	Interference  workload.Interference
-
-	// Derived holds the model inputs the result was computed from.
-	Derived workload.Derived
 
 	// Iterations is the number of fixed-point iterations used.
 	Iterations int

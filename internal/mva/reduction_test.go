@@ -21,8 +21,12 @@ var reductionOptions = Options{NoCacheInterference: true, NoMemoryInterference: 
 // τ+T_supply and a queueing station (the bus) with demand
 // p_bc·T_bc(0) + p_rr·t_read. It also returns the delay demand, the
 // numerator of the speedup.
-func reductionNetwork(res Result) (*queueing.Network, float64) {
-	d := res.Derived
+func reductionNetwork(t *testing.T, m Model) (*queueing.Network, float64) {
+	t.Helper()
+	d, err := m.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
 	think := d.Params.Tau + d.Timing.TSupply
 	return &queueing.Network{Stations: []queueing.Station{
 		{Name: "processor", Kind: queueing.Delay, Demand: think},
@@ -66,7 +70,7 @@ func TestFlatModelReducesToSchweitzerMVA(t *testing.T) {
 			if err != nil {
 				t.Fatalf("draw %d (N=%d, %v): %v", i, size, m.Mods, err)
 			}
-			nw, think := reductionNetwork(res)
+			nw, think := reductionNetwork(t, m)
 			ref, err := nw.SolveSchweitzer(size, queueing.SchweitzerOptions{Tol: 1e-11})
 			if err != nil {
 				t.Fatalf("draw %d (N=%d): Schweitzer: %v", i, size, err)

@@ -15,6 +15,11 @@ import (
 // SolveManyContext batch (consecutive sizes of the same model reuse it
 // too; only the per-size interference quantities are recomputed).
 //
+// The derivation outlives the solve: release keeps it, so the next solve
+// that draws this scratch from the pool under a bitwise-identical model
+// (the next point of a speedup curve, typically) skips Derive. prepare
+// compares the model bit for bit, so no other model ever reads it.
+//
 // Pooling contract: a scratch is acquired at a public solve entry point
 // and released before it returns — it never escapes a solve call, and no
 // caller may hold one across solves. Results never alias scratch memory
@@ -39,18 +44,13 @@ func acquireScratch() *solveScratch {
 }
 
 func (sc *solveScratch) release() {
-	// Invalidate the cached derivation so a pool reuse under a different
-	// model can never read stale state even if a bug skipped prepare.
-	sc.haveModel = false
-	sc.haveN = false
 	scratchPool.Put(sc)
 }
 
 // prepare derives the model inputs, reusing the cached derivation when
-// the scratch was last prepared for an identical model (Model is a pure
-// value, so equality is exact input identity).
-func (sc *solveScratch) prepare(m Model) error {
-	if sc.haveModel && sc.model == m {
+// the scratch was last prepared for a bitwise-identical model.
+func (sc *solveScratch) prepare(m *Model) error {
+	if sc.haveModel && sameModel(&sc.model, m) {
 		return nil
 	}
 	sc.haveModel = false
@@ -60,9 +60,36 @@ func (sc *solveScratch) prepare(m Model) error {
 		return err
 	}
 	sc.d = d
-	sc.model = m
+	sc.model = *m
 	sc.haveModel = true
 	return nil
+}
+
+// sameModel reports whether a and b are the same model input bit for
+// bit. Floats compare by Float64bits, not ==, so a −0 field never reuses
+// the derivation of a +0 one (nor a NaN that of another NaN): the
+// derivation is a function of the bits, and reuse must be exactly as if
+// Derive had run again.
+func sameModel(a, b *Model) bool {
+	if a.Mods != b.Mods || a.RawParams != b.RawParams || a.WriteThroughBase != b.WriteThroughBase ||
+		a.Timing.BlockSize != b.Timing.BlockSize {
+		return false
+	}
+	p, q := &a.Workload, &b.Workload
+	s, t := &a.Timing, &b.Timing
+	for _, f := range [...][2]float64{
+		{p.Tau, q.Tau}, {p.PPrivate, q.PPrivate}, {p.PSro, q.PSro}, {p.PSw, q.PSw},
+		{p.HPrivate, q.HPrivate}, {p.HSro, q.HSro}, {p.HSw, q.HSw},
+		{p.RPrivate, q.RPrivate}, {p.RSw, q.RSw}, {p.AmodPrivate, q.AmodPrivate}, {p.AmodSw, q.AmodSw},
+		{p.CsupplySro, q.CsupplySro}, {p.CsupplySw, q.CsupplySw}, {p.WbCsupply, q.WbCsupply},
+		{p.RepP, q.RepP}, {p.RepSw, q.RepSw},
+		{s.TSupply, t.TSupply}, {s.TWrite, t.TWrite}, {s.TInval, t.TInval}, {s.DMem, t.DMem}, {s.TBlock, t.TBlock},
+	} {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // prepareN computes the per-size interference quantities, including the

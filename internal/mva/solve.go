@@ -86,7 +86,7 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 		//lint:allow hotalloc invalid-input error exit, off the steady-state iterate
 		return Result{}, fmt.Errorf("mva: system size %d < 1: %w", n, workload.ErrInvalid)
 	}
-	if err := sc.prepare(m); err != nil {
+	if err := sc.prepare(&m); err != nil {
 		return Result{}, err
 	}
 	sc.prepareN(n)
@@ -259,7 +259,7 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 		fp.Step(State{newR, newWBus, newWMem})
 	}
 
-	res := partialResult(n, m, sc, fp.Iter)
+	res := Result{N: n, Mods: m.Mods, Iterations: fp.Iter}
 	switch {
 	case errors.Is(fp.Err, ErrNoConvergence):
 		if o.Damping == 0 {
@@ -287,14 +287,6 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 	res.Speedup = nf * (tau + tSupply) / fp.X[0]
 	res.ProcessingPower = nf * tau / fp.X[0]
 	return res, nil
-}
-
-// partialResult assembles the identity/provenance fields of a Result —
-// the portion that is meaningful both on success (where the caller fills
-// in the converged measures) and on the error exits (where diagnostics
-// want to know how far the iteration got).
-func partialResult(n int, m Model, sc *solveScratch, iterations int) Result {
-	return Result{N: n, Mods: m.Mods, Derived: sc.d, Interference: sc.iv, Iterations: iterations}
 }
 
 // Warm returns the converged fixed-point state of a successful solve, for

@@ -18,7 +18,8 @@ func baseModel() Model {
 }
 
 func TestSingleProcessorNoContention(t *testing.T) {
-	res, err := baseModel().Solve(1, Options{})
+	m := baseModel()
+	res, err := m.Solve(1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,10 @@ func TestSingleProcessorNoContention(t *testing.T) {
 		t.Errorf("N=1 should have no cache interference: %+v", res)
 	}
 	// Closed form: R = τ + T_supply + p_bc·T_write + p_rr·t_read.
-	d := res.Derived
+	d, err := m.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 2.5 + 1 + d.PBc*1 + d.PRr*d.TRead
 	if !approx(res.R, want, 1e-9) {
 		t.Errorf("R = %v, want %v", res.R, want)
