@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -77,36 +75,6 @@ func mvaCurves() []CampaignPoint {
 		}
 	}
 	return pts
-}
-
-// TestCampaignHotPathAllocationBound pins RunCampaign's per-point
-// allocation without a journal: the harness around a microsecond MVA
-// solve must stay small next to it. Bytes are read from MemStats, not
-// timed, and the least of several runs is taken, so neither a busy host
-// nor a GC that empties the solver pools mid-run can flake it. The limit
-// is the measured ~320 B (two allocations) per point, ~470 B under the
-// race detector's instrumentation, plus a margin.
-func TestCampaignHotPathAllocationBound(t *testing.T) {
-	spec := CampaignSpec{Points: mvaCurves(), Workers: 2}
-	run := func() {
-		if _, err := RunCampaign(context.Background(), spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // fill the solver pools
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	const limit = 540
-	if perPoint := least / uint64(len(spec.Points)); perPoint > limit {
-		t.Fatalf("RunCampaign allocated %d B per point over %d points, want at most %d",
-			perPoint, len(spec.Points), limit)
-	}
 }
 
 func TestCampaignRunsAndResumes(t *testing.T) {

@@ -33,7 +33,10 @@ func (e *TimeoutError) Unwrap() error { return context.DeadlineExceeded }
 // timeout immediately and lets op unwind on its own when its context
 // check next fires.
 //
-// limit <= 0 disables the watchdog: op runs with ctx unchanged.
+// limit <= 0 disables the watchdog: op runs with ctx unchanged. The
+// campaign runner skips the watchdog and its closure when it has no
+// point timeout, so only a caller passing a limit through unchecked
+// reaches this branch.
 func Watchdog(ctx context.Context, op string, limit time.Duration, fn func(context.Context) error) error {
 	if limit <= 0 {
 		return fn(ctx)

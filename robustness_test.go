@@ -317,6 +317,25 @@ func TestGuardRecoversPanicsIntoPanicError(t *testing.T) {
 	}
 }
 
+// TestSolveBestWrapsMVAPanicWithReasons: a panic in the MVA rung after
+// the GTPN rung gave up comes back as a *PanicError wrapped with the
+// GTPN reason, not as a bare panic that loses the ladder's history.
+func TestSolveBestWrapsMVAPanicWithReasons(t *testing.T) {
+	restore := faultinject.Activate(&faultinject.Set{
+		PetriExplode: func(states int) bool { return states > 50 },
+		MVAEnter:     func(int) { panic("mva invariant violated (test)") },
+	})
+	defer restore()
+	_, err := SolveBest(context.Background(), WriteOnce(), AppendixA(Sharing5), 4, Budget{SimCycles: -1})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v (%T), want a wrapped *PanicError", err, err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "exhausted all models (gtpn: ") || !strings.Contains(msg, "mva: snoopmva: internal panic") {
+		t.Errorf("err = %q, want the gtpn reason and the mva panic", msg)
+	}
+}
+
 func TestClassifyPassesUnknownAndClassifiedThrough(t *testing.T) {
 	plain := errors.New("some downstream failure")
 	if got := classify(plain); got != plain {
