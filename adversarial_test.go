@@ -1,6 +1,7 @@
 package snoopmva
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -88,7 +89,7 @@ func TestSimulateAdversarialWorkloads(t *testing.T) {
 	for name, w := range adversarialWorkloads() {
 		w := w
 		t.Run(name, func(t *testing.T) {
-			r, err := Simulate(WriteOnce(), w, 4, opts)
+			r, err := SimulateContext(context.Background(), WriteOnce(), w, 4, opts)
 			if err != nil {
 				if !errors.Is(err, ErrInvalidInput) {
 					t.Errorf("untyped error %v", err)
@@ -143,13 +144,13 @@ func TestSimulateRejectsBadOptions(t *testing.T) {
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Simulate(WriteOnce(), w, 4, opts); !errors.Is(err, ErrInvalidInput) {
+			if _, err := SimulateContext(context.Background(), WriteOnce(), w, 4, opts); !errors.Is(err, ErrInvalidInput) {
 				t.Errorf("err = %v, want ErrInvalidInput", err)
 			}
 		})
 	}
 	t.Run("zero processors", func(t *testing.T) {
-		if _, err := Simulate(WriteOnce(), w, 0, SimOptions{MeasureCycles: 1000}); !errors.Is(err, ErrInvalidInput) {
+		if _, err := SimulateContext(context.Background(), WriteOnce(), w, 0, SimOptions{MeasureCycles: 1000}); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("err = %v, want ErrInvalidInput", err)
 		}
 	})

@@ -2,7 +2,6 @@ package snoopmva
 
 import (
 	"context"
-	"fmt"
 
 	"snoopmva/internal/obs"
 	"snoopmva/internal/solvecache"
@@ -201,26 +200,6 @@ func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (B
 		return BestResult{}, false
 	}
 	return v.(BestResult), true
-}
-
-// SweepContext is the cached SweepContext. Each size is solved (or
-// fetched) on its own canonical cold-start key: unlike the package-level
-// warm-started sweep, cached sweep entries never depend on which sizes
-// were solved before, so a cache hit is bitwise identical to a cold
-// per-size Solve. A repeated sweep is then pure cache hits — cheaper
-// than any warm start. Like the package-level sweep it stops at the
-// first size whose solve fails or is canceled.
-func (c *CachedSolver) SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) (out []Result, err error) {
-	defer guard(&err)
-	out = make([]Result, 0, len(ns))
-	for _, n := range ns {
-		r, serr := c.SolveWithContext(ctx, p, w, Timing{}, n, Options{})
-		if serr != nil {
-			return nil, fmt.Errorf("snoopmva: sweep at N=%d: %w", n, serr)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // --- canonical cache keys ---

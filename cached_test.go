@@ -233,36 +233,32 @@ func TestCachedSolverErrorsNotCachedAndClassified(t *testing.T) {
 	}
 }
 
+// TestCachedSweepsMatchColdSolves: every sweep point is bitwise a per-size
+// cold Solve, whichever Solver runs the sweep and on however many workers.
 func TestCachedSweepsMatchColdSolves(t *testing.T) {
 	cs := NewCachedSolver(0)
 	w := AppendixA(Sharing20)
 	ns := []int{1, 2, 4, 8, 16, 32}
-	seq, err := cs.SweepContext(context.Background(), Illinois(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepParallel(context.Background(), cs, Illinois(), w, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range ns {
-		cold, err := Solve(Illinois(), w, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cached sweeps use canonical cold-start entries: bitwise equality
-		// with a per-size cold solve is the contract.
-		if seq[i] != cold {
-			t.Errorf("N=%d: cached sweep %+v != cold solve %+v", n, seq[i], cold)
-		}
-		if par[i] != cold {
-			t.Errorf("N=%d: cached parallel sweep %+v != cold solve %+v", n, par[i], cold)
+	for _, s := range []Solver{Direct, cs} {
+		for _, workers := range []int{1, 0} {
+			rs, err := Sweep(context.Background(), s, Illinois(), w, ns, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range ns {
+				cold, err := Solve(Illinois(), w, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs[i] != cold {
+					t.Errorf("%T, %d workers, N=%d: sweep %+v != cold solve %+v", s, workers, n, rs[i], cold)
+				}
+			}
 		}
 	}
-	// The second sweep must be all hits.
-	s := cs.Stats()
-	if s.Misses != uint64(len(ns)) {
-		t.Errorf("two sweeps over the same sizes ran %d solves, want %d", s.Misses, len(ns))
+	// The cache's second sweep must be all hits.
+	if st := cs.Stats(); st.Misses != uint64(len(ns)) {
+		t.Errorf("two cached sweeps over the same sizes ran %d solves, want %d", st.Misses, len(ns))
 	}
 }
 

@@ -92,7 +92,7 @@ func main() {
 			// Like for like: the net models no cache interference, and
 			// memory interference only under -memory.
 			p := snoopmva.WithMods(modsToInts(ms)...)
-			m, err := snoopmva.SolveWith(p, snoopmva.AppendixA(snoopmva.Sharing(*sharing)),
+			m, err := snoopmva.SolveWithContext(ctx, p, snoopmva.AppendixA(snoopmva.Sharing(*sharing)),
 				snoopmva.Timing{}, size, snoopmva.Options{NoCacheInterference: true, NoMemoryInterference: !*memory})
 			if err != nil {
 				fatal(err)

@@ -17,8 +17,6 @@ import (
 	"strings"
 
 	"snoopmva"
-	"snoopmva/internal/mva"
-	"snoopmva/internal/protocol"
 	"snoopmva/internal/tables"
 	"snoopmva/internal/workload"
 )
@@ -80,18 +78,18 @@ func main() {
 			fatal(err)
 		}
 	}
-	results, err := snoopmva.SweepContext(ctx, proto, w, ns)
-	if err != nil {
-		fatal(err)
-	}
 	if *explain {
 		if len(ns) != 1 {
 			fatal(fmt.Errorf("-explain needs a single -n, not a sweep"))
 		}
-		if err := explainRun(proto, w, ns[0]); err != nil {
+		if err := snoopmva.Explain(os.Stdout, proto, w, ns[0]); err != nil {
 			fatal(err)
 		}
 		return
+	}
+	results, err := snoopmva.Sweep(ctx, snoopmva.Direct, proto, w, ns, 0)
+	if err != nil {
+		fatal(err)
 	}
 	tb := tables.New(fmt.Sprintf("MVA results — %v, %d%% sharing", proto, *sharing),
 		"N", "speedup", "power", "R", "U_bus", "w_bus", "U_mem", "w_mem", "iterations")
@@ -157,36 +155,6 @@ func parseInts(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mvasolve:", err)
 	os.Exit(1)
-}
-
-// explainRun re-solves with the internal model to print the full
-// equation-by-equation breakdown.
-func explainRun(proto snoopmva.Protocol, w snoopmva.Workload, n int) error {
-	var ms protocol.ModSet
-	for _, m := range proto.Mods() {
-		ms = ms.With(protocol.Mod(m))
-	}
-	params := workload.Params{
-		Tau:      w.Tau,
-		PPrivate: w.PPrivate, PSro: w.PSro, PSw: w.PSw,
-		HPrivate: w.HPrivate, HSro: w.HSro, HSw: w.HSw,
-		RPrivate: w.RPrivate, RSw: w.RSw,
-		AmodPrivate: w.AmodPrivate, AmodSw: w.AmodSw,
-		CsupplySro: w.CsupplySro, CsupplySw: w.CsupplySw,
-		WbCsupply: w.WbCsupply,
-		RepP:      w.RepP, RepSw: w.RepSw,
-	}
-	m := mva.Model{
-		Workload:         params,
-		Mods:             ms,
-		RawParams:        w.FixedParams,
-		WriteThroughBase: proto.Name() == "Write-Through",
-	}
-	res, err := m.Solve(n, mva.Options{})
-	if err != nil {
-		return err
-	}
-	return mva.Explain(os.Stdout, m, res)
 }
 
 // fromParams converts internal workload parameters to the public type.

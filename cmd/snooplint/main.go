@@ -4,31 +4,22 @@
 //
 // Modes:
 //
-//	snooplint [-only a,b] [packages...]   standalone multichecker (default ./...)
+//	snooplint [-only a,b] [packages...]   run the suite (default ./...)
 //	snooplint [-only a,b] -stale [pkgs]   report //lint:allow comments that
 //	                                      suppress nothing (-only scopes the
 //	                                      sweep to those analyzers' directives)
-//	go vet -vettool=$(which snooplint) ./...
 //
-// In the vettool form the go command drives snooplint through the vet tool
-// protocol: it invokes the binary with -V=full for a tool fingerprint and
-// then once per package with a JSON vet.cfg file argument describing the
-// package's files and the export data of its dependencies. The protocol
-// has no channel for compiler escape diagnostics, so hotalloc's
-// allocation check runs only in standalone mode; vettool runs still
-// validate //snoop:hotpath directive placement.
+// Every analyzer skips test files. hotalloc's allocation check reads the
+// compiler's escape diagnostics from one -gcflags=-m build over the same
+// patterns.
 //
 // Exit status: 0 clean, 1 usage/operational error, 2 diagnostics (or, with
 // -stale, stale suppressions) reported.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/parser"
 	"go/token"
 	"io"
 	"os"
@@ -42,22 +33,11 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	switch {
-	case len(args) == 1 && strings.HasPrefix(args[0], "-V"):
-		printVersion()
-	case len(args) == 1 && args[0] == "-flags":
-		fmt.Println("[]") // no tool flags: the suite always runs whole
-	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
-		os.Exit(runUnitchecker(args[0]))
-	default:
-		os.Exit(runStandalone(args))
-	}
+	os.Exit(run(os.Args[1:]))
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, "usage: snooplint [-only analyzers] [-stale] [packages]   (default ./...)\n")
-	fmt.Fprintf(w, "   or: go vet -vettool=$(which snooplint) [packages]\n\nflags:\n")
+	fmt.Fprintf(w, "usage: snooplint [-only analyzers] [-stale] [packages]   (default ./...)\n\nflags:\n")
 	fmt.Fprintf(w, "  -only a,b   run only the named analyzers\n")
 	fmt.Fprintf(w, "  -stale      report //lint:allow comments that suppress nothing\n")
 	fmt.Fprintf(w, "              (with -only, scoped to the selected analyzers' directives)\n\nanalyzers:\n")
@@ -65,20 +45,6 @@ func usage(w io.Writer) {
 		doc, _, _ := strings.Cut(a.Doc, "\n")
 		fmt.Fprintf(w, "  %-12s %s\n", a.Name, doc)
 	}
-}
-
-// printVersion answers the go command's -V=full fingerprint query. The
-// content hash of the binary keys go vet's action cache, so rebuilding
-// snooplint invalidates cached vet results.
-func printVersion() {
-	h := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			h = fmt.Sprintf("%x", sum[:8])
-		}
-	}
-	fmt.Printf("snooplint version devel buildID=%s\n", h)
 }
 
 // selectAnalyzers resolves a comma-separated -only list against the
@@ -110,7 +76,7 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-func runStandalone(args []string) int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("snooplint", flag.ContinueOnError)
 	fs.Usage = func() { usage(os.Stderr) }
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
@@ -219,87 +185,4 @@ func relativePos(p token.Position) token.Position {
 		}
 	}
 	return p
-}
-
-// vetConfig is the subset of the go command's vet.cfg the checker needs
-// (the schema cmd/go writes for x/tools' unitchecker).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runUnitchecker(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snooplint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "snooplint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// The go command expects a facts file for every package, including
-	// VetxOnly dependency passes. The suite exports no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "snooplint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snooplint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	pkg, info, err := load.TypeCheck(fset, cfg.ImportPath, files, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "snooplint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	// Escapes stays nil here: the vet protocol cannot carry compiler
-	// escape output, so hotalloc only validates directive placement.
-	findings, err := analysis.Run(lint.Analyzers(), fset, files, pkg, info)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snooplint: %v\n", err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s\n", f)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
 }

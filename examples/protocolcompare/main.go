@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w := snoopmva.AppendixA(snoopmva.Sharing5)
 	const n = 6
 
@@ -24,11 +26,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("%v: %v", p, err)
 		}
-		det, err := snoopmva.SolveDetailed(p, w, n)
+		det, err := snoopmva.SolveDetailedContext(ctx, p, w, n)
 		if err != nil {
 			log.Fatalf("%v: %v", p, err)
 		}
-		sim, err := snoopmva.Simulate(p, w, n, snoopmva.SimOptions{Seed: 42, MeasureCycles: 200000})
+		sim, err := snoopmva.SimulateContext(ctx, p, w, n, snoopmva.SimOptions{Seed: 42, MeasureCycles: 200000})
 		if err != nil {
 			log.Fatalf("%v: %v", p, err)
 		}
@@ -36,7 +38,7 @@ func main() {
 	}
 
 	fmt.Println("\nEmergent workload quantities from the simulator (Write-Once):")
-	sim, err := snoopmva.Simulate(snoopmva.WriteOnce(), w, n, snoopmva.SimOptions{Seed: 42, MeasureCycles: 200000})
+	sim, err := snoopmva.SimulateContext(ctx, snoopmva.WriteOnce(), w, n, snoopmva.SimOptions{Seed: 42, MeasureCycles: 200000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The paper's 5%-sharing workload (Appendix A).
 	w := snoopmva.AppendixA(snoopmva.Sharing5)
 
@@ -40,7 +42,7 @@ func main() {
 
 	// Cross-check the MVA against the detailed Petri-net model — cheap at
 	// small N, and the reason the MVA matters at large N.
-	det, err := snoopmva.SolveDetailed(snoopmva.WriteOnce(), w, 4)
+	det, err := snoopmva.SolveDetailedContext(ctx, snoopmva.WriteOnce(), w, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	w := snoopmva.StressWorkload()
 	fmt.Println("Stress workload: rep=amod_sw=0, csupply=1, p_sw=0.2, h_sw=0.1")
 	fmt.Printf("%4s %12s %14s %10s\n", "N", "MVA", "detailed(GTPN)", "rel-err")
@@ -24,12 +26,12 @@ func main() {
 		// Ablate the submodels the detailed net does not include, so the
 		// comparison isolates the bus-queueing approximation (the part
 		// the stress test attacks).
-		mva, err := snoopmva.SolveWith(snoopmva.WriteOnce(), w, snoopmva.Timing{}, n,
+		mva, err := snoopmva.SolveWithContext(ctx, snoopmva.WriteOnce(), w, snoopmva.Timing{}, n,
 			snoopmva.Options{NoCacheInterference: true, NoMemoryInterference: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		det, err := snoopmva.SolveDetailed(snoopmva.WriteOnce(), w, n)
+		det, err := snoopmva.SolveDetailedContext(ctx, snoopmva.WriteOnce(), w, n)
 		if err != nil {
 			log.Fatal(err)
 		}

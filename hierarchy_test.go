@@ -1,6 +1,7 @@
 package snoopmva
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -87,7 +88,7 @@ func TestClusterShapes(t *testing.T) {
 
 func TestSimulateAdaptiveThreshold(t *testing.T) {
 	w := AppendixA(Sharing20)
-	res, err := Simulate(Dragon(), w, 6, SimOptions{
+	res, err := SimulateContext(context.Background(), Dragon(), w, 6, SimOptions{
 		Seed: 3, MeasureCycles: 60000, AdaptiveThreshold: 2,
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ package snoopmva
 // of agreements in one place.
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -24,11 +25,11 @@ func TestThreeModelTriangle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %d%%: mva: %v", p, int(sharing), err)
 			}
-			det, err := SolveDetailed(p, w, n)
+			det, err := SolveDetailedContext(context.Background(), p, w, n)
 			if err != nil {
 				t.Fatalf("%v %d%%: gtpn: %v", p, int(sharing), err)
 			}
-			sim, err := Simulate(p, w, n, SimOptions{Seed: 101, MeasureCycles: 150000})
+			sim, err := SimulateContext(context.Background(), p, w, n, SimOptions{Seed: 101, MeasureCycles: 150000})
 			if err != nil {
 				t.Fatalf("%v %d%%: sim: %v", p, int(sharing), err)
 			}
@@ -65,11 +66,11 @@ func TestThreeModelOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := SolveDetailed(p, w, n)
+		d, err := SolveDetailedContext(context.Background(), p, w, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Simulate(p, w, n, SimOptions{Seed: 55, MeasureCycles: 150000})
+		s, err := SimulateContext(context.Background(), p, w, n, SimOptions{Seed: 55, MeasureCycles: 150000})
 		if err != nil {
 			t.Fatal(err)
 		}

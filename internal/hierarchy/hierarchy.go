@@ -97,7 +97,7 @@ func (c Config) derive() (workload.Derived, error) {
 }
 
 // Options are the flat solver's iteration controls (Tol, MaxIter and
-// Damping; the flat model's ablation switches and warm start do not apply).
+// Damping; the flat model's ablation switches do not apply).
 type Options = mva.Options
 
 // Result holds the hierarchical model's outputs.

@@ -35,9 +35,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Escapes holds the compiler's escape-analysis diagnostics for the
-	// package, when the driver supplied them (standalone snooplint does;
-	// the vet-tool protocol has no channel for them, so vettool runs see
-	// nil and escape-dependent analyzers skip their allocation checks).
+	// package, when the driver supplied them (snooplint does; without
+	// them it is nil and escape-dependent analyzers skip their allocation
+	// checks).
 	Escapes *EscapeSet
 	// Report delivers one diagnostic. It is never nil.
 	Report func(Diagnostic)
@@ -180,16 +180,6 @@ type Outcome struct {
 	// Unused are the //lint:allow directives that suppressed nothing
 	// (see Suppressions.Unused for the partial-suite caveat).
 	Unused []Directive
-}
-
-// Run applies analyzers to one package and returns the diagnostics that
-// survive suppression filtering, in file/position order.
-func Run(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	out, err := RunTarget(analyzers, Target{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info})
-	if err != nil {
-		return nil, err
-	}
-	return out.Findings, nil
 }
 
 // RunTarget applies analyzers to one Target and reports both the

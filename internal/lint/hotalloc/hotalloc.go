@@ -16,9 +16,8 @@
 // callee to the callee's own source line, so the check covers the
 // annotated function's body plus whatever the annotation's author keeps
 // there — it does not chase out-of-line calls. Escape data comes from the
-// driver (`go build -gcflags=-m=1`, loaded by internal/lint/load); the go
-// vet vettool protocol has no channel for it, so vettool runs only
-// validate directive placement and skip the allocation check.
+// driver (`go build -gcflags=-m=1`, loaded by internal/lint/load); a
+// target without it only gets directive placement validated.
 package hotalloc
 
 import (

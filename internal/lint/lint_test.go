@@ -46,7 +46,7 @@ func TestHotalloc(t *testing.T) {
 }
 
 func TestSpawnbound(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), spawnbound.Analyzer, "spawnbound", "spawnfree")
+	analysistest.Run(t, analysistest.TestData(t), spawnbound.Analyzer, "spawnbound")
 }
 
 func TestMetricreg(t *testing.T) {
@@ -73,9 +73,9 @@ func TestSuiteIsWellFormed(t *testing.T) {
 	}
 }
 
-// TestHotallocWithoutEscapes pins the vettool-mode degradation: with no
-// escape data on the target (the vet protocol cannot carry it), hotalloc
-// still validates directive placement but reports no allocation findings.
+// TestHotallocWithoutEscapes pins the degradation without escape data:
+// with none on the target, hotalloc still validates directive placement
+// but reports no allocation findings.
 func TestHotallocWithoutEscapes(t *testing.T) {
 	src := `package p
 

@@ -1,7 +1,7 @@
-// Package spawnbound requires every goroutine spawned in the solver and
-// serving packages to have a provable exit path. PR 4 shipped a fix for
-// exactly the failure class this rules out: a watchdog goroutine left
-// running after its spawner had already returned. The analyzer codifies
+// Package spawnbound requires every goroutine spawned outside tests to
+// have a provable exit path. It rules out a failure class the repository
+// has already had to fix: a watchdog goroutine left running after its
+// spawner had already returned. The analyzer codifies
 // that lesson — a `go` statement must visibly participate in one of the
 // repository's join or cancellation disciplines, or carry a reasoned
 // //lint:allow suppression explaining why it terminates anyway.
@@ -30,7 +30,6 @@ package spawnbound
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"snoopmva/internal/lint/analysis"
 )
@@ -38,7 +37,7 @@ import (
 // Analyzer is the spawnbound check.
 var Analyzer = &analysis.Analyzer{
 	Name: "spawnbound",
-	Doc: `require a provable exit path for goroutines in solver/serving packages
+	Doc: `require a provable exit path for every goroutine
 
 Every go statement must show one of: a context threaded into the spawned
 call or mentioned in the spawned body, a sync.WaitGroup.Done join, a
@@ -47,45 +46,7 @@ a potential goroutine leak and needs a reasoned //lint:allow.`,
 	Run: run,
 }
 
-// governedPaths lists the import-path fragments the invariant governs:
-// the root solve/campaign package, the solver internals, and every
-// serving or coordination layer that spawns goroutines. The analyzer's
-// fixture package is included so the analysistest suite can exercise it.
-var governedPaths = []string{
-	"snoopmva/internal/mva",
-	"snoopmva/internal/resilience",
-	"snoopmva/internal/solvecache",
-	"snoopmva/internal/obs",
-	"snoopmva/internal/snoopd",
-	"snoopmva/internal/dispatch",
-	"snoopmva/internal/admission",
-	"snoopmva/internal/wire",
-	"snoopmva/cmd/snoopd",
-	"snoopmva/cmd/campaign",
-	"snoopmva/cmd/campaignd",
-	"snoopmva/cmd/snoopbench",
-	"spawnbound",
-}
-
-// governed reports whether the invariant applies to the package at path.
-// go vet analyzes test variants under paths like "pkg [pkg.test]", so
-// fragment containment, not equality, is the right match.
-func governed(path string) bool {
-	if path == "snoopmva" || strings.HasPrefix(path, "snoopmva [") {
-		return true // the root package (campaign runner, parallel solvers)
-	}
-	for _, p := range governedPaths {
-		if strings.Contains(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) (any, error) {
-	if !governed(pass.Pkg.Path()) {
-		return nil, nil
-	}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) {
 			continue

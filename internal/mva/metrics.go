@@ -10,10 +10,10 @@ import (
 
 // Metrics of the MVA fixed point (catalog in DESIGN.md §12). Vernon et
 // al.'s efficiency claim is that the fixed point converges in a handful of
-// iterations; the iteration histogram (split by cold vs. warm start) and
-// the final-residual histogram are that claim made observable at runtime.
-// All series are materialized at init, so the per-solve cost is a few
-// atomic updates — nothing is recorded inside the iteration loop itself.
+// iterations; the iteration histogram and the final-residual histogram
+// are that claim made observable at runtime. All series are materialized
+// at init, so the per-solve cost is a few atomic updates — nothing is
+// recorded inside the iteration loop itself.
 var (
 	solvesOK            = obs.Default.Counter("snoopmva_mva_solves_total", "MVA fixed-point solves by outcome.", obs.L("outcome", "ok"))
 	solvesNoConvergence = obs.Default.Counter("snoopmva_mva_solves_total", "MVA fixed-point solves by outcome.", obs.L("outcome", "no_convergence"))
@@ -24,16 +24,13 @@ var (
 
 	iterBuckets    = obs.ExpBuckets(1, 2, 12) // 1 .. 2048
 	iterationsCold = obs.Default.Histogram("snoopmva_mva_iterations", "Fixed-point iterations per successful solve, by start kind.", iterBuckets, obs.L("start", "cold"))
-	iterationsWarm = obs.Default.Histogram("snoopmva_mva_iterations", "Fixed-point iterations per successful solve, by start kind.", iterBuckets, obs.L("start", "warm"))
 
 	finalResidual = obs.Default.Histogram("snoopmva_mva_final_residual", "Final fixed-point residual (joint delta over R, w_bus, w_mem) of successful solves.",
 		obs.ExpBuckets(1e-14, 10, 12)) // 1e-14 .. 1e-3
-
-	warmIterationsSaved = obs.Default.Counter("snoopmva_mva_warm_iterations_saved_total", "Iterations saved by warm-started solves versus the running cold mean (floored at zero per solve).")
 )
 
 // recordSolve feeds one completed public solve attempt into the metrics.
-func recordSolve(res *Result, warm bool, err error) {
+func recordSolve(res *Result, err error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrNoConvergence):
@@ -51,17 +48,5 @@ func recordSolve(res *Result, warm bool, err error) {
 	}
 	solvesOK.Inc()
 	finalResidual.Observe(res.Residual)
-	if warm {
-		iterationsWarm.Observe(float64(res.Iterations))
-		// Savings estimate against the running cold mean: coarse, but it
-		// turns "warm starts help" into a number an operator can watch.
-		if n := iterationsCold.Count(); n > 0 {
-			coldMean := iterationsCold.Sum() / float64(n)
-			if saved := coldMean - float64(res.Iterations); saved >= 1 {
-				warmIterationsSaved.Add(uint64(saved))
-			}
-		}
-		return
-	}
 	iterationsCold.Observe(float64(res.Iterations))
 }

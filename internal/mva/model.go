@@ -33,10 +33,9 @@ import (
 
 // Options tunes the fixed-point solution of every MVA variant — Tol,
 // MaxIter and Damping drive the FixedPoint of the flat, heterogeneous and
-// two-level models alike — and enables the flat model's warm start and
-// the ablation switches used by the §4.3 stress experiment
-// (internal/exp/stress.go) to isolate the submodels the detailed model
-// shares.
+// two-level models alike — and enables the ablation switches used by the
+// §4.3 stress experiment (internal/exp/stress.go) to isolate the
+// submodels the detailed model shares.
 type Options struct {
 	// Tol is the convergence tolerance on the largest change one (damped)
 	// update of the equations makes to the fixed-point State — (R, w_bus,
@@ -56,16 +55,6 @@ type Options struct {
 	// fixed-point map); the Anderson extrapolation cancels that pair,
 	// and under-relaxation is the fallback where it cannot.
 	Damping float64
-	// Warm, when non-nil, seeds the fixed-point iteration from a
-	// previously converged solver state instead of the paper's zero-wait
-	// start. Soundness: the solver iterates the same fixed-point map to
-	// the same tolerance regardless of the start, so a warm start changes
-	// only the trajectory (and hence the iteration count), not the
-	// fixed point being approximated — adjacent-N solutions are close, so
-	// sweeps seeded from the previous size converge in a fraction of the
-	// iterations. The state must be finite with R > 0 and non-negative
-	// waits; anything else is rejected as invalid input.
-	Warm *WarmState
 
 	// NoCacheInterference drops the R_local term of equation (2) —
 	// ablation: how much does modeling snoop-induced cache blocking
@@ -103,15 +92,6 @@ func (o Options) withDefaults() Options {
 		o.MaxIter = 10000
 	}
 	return o
-}
-
-// WarmState is the fixed-point state (R, w_bus, w_mem) of a converged
-// solve, reusable as the starting iterate of a nearby configuration via
-// Options.Warm.
-type WarmState struct {
-	R    float64
-	WBus float64
-	WMem float64
 }
 
 // Result holds all model outputs for one configuration.

@@ -55,7 +55,7 @@ func (m Model) SolveManyContext(ctx context.Context, ns []int, opts Options) ([]
 // the delay hook and metrics of SolveContext around solveOnce, with the
 // derivation state shared across batched solves.
 func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *solveScratch) (res Result, err error) {
-	defer func() { recordSolve(&res, opts.Warm != nil, err) }()
+	defer func() { recordSolve(&res, err) }()
 	if h := faultinject.Hooks(); h != nil && h.SolveDelay != nil {
 		if d := h.SolveDelay(n); d > 0 {
 			timer := time.NewTimer(d)
@@ -148,18 +148,8 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 	}
 
 	// Fixed-point state (R, w_bus, w_mem): waiting times start at zero
-	// (Section 3.2), or at a caller-supplied converged state (warm start —
-	// same fixed point, shorter trajectory; see Options.Warm).
+	// (Section 3.2).
 	x0 := State{tau + tSupply + pBc*d.TBc(0) + pRr*tRead, 0, 0}
-	if o.Warm != nil {
-		ws := *o.Warm
-		x0 = State{ws.R, ws.WBus, ws.WMem}
-		if !x0.inDomain() {
-			return Result{}, fmt.Errorf("mva: warm-start state (R=%v, w_bus=%v, w_mem=%v) is not a converged solver state: %w",
-				//lint:allow hotalloc invalid-warm-start error exit, off the steady-state iterate
-				ws.R, ws.WBus, ws.WMem, workload.ErrInvalid)
-		}
-	}
 
 	fp := NewFixedPoint(n, x0, o)
 	if accelerate {
@@ -287,12 +277,6 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 	res.Speedup = nf * (tau + tSupply) / fp.X[0]
 	res.ProcessingPower = nf * tau / fp.X[0]
 	return res, nil
-}
-
-// Warm returns the converged fixed-point state of a successful solve, for
-// seeding a nearby configuration via Options.Warm.
-func (r Result) Warm() WarmState {
-	return WarmState{R: r.R, WBus: r.WBus, WMem: r.WMem}
 }
 
 // AsymptoticSpeedup returns the bus-saturation speedup bound

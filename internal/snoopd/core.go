@@ -10,6 +10,7 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/admission"
+	"snoopmva/internal/wire"
 )
 
 // This file holds the one operation path every codec runs a request
@@ -336,9 +337,14 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 }
 
 // sweepCore executes a sweep request; results are in request order.
+// Parallel picks the scheduling only: every size is a cold solve, so the
+// answers are the same either way.
 func (s *Server) sweepCore(parent context.Context, req *SweepRequest) ([]snoopmva.Result, error) {
 	if len(req.Ns) == 0 {
 		return nil, inputErrorf("ns: at least one system size is required")
+	}
+	if len(req.Ns) > wire.MaxBatchPoints {
+		return nil, inputErrorf("ns: %d system sizes exceed the %d bound", len(req.Ns), wire.MaxBatchPoints)
 	}
 	p, wl, err := resolve(req.Protocol, req.Workload)
 	if err != nil {
@@ -349,10 +355,11 @@ func (s *Server) sweepCore(parent context.Context, req *SweepRequest) ([]snoopmv
 		return nil, err
 	}
 	defer cancel()
+	workers := 1
 	if req.Parallel {
-		return snoopmva.SweepParallel(ctx, s.solver, p, wl, req.Ns)
+		workers = 0
 	}
-	return s.solver.SweepContext(ctx, p, wl, req.Ns)
+	return snoopmva.Sweep(ctx, s.solver, p, wl, req.Ns, workers)
 }
 
 // failure projects an error onto the shared taxonomy — the one mapping

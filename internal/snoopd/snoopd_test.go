@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,27 +164,68 @@ func TestSolveDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestSweepSuccessAndParallel: a sweep answers in request order, and its
+// answers are bitwise per-size cold solves whether it runs in parallel or
+// not and whether the server has a solve cache or not.
 func TestSweepSuccessAndParallel(t *testing.T) {
-	s := newTestServer(t, Config{})
-	for _, body := range []string{
-		`{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": [1, 2, 4, 8]}`,
-		`{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": [1, 2, 4, 8], "parallel": true}`,
-	} {
-		w := post(t, s, "/v1/sweep", body)
-		if w.Code != http.StatusOK {
-			t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
-		}
-		var resp SweepResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	ns := []int{1, 2, 4, 8, 16, 32}
+	want := make([]snoopmva.Result, len(ns))
+	for i, n := range ns {
+		r, err := snoopmva.Solve(snoopmva.Berkeley(), snoopmva.AppendixA(snoopmva.Sharing5), n)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(resp.Results) != 4 {
-			t.Fatalf("got %d results, want 4", len(resp.Results))
+		want[i] = r
+	}
+	for _, cached := range []bool{false, true} {
+		cfg := Config{}
+		if cached {
+			cfg.Cache = snoopmva.NewCachedSolver(0)
 		}
-		for i, n := range []int{1, 2, 4, 8} {
-			if resp.Results[i].N != n {
-				t.Fatalf("results[%d].N = %d, want %d (input order)", i, resp.Results[i].N, n)
+		s := newTestServer(t, cfg)
+		for _, parallel := range []bool{false, true} {
+			body := fmt.Sprintf(`{"protocol": {"name": "Berkeley"}, "workload": {"appendix_a": 5}, "ns": [1, 2, 4, 8, 16, 32], "parallel": %t}`, parallel)
+			w := post(t, s, "/v1/sweep", body)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
 			}
+			var resp SweepResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Results) != len(ns) {
+				t.Fatalf("got %d results, want %d", len(resp.Results), len(ns))
+			}
+			for i := range ns {
+				if resp.Results[i] != want[i] {
+					t.Errorf("cache %t, parallel %t: results[%d] = %+v, want the cold solve %+v", cached, parallel, i, resp.Results[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSweepOverMaxPoints: the serving layer bounds a JSON sweep's sizes
+// exactly as the wire codec does.
+func TestSweepOverMaxPoints(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, count := range []int{wire.MaxBatchPoints, wire.MaxBatchPoints + 1} {
+		ns := make([]string, count)
+		for i := range ns {
+			ns[i] = strconv.Itoa(i%64 + 1)
+		}
+		w := post(t, s, "/v1/sweep", `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "ns": [`+strings.Join(ns, ",")+`]}`)
+		if count <= wire.MaxBatchPoints {
+			if w.Code != http.StatusOK {
+				t.Fatalf("%d sizes: status = %d, body %s", count, w.Code, w.Body.String())
+			}
+			continue
+		}
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%d sizes: status = %d, want 400", count, w.Code)
+		}
+		if e := decodeError(t, w); !strings.Contains(e.Error, strconv.Itoa(wire.MaxBatchPoints)) {
+			t.Fatalf("%d sizes: error %+v does not name the bound", count, e)
 		}
 	}
 }

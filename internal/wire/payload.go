@@ -100,8 +100,9 @@ type SolveBestResponse struct {
 }
 
 // SweepRequest is the body of POST /v1/sweep and the payload of
-// TypeSweepReq. Parallel selects the worker-pool sweep (cold per-size
-// solves) over the warm-started sequential one.
+// TypeSweepReq. Parallel runs the sizes on a worker pool instead of one
+// at a time; every size is a cold solve, so it changes the scheduling and
+// never the answers.
 type SweepRequest struct {
 	Protocol  ProtocolSpec `json:"protocol"`
 	Workload  WorkloadSpec `json:"workload"`

@@ -10,41 +10,33 @@ import (
 	"time"
 
 	"snoopmva/internal/faultinject"
-	"snoopmva/internal/stats"
 )
 
 func TestSweepParallelMatchesSequential(t *testing.T) {
-	// The sequential sweep warm-starts each size from the previous one
-	// while the parallel sweep solves cold, so the two agree to solver
-	// tolerance rather than bitwise (see SweepContext).
+	// Every size is a cold solve, so one worker and GOMAXPROCS workers
+	// give the same answers bit for bit.
 	w := AppendixA(Sharing5)
 	ns := []int{1, 2, 4, 8, 16, 32, 64, 100}
-	seq, err := Sweep(WriteOnce(), w, ns)
+	seq, err := Sweep(context.Background(), Direct, WriteOnce(), w, ns, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepParallel(context.Background(), Direct, WriteOnce(), w, ns)
+	par, err := Sweep(context.Background(), Direct, WriteOnce(), w, ns, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tol = 1e-7
 	for i := range ns {
-		if seq[i].N != par[i].N ||
-			!stats.ApproxEq(seq[i].Speedup, par[i].Speedup, tol) ||
-			!stats.ApproxEq(seq[i].R, par[i].R, tol) ||
-			!stats.ApproxEq(seq[i].BusUtilization, par[i].BusUtilization, tol) ||
-			!stats.ApproxEq(seq[i].MemUtilization, par[i].MemUtilization, tol) ||
-			!stats.ApproxEq(seq[i].BusWait, par[i].BusWait, tol) {
+		if seq[i] != par[i] {
 			t.Errorf("N=%d: parallel %+v != sequential %+v", ns[i], par[i], seq[i])
 		}
 	}
 }
 
 func TestSweepParallelPropagatesErrors(t *testing.T) {
-	if _, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}); err == nil {
+	if _, err := Sweep(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), []int{4, 0, 8}, 0); err == nil {
 		t.Error("invalid N accepted")
 	}
-	empty, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), nil)
+	empty, err := Sweep(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), nil, 0)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty sweep: %v, %v", empty, err)
 	}
@@ -65,7 +57,7 @@ func TestSweepParallelStopsSchedulingAfterError(t *testing.T) {
 	for i := 1; i < len(ns); i++ {
 		ns[i] = 4
 	}
-	if _, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns); err == nil {
+	if _, err := Sweep(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns, 0); err == nil {
 		t.Fatal("invalid N accepted")
 	}
 	// Each scheduled size costs up to 3 solve attempts (the damping
@@ -109,7 +101,7 @@ func TestSweepParallelReportsConcurrentFailures(t *testing.T) {
 	// short-circuiting, each scheduled failure must surface in the joined
 	// error — at minimum the first, which is always scheduled.
 	ns := []int{0, -1, -2}
-	_, err := SweepParallel(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns)
+	_, err := Sweep(context.Background(), Direct, WriteOnce(), AppendixA(Sharing5), ns, 0)
 	if err == nil {
 		t.Fatal("invalid sizes accepted")
 	}
@@ -137,7 +129,7 @@ func TestSweepParallelContextCancellation(t *testing.T) {
 	for i := range ns {
 		ns[i] = 4
 	}
-	_, err := SweepParallel(ctx, Direct, WriteOnce(), AppendixA(Sharing5), ns)
+	_, err := Sweep(ctx, Direct, WriteOnce(), AppendixA(Sharing5), ns, 0)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled sweep: err = %v, want ErrCanceled", err)
 	}
@@ -226,11 +218,11 @@ func TestSweepParallelFeederCancellationWithBlockedWorkers(t *testing.T) {
 	var started atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		_, err := SweepParallel(ctx, gatedSolver{f: func(ctx context.Context, n int) (Result, error) {
+		_, err := Sweep(ctx, gatedSolver{f: func(ctx context.Context, n int) (Result, error) {
 			started.Add(1)
 			<-gate // a slow solve that ignores ctx: the worst case for the feeder
 			return Result{}, ctx.Err()
-		}}, WriteOnce(), AppendixA(Sharing5), ns)
+		}}, WriteOnce(), AppendixA(Sharing5), ns, 0)
 		done <- err
 	}()
 

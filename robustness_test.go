@@ -134,7 +134,7 @@ func TestSolveBestPrefersGTPNWhenItFits(t *testing.T) {
 		t.Errorf("got method=%q degraded=%v reason=%q, want a clean GTPN result",
 			best.Method, best.Degraded, best.FallbackReason)
 	}
-	g, err := SolveDetailed(WriteOnce(), AppendixA(Sharing5), 3)
+	g, err := SolveDetailedContext(context.Background(), WriteOnce(), AppendixA(Sharing5), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			PetriExplode: func(states int) bool { return states > 50 },
 		})
 		defer restore()
-		if _, err := SolveDetailed(WriteOnce(), w, 4); !errors.Is(err, ErrStateExplosion) {
+		if _, err := SolveDetailedContext(context.Background(), WriteOnce(), w, 4); !errors.Is(err, ErrStateExplosion) {
 			t.Errorf("err = %v, want ErrStateExplosion", err)
 		}
 	})

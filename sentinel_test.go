@@ -42,6 +42,11 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 		})
 	}
 
+	// Row names keep one label per path through an entry point: "SolveWith"
+	// rows call SolveWithContext without a deadline, "Sweep" and
+	// "SweepContext" rows run the sweep on one worker and "SweepParallel"
+	// rows on GOMAXPROCS workers, and "SolveDetailed" and "Simulate" rows
+	// call the detailed models without a deadline.
 	cases := []struct {
 		name  string
 		setup func() func() // optional fault hook; returns restore
@@ -56,26 +61,29 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			func() error { _, err := Solve(WriteOnce(), good, 4); return err }, ErrDiverged},
 		{"SolveWith invalid size", nil,
 			func() error {
-				_, err := SolveWith(WriteOnce(), good, DefaultTiming(), 0, Options{})
+				_, err := SolveWithContext(bg, WriteOnce(), good, DefaultTiming(), 0, Options{})
 				return err
 			}, ErrInvalidInput},
 		{"SolveWith diverged", poison,
-			func() error { _, err := SolveWith(WriteOnce(), good, DefaultTiming(), 4, Options{}); return err }, ErrDiverged},
+			func() error {
+				_, err := SolveWithContext(bg, WriteOnce(), good, DefaultTiming(), 4, Options{})
+				return err
+			}, ErrDiverged},
 		{"SolveWithContext canceled", stall,
 			func() error {
 				_, err := SolveWithContext(canceled, WriteOnce(), good, DefaultTiming(), 4, Options{})
 				return err
 			}, ErrCanceled},
 		{"Sweep invalid size", nil,
-			func() error { _, err := Sweep(WriteOnce(), good, []int{2, 0}); return err }, ErrInvalidInput},
+			func() error { _, err := Sweep(bg, Direct, WriteOnce(), good, []int{2, 0}, 1); return err }, ErrInvalidInput},
 		{"Sweep diverged", poison,
-			func() error { _, err := Sweep(WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
+			func() error { _, err := Sweep(bg, Direct, WriteOnce(), good, []int{2, 4}, 1); return err }, ErrDiverged},
 		{"SweepContext canceled", stall,
-			func() error { _, err := SweepContext(canceled, WriteOnce(), good, []int{2, 4}); return err }, ErrCanceled},
+			func() error { _, err := Sweep(canceled, Direct, WriteOnce(), good, []int{2, 4}, 1); return err }, ErrCanceled},
 		{"SweepParallel invalid size", nil,
-			func() error { _, err := SweepParallel(bg, Direct, WriteOnce(), good, []int{0}); return err }, ErrInvalidInput},
+			func() error { _, err := Sweep(bg, Direct, WriteOnce(), good, []int{0}, 0); return err }, ErrInvalidInput},
 		{"SweepParallel diverged", poison,
-			func() error { _, err := SweepParallel(bg, Direct, WriteOnce(), good, []int{2, 4}); return err }, ErrDiverged},
+			func() error { _, err := Sweep(bg, Direct, WriteOnce(), good, []int{2, 4}, 0); return err }, ErrDiverged},
 		{"Compare invalid workload", nil,
 			func() error { _, err := Compare(bg, Direct, []Protocol{WriteOnce()}, bad, 4); return err }, ErrInvalidInput},
 		{"Compare diverged", poison,
@@ -84,17 +92,13 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 				return err
 			}, ErrDiverged},
 		{"SolveDetailed invalid size", nil,
-			func() error { _, err := SolveDetailed(WriteOnce(), good, 0); return err }, ErrInvalidInput},
+			func() error { _, err := SolveDetailedContext(bg, WriteOnce(), good, 0); return err }, ErrInvalidInput},
 		{"SolveDetailedContext canceled", nil,
 			func() error { _, err := SolveDetailedContext(canceled, WriteOnce(), good, 4); return err }, ErrCanceled},
 		{"Simulate invalid workload", nil,
-			func() error { _, err := Simulate(WriteOnce(), bad, 4, SimOptions{}); return err }, ErrInvalidInput},
+			func() error { _, err := SimulateContext(bg, WriteOnce(), bad, 4, SimOptions{}); return err }, ErrInvalidInput},
 		{"SimulateContext canceled", nil,
 			func() error { _, err := SimulateContext(canceled, WriteOnce(), good, 4, SimOptions{}); return err }, ErrCanceled},
-		{"RunExperiment unknown id", nil,
-			func() error { return RunExperiment("no-such-experiment", io.Discard, -1, -1) }, ErrInvalidInput},
-		{"RunExperimentContext unknown id", nil,
-			func() error { return RunExperimentContext(canceled, "no-such-experiment", io.Discard, -1, -1) }, ErrInvalidInput},
 		{"SolveGroups no groups", nil,
 			func() error { _, err := SolveGroups(nil); return err }, ErrInvalidInput},
 		{"SolveGroups invalid workload", nil,
@@ -135,7 +139,7 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			}, ErrInvalidInput},
 		{"SolveBest invalid size", nil,
 			func() error {
-				_, err := SolveBest(context.Background(), WriteOnce(), good, 0, Budget{MaxStates: -1, SimCycles: -1})
+				_, err := SolveBest(bg, WriteOnce(), good, 0, Budget{MaxStates: -1, SimCycles: -1})
 				return err
 			}, ErrInvalidInput},
 		{"SolveBest canceled", stall,

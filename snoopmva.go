@@ -8,11 +8,11 @@
 //   - Solve — the paper's customized mean-value-analysis (MVA) model:
 //     closed-form equations iterated to a fixed point, microseconds per
 //     configuration, any system size;
-//   - SolveDetailed — a Generalized Timed Petri Net model solved exactly
-//     over its reachability graph (the paper's expensive comparator;
-//     small systems only);
-//   - Simulate — a cycle-level discrete-event simulation executing the
-//     real per-block protocol state machines (the independent check).
+//   - SolveDetailedContext — a Generalized Timed Petri Net model solved
+//     exactly over its reachability graph (the paper's expensive
+//     comparator; small systems only);
+//   - SimulateContext — a cycle-level discrete-event simulation executing
+//     the real per-block protocol state machines (the independent check).
 //
 // Protocols are expressed as Goodman's Write-Once protocol plus any
 // combination of the paper's four modifications; the classic named

@@ -3,7 +3,6 @@ package snoopmva
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -122,14 +121,14 @@ func TestProtocolByNameAndList(t *testing.T) {
 
 func TestSweepAndCompare(t *testing.T) {
 	w := AppendixA(Sharing5)
-	rs, err := Sweep(WriteOnce(), w, []int{1, 5, 10})
+	rs, err := Sweep(context.Background(), Direct, WriteOnce(), w, []int{1, 5, 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 3 || !(rs[0].Speedup < rs[1].Speedup && rs[1].Speedup < rs[2].Speedup) {
 		t.Errorf("sweep not increasing: %+v", rs)
 	}
-	if _, err := Sweep(WriteOnce(), w, []int{0}); err == nil {
+	if _, err := Sweep(context.Background(), Direct, WriteOnce(), w, []int{0}, 1); err == nil {
 		t.Error("sweep should propagate errors")
 	}
 	cs, err := Compare(context.Background(), Direct, []Protocol{WriteOnce(), Illinois(), Dragon()}, w, 10)
@@ -146,11 +145,11 @@ func TestSweepAndCompare(t *testing.T) {
 
 func TestSolveWithOptionsAndTiming(t *testing.T) {
 	w := AppendixA(Sharing20)
-	base, err := SolveWith(WriteOnce(), w, Timing{}, 10, Options{})
+	base, err := SolveWithContext(context.Background(), WriteOnce(), w, Timing{}, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ablated, err := SolveWith(WriteOnce(), w, Timing{}, 10, Options{
+	ablated, err := SolveWithContext(context.Background(), WriteOnce(), w, Timing{}, 10, Options{
 		NoCacheInterference: true, NoMemoryInterference: true,
 	})
 	if err != nil {
@@ -161,7 +160,7 @@ func TestSolveWithOptionsAndTiming(t *testing.T) {
 	}
 	slow := DefaultTiming()
 	slow.DMem = 12
-	slowRes, err := SolveWith(WriteOnce(), w, slow, 10, Options{})
+	slowRes, err := SolveWithContext(context.Background(), WriteOnce(), w, slow, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +171,11 @@ func TestSolveWithOptionsAndTiming(t *testing.T) {
 
 func TestSolveDetailedAgreesWithSolve(t *testing.T) {
 	w := AppendixA(Sharing5)
-	g, err := SolveDetailed(WriteOnce(), w, 4)
+	g, err := SolveDetailedContext(context.Background(), WriteOnce(), w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := SolveWith(WriteOnce(), w, Timing{}, 4, Options{
+	m, err := SolveWithContext(context.Background(), WriteOnce(), w, Timing{}, 4, Options{
 		NoCacheInterference: true, NoMemoryInterference: true,
 	})
 	if err != nil {
@@ -188,14 +187,14 @@ func TestSolveDetailedAgreesWithSolve(t *testing.T) {
 	if g.States == 0 {
 		t.Error("detailed result missing state count")
 	}
-	if _, err := SolveDetailed(WithMods(4), w, 2); err == nil {
+	if _, err := SolveDetailedContext(context.Background(), WithMods(4), w, 2); err == nil {
 		t.Error("invalid protocol accepted")
 	}
 }
 
 func TestSimulate(t *testing.T) {
 	w := AppendixA(Sharing5)
-	r, err := Simulate(Illinois(), w, 6, SimOptions{Seed: 9, MeasureCycles: 60000})
+	r, err := SimulateContext(context.Background(), Illinois(), w, 6, SimOptions{Seed: 9, MeasureCycles: 60000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,25 +207,8 @@ func TestSimulate(t *testing.T) {
 	if r.ObservedAmod < 0 || r.ObservedAmod > 1 || r.ObservedCsupply < 0 || r.ObservedCsupply > 1 {
 		t.Errorf("observed quantities out of range: %+v", r)
 	}
-	if _, err := Simulate(WithMods(4), w, 2, SimOptions{}); err == nil {
+	if _, err := SimulateContext(context.Background(), WithMods(4), w, 2, SimOptions{}); err == nil {
 		t.Error("invalid protocol accepted")
-	}
-}
-
-func TestExperimentRegistryAccess(t *testing.T) {
-	ids := Experiments()
-	if len(ids) != 11 {
-		t.Errorf("Experiments() = %d ids", len(ids))
-	}
-	var sb strings.Builder
-	if err := RunExperiment("power", &sb, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "4.32") {
-		t.Errorf("power report missing paper value:\n%s", sb.String())
-	}
-	if err := RunExperiment("nope", &sb, 0, -1); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
 

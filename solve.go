@@ -3,9 +3,7 @@ package snoopmva
 import (
 	"context"
 	"fmt"
-	"io"
 
-	"snoopmva/internal/exp"
 	"snoopmva/internal/mva"
 )
 
@@ -85,22 +83,12 @@ func Solve(p Protocol, w Workload, n int) (Result, error) {
 	return SolveWithContext(context.Background(), p, w, Timing{}, n, Options{})
 }
 
-// SolveWith runs the MVA model with explicit timing and options.
-func SolveWith(p Protocol, w Workload, t Timing, n int, opts Options) (Result, error) {
-	return SolveWithContext(context.Background(), p, w, t, n, opts)
-}
-
-// Sweep solves the MVA model for each system size in ns.
-func Sweep(p Protocol, w Workload, ns []int) ([]Result, error) {
-	return SweepContext(context.Background(), p, w, ns)
-}
-
 // SolveInput is one configuration in a SolveManyContext batch.
 type SolveInput struct {
 	Protocol Protocol
 	Workload Workload
 	// Timing may be the zero value, meaning the paper defaults (exactly as
-	// in SolveWith).
+	// in SolveWithContext).
 	Timing Timing
 	N      int
 	// Options may be the zero value, meaning the paper's scheme.
@@ -184,13 +172,6 @@ type DetailedResult struct {
 	States int
 }
 
-// SolveDetailed runs the Generalized Timed Petri Net model — the paper's
-// expensive comparator. Cost grows quickly with n; sizes beyond ~10 are
-// rejected by maxStates.
-func SolveDetailed(p Protocol, w Workload, n int) (DetailedResult, error) {
-	return SolveDetailedContext(context.Background(), p, w, n)
-}
-
 // SimOptions tunes the detailed simulator.
 type SimOptions struct {
 	// Seed fixes the random streams (0 means 1).
@@ -225,29 +206,4 @@ type SimResult struct {
 	// shared-writable): mean and 95th percentile.
 	MeanResponse [3]float64
 	P95Response  [3]float64
-}
-
-// Simulate runs the cycle-level simulator: real protocol state machines
-// over identified blocks, FCFS bus, interleaved memory.
-func Simulate(p Protocol, w Workload, n int, opts SimOptions) (SimResult, error) {
-	return SimulateContext(context.Background(), p, w, n, opts)
-}
-
-// Experiments lists the IDs of the paper-reproduction experiments
-// (DESIGN.md §5).
-func Experiments() []string {
-	all := exp.All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// RunExperiment regenerates one paper artifact (table or figure) by ID and
-// writes its report to w. gtpnMaxN bounds the detailed comparator (<=0
-// disables it; 6 is a good default), simCycles sizes the simulator columns
-// (<0 disables).
-func RunExperiment(id string, w io.Writer, gtpnMaxN int, simCycles int64) error {
-	return RunExperimentContext(context.Background(), id, w, gtpnMaxN, simCycles)
 }

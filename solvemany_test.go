@@ -46,7 +46,7 @@ func TestSolveManyMatchesSequentialSolve(t *testing.T) {
 			t.Fatalf("round %d: got %d results for %d inputs", round, len(got), len(batch))
 		}
 		for i, in := range batch {
-			want, err := SolveWith(in.Protocol, in.Workload, in.Timing, in.N, in.Options)
+			want, err := SolveWithContext(context.Background(), in.Protocol, in.Workload, in.Timing, in.N, in.Options)
 			if err != nil {
 				t.Fatalf("round %d: sequential solve %d: %v", round, i, err)
 			}

@@ -12,15 +12,12 @@ import (
 // Solver is the one MVA solve surface. Direct (the package-level solvers)
 // and *CachedSolver (the same solvers behind a memoization cache)
 // implement it, so a caller chooses its solver once and every point,
-// batch, sweep and SolveBest ladder goes through that choice; the
-// parallel sweep and the protocol comparison are free functions over a
-// Solver. The implementations differ only where documented on
-// SweepContext: Direct warm-starts each size from the previous one,
-// while CachedSolver keys every size cold.
+// batch, sweep and SolveBest ladder goes through that choice; the sweep
+// and the protocol comparison are free functions over a Solver. Every
+// answer is bitwise the same whichever implementation gives it.
 type Solver interface {
 	SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (Result, error)
 	SolveManyContext(ctx context.Context, inputs []SolveInput) ([]Result, error)
-	SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) ([]Result, error)
 	SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error)
 }
 
@@ -38,20 +35,16 @@ func (direct) SolveManyContext(ctx context.Context, inputs []SolveInput) ([]Resu
 	return SolveManyContext(ctx, inputs)
 }
 
-func (direct) SweepContext(ctx context.Context, p Protocol, w Workload, ns []int) ([]Result, error) {
-	return SweepContext(ctx, p, w, ns)
-}
-
 func (direct) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error) {
 	return SolveBest(ctx, p, w, n, b)
 }
 
-// SweepParallel solves the MVA through s for each system size in ns
-// concurrently (the solves are independent, microsecond-scale
-// computations — this matters for wide design-space scans from
-// interactive tools). Every size is a cold solve, so the results are
-// bitwise identical to per-size Solve calls whichever Solver runs them,
-// and are returned in input order.
+// Sweep solves the MVA through s for each system size in ns on workers
+// goroutines (GOMAXPROCS when workers < 1; the solves are independent,
+// microsecond-scale computations, which matters for wide design-space
+// scans from interactive tools). Every size is a cold solve, so the
+// results are bitwise identical to per-size Solve calls whichever Solver
+// and worker count run them, and are returned in input order.
 //
 // Sizes below 1 are rejected before any solve starts, each named in the
 // returned error. Otherwise the first failure stops further sizes from
@@ -60,7 +53,7 @@ func (direct) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Bu
 // failures (each identified by its N), so errors.Is classification sees
 // all of them. Cancellation of ctx stops the sweep the same way and
 // surfaces as ErrCanceled.
-func SweepParallel(ctx context.Context, s Solver, p Protocol, w Workload, ns []int) (out []Result, err error) {
+func Sweep(ctx context.Context, s Solver, p Protocol, w Workload, ns []int, workers int) (out []Result, err error) {
 	defer guard(&err)
 	errs := make([]error, len(ns))
 	invalid := false
@@ -75,7 +68,7 @@ func SweepParallel(ctx context.Context, s Solver, p Protocol, w Workload, ns []i
 	}
 	results := make([]Result, len(ns))
 	var failed atomic.Bool
-	forEachIndex(len(ns), 0, func() bool { return failed.Load() || ctx.Err() != nil }, func(idx int) {
+	forEachIndex(len(ns), workers, func() bool { return failed.Load() || ctx.Err() != nil }, func(idx int) {
 		results[idx], errs[idx] = s.SolveWithContext(ctx, p, w, Timing{}, ns[idx], Options{})
 		if errs[idx] != nil {
 			failed.Store(true)

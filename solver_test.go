@@ -6,16 +6,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"snoopmva/internal/stats"
 )
 
 // TestSolverImplementationsAgree is the contract of the Solver
 // interface: Direct and a CachedSolver return bitwise-equal results and
 // identical error text through every method and every free function
 // over a Solver, cold and (for the cache) again from resident entries.
-// SweepContext is the documented exception: Direct warm-starts while the
-// cache keys every size cold, so the two agree to solver tolerance.
 func TestSolverImplementationsAgree(t *testing.T) {
 	ctx := context.Background()
 	w := AppendixA(Sharing5)
@@ -65,10 +61,10 @@ func TestSolverImplementationsAgree(t *testing.T) {
 			return s.SolveBest(ctx, WriteOnce(), w, 0, mvaOnly)
 		}, nil},
 		{"SweepParallel", func(s Solver) (any, error) {
-			return SweepParallel(ctx, s, Illinois(), w, []int{1, 2, 4, 8, 16, 32})
+			return Sweep(ctx, s, Illinois(), w, []int{1, 2, 4, 8, 16, 32}, 0)
 		}, nil},
 		{"SweepParallel invalid sizes", func(s Solver) (any, error) {
-			return SweepParallel(ctx, s, Illinois(), w, []int{4, 0, -1})
+			return Sweep(ctx, s, Illinois(), w, []int{4, 0, -1}, 0)
 		}, func(t *testing.T, _ any, err error) {
 			for _, frag := range []string{"N=0", "N=-1"} {
 				if !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), frag) {
@@ -117,30 +113,4 @@ func TestSolverImplementationsAgree(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("SweepContext", func(t *testing.T) {
-		ns := []int{1, 2, 4, 8, 16, 32, 64}
-		warm, err := Direct.SweepContext(ctx, Illinois(), w, ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := NewCachedSolver(0).SweepContext(ctx, Illinois(), w, ns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, n := range ns {
-			if warm[i].N != cold[i].N ||
-				!stats.ApproxEq(warm[i].Speedup, cold[i].Speedup, 1e-7) ||
-				!stats.ApproxEq(warm[i].R, cold[i].R, 1e-7) ||
-				!stats.ApproxEq(warm[i].BusUtilization, cold[i].BusUtilization, 1e-7) ||
-				!stats.ApproxEq(warm[i].MemUtilization, cold[i].MemUtilization, 1e-7) {
-				t.Errorf("N=%d: Direct %+v vs cached %+v beyond tolerance", n, warm[i], cold[i])
-			}
-		}
-		for _, s := range []Solver{Direct, NewCachedSolver(0)} {
-			if _, err := s.SweepContext(ctx, Illinois(), w, []int{2, 0}); !errors.Is(err, ErrInvalidInput) || !strings.Contains(err.Error(), "N=0") {
-				t.Errorf("%T: invalid size: err = %v, want ErrInvalidInput naming N=0", s, err)
-			}
-		}
-	})
 }
