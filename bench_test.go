@@ -22,7 +22,6 @@ import (
 	"snoopmva/internal/exp"
 	"snoopmva/internal/fit"
 	"snoopmva/internal/gtpnmodel"
-	"snoopmva/internal/hierarchy"
 	"snoopmva/internal/mva"
 	"snoopmva/internal/petri"
 	"snoopmva/internal/protocol"
@@ -231,32 +230,6 @@ func BenchmarkRunCampaignMVAOnly(b *testing.B) {
 }
 
 // --- extension benchmarks ---
-
-// BenchmarkHierarchical measures the two-level model's solve cost across
-// cluster shapes (still microseconds — the point of the technique).
-func BenchmarkHierarchical(b *testing.B) {
-	for _, shape := range [][2]int{{4, 4}, {8, 8}, {16, 16}} {
-		b.Run(byN(shape[0]*shape[1]), func(b *testing.B) {
-			cfg := hierarchy.Config{
-				Clusters:           shape[0],
-				PerCluster:         shape[1],
-				Workload:           workload.AppendixA(workload.Sharing5),
-				GlobalMissFraction: 0.1,
-				GlobalBcFraction:   0.05,
-			}
-			b.ReportAllocs()
-			var last hierarchy.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				last, err = hierarchy.Solve(cfg, hierarchy.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(last.Speedup, "speedup")
-		})
-	}
-}
 
 // BenchmarkAdaptiveSwitch compares simulated update traffic with and
 // without the RWB competitive update/invalidate switch.

@@ -39,6 +39,9 @@ func main() {
 	if *sharing != 1 && *sharing != 5 && *sharing != 20 {
 		fatal(fmt.Errorf("sharing must be 1, 5 or 20"))
 	}
+	if !(*tornado > 0) {
+		fatal(fmt.Errorf("-tornado must be > 0, got %v", *tornado))
+	}
 	p, ok := protocol.ByName(*protoName)
 	if !ok {
 		fatal(fmt.Errorf("unknown protocol %q", *protoName))

@@ -33,15 +33,15 @@ func TestCommandLineTools(t *testing.T) {
 		want string
 	}{
 		{"mvasolve", []string{"-protocol", "Dragon", "-sharing", "5", "-sweep", "1,4"}, "speedup"},
-		{"mvasolve", []string{"-n", "4", "-explain"}, "equation 1"},
+		{"mvasolve", []string{"-n", "4", "-explain", "-timeout", "30s"}, "equation 1"},
 		{"mvasolve", []string{"-stress", "-n", "4"}, "speedup"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
-		{"cachesim", []string{"-protocol", "Illinois", "-n", "4", "-cycles", "40000", "-compare"}, "Illinois"},
+		{"cachesim", []string{"-protocol", "Illinois", "-sharing", "5", "-n", "4", "-cycles", "40000",
+			"-warmup", "2000", "-timeout", "60s", "-compare"}, "Illinois"},
 		{"paperrepro", []string{"-list"}, "tab4.1a"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0"}, "4.32"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0", "-json"}, "\"worst_rel_err\""},
-		{"hiersolve", []string{"-total", "8", "-gmiss", "0.1"}, "clusters"},
 		{"tracefit", []string{"-generate", "-refs", "30000", "-n", "2", "-out", tracePath, "-solve", "4"}, "fitted"},
 		{"tracefit", []string{"-in", tracePath, "-n", "2", "-solve", "0"}, "p_private"},
 		{"sensitivity", []string{"-n", "8"}, "h_private"},
@@ -79,7 +79,8 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-sharing", "7"}, ""},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},
-		{"hiersolve", []string{}, ""},
+		{"sensitivity", []string{"-sweep", "nonesuch", "-values", "1"}, "nonesuch"},
+		{"sensitivity", []string{"-tornado", "0"}, "-tornado"},
 		{"campaign", []string{"-resume"}, ""}, // resume needs -journal
 		{"campaign", []string{"-ns", "4..1"}, ""},
 		{"campaignd", []string{}, "-workers is required"},

@@ -25,7 +25,6 @@ func TestExamplesRun(t *testing.T) {
 		"designspace":     "design ranking",
 		"protocolcompare": "Dragon",
 		"stresstest":      "worst relative error",
-		"hierarchical":    "best shape",
 		"measurement":     "most influential parameters",
 		"heterogeneous":   "Protocol migration",
 		"cachesizing":     "capacity needed",

@@ -43,10 +43,7 @@ carry a cancellation path.`,
 // own fixture package is included so the analysistest suite can exercise
 // it; no real package shares that name.
 var solverPackages = map[string]bool{
-	"mva": true,
-	// The two-level model iterates through the mva fixed-point driver;
-	// covering it keeps a hand-rolled loop from coming back.
-	"hierarchy":  true,
+	"mva":        true,
 	"petri":      true,
 	"markov":     true,
 	"cachesim":   true,

@@ -40,9 +40,9 @@ func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 
 // State is the iterate of an MVA fixed point. Each model picks three
 // coordinates from which one evaluation of its equations follows: the
-// flat model iterates (R, w_bus, w_mem), the heterogeneous model
-// (w_bus, w_mem, Q̄_bus) and the two-level model (R, w_lbus, w_gbus). The
-// convergence test is relative to the first coordinate.
+// flat model iterates (R, w_bus, w_mem) and the heterogeneous model
+// (w_bus, w_mem, Q̄_bus). The convergence test is relative to the first
+// coordinate.
 type State [3]float64
 
 // inDomain reports whether x is a state the iteration may move to:

@@ -32,8 +32,8 @@ import (
 )
 
 // Options tunes the fixed-point solution of every MVA variant — Tol,
-// MaxIter and Damping drive the FixedPoint of the flat, heterogeneous and
-// two-level models alike — and enables the ablation switches used by the
+// MaxIter and Damping drive the FixedPoint of the flat and heterogeneous
+// models alike — and enables the ablation switches used by the
 // §4.3 stress experiment (internal/exp/stress.go) to isolate the
 // submodels the detailed model shares.
 type Options struct {

@@ -5,16 +5,14 @@ import (
 	"math"
 	"testing"
 
-	"snoopmva/internal/hierarchy"
 	"snoopmva/internal/mva"
 	"snoopmva/internal/protocol"
 	"snoopmva/internal/workload"
 )
 
 // variantIterBound is the most fixed-point iterations a default solve of
-// the heterogeneous or two-level model may take on the grids below
-// (measured 17 and 22; the damped loops the shared driver replaced took
-// up to 156 and 200).
+// the heterogeneous model may take on the grid below (measured 17; the
+// damped loop the shared driver replaced took up to 156).
 const variantIterBound = 32
 
 // checkAgainstDamped solves one configuration at the default options and
@@ -69,35 +67,4 @@ func TestHeterogeneousConvergesLikeFlat(t *testing.T) {
 		}
 	}
 	t.Logf("%d mixes: worst %d iterations, worst speedup rel diff %.2g", cases, worst, worstRel)
-}
-
-// TestHierarchicalConvergesLikeFlat runs the two-level model over every
-// sharing level and mod set, C×K shapes up to 8×32, and global traffic
-// from none to all of it on a bus up to four times slower.
-func TestHierarchicalConvergesLikeFlat(t *testing.T) {
-	traffic := []struct{ miss, bc, speed float64 }{
-		{0, 0, 1}, {.1, .05, 1}, {.3, .2, 1}, {.6, .5, 2}, {1, 1, 4},
-	}
-	worst, cases, worstRel := 0, 0, 0.0
-	for _, s := range workload.Sharings() {
-		for _, m := range protocol.AllModSets() {
-			for _, c := range []int{1, 2, 4, 8} {
-				for _, k := range []int{1, 2, 4, 8, 16, 32} {
-					for _, tr := range traffic {
-						cfg := hierarchy.Config{
-							Clusters: c, PerCluster: k, Workload: workload.AppendixA(s), Mods: m,
-							GlobalMissFraction: tr.miss, GlobalBcFraction: tr.bc, GlobalSpeedRatio: tr.speed,
-						}
-						name := fmt.Sprintf("sharing %v, %v, %dx%d, traffic %+v", s, m, c, k, tr)
-						iters, rel := checkAgainstDamped(t, name, func(o mva.Options) (float64, int, error) {
-							r, err := hierarchy.Solve(cfg, o)
-							return r.Speedup, r.Iterations, err
-						})
-						worst, worstRel, cases = max(worst, iters), max(worstRel, rel), cases+1
-					}
-				}
-			}
-		}
-	}
-	t.Logf("%d configurations: worst %d iterations, worst speedup rel diff %.2g", cases, worst, worstRel)
 }

@@ -203,8 +203,12 @@ type Point struct {
 }
 
 // SweepParam evaluates the study at each parameter value. Values that make
-// the workload invalid are skipped (reported via the skipped count).
+// the workload invalid are skipped (reported via the skipped count); an
+// unknown parameter is an error before any value is evaluated.
 func (s Study) SweepParam(p Param, values []float64) (points []Point, skipped int, err error) {
+	if _, err := Get(s.Model.Workload, p); err != nil {
+		return nil, 0, err
+	}
 	for _, v := range values {
 		w, serr := Set(s.Model.Workload, p, v)
 		if serr != nil {
@@ -297,7 +301,8 @@ type TornadoBar struct {
 }
 
 // Tornado evaluates each parameter across ±rel of its base value (clamped
-// to validity) and ranks parameters by the induced metric span.
+// to validity: an invalid low end becomes 0, an invalid high end 1) and
+// ranks parameters by the induced metric span.
 func (s Study) Tornado(rel float64) ([]TornadoBar, error) {
 	if rel <= 0 {
 		rel = 0.25
@@ -314,12 +319,13 @@ func (s Study) Tornado(rel float64) ([]TornadoBar, error) {
 		lo, hi := v*(1-rel), v*(1+rel)
 		wLo, errLo := Set(s.Model.Workload, p, lo)
 		if errLo != nil {
-			// Clamp into validity: probabilities above 1 are the common case.
-			hi = math.Min(hi, 1)
+			// Clamp into validity: every parameter accepts 0.
+			lo = 0
 			wLo, errLo = Set(s.Model.Workload, p, lo)
 		}
 		wHi, errHi := Set(s.Model.Workload, p, hi)
 		if errHi != nil {
+			// Probabilities above 1 are the common case.
 			hi = 1
 			wHi, errHi = Set(s.Model.Workload, p, hi)
 		}

@@ -2,6 +2,7 @@ package sensitivity
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"snoopmva/internal/mva"
@@ -94,6 +95,21 @@ func TestSweepParam(t *testing.T) {
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Metric < pts[i-1].Metric {
 			t.Errorf("speedup should rise with h_sw: %+v", pts)
+		}
+	}
+}
+
+// An unknown parameter is an error, not a sweep whose every value is
+// skipped as invalid; it is reported even when there is no value to try.
+func TestSweepParamRejectsUnknownParam(t *testing.T) {
+	s := study()
+	for _, values := range [][]float64{{1}, {0.3, 0.7}, nil} {
+		pts, skipped, err := s.SweepParam("nonesuch", values)
+		if err == nil || !strings.Contains(err.Error(), "nonesuch") {
+			t.Errorf("values %v: err = %v, want an error naming nonesuch", values, err)
+		}
+		if pts != nil || skipped != 0 {
+			t.Errorf("values %v: %d points, %d skipped; want none evaluated", values, len(pts), skipped)
 		}
 	}
 }
@@ -191,6 +207,30 @@ func TestTornado(t *testing.T) {
 	for _, b := range bars {
 		if b.Param == HPrivate && b.Hi > 1 {
 			t.Errorf("h_private hi %v not clamped", b.Hi)
+		}
+	}
+}
+
+// A range wider than the base value pushes every low end below zero; the
+// low end clamps to 0 (which every parameter accepts), so no parameter
+// drops out of the summary.
+func TestTornadoClampsNegativeLowEndToZero(t *testing.T) {
+	const rel = 1.5
+	s := study()
+	bars, err := s.Tornado(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bars) != len(Params()) {
+		t.Fatalf("got %d bars, want one for each of the %d parameters", len(bars), len(Params()))
+	}
+	for _, b := range bars {
+		v, err := Get(s.Model.Workload, b.Param)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v*(1-rel) < 0 && b.Lo != 0 {
+			t.Errorf("%s: low end %v, want 0 (base %v)", b.Param, b.Lo, v)
 		}
 	}
 }

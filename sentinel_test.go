@@ -110,33 +110,6 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			func() error { return Explain(io.Discard, WriteOnce(), good, 0) }, ErrInvalidInput},
 		{"Explain diverged", poison,
 			func() error { return Explain(io.Discard, WriteOnce(), good, 4) }, ErrDiverged},
-		{"SolveHierarchical invalid workload", nil,
-			func() error {
-				_, err := SolveHierarchical(WriteOnce(), bad, HierarchicalConfig{Clusters: 2, PerCluster: 2})
-				return err
-			}, ErrInvalidInput},
-		{"SolveHierarchical zero clusters", nil,
-			func() error {
-				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 0, PerCluster: 2})
-				return err
-			}, ErrInvalidInput},
-		{"SolveHierarchical miss fraction above one", nil,
-			func() error {
-				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 2, PerCluster: 2, GlobalMissFraction: 1.5})
-				return err
-			}, ErrInvalidInput},
-		{"SolveHierarchical negative speed ratio", nil,
-			func() error {
-				_, err := SolveHierarchical(WriteOnce(), good, HierarchicalConfig{Clusters: 2, PerCluster: 2, GlobalSpeedRatio: -1})
-				return err
-			}, ErrInvalidInput},
-		{"ClusterShapes zero total", nil,
-			func() error { _, err := ClusterShapes(WriteOnce(), good, 0, HierarchicalConfig{}); return err }, ErrInvalidInput},
-		{"ClusterShapes invalid workload", nil,
-			func() error {
-				_, err := ClusterShapes(WriteOnce(), bad, 4, HierarchicalConfig{})
-				return err
-			}, ErrInvalidInput},
 		{"SolveBest invalid size", nil,
 			func() error {
 				_, err := SolveBest(bg, WriteOnce(), good, 0, Budget{MaxStates: -1, SimCycles: -1})

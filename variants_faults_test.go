@@ -12,9 +12,9 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// The heterogeneous and two-level models run on the same fixed-point
-// driver as Solve, so the driver's fault hooks, divergence guard and
-// cancellation check reach them too.
+// The heterogeneous model runs on the same fixed-point driver as Solve,
+// so the driver's fault hooks, divergence guard and cancellation check
+// reach it too.
 
 // variantSolve is one solve of a non-flat model over a machine of n
 // processors.
@@ -24,7 +24,7 @@ type variantSolve struct {
 	solve func() error
 }
 
-// variantSolves returns a heterogeneous and a two-level solve.
+// variantSolves returns a heterogeneous solve.
 func variantSolves() []variantSolve {
 	w := AppendixA(Sharing5)
 	return []variantSolve{
@@ -32,12 +32,6 @@ func variantSolves() []variantSolve {
 			_, err := SolveGroups([]GroupSpec{
 				{Name: "a", Count: 4, Protocol: WriteOnce(), Workload: w},
 				{Name: "b", Count: 4, Protocol: Illinois(), Workload: w},
-			})
-			return err
-		}},
-		{"SolveHierarchical", 16, func() error {
-			_, err := SolveHierarchical(WriteOnce(), w, HierarchicalConfig{
-				Clusters: 4, PerCluster: 4, GlobalMissFraction: 0.3, GlobalBcFraction: 0.2,
 			})
 			return err
 		}},
@@ -84,16 +78,5 @@ func TestHeterogeneousPreCanceled(t *testing.T) {
 	groups := []mva.Group{{Name: "a", Count: 2, Model: m}, {Name: "b", Count: 2, Model: m}}
 	if _, err := mva.SolveHeterogeneousContext(ctx, groups, mva.Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestHierarchicalRejectsNonFiniteSpeedRatio(t *testing.T) {
-	for _, ratio := range []float64{math.NaN(), math.Inf(1)} {
-		_, err := SolveHierarchical(WriteOnce(), AppendixA(Sharing5), HierarchicalConfig{
-			Clusters: 2, PerCluster: 2, GlobalMissFraction: 0.3, GlobalBcFraction: 0.2, GlobalSpeedRatio: ratio,
-		})
-		if !errors.Is(err, ErrInvalidInput) {
-			t.Errorf("speed ratio %v: err = %v, want ErrInvalidInput", ratio, err)
-		}
 	}
 }
