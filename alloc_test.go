@@ -1,4 +1,4 @@
-// The batch alloc pin is meaningless under the race detector (its
+// Allocation pins are meaningless under the race detector (its
 // instrumentation allocates), so this file is excluded from -race runs;
 // the plain CI test job keeps the gate.
 
@@ -8,53 +8,53 @@ package snoopmva
 
 import (
 	"context"
-	"runtime"
 	"testing"
 )
 
-// TestCachedSolveManyAllocationBound pins a warm 16-point batch through
-// the cached SolveManyContext: pooled key probes all hit, so the only
-// allocation is the result slice handed back to the caller. Counts are
-// read from MemStats and the least of several windows is taken, so a
-// background allocation or a GC that empties the key pools mid-window
-// cannot flake it.
-func TestCachedSolveManyAllocationBound(t *testing.T) {
-	const points = 16
+// TestCachedSolveHitPathIsAllocationFree pins the tentpole: a resident
+// cached solve — key encode, cache probe, result return — performs zero
+// heap allocations, called on the concrete type and through the Solver
+// interface alike.
+func TestCachedSolveHitPathIsAllocationFree(t *testing.T) {
 	c := NewCachedSolver(0)
-	p, w := WriteOnce(), AppendixA(Sharing5)
-	inputs := make([]SolveInput, points)
-	for i := range inputs {
-		inputs[i] = SolveInput{Protocol: p, Workload: w, N: i + 1}
+	p, w := Illinois(), AppendixA(Sharing5)
+	wo := WriteOnce()
+	if _, err := c.Solve(p, w, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Solve(wo, w, 16); err != nil {
+		t.Fatal(err)
 	}
 	ctx := context.Background()
-	batch := func() {
-		if _, err := c.SolveManyContext(ctx, inputs); err != nil {
+	var s Solver = c
+	for name, solve := range map[string]func() (Result, error){
+		"*CachedSolver": func() (Result, error) { return c.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
+		"Solver":        func() (Result, error) { return s.SolveWithContext(ctx, p, w, Timing{}, 8, Options{}) },
+		"Solve":         func() (Result, error) { return c.Solve(wo, w, 16) },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := solve(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: cache hit allocates %v/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSolveIsAllocationFree pins the cold MVA solve — model build, the
+// accelerated fixed-point iterate and result assembly — at zero heap
+// allocations; the //snoop:hotpath budgets on the mva iterate rest on it.
+func TestSolveIsAllocationFree(t *testing.T) {
+	p, w := WriteOnce(), AppendixA(Sharing5)
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := Solve(p, w, 16); err != nil {
 			t.Fatal(err)
 		}
-	}
-	batch() // populate the cache
-
-	const runs = 100
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	allocs, bytes := ^uint64(0), ^uint64(0)
-	for i := 0; i < 5; i++ {
-		batch() // refill the pools a GC may have emptied
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for j := 0; j < runs; j++ {
-			batch()
-		}
-		runtime.ReadMemStats(&after)
-		allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
-		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
-	}
-	if allocs != 1 {
-		t.Fatalf("warm %d-point cached batch allocates %d/op, want exactly 1 (the result slice)", points, allocs)
-	}
-	// The result slice is points × Result; 1152 B at the time of writing.
-	const limit = 1152 * 12 / 10
-	if bytes > limit {
-		t.Fatalf("warm %d-point cached batch allocates %d B/op, want at most %d", points, bytes, limit)
+	})
+	if allocs != 0 {
+		t.Fatalf("Solve allocates %v/op, want 0", allocs)
 	}
 }
 

@@ -126,50 +126,6 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	return v.(Result), nil
 }
 
-// SolveManyContext is the cached SolveManyContext: each point is served
-// from the cache when resident. Hits are probed with the pooled
-// allocation-free encoder; misses are grouped by configuration and
-// solved through the amortized batch path, then published under
-// singleflight. If a concurrent flight for the same key is in progress,
-// the flight's value (bitwise identical for a successful flight) is
-// preferred; a failed flight never masks this batch's own successfully
-// computed point.
-func (c *CachedSolver) SolveManyContext(ctx context.Context, inputs []SolveInput) (out []Result, err error) {
-	defer guard(&err)
-	out = make([]Result, len(inputs))
-	var missIdx []int
-	var keys []solvecache.Key
-	for i, in := range inputs {
-		b := solvecache.AcquireKey()
-		appendSolveKey(b, in.Protocol, in.Workload, in.Timing, in.N, in.Options)
-		if v, ok := c.cache.Lookup(b); ok {
-			b.Release()
-			out[i] = v.(Result)
-			continue
-		}
-		if keys == nil {
-			keys = make([]solvecache.Key, len(inputs))
-		}
-		keys[i] = b.Key()
-		b.Release()
-		missIdx = append(missIdx, i)
-	}
-	if len(missIdx) == 0 {
-		return out, nil
-	}
-	if serr := solveBatch(ctx, inputs, missIdx, out); serr != nil {
-		return nil, serr
-	}
-	for _, i := range missIdx {
-		r := out[i]
-		v, derr := c.cache.Do(keys[i], func() (any, error) { return r, nil })
-		if derr == nil {
-			out[i] = v.(Result)
-		}
-	}
-	return out, nil
-}
-
 // SolveBest is the cached SolveBest: the full budget participates in the
 // key, so differently-budgeted ladders are distinct entries. The cached
 // value carries its provenance (Method/Degraded/FallbackReason) exactly as

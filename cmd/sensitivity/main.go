@@ -136,7 +136,14 @@ func main() {
 	}
 }
 
+// fatal prints err under the command's name and exits 1. Errors from
+// internal/sensitivity already carry that name as their prefix, so it is
+// not added twice.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sensitivity:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "sensitivity: ") {
+		msg = "sensitivity: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -70,7 +70,9 @@ func TestCommandLineTools(t *testing.T) {
 	}
 
 	// Error paths exit non-zero; where want is set, the flag-validation
-	// message must name the offending flag so a user can act on it.
+	// message must name the offending flag so a user can act on it. The
+	// command's "name: " prefix appears at most once, even when the error
+	// comes from a library package that prefixes its own name.
 	for _, c := range []struct {
 		name string
 		args []string
@@ -105,6 +107,9 @@ func TestCommandLineTools(t *testing.T) {
 		}
 		if c.want != "" && !strings.Contains(string(out), c.want) {
 			t.Errorf("%s %v error output missing %q:\n%s", c.name, c.args, c.want, out)
+		}
+		if n := strings.Count(string(out), c.name+": "); n > 1 {
+			t.Errorf("%s %v error output repeats the %q prefix %d times:\n%s", c.name, c.args, c.name+": ", n, out)
 		}
 	}
 

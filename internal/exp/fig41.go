@@ -55,12 +55,12 @@ func runFig41(cfg RunConfig) (*Report, error) {
 	tb := tables.New("Figure 4.1 series", "curve", "N", "speedup")
 	for _, c := range curves {
 		m := mva.Model{Workload: workload.AppendixA(c.sharing), Mods: c.ms}
-		results, err := m.SolveManyContext(cfg.Ctx, ns, mva.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("fig4.1 %s: %w", c.label, err)
-		}
-		ys := make([]float64, len(results))
-		for i, r := range results {
+		ys := make([]float64, len(ns))
+		for i, n := range ns {
+			r, err := m.SolveContext(cfg.Ctx, n, mva.Options{})
+			if err != nil {
+				return nil, fmt.Errorf("fig4.1 %s at N=%d: %w", c.label, n, err)
+			}
 			ys[i] = r.Speedup
 			tb.AddRow(c.label, r.N, r.Speedup)
 		}

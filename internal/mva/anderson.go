@@ -17,7 +17,7 @@ const (
 )
 
 // anderson is the mixing state of a depth-2 Anderson (type-II)
-// acceleration of the fixed-point map x ↦ G(x) over a model's State. Each
+// acceleration of the fixed-point map x ↦ G(x) over a model's state. Each
 // step takes the last three residuals f_j = G(x_j) − x_j and images
 // g_j = G(x_j), finds the γ minimizing
 // ‖f_k − ΔF·γ‖₂ over the residual differences ΔF, and moves to
@@ -26,10 +26,10 @@ const (
 // the extrapolation cancels that pair, which is what cuts hundreds of
 // plain steps to about a dozen.
 //
-// The zero value is ready to use. It lives in the FixedPoint: the
+// The zero value is ready to use. It lives in the fixedPoint: the
 // history is fixed-size arrays, so a step allocates nothing.
 type anderson struct {
-	f, g     [3]State // residuals and images, newest first
+	f, g     [3]state // residuals and images, newest first
 	have     int      // valid history entries (0..3)
 	best     float64  // smallest residual since the last restart; 0 = none yet
 	stale    int      // steps since best last improved
@@ -40,14 +40,14 @@ type anderson struct {
 // next returns the iterate that follows x, given its image g = G(x) and
 // the residual norm res = ‖g − x‖∞. It falls back to the plain step g in
 // two cases. If the extrapolated point leaves the solver's domain (see
-// State.inDomain), the history is cut back to the
+// state.inDomain), the history is cut back to the
 // newest pair, so mixing resumes from the current residual at the next
 // step. If the residual has not improved on its best for andersonWindow
 // steps, the history is emptied; after andersonRestarts such restarts the
 // rung continues as plain substitution.
 //
 //snoop:hotpath accelerated steady-state iterate must not allocate (pinned at 0 allocs by TestSolveIsAllocationFree)
-func (a *anderson) next(x, g State, res float64) State {
+func (a *anderson) next(x, g state, res float64) state {
 	if a.off {
 		return g
 	}
@@ -99,7 +99,7 @@ func (a *anderson) next(x, g State, res float64) State {
 		}
 	}
 
-	var out State
+	var out state
 	for i := range out {
 		out[i] = g[i] - gamma1*(a.g[0][i]-a.g[1][i]) - gamma2*(a.g[1][i]-a.g[2][i])
 	}

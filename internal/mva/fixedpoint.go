@@ -26,8 +26,8 @@ type DivergenceError struct {
 	N         int
 	Iteration int
 	// X is the non-finite image, in the coordinates of the model that
-	// diverged (see State).
-	X State
+	// diverged (see state).
+	X state
 }
 
 func (e *DivergenceError) Error() string {
@@ -38,16 +38,16 @@ func (e *DivergenceError) Error() string {
 // Unwrap makes errors.Is(err, ErrDiverged) hold.
 func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 
-// State is the iterate of an MVA fixed point. Each model picks three
+// state is the iterate of an MVA fixed point. Each model picks three
 // coordinates from which one evaluation of its equations follows: the
 // flat model iterates (R, w_bus, w_mem) and the heterogeneous model
 // (w_bus, w_mem, Q̄_bus). The convergence test is relative to the first
 // coordinate.
-type State [3]float64
+type state [3]float64
 
 // inDomain reports whether x is a state the iteration may move to:
 // finite, a positive first coordinate and non-negative others.
-func (x State) inDomain() bool {
+func (x state) inDomain() bool {
 	return isFinite(x[0]) && x[0] > 0 && isFinite(x[1]) && x[1] >= 0 && isFinite(x[2]) && x[2] >= 0
 }
 
@@ -74,14 +74,14 @@ type rung struct {
 // configurations where the accelerated rung gives up.
 var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
 
-// FixedPoint drives the fixed-point iteration x ← G(x) of every MVA
+// fixedPoint drives the fixed-point iteration x ← G(x) of every MVA
 // variant. The caller owns the loop and evaluates its model's map G; the
 // driver owns the rest: the iteration budget and cancellation checks, the
 // fault hooks, the non-finite guard, the damped update, the joint
 // convergence test, Anderson mixing and the fallback ladder of
 // Options.Damping, each rung restarting from the initial state:
 //
-//	fp := NewFixedPoint(n, x0, opts)
+//	fp := newFixedPoint(n, x0, opts)
 //	for fp.Next(ctx) {
 //		fp.Step(G(fp.X))
 //	}
@@ -89,9 +89,9 @@ var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
 //
 // There is no callback: the map is evaluated inline in the caller's loop,
 // so the flat model's iterate stays allocation-free.
-type FixedPoint struct {
+type fixedPoint struct {
 	// X is the current iterate; after convergence, the converged state.
-	X State
+	X state
 	// Iter counts the completed iterations of the current rung.
 	Iter int
 	// Residual is the largest coordinate change of the last update — the
@@ -104,7 +104,7 @@ type FixedPoint struct {
 	Err error
 
 	n        int
-	x0       State
+	x0       state
 	tol      float64
 	maxIter  int
 	rung     rung
@@ -114,11 +114,11 @@ type FixedPoint struct {
 	aa       anderson
 }
 
-// NewFixedPoint starts an iteration from x0 for a system of n processors.
+// newFixedPoint starts an iteration from x0 for a system of n processors.
 // It reads Tol, MaxIter and Damping from opts and fires the MVAEnter hook.
-func NewFixedPoint(n int, x0 State, opts Options) FixedPoint {
+func newFixedPoint(n int, x0 state, opts Options) fixedPoint {
 	o := opts.withDefaults()
-	fp := FixedPoint{X: x0, n: n, x0: x0, tol: o.Tol, maxIter: o.MaxIter, rung: rung{damping: o.Damping}}
+	fp := fixedPoint{X: x0, n: n, x0: x0, tol: o.Tol, maxIter: o.MaxIter, rung: rung{damping: o.Damping}}
 	if !(o.Damping >= 0 && o.Damping <= 1) {
 		fp.Err, fp.done = fmt.Errorf("mva: damping %v outside (0,1]: %w", o.Damping, workload.ErrInvalid), true
 		return fp
@@ -134,7 +134,7 @@ func NewFixedPoint(n int, x0 State, opts Options) FixedPoint {
 
 // Next reports whether the caller should evaluate G(X) and Step. It
 // returns false once the iteration has converged or failed (see Err).
-func (fp *FixedPoint) Next(ctx context.Context) bool {
+func (fp *fixedPoint) Next(ctx context.Context) bool {
 	if fp.done || fp.Iter >= fp.maxIter || fp.Iter%ctxCheckInterval == 0 {
 		return fp.boundary(ctx)
 	}
@@ -143,7 +143,7 @@ func (fp *FixedPoint) Next(ctx context.Context) bool {
 
 // boundary is Next's out-of-line half: termination, rung fallback and the
 // periodic cancellation check.
-func (fp *FixedPoint) boundary(ctx context.Context) bool {
+func (fp *fixedPoint) boundary(ctx context.Context) bool {
 	if fp.done {
 		return false
 	}
@@ -172,7 +172,7 @@ func (fp *FixedPoint) boundary(ctx context.Context) bool {
 // Anderson-mixed iterate instead of the plain image.
 //
 //snoop:hotpath steady-state iterate must not allocate (pinned at 0 allocs by TestSolveIsAllocationFree)
-func (fp *FixedPoint) Step(g State) {
+func (fp *fixedPoint) Step(g state) {
 	iter := fp.Iter + 1
 	stalled := false
 	if h := fp.hooks; h != nil {

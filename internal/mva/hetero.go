@@ -101,7 +101,7 @@ func SolveHeterogeneousContext(ctx context.Context, groups []Group, opts Options
 
 	totalF := float64(total)
 	var uBus, uMem float64
-	fp := NewFixedPoint(total, State{}, opts)
+	fp := newFixedPoint(total, state{}, opts)
 	for fp.Next(ctx) {
 		wBus, wMem, q := fp.X[0], fp.X[1], fp.X[2]
 		// Per-group response time with the current shared state, and the
@@ -150,10 +150,10 @@ func SolveHeterogeneousContext(ctx context.Context, groups []Group, opts Options
 				}
 			}
 		}
-		pBusyBus := BusyProbability(uBus, totalF)
+		pBusyBus := busyProbability(uBus, totalF)
 		newWBus := math.Max(qBus-pBusyBus, 0)*tBus + pBusyBus*tRes
-		newWMem := BusyProbability(uMem, totalF) * t.DMem / 2
-		fp.Step(State{newWBus, newWMem, qBus})
+		newWMem := busyProbability(uMem, totalF) * t.DMem / 2
+		fp.Step(state{newWBus, newWMem, qBus})
 	}
 
 	res := HeteroResult{TotalProcessors: total, Iterations: fp.Iter}

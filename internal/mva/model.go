@@ -32,13 +32,13 @@ import (
 )
 
 // Options tunes the fixed-point solution of every MVA variant — Tol,
-// MaxIter and Damping drive the FixedPoint of the flat and heterogeneous
+// MaxIter and Damping drive the fixedPoint of the flat and heterogeneous
 // models alike — and enables the ablation switches used by the
 // §4.3 stress experiment (internal/exp/stress.go) to isolate the
 // submodels the detailed model shares.
 type Options struct {
 	// Tol is the convergence tolerance on the largest change one (damped)
-	// update of the equations makes to the fixed-point State — (R, w_bus,
+	// update of the equations makes to the fixed-point state — (R, w_bus,
 	// w_mem) for the flat model — relative to 1 plus the magnitude of its
 	// first coordinate. Zero means 1e-10.
 	Tol float64

@@ -10,10 +10,8 @@ import (
 // solveScratch is the pooled per-solve state of the fixed point: the
 // derived model inputs plus every loop invariant the iterate needs, so a
 // solve performs the derivation work once and the steady-state loop runs
-// on precomputed scalars. One scratch serves a whole SolveContext call
-// (all damping-ladder attempts reuse the derivation) and a whole
-// SolveManyContext batch (consecutive sizes of the same model reuse it
-// too; only the per-size interference quantities are recomputed).
+// on precomputed scalars. One scratch serves a whole SolveContext call:
+// all damping-ladder attempts reuse the derivation.
 //
 // The derivation outlives the solve: release keeps it, so the next solve
 // that draws this scratch from the pool under a bitwise-identical model
@@ -108,12 +106,12 @@ func (sc *solveScratch) prepareN(n int) {
 	sc.haveN = true
 }
 
-// BusyProbability is equation (8)'s probability that an arrival finds a
+// busyProbability is equation (8)'s probability that an arrival finds a
 // server busy, (U − U/N)/(1 − U/N) clamped to [0,1], for a population of
 // nf customers. It serves the iterates of every MVA variant and has no
 // error return: its preconditions (population >= 1, utilization >= 0)
-// hold at every state the FixedPoint driver evaluates.
-func BusyProbability(util, nf float64) float64 {
+// hold at every state the fixedPoint driver evaluates.
+func busyProbability(util, nf float64) float64 {
 	if nf <= 1 {
 		return 0
 	}

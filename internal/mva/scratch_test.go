@@ -33,7 +33,7 @@ func resultBits(r Result) []uint64 {
 // freshSolve solves m at n on a scratch no earlier solve has touched.
 func freshSolve(t *testing.T, m Model, n int) Result {
 	t.Helper()
-	res, err := m.solveWithScratch(context.Background(), n, Options{}, new(solveScratch))
+	res, err := m.solveOnce(context.Background(), n, Options{}, false, new(solveScratch))
 	if err != nil {
 		t.Fatalf("fresh solve of %v at N=%d: %v", m.Mods, n, err)
 	}
@@ -72,7 +72,7 @@ func TestPooledDerivationMatchesFreshSolves(t *testing.T) {
 	check("pool", func(m Model, n int) (Result, error) { return m.Solve(n, Options{}) })
 	sc := new(solveScratch)
 	check("one scratch", func(m Model, n int) (Result, error) {
-		return m.solveWithScratch(context.Background(), n, Options{}, sc)
+		return m.solveOnce(context.Background(), n, Options{}, false, sc)
 	})
 
 	if pp := freshSolve(t, minusZero, 4).ProcessingPower; !math.Signbit(pp) {

@@ -25,36 +25,7 @@ func (m Model) Solve(n int, opts Options) (Result, error) {
 
 // SolveContext is Solve with cancellation: the fixed-point loop checks ctx
 // every few iterations and returns ctx.Err() (wrapped) when it fires.
-func (m Model) SolveContext(ctx context.Context, n int, opts Options) (Result, error) {
-	sc := acquireScratch()
-	defer sc.release()
-	return m.solveWithScratch(ctx, n, opts, sc)
-}
-
-// SolveManyContext solves the model at each size in ns, in order,
-// amortizing the per-solve setup: the model inputs are derived once and
-// every size's fixed point (including its damping-ladder attempts) runs
-// off the same pooled scratch. Each point is a cold start — results are
-// bitwise identical to independent SolveContext calls — and the batch
-// stops at the first failing size, identifying it in the error.
-func (m Model) SolveManyContext(ctx context.Context, ns []int, opts Options) ([]Result, error) {
-	sc := acquireScratch()
-	defer sc.release()
-	out := make([]Result, 0, len(ns))
-	for _, n := range ns {
-		r, err := m.solveWithScratch(ctx, n, opts, sc)
-		if err != nil {
-			return nil, fmt.Errorf("mva: batch solve at N=%d: %w", n, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// solveWithScratch is one public solve over a caller-provided scratch:
-// the delay hook and metrics of SolveContext around solveOnce, with the
-// derivation state shared across batched solves.
-func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *solveScratch) (res Result, err error) {
+func (m Model) SolveContext(ctx context.Context, n int, opts Options) (res Result, err error) {
 	defer func() { recordSolve(&res, err) }()
 	if h := faultinject.Hooks(); h != nil && h.SolveDelay != nil {
 		if d := h.SolveDelay(n); d > 0 {
@@ -67,15 +38,17 @@ func (m Model) solveWithScratch(ctx context.Context, n int, opts Options, sc *so
 			}
 		}
 	}
+	sc := acquireScratch()
+	defer sc.release()
 	return m.solveOnce(ctx, n, opts, false, sc)
 }
 
-// solveOnce evaluates the flat model's map inside the FixedPoint loop: the
+// solveOnce evaluates the flat model's map inside the fixedPoint loop: the
 // inner loop every sweep point and campaign point reduces to. With
 // accelerate set it runs the ladder's accelerated rung alone, without its
 // fallbacks (o.Damping must then be 1). The caller's scratch carries
-// the derived inputs and per-size interference quantities across batched
-// solves; every remaining loop quantity is hoisted to a precomputed
+// the derived inputs and per-size interference quantities across solves
+// of the same model; every remaining loop quantity is hoisted to a precomputed
 // scalar here, so the iterate itself is straight-line float arithmetic
 // (one Exp, two division-free busy-probability evaluations) with no
 // allocation and no struct copies.
@@ -149,9 +122,9 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 
 	// Fixed-point state (R, w_bus, w_mem): waiting times start at zero
 	// (Section 3.2).
-	x0 := State{tau + tSupply + pBc*d.TBc(0) + pRr*tRead, 0, 0}
+	x0 := state{tau + tSupply + pBc*d.TBc(0) + pRr*tRead, 0, 0}
 
-	fp := NewFixedPoint(n, x0, o)
+	fp := newFixedPoint(n, x0, o)
 	if accelerate {
 		fp.rung, fp.fallback = defaultLadder[0], nil
 	}
@@ -186,7 +159,7 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 		if o.NoArrivalCorrection {
 			pBusyBus = math.Min(uBus, 1)
 		} else {
-			pBusyBus = BusyProbability(uBus, nf)
+			pBusyBus = busyProbability(uBus, nf)
 		}
 
 		// Equations (9) and (10): mean access time and residual life.
@@ -223,7 +196,7 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 			if o.NoArrivalCorrection {
 				pBusyMem = math.Min(uMem, 1)
 			} else {
-				pBusyMem = BusyProbability(uMem, nf)
+				pBusyMem = busyProbability(uMem, nf)
 			}
 			newWMem = pBusyMem * dMem / 2
 		}
@@ -246,7 +219,7 @@ func (m Model) solveOnce(ctx context.Context, n int, o Options, accelerate bool,
 
 		// Equation (1).
 		newR := tau + rLocal + rBroadcast + rRemoteRead + tSupply
-		fp.Step(State{newR, newWBus, newWMem})
+		fp.Step(state{newR, newWBus, newWMem})
 	}
 
 	res := Result{N: n, Mods: m.Mods, Iterations: fp.Iter}

@@ -80,9 +80,6 @@ func TestSolvePreCanceled(t *testing.T) {
 	if _, err := m.SolveContext(ctx, 10, Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SolveContext: err = %v, want context.Canceled", err)
 	}
-	if _, err := m.SolveManyContext(ctx, []int{1, 2}, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("SolveManyContext: err = %v, want context.Canceled", err)
-	}
 }
 
 func TestDampingReachesSameFixedPoint(t *testing.T) {
@@ -111,19 +108,6 @@ func TestSpeedupMonotoneInN(t *testing.T) {
 			t.Fatalf("speedup not monotone at N=%d: %v < %v", n, res.Speedup, prev)
 		}
 		prev = res.Speedup
-	}
-}
-
-func TestSweep(t *testing.T) {
-	rs, err := baseModel().SolveManyContext(context.Background(), []int{1, 2, 4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 || rs[0].N != 1 || rs[2].N != 4 {
-		t.Errorf("sweep wrong: %+v", rs)
-	}
-	if _, err := baseModel().SolveManyContext(context.Background(), []int{1, 0}, Options{}); err == nil {
-		t.Error("sweep should propagate solve errors")
 	}
 }
 

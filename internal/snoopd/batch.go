@@ -136,29 +136,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	clientID := r.Header.Get(ClientIDHeader)
 
-	// Plain solve points ride the amortized batch path — per-point
-	// admission, then grouped compute on shared solver scratch — while
-	// the heavier arms (solvebest, sweep) keep the worker pool.
-	var solveItems, poolItems []BatchItem
-	for _, it := range req.Items {
-		if it.Solve != nil {
-			solveItems = append(solveItems, it)
-		} else {
-			poolItems = append(poolItems, it)
-		}
-	}
-
-	var wg sync.WaitGroup
-	if len(solveItems) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.execSolves(ctx, clientID, solveItems, emit)
-		}()
-	}
-
 	items := make(chan *BatchItem)
-	workers := min(batchWorkers, len(poolItems))
+	workers := min(batchWorkers, len(req.Items))
+	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -169,9 +149,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 feed:
-	for i := range poolItems {
+	for i := range req.Items {
 		select {
-		case items <- &poolItems[i]:
+		case items <- &req.Items[i]:
 		case <-ctx.Done():
 			break feed // client gone: stop feeding
 		}

@@ -94,40 +94,6 @@ func (s *Server) admitExec(ctx context.Context, clientID string, it *BatchItem) 
 	return s.exec(ctx, it)
 }
 
-// execSolves executes a run of plain-solve items: per-point admission
-// exactly as admitExec would apply it, then the admitted points run
-// through solveManyCore so points sharing a configuration share one
-// derivation and one pooled solver scratch (a lone point goes straight
-// to exec). Shed points are emitted without ever reaching the solver;
-// admission slots for admitted points are held until their run
-// completes, which is the honest accounting for compute that is
-// genuinely in flight together.
-func (s *Server) execSolves(ctx context.Context, clientID string, items []BatchItem, emit func(*BatchItem, outcome)) {
-	admitted := make([]*BatchItem, 0, len(items))
-	releases := make([]func(), 0, len(items))
-	for i := range items {
-		if ctx.Err() != nil {
-			break // client gone: stop admitting new points
-		}
-		release, err := s.admitPoint(ctx, clientID, &items[i])
-		if err != nil {
-			emit(&items[i], outcome{err: err})
-			continue
-		}
-		admitted = append(admitted, &items[i])
-		releases = append(releases, release)
-	}
-	if len(admitted) == 1 {
-		emit(admitted[0], s.exec(ctx, admitted[0]))
-		releases[0]()
-		return
-	}
-	for i, oc := range s.solveManyCore(ctx, admitted) {
-		emit(admitted[i], oc)
-		releases[i]()
-	}
-}
-
 // admitPoint runs one point through the admission controller (a no-op
 // release when admission is off). The deadline hint comes from the
 // point's own timeout so the queue can shed points that would outlive
@@ -223,74 +189,6 @@ func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.
 	}
 	defer cancel()
 	return s.solver.SolveWithContext(ctx, p, wl, orZero(req.Timing), req.N, orZero(req.Options))
-}
-
-// solveManyCore executes a run of plain-solve items through the
-// amortized batch path: points are validated individually, grouped by
-// timeout (each group shares one derived deadline), and solved with
-// SolveManyContext so points sharing a configuration share one
-// derivation and one pooled solver scratch. The batch solve is fail-fast, so a
-// group whose run fails — other than by the caller's own cancellation —
-// falls back to per-point solveCore calls (each with a fresh deadline):
-// every point then reports exactly the outcome it would have reported
-// had it been submitted alone, at the cost of re-solving the innocents.
-func (s *Server) solveManyCore(parent context.Context, items []*BatchItem) []outcome {
-	out := make([]outcome, len(items))
-	type point struct {
-		i  int
-		in snoopmva.SolveInput
-	}
-	var order []int64
-	groups := make(map[int64][]point)
-	for i, it := range items {
-		req := it.Solve
-		out[i].kind = opSolve
-		p, wl, err := resolve(req.Protocol, req.Workload)
-		if err != nil {
-			out[i].err = err
-			continue
-		}
-		if _, ok := groups[req.TimeoutMS]; !ok {
-			order = append(order, req.TimeoutMS)
-		}
-		groups[req.TimeoutMS] = append(groups[req.TimeoutMS], point{i, snoopmva.SolveInput{
-			Protocol: p,
-			Workload: wl,
-			Timing:   orZero(req.Timing),
-			N:        req.N,
-			Options:  orZero(req.Options),
-		}})
-	}
-	for _, tm := range order {
-		pts := groups[tm]
-		ctx, cancel, err := s.coreContext(parent, tm)
-		if err != nil {
-			for _, pt := range pts {
-				out[pt.i].err = err
-			}
-			continue
-		}
-		inputs := make([]snoopmva.SolveInput, len(pts))
-		for j, pt := range pts {
-			inputs[j] = pt.in
-		}
-		results, serr := s.solver.SolveManyContext(ctx, inputs)
-		cancel()
-		if serr == nil {
-			for j, pt := range pts {
-				out[pt.i].res = results[j]
-			}
-			continue
-		}
-		for _, pt := range pts {
-			if parent.Err() != nil {
-				out[pt.i].err = serr
-				continue
-			}
-			out[pt.i].res, out[pt.i].err = s.solveCore(parent, items[pt.i].Solve)
-		}
-	}
-	return out
 }
 
 // solveBestCore executes a solvebest request, including the brownout

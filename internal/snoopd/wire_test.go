@@ -535,9 +535,9 @@ func TestWireMetrics(t *testing.T) {
 }
 
 // TestWireSolveBatchMatchesSingles drives a pipelined SolveBatch through
-// the server's greedy drain (no admission, so the inline path batches
-// buffered frames through solveManyCore) and checks every point against
-// an individually-submitted solve: bitwise-identical results, per-point
+// the server's inline fast path (no admission, so the read loop answers
+// each solve frame as it arrives) and checks every point against an
+// individually-submitted solve: bitwise-identical results, per-point
 // errors with the shared taxonomy, neighbors undisturbed.
 func TestWireSolveBatchMatchesSingles(t *testing.T) {
 	s := newTestServer(t, Config{})

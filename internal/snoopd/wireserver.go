@@ -157,8 +157,6 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 	defer wg.Wait()
 	defer close(jobs)
 	var scratch []byte // response-payload buffer of the inline fast path
-	emit := func(it *BatchItem, oc outcome) { scratch = wc.writeOutcome(scratch, it.Seq, oc) }
-	var inline []BatchItem
 	for ctx.Err() == nil {
 		f, err := r.Next()
 		if err != nil {
@@ -184,28 +182,7 @@ func (s *Server) serveWireConn(ctx context.Context, conn net.Conn) {
 				// so the read loop answers directly. SolveBest and sweeps
 				// (ms scale and up) still fan out to the pool, as does
 				// everything when admission could make a request wait.
-				//
-				// Greedy drain: pipelined solve frames already sitting in
-				// the reader's buffer (a SolveBatch burst typically lands
-				// in one read syscall) join this one in a single batched
-				// solve, sharing derivation and pooled solver scratch.
-				// Buffered never blocks, so a lone request still answers
-				// immediately.
-				inline = append(inline[:0], it)
-				for len(inline) < wire.MaxBatchPoints {
-					if t, ok := r.Buffered(); !ok || t != wire.TypeSolveReq {
-						break
-					}
-					if f, err = r.Next(); err != nil { // complete frame is buffered: cannot block
-						return
-					}
-					if it, ok = s.wireItem(f); !ok {
-						wc.fail()
-						return
-					}
-					inline = append(inline, it)
-				}
-				s.execSolves(ctx, clientID, inline, emit)
+				scratch = wc.writeOutcome(scratch, it.Seq, s.exec(ctx, &it))
 				continue
 			}
 			select {

@@ -213,7 +213,8 @@ type SolveBatchResult struct {
 // queued before the first flush, so the whole batch typically rides one
 // write syscall out and a few reads back — the binary analogue of the
 // JSON API's POST /v1/batch, and the shape snoopbench's batch_binary
-// phase measures. Results are positional (out[i] answers reqs[i]); per-point
+// phase measures. The server answers each frame exactly as it would a
+// lone request. Results are positional (out[i] answers reqs[i]); per-point
 // failures land in the point's Err, and only client-level failures
 // (closed, version mismatch, ctx cancellation) fail the call as a
 // whole. The client assigns the sequence ids.

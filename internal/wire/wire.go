@@ -321,20 +321,6 @@ func (r *Reader) Next() (Frame, error) {
 	}
 }
 
-// Buffered reports whether a complete frame is already sitting in the
-// Reader's buffer — whether Next can return a frame without touching the
-// underlying source — and, if so, that frame's type. A pipelining server
-// uses this to drain a burst of already-received requests into one
-// batched solve without risking a blocking read. A buffered but corrupt
-// frame reports ok=false; the caller's next Next surfaces the error.
-func (r *Reader) Buffered() (FrameType, bool) {
-	f, _, err := DecodeFrame(r.buf, r.maxPayload)
-	if err != nil {
-		return 0, false
-	}
-	return f.Type, true
-}
-
 // fillWindow is how many bytes one fill offers the source. Wide enough
 // that a pipelining peer's burst of frames lands in one read syscall.
 const fillWindow = 16384

@@ -524,47 +524,3 @@ func TestFrameTypeStrings(t *testing.T) {
 		}
 	}
 }
-
-// TestReaderBuffered pins the non-blocking drain probe: Buffered reports
-// a complete frame (with its type) exactly when Next would not touch the
-// source, never consumes anything, and reports false both mid-frame and
-// at a clean boundary.
-func TestReaderBuffered(t *testing.T) {
-	var stream []byte
-	stream = AppendFrame(stream, TypePing, AppendPing(nil, &Ping{Seq: 1}))
-	stream = AppendFrame(stream, TypePong, AppendPong(nil, &Pong{Seq: 1}))
-
-	r := NewReader(bytes.NewReader(stream), 0)
-	if _, ok := r.Buffered(); ok {
-		t.Fatal("Buffered reported a frame before any read")
-	}
-	if f, err := r.Next(); err != nil || f.Type != TypePing {
-		t.Fatalf("first Next = %v, %v", f.Type, err)
-	}
-	// The first fill slurped both frames, so the second is buffered now.
-	typ, ok := r.Buffered()
-	if !ok || typ != TypePong {
-		t.Fatalf("Buffered = %v, %v, want TypePong, true", typ, ok)
-	}
-	// Probing must not consume: repeated calls agree, and Next still
-	// returns the probed frame.
-	if typ2, ok2 := r.Buffered(); !ok2 || typ2 != typ {
-		t.Fatal("Buffered consumed state across calls")
-	}
-	if f, err := r.Next(); err != nil || f.Type != TypePong {
-		t.Fatalf("second Next = %v, %v", f.Type, err)
-	}
-	if _, ok := r.Buffered(); ok {
-		t.Fatal("Buffered reported a frame at end of stream")
-	}
-
-	// A partial frame in the buffer is not drainable.
-	full := AppendFrame(nil, TypePing, AppendPing(nil, &Ping{Seq: 9}))
-	pr := NewReader(bytes.NewReader(full[:len(full)-1]), 0)
-	if _, err := pr.Next(); err != io.ErrUnexpectedEOF {
-		t.Fatalf("partial Next err = %v", err)
-	}
-	if _, ok := pr.Buffered(); ok {
-		t.Fatal("Buffered reported a partial frame as complete")
-	}
-}

@@ -3,8 +3,10 @@ package snoopmva
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,5 +256,69 @@ func TestSweepParallelFeederCancellationWithBlockedWorkers(t *testing.T) {
 	}
 	if got := int(started.Load()); got != workers {
 		t.Fatalf("%d solves started, want exactly %d: the feeder scheduled new work after cancellation", got, workers)
+	}
+}
+
+// TestSolveRaceStorm hammers the pooled solver scratch from many
+// goroutines (run under -race) with points over three seeded random
+// configurations, interleaved out of order and visited from a different
+// starting point by each goroutine, so a pooled scratch keeps changing
+// models: concurrent solves must not bleed state across solves through
+// the pool, so every answer equals the sequential one bit for bit.
+func TestSolveRaceStorm(t *testing.T) {
+	type point struct {
+		p Protocol
+		w Workload
+		n int
+	}
+	rng := rand.New(rand.NewSource(2027))
+	protos := []Protocol{Illinois(), Berkeley(), WriteOnce(), Dragon()}
+	configs := make([]point, 3)
+	for i := range configs {
+		configs[i] = point{p: protos[rng.Intn(len(protos))], w: randWorkload(t, rng)}
+	}
+	points := make([]point, 16)
+	for i := range points {
+		points[i] = configs[rng.Intn(len(configs))]
+		points[i].n = 1 + rng.Intn(24)
+	}
+
+	ctx := context.Background()
+	want := make([]Result, len(points))
+	for i, pt := range points {
+		r, err := SolveWithContext(ctx, pt.p, pt.w, Timing{}, pt.n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				for k := range points {
+					i := (k + w) % len(points) // each goroutine starts at its own point
+					pt := points[i]
+					got, err := SolveWithContext(ctx, pt.p, pt.w, Timing{}, pt.n, Options{})
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got != want[i] {
+						errs <- errors.New("cross-solve state bleed: result diverged under concurrency")
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

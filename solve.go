@@ -2,7 +2,6 @@ package snoopmva
 
 import (
 	"context"
-	"fmt"
 
 	"snoopmva/internal/mva"
 )
@@ -81,84 +80,6 @@ func model(p Protocol, w Workload, t Timing) (mva.Model, error) {
 // processors with default timing and options.
 func Solve(p Protocol, w Workload, n int) (Result, error) {
 	return SolveWithContext(context.Background(), p, w, Timing{}, n, Options{})
-}
-
-// SolveInput is one configuration in a SolveManyContext batch.
-type SolveInput struct {
-	Protocol Protocol
-	Workload Workload
-	// Timing may be the zero value, meaning the paper defaults (exactly as
-	// in SolveWithContext).
-	Timing Timing
-	N      int
-	// Options may be the zero value, meaning the paper's scheme.
-	Options Options
-}
-
-// SolveManyContext solves a batch of configurations, amortizing
-// derivation and solver-scratch acquisition across points that share a
-// (protocol, workload, timing, options) configuration — the interactive
-// design-space-sweep shape the paper's Section 4 argues the MVA technique
-// makes cheap. Results are returned in input order and are bitwise
-// identical to a sequential loop of SolveWithContext calls over the same
-// inputs (every point is cold-started; only setup is shared). The batch
-// is fail-fast: the first point whose solve fails (or is canceled) aborts
-// the batch, and the error names the failing system size.
-func SolveManyContext(ctx context.Context, inputs []SolveInput) (out []Result, err error) {
-	defer guard(&err)
-	out = make([]Result, len(inputs))
-	idxs := make([]int, len(inputs))
-	for i := range inputs {
-		idxs[i] = i
-	}
-	if serr := solveBatch(ctx, inputs, idxs, out); serr != nil {
-		return nil, serr
-	}
-	return out, nil
-}
-
-// batchConfig is the amortization unit of a SolveManyContext batch: points
-// whose derived model and solver options are identical share one
-// grouped solve (and therefore one derivation and one pooled scratch).
-type batchConfig struct {
-	model mva.Model
-	opts  mva.Options
-}
-
-// solveBatch solves inputs[i] for each i in idxs, writing each result to
-// out[i]. Points are grouped by identical configuration in first-seen
-// order and each group runs through one mva batch solve, so results are
-// deterministic and bitwise identical to per-point cold solves.
-func solveBatch(ctx context.Context, inputs []SolveInput, idxs []int, out []Result) error {
-	var order []batchConfig
-	groups := make(map[batchConfig][]int)
-	for _, i := range idxs {
-		in := inputs[i]
-		m, err := model(in.Protocol, in.Workload, in.Timing)
-		if err != nil {
-			return fmt.Errorf("snoopmva: batch solve at index %d: %w", i, err)
-		}
-		cfg := batchConfig{model: m, opts: in.Options.internal()}
-		if _, ok := groups[cfg]; !ok {
-			order = append(order, cfg)
-		}
-		groups[cfg] = append(groups[cfg], i)
-	}
-	for _, cfg := range order {
-		members := groups[cfg]
-		ns := make([]int, len(members))
-		for j, i := range members {
-			ns[j] = inputs[i].N
-		}
-		rs, err := cfg.model.SolveManyContext(ctx, ns, cfg.opts)
-		if err != nil {
-			return fmt.Errorf("snoopmva: batch solve: %w", err)
-		}
-		for j, i := range members {
-			out[i] = fromMVA(rs[j])
-		}
-	}
-	return nil
 }
 
 // DetailedResult holds the GTPN (detailed-model) outputs.

@@ -12,12 +12,11 @@ import (
 // Solver is the one MVA solve surface. Direct (the package-level solvers)
 // and *CachedSolver (the same solvers behind a memoization cache)
 // implement it, so a caller chooses its solver once and every point,
-// batch, sweep and SolveBest ladder goes through that choice; the sweep
+// sweep and SolveBest ladder goes through that choice; the sweep
 // and the protocol comparison are free functions over a Solver. Every
 // answer is bitwise the same whichever implementation gives it.
 type Solver interface {
 	SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (Result, error)
-	SolveManyContext(ctx context.Context, inputs []SolveInput) ([]Result, error)
 	SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error)
 }
 
@@ -29,10 +28,6 @@ type direct struct{}
 
 func (direct) SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (Result, error) {
 	return SolveWithContext(ctx, p, w, t, n, opts)
-}
-
-func (direct) SolveManyContext(ctx context.Context, inputs []SolveInput) ([]Result, error) {
-	return SolveManyContext(ctx, inputs)
 }
 
 func (direct) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error) {

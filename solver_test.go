@@ -34,19 +34,6 @@ func TestSolverImplementationsAgree(t *testing.T) {
 		{"SolveWithContext invalid workload", func(s Solver) (any, error) {
 			return s.SolveWithContext(ctx, Illinois(), bad, Timing{}, 4, Options{})
 		}, nil},
-		{"SolveManyContext", func(s Solver) (any, error) {
-			return s.SolveManyContext(ctx, []SolveInput{
-				{Protocol: Illinois(), Workload: w, N: 4},
-				{Protocol: Dragon(), Workload: AppendixA(Sharing20), N: 16},
-				{Protocol: Illinois(), Workload: w, N: 1},
-			})
-		}, nil},
-		{"SolveManyContext invalid size", func(s Solver) (any, error) {
-			return s.SolveManyContext(ctx, []SolveInput{
-				{Protocol: Illinois(), Workload: w, N: 4},
-				{Protocol: Illinois(), Workload: w, N: 0},
-			})
-		}, nil},
 		{"SolveBest", func(s Solver) (any, error) {
 			return s.SolveBest(ctx, WriteOnce(), w, 8, mvaOnly)
 		}, nil},
