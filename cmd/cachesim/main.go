@@ -41,6 +41,9 @@ func main() {
 		defer cancel()
 	}
 
+	if *cycles < 1 {
+		fatal(fmt.Errorf("-cycles must be >= 1, got %d", *cycles))
+	}
 	if *sharing != 1 && *sharing != 5 && *sharing != 20 {
 		fatal(fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", *sharing))
 	}

@@ -61,15 +61,18 @@ func main() {
 		}
 		w = fromParams(p)
 	}
-	if *tau > 0 {
-		w.Tau = *tau
-	}
-	if *hsw > 0 {
-		w.HSw = *hsw
-	}
-	if *amodP > 0 {
-		w.AmodPrivate = *amodP
-	}
+	// An override applies whenever its flag is given, zero included;
+	// the solve's workload validation rejects out-of-range values.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "tau":
+			w.Tau = *tau
+		case "hsw":
+			w.HSw = *hsw
+		case "amodp":
+			w.AmodPrivate = *amodP
+		}
+	})
 
 	ns := []int{*n}
 	if *sweep != "" {

@@ -31,6 +31,9 @@ func main() {
 		verify    = flag.Bool("verify", false, "model-check coherence: exhaustively prove the invariants over all reachable single-block states")
 	)
 	flag.Parse()
+	if *format != "text" && *format != "markdown" {
+		fatal(fmt.Errorf("unknown format %q", *format))
+	}
 
 	var protos []protocol.Protocol
 	switch {

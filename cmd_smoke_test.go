@@ -35,6 +35,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-protocol", "Dragon", "-sharing", "5", "-sweep", "1,4"}, "speedup"},
 		{"mvasolve", []string{"-n", "4", "-explain", "-timeout", "30s"}, "equation 1"},
 		{"mvasolve", []string{"-stress", "-n", "4"}, "speedup"},
+		{"mvasolve", []string{"-n", "8", "-hsw", "0"}, "4.4523"}, // default h_sw reads 4.8734
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
 		{"cachesim", []string{"-protocol", "Illinois", "-sharing", "5", "-n", "4", "-cycles", "40000",
@@ -79,12 +80,17 @@ func TestCommandLineTools(t *testing.T) {
 		want string
 	}{
 		{"mvasolve", []string{"-sharing", "7"}, ""},
+		{"mvasolve", []string{"-tau", "-5"}, "tau"},
+		{"mvasolve", []string{"-amodp", "NaN"}, "amod_private"},
+		{"cachesim", []string{"-cycles", "0"}, "-cycles"},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},
+		{"protodoc", []string{"-format", "xml"}, "unknown format"},
 		{"sensitivity", []string{"-sweep", "nonesuch", "-values", "1"}, "nonesuch"},
 		{"sensitivity", []string{"-tornado", "0"}, "-tornado"},
 		{"campaign", []string{"-resume"}, ""}, // resume needs -journal
 		{"campaign", []string{"-ns", "4..1"}, ""},
+		{"campaign", []string{"-ns", "0"}, "below 1"},
 		{"campaignd", []string{}, "-workers is required"},
 		{"campaignd", []string{"-workers", "wire://"}, "wire:// needs host:port"},
 		{"campaignd", []string{"-workers", "wire://h:1?http=%zz"}, "-workers"},

@@ -19,8 +19,8 @@ import (
 // Set is one collection of fault hooks. A nil member leaves the
 // corresponding instrumentation point inactive.
 type Set struct {
-	// The three MVA hooks are consulted by the fixed-point driver that
-	// the flat and heterogeneous MVA share, so they reach both models.
+	// The three MVA hooks are consulted by the MVA's fixed-point driver
+	// (internal/mva's fixedPoint).
 	//
 	// MVAEnter is called once per MVA fixed-point solve, when its
 	// iteration starts (after input validation; the damping ladder's

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"snoopmva"
+	"snoopmva/internal/wire"
 )
 
 // BuildGrid expands the protocol × sharing × N cross product, in the
@@ -65,7 +66,9 @@ func BuildGrid(protoNames, sharings, ns string, b snoopmva.Budget) ([]snoopmva.C
 }
 
 // ParseSizes parses system-size lists: "1,2,4", "1..16", and mixtures
-// like "1,2,4..8,16".
+// like "1,2,4..8,16". Every size must be at least 1, and a list may hold
+// at most wire.MaxBatchPoints sizes, the bound /v1/sweep uses; a range
+// is checked against it before it is expanded.
 func ParseSizes(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -76,6 +79,12 @@ func ParseSizes(s string) ([]int, error) {
 			if err1 != nil || err2 != nil || a > b {
 				return nil, fmt.Errorf("bad size range %q", part)
 			}
+			if a < 1 {
+				return nil, fmt.Errorf("size range %q starts below 1", part)
+			}
+			if err := checkCount(len(out), b-a+1); err != nil {
+				return nil, err
+			}
 			for n := a; n <= b; n++ {
 				out = append(out, n)
 			}
@@ -85,10 +94,25 @@ func ParseSizes(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad size %q: %w", part, err)
 		}
+		if n < 1 {
+			return nil, fmt.Errorf("size %d is below 1", n)
+		}
+		if err := checkCount(len(out), 1); err != nil {
+			return nil, err
+		}
 		out = append(out, n)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no system sizes given")
 	}
 	return out, nil
+}
+
+// checkCount rejects adding more sizes to a list of have sizes when the
+// total would exceed wire.MaxBatchPoints.
+func checkCount(have, more int) error {
+	if more > wire.MaxBatchPoints-have {
+		return fmt.Errorf("more than %d system sizes", wire.MaxBatchPoints)
+	}
+	return nil
 }

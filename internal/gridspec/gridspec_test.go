@@ -1,10 +1,14 @@
 package gridspec
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"snoopmva"
+	"snoopmva/internal/wire"
 )
 
 func TestParseSizes(t *testing.T) {
@@ -19,6 +23,10 @@ func TestParseSizes(t *testing.T) {
 		{"4..1", nil, true},
 		{"x", nil, true},
 		{"", nil, true},
+		{"0", nil, true},
+		{"-3", nil, true},
+		{"0..4", nil, true},
+		{"-2..2", nil, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseSizes(tc.in)
@@ -28,6 +36,25 @@ func TestParseSizes(t *testing.T) {
 		}
 		if err == nil && !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("ParseSizes(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestParseSizesBound checks that a list may hold wire.MaxBatchPoints
+// sizes and no more, whether the excess comes from one range or from a
+// range plus single sizes.
+func TestParseSizesBound(t *testing.T) {
+	bound := wire.MaxBatchPoints
+	if got, err := ParseSizes(fmt.Sprintf("1..%d", bound)); err != nil || len(got) != bound {
+		t.Errorf("1..%d: %d sizes, err %v; want %d sizes", bound, len(got), err, bound)
+	}
+	for _, in := range []string{
+		fmt.Sprintf("1..%d", bound+1),
+		fmt.Sprintf("1..%d,7", bound),
+		fmt.Sprintf("7,1..%d", bound),
+	} {
+		if _, err := ParseSizes(in); err == nil || !strings.Contains(err.Error(), strconv.Itoa(bound)) {
+			t.Errorf("ParseSizes(%q): err = %v, want one naming the %d bound", in, err, bound)
 		}
 	}
 }

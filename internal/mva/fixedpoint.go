@@ -25,8 +25,7 @@ var ErrDiverged = errors.New("mva: fixed point diverged to a non-finite iterate"
 type DivergenceError struct {
 	N         int
 	Iteration int
-	// X is the non-finite image, in the coordinates of the model that
-	// diverged (see state).
+	// X is the non-finite image (R, w_bus, w_mem); see state.
 	X state
 }
 
@@ -38,11 +37,9 @@ func (e *DivergenceError) Error() string {
 // Unwrap makes errors.Is(err, ErrDiverged) hold.
 func (e *DivergenceError) Unwrap() error { return ErrDiverged }
 
-// state is the iterate of an MVA fixed point. Each model picks three
-// coordinates from which one evaluation of its equations follows: the
-// flat model iterates (R, w_bus, w_mem) and the heterogeneous model
-// (w_bus, w_mem, Q̄_bus). The convergence test is relative to the first
-// coordinate.
+// state is the iterate of the MVA fixed point: (R, w_bus, w_mem), the
+// three quantities from which one evaluation of equations (5)–(13)
+// follows. The convergence test is relative to the first coordinate.
 type state [3]float64
 
 // inDomain reports whether x is a state the iteration may move to:
@@ -74,11 +71,11 @@ type rung struct {
 // configurations where the accelerated rung gives up.
 var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
 
-// fixedPoint drives the fixed-point iteration x ← G(x) of every MVA
-// variant. The caller owns the loop and evaluates its model's map G; the
-// driver owns the rest: the iteration budget and cancellation checks, the
-// fault hooks, the non-finite guard, the damped update, the joint
-// convergence test, Anderson mixing and the fallback ladder of
+// fixedPoint drives the fixed-point iteration x ← G(x) of the MVA
+// model. The caller (solveOnce) owns the loop and evaluates the map G;
+// the driver owns the rest: the iteration budget and cancellation
+// checks, the fault hooks, the non-finite guard, the damped update, the
+// joint convergence test, Anderson mixing and the fallback ladder of
 // Options.Damping, each rung restarting from the initial state:
 //
 //	fp := newFixedPoint(n, x0, opts)
@@ -88,7 +85,7 @@ var defaultLadder = [...]rung{{1, true}, {0.5, false}, {0.2, false}}
 //	// fp.Err == nil exactly when the iteration converged.
 //
 // There is no callback: the map is evaluated inline in the caller's loop,
-// so the flat model's iterate stays allocation-free.
+// so the iterate stays allocation-free.
 type fixedPoint struct {
 	// X is the current iterate; after convergence, the converged state.
 	X state

@@ -31,11 +31,10 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// Options tunes the fixed-point solution of every MVA variant — Tol,
-// MaxIter and Damping drive the fixedPoint of the flat and heterogeneous
-// models alike — and enables the ablation switches used by the
-// §4.3 stress experiment (internal/exp/stress.go) to isolate the
-// submodels the detailed model shares.
+// Options tunes the fixed-point solution of the MVA model — Tol, MaxIter
+// and Damping drive its fixedPoint — and enables the ablation switches
+// used by the §4.3 stress experiment (internal/exp/stress.go) to isolate
+// the submodels the detailed model shares.
 type Options struct {
 	// Tol is the convergence tolerance on the largest change one (damped)
 	// update of the equations makes to the fixed-point state — (R, w_bus,

@@ -108,7 +108,7 @@ func (sc *solveScratch) prepareN(n int) {
 
 // busyProbability is equation (8)'s probability that an arrival finds a
 // server busy, (U − U/N)/(1 − U/N) clamped to [0,1], for a population of
-// nf customers. It serves the iterates of every MVA variant and has no
+// nf customers. It serves both the bus and the memory equation and has no
 // error return: its preconditions (population >= 1, utilization >= 0)
 // hold at every state the fixedPoint driver evaluates.
 func busyProbability(util, nf float64) float64 {

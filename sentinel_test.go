@@ -99,13 +99,6 @@ func TestSentinelsAcrossPublicEntryPoints(t *testing.T) {
 			func() error { _, err := SimulateContext(bg, WriteOnce(), bad, 4, SimOptions{}); return err }, ErrInvalidInput},
 		{"SimulateContext canceled", nil,
 			func() error { _, err := SimulateContext(canceled, WriteOnce(), good, 4, SimOptions{}); return err }, ErrCanceled},
-		{"SolveGroups no groups", nil,
-			func() error { _, err := SolveGroups(nil); return err }, ErrInvalidInput},
-		{"SolveGroups invalid workload", nil,
-			func() error {
-				_, err := SolveGroups([]GroupSpec{{Count: 2, Protocol: WriteOnce(), Workload: bad}})
-				return err
-			}, ErrInvalidInput},
 		{"Explain invalid size", nil,
 			func() error { return Explain(io.Discard, WriteOnce(), good, 0) }, ErrInvalidInput},
 		{"Explain diverged", poison,

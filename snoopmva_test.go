@@ -3,6 +3,7 @@ package snoopmva
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -235,5 +236,18 @@ func TestDefaultTimingValues(t *testing.T) {
 	d := DefaultTiming()
 	if d.TSupply != 1 || d.DMem != 3 || d.BlockSize != 4 || d.TBlock != 4 {
 		t.Errorf("defaults wrong: %+v", d)
+	}
+}
+
+func TestExplainFacade(t *testing.T) {
+	var sb strings.Builder
+	if err := Explain(&sb, Illinois(), AppendixA(Sharing5), 8); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "speedup") || !strings.Contains(sb.String(), "eq 13") {
+		t.Errorf("breakdown incomplete:\n%s", sb.String())
+	}
+	if err := Explain(&sb, WithMods(9), AppendixA(Sharing5), 8); err == nil {
+		t.Error("bad protocol accepted")
 	}
 }

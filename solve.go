@@ -2,6 +2,7 @@ package snoopmva
 
 import (
 	"context"
+	"io"
 
 	"snoopmva/internal/mva"
 )
@@ -80,6 +81,22 @@ func model(p Protocol, w Workload, t Timing) (mva.Model, error) {
 // processors with default timing and options.
 func Solve(p Protocol, w Workload, n int) (Result, error) {
 	return SolveWithContext(context.Background(), p, w, Timing{}, n, Options{})
+}
+
+// Explain solves the configuration and writes an equation-by-equation
+// breakdown of the result (derived inputs, each of equations (1)-(13),
+// interference submodels) to w — the model made auditable.
+func Explain(w io.Writer, p Protocol, wl Workload, n int) (err error) {
+	defer guard(&err)
+	m, err := model(p, wl, Timing{})
+	if err != nil {
+		return err
+	}
+	res, err := m.Solve(n, mva.Options{})
+	if err != nil {
+		return err
+	}
+	return mva.Explain(w, m, res)
 }
 
 // DetailedResult holds the GTPN (detailed-model) outputs.
