@@ -48,6 +48,10 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "print only the summary line, not the per-point table")
 	)
 	flag.Parse()
+	write, err := tables.WriterFor(*format)
+	if err != nil {
+		fatal(err)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -107,19 +111,8 @@ func main() {
 			tb.AddRow(i, points[i].Protocol.String(), points[i].N,
 				string(pr.Method), pr.Attempts, pr.Speedup, pr.BusUtilization, status)
 		}
-		var werr error
-		switch *format {
-		case "text":
-			werr = tb.WriteASCII(os.Stdout)
-		case "csv":
-			werr = tb.WriteCSV(os.Stdout)
-		case "markdown":
-			werr = tb.WriteMarkdown(os.Stdout)
-		default:
-			werr = fmt.Errorf("unknown format %q", *format)
-		}
-		if werr != nil {
-			fatal(werr)
+		if err := write(tb, os.Stdout); err != nil {
+			fatal(err)
 		}
 	}
 	fmt.Printf("campaign: %d points (%d computed, %d resumed, %d failed) in %v",

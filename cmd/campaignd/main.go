@@ -43,20 +43,10 @@ func main() {
 		journal    = flag.String("journal", "", "journal path for checkpoint/resume (empty = no durability)")
 		resume     = flag.Bool("resume", false, "continue a previous run from -journal, skipping completed points")
 		pointTO    = flag.Duration("point-timeout", 2*time.Minute, "deadline per dispatch of one point (0 = none)")
-		requeues   = flag.Int("requeue-limit", 0, "transport-failure re-dispatches per point before it is recorded failed (0 = default 8)")
 		breaker    = flag.Int("breaker", 0, "per-worker circuit threshold: consecutive transport failures before the worker is skipped (0 = default 5, negative disables)")
-		probe      = flag.Int("breaker-probe", 0, "let one dispatch through per this many skipped at an open worker circuit (0 = default 4)")
 		healthIvl  = flag.Duration("health-interval", 0, "/healthz probe period (0 = default 2s, negative disables probing)")
-		healthTO   = flag.Duration("health-timeout", 0, "per-probe deadline (0 = default 1s)")
 		quarantine = flag.Int("quarantine-after", 0, "consecutive failed probes before a worker is quarantined (0 = default 3)")
-		readmit    = flag.Int("readmit-after", 0, "consecutive successful probes before a quarantined worker is readmitted (0 = default 2)")
-		strFactor  = flag.Float64("straggler-factor", 0, "straggler threshold as a multiple of the p95 solve time (0 = default 4)")
-		strFloor   = flag.Duration("straggler-floor", 0, "minimum straggler threshold (0 = default 100ms)")
-		strMin     = flag.Int("straggler-min-samples", 0, "completed solves required before speculation starts (0 = default 5)")
-		replicas   = flag.Int("max-replicas", 0, "max concurrent replicas of one point (0 = default 2)")
 		inflight   = flag.Int("max-inflight", 0, "concurrent points per worker (0 = default 1)")
-		bpLimit    = flag.Int("backpressure-limit", 0, "429/503 backpressure requeues per point before it is recorded failed (0 = default 32)")
-		bpCap      = flag.Duration("backpressure-delay-cap", 0, "upper bound on a worker's Retry-After park (0 = default 2s)")
 		stallTO    = flag.Duration("stall-timeout", 0, "abort when no progress for this long (0 = default 2m, negative disables)")
 		timeout    = flag.Duration("timeout", 0, "abort the whole campaign after this long (0 = no limit)")
 		format     = flag.String("format", "text", "output format: text, csv, markdown")
@@ -67,6 +57,16 @@ func main() {
 
 	if *workers == "" {
 		fatal(fmt.Errorf("-workers is required (comma-separated snoopd base URLs)"))
+	}
+	if *inflight < 0 {
+		fatal(fmt.Errorf("-max-inflight must be >= 0, got %d", *inflight))
+	}
+	if *quarantine < 0 {
+		fatal(fmt.Errorf("-quarantine-after must be >= 0, got %d", *quarantine))
+	}
+	write, err := tables.WriterFor(*format)
+	if err != nil {
+		fatal(err)
 	}
 	var transports []dispatch.Transport
 	for _, u := range strings.Split(*workers, ",") {
@@ -106,25 +106,15 @@ func main() {
 	}
 
 	cfg := dispatch.Config{
-		Transports:           transports,
-		Journal:              *journal,
-		Resume:               *resume,
-		PointTimeout:         *pointTO,
-		HealthInterval:       *healthIvl,
-		HealthTimeout:        *healthTO,
-		QuarantineAfter:      *quarantine,
-		ReadmitAfter:         *readmit,
-		BreakerThreshold:     *breaker,
-		BreakerProbe:         *probe,
-		StragglerFactor:      *strFactor,
-		StragglerFloor:       *strFloor,
-		StragglerMinSamples:  *strMin,
-		MaxReplicas:          *replicas,
-		MaxInflight:          *inflight,
-		RequeueLimit:         *requeues,
-		BackpressureLimit:    *bpLimit,
-		BackpressureDelayCap: *bpCap,
-		StallTimeout:         *stallTO,
+		Transports:       transports,
+		Journal:          *journal,
+		Resume:           *resume,
+		PointTimeout:     *pointTO,
+		HealthInterval:   *healthIvl,
+		QuarantineAfter:  *quarantine,
+		BreakerThreshold: *breaker,
+		MaxInflight:      *inflight,
+		StallTimeout:     *stallTO,
 	}
 	if *verbose {
 		cfg.Logf = func(f string, args ...any) { fmt.Fprintf(os.Stderr, f+"\n", args...) }
@@ -163,19 +153,8 @@ func main() {
 			tb.AddRow(i, points[i].Protocol.String(), points[i].N,
 				string(pr.Method), pr.Speedup, pr.BusUtilization, status)
 		}
-		var werr error
-		switch *format {
-		case "text":
-			werr = tb.WriteASCII(os.Stdout)
-		case "csv":
-			werr = tb.WriteCSV(os.Stdout)
-		case "markdown":
-			werr = tb.WriteMarkdown(os.Stdout)
-		default:
-			werr = fmt.Errorf("unknown format %q", *format)
-		}
-		if werr != nil {
-			fatal(werr)
+		if err := write(tb, os.Stdout); err != nil {
+			fatal(err)
 		}
 	}
 

@@ -38,6 +38,10 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the solve after this long (e.g. 30s; 0 = no limit)")
 	)
 	flag.Parse()
+	write, err := tables.WriterFor(*format)
+	if err != nil {
+		fatal(err)
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -100,17 +104,7 @@ func main() {
 		tb.AddRow(r.N, r.Speedup, r.ProcessingPower, r.R,
 			r.BusUtilization, r.BusWait, r.MemUtilization, r.MemWait, r.Iterations)
 	}
-	switch *format {
-	case "text":
-		err = tb.WriteASCII(os.Stdout)
-	case "csv":
-		err = tb.WriteCSV(os.Stdout)
-	case "markdown":
-		err = tb.WriteMarkdown(os.Stdout)
-	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
+	if err := write(tb, os.Stdout); err != nil {
 		fatal(err)
 	}
 }

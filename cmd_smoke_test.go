@@ -5,6 +5,7 @@ package snoopmva
 
 import (
 	"bufio"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -73,7 +74,9 @@ func TestCommandLineTools(t *testing.T) {
 	// Error paths exit non-zero; where want is set, the flag-validation
 	// message must name the offending flag so a user can act on it. The
 	// command's "name: " prefix appears at most once, even when the error
-	// comes from a library package that prefixes its own name.
+	// comes from a library package that prefixes its own name. A bad
+	// -format fails before the campaign runs, so it writes no journal.
+	badJournal := filepath.Join(t.TempDir(), "bad-format.jsonl")
 	for _, c := range []struct {
 		name string
 		args []string
@@ -91,10 +94,17 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaign", []string{"-resume"}, ""}, // resume needs -journal
 		{"campaign", []string{"-ns", "4..1"}, ""},
 		{"campaign", []string{"-ns", "0"}, "below 1"},
+		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-format", "xml",
+			"-journal", badJournal}, "unknown format"},
+		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-quiet", "-format", "xml",
+			"-journal", badJournal}, "unknown format"},
 		{"campaignd", []string{}, "-workers is required"},
 		{"campaignd", []string{"-workers", "wire://"}, "wire:// needs host:port"},
 		{"campaignd", []string{"-workers", "wire://h:1?http=%zz"}, "-workers"},
 		{"campaignd", []string{"-workers", "http://localhost:1", "-ns", "4..1"}, ""},
+		{"campaignd", []string{"-workers", "http://localhost:1", "-max-inflight", "-1"}, "-max-inflight"},
+		{"campaignd", []string{"-workers", "http://localhost:1", "-quarantine-after", "-1"}, "-quarantine-after"},
+		{"campaignd", []string{"-workers", "http://localhost:1", "-format", "xml"}, "unknown format"},
 		{"snoopbench", []string{"-conns", "-1"}, "-conns must be >= 0"},
 		{"snoopbench", []string{"-rate", "0"}, "-rate must be >= 1"},
 		{"snoopbench", []string{"-batch", "2000"}, "-batch must be in 1.."},
@@ -117,6 +127,9 @@ func TestCommandLineTools(t *testing.T) {
 		if n := strings.Count(string(out), c.name+": "); n > 1 {
 			t.Errorf("%s %v error output repeats the %q prefix %d times:\n%s", c.name, c.args, c.name+": ", n, out)
 		}
+	}
+	if _, err := os.Stat(badJournal); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a campaign with a bad -format left a journal behind (stat: %v)", err)
 	}
 
 	// snoopd with -wire-addr: both listeners come up (wire first, so a bad

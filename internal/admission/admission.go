@@ -92,14 +92,27 @@ func (e *ShedError) Error() string {
 	return "admission: request shed: " + e.Reason.String()
 }
 
+// Fixed tuning of the limiter and the shed hints.
+const (
+	// minInflight is the AIMD floor.
+	minInflight = 1
+	// decreaseFactor is the multiplicative decrease applied when a
+	// release exceeds Target.
+	decreaseFactor = 0.75
+	// maxClients bounds the client-bucket table; the least recently
+	// seen bucket is evicted beyond it.
+	maxClients = 4096
+	// retryAfterHint is the minimum Retry-After suggested on capacity
+	// sheds.
+	retryAfterHint = 100 * time.Millisecond
+)
+
 // Config configures a Controller. MaxInflight is required; every other
 // zero value means the documented default.
 type Config struct {
 	// MaxInflight is the hard concurrency ceiling and the AIMD limit's
 	// starting value. Required (>= 1).
 	MaxInflight int
-	// MinInflight is the AIMD floor. 0 means 1.
-	MinInflight int
 	// Target is the service-latency target the AIMD limiter steers to.
 	// 0 means 50ms.
 	Target time.Duration
@@ -109,18 +122,11 @@ type Config struct {
 	// MaxQueueWait bounds how long any request may sit queued,
 	// deadline or not. 0 means 1s.
 	MaxQueueWait time.Duration
-	// DecreaseFactor is the multiplicative-decrease factor applied when
-	// a release exceeds Target. 0 means 0.75; values are clamped to
-	// (0, 1).
-	DecreaseFactor float64
 	// RatePerClient is the per-client token refill rate in requests per
 	// second. 0 disables per-client rate limiting; negative is invalid.
 	RatePerClient float64
 	// BurstPerClient is the bucket depth. 0 means max(1, RatePerClient).
 	BurstPerClient float64
-	// MaxClients bounds the client-bucket table; the least recently seen
-	// bucket is evicted beyond it. 0 means 4096.
-	MaxClients int
 	// BrownoutShedPct is the capacity-shed fraction (queue_full +
 	// deadline sheds over all capacity decisions in the window) above
 	// which brownout mode activates. 0 disables brownout; values must
@@ -132,9 +138,6 @@ type Config struct {
 	// BrownoutMinSamples is the number of capacity decisions the window
 	// must hold before brownout can trigger. 0 means 20.
 	BrownoutMinSamples int
-	// RetryAfterHint is the minimum Retry-After suggested on capacity
-	// sheds. 0 means 100ms.
-	RetryAfterHint time.Duration
 	// Registry receives the controller's metrics. Nil means obs.Default.
 	Registry *obs.Registry
 	// Name labels this controller's metric series. "" means "default".
@@ -147,12 +150,6 @@ type Config struct {
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxInflight < 1 {
 		return cfg, fmt.Errorf("admission: MaxInflight must be >= 1, got %d", cfg.MaxInflight)
-	}
-	if cfg.MinInflight == 0 {
-		cfg.MinInflight = 1
-	}
-	if cfg.MinInflight < 1 || cfg.MinInflight > cfg.MaxInflight {
-		return cfg, fmt.Errorf("admission: MinInflight %d outside [1, MaxInflight=%d]", cfg.MinInflight, cfg.MaxInflight)
 	}
 	if cfg.Target == 0 {
 		cfg.Target = 50 * time.Millisecond
@@ -172,12 +169,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxQueueWait < 0 {
 		return cfg, fmt.Errorf("admission: MaxQueueWait must be positive, got %v", cfg.MaxQueueWait)
 	}
-	if cfg.DecreaseFactor == 0 {
-		cfg.DecreaseFactor = 0.75
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		return cfg, fmt.Errorf("admission: DecreaseFactor %v outside (0, 1)", cfg.DecreaseFactor)
-	}
 	if cfg.RatePerClient < 0 {
 		return cfg, fmt.Errorf("admission: RatePerClient must be non-negative, got %v", cfg.RatePerClient)
 	}
@@ -189,12 +180,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.BurstPerClient < 1 {
 		return cfg, fmt.Errorf("admission: BurstPerClient must be >= 1, got %v", cfg.BurstPerClient)
-	}
-	if cfg.MaxClients == 0 {
-		cfg.MaxClients = 4096
-	}
-	if cfg.MaxClients < 1 {
-		return cfg, fmt.Errorf("admission: MaxClients must be >= 1, got %d", cfg.MaxClients)
 	}
 	if cfg.BrownoutShedPct < 0 || cfg.BrownoutShedPct >= 1 {
 		return cfg, fmt.Errorf("admission: BrownoutShedPct %v outside [0, 1)", cfg.BrownoutShedPct)
@@ -210,12 +195,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.BrownoutMinSamples < 1 {
 		return cfg, fmt.Errorf("admission: BrownoutMinSamples must be >= 1, got %d", cfg.BrownoutMinSamples)
-	}
-	if cfg.RetryAfterHint == 0 {
-		cfg.RetryAfterHint = 100 * time.Millisecond
-	}
-	if cfg.RetryAfterHint < 0 {
-		return cfg, fmt.Errorf("admission: RetryAfterHint must be positive, got %v", cfg.RetryAfterHint)
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
@@ -277,7 +256,7 @@ func New(cfg Config) (*Controller, error) {
 		now:      cfg.now,
 		limit:    float64(cfg.MaxInflight),
 		ewma:     cfg.Target.Seconds(),
-		clients:  newClientTable(cfg.RatePerClient, cfg.BurstPerClient, cfg.MaxClients),
+		clients:  newClientTable(cfg.RatePerClient, cfg.BurstPerClient, maxClients),
 		admitted: reg.Counter("snoopmva_admission_admitted_total", "Requests admitted into service.", obs.L("limiter", cfg.Name)),
 		inflightG: reg.Gauge("snoopmva_admission_inflight", "Requests currently holding an admission slot.",
 			obs.L("limiter", cfg.Name)),
@@ -319,7 +298,7 @@ func (c *Controller) Admit(ctx context.Context, client string, deadline time.Tim
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return c.shedErr(ReasonDraining, c.cfg.RetryAfterHint)
+		return c.shedErr(ReasonDraining, retryAfterHint)
 	}
 	if client != "" && c.cfg.RatePerClient > 0 {
 		if wait := c.clients.take(client, c.now()); wait > 0 {
@@ -376,7 +355,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		c.noteCapacityLocked(true)
 		retry := c.estimateWaitLocked(len(c.queue) + 1)
 		c.mu.Unlock()
-		return c.shedErr(ReasonQueueFull, maxDuration(retry, c.cfg.RetryAfterHint))
+		return c.shedErr(ReasonQueueFull, maxDuration(retry, retryAfterHint))
 	}
 	now := c.now()
 	est := c.estimateWaitLocked(len(c.queue) + 1)
@@ -391,7 +370,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		// cap): shedding now is strictly better than timing out later.
 		c.noteCapacityLocked(true)
 		c.mu.Unlock()
-		return c.shedErr(ReasonDeadline, maxDuration(est, c.cfg.RetryAfterHint))
+		return c.shedErr(ReasonDeadline, maxDuration(est, retryAfterHint))
 	}
 	w := &waiter{ready: make(chan struct{})}
 	c.queue = append(c.queue, w)
@@ -406,7 +385,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		drained := w.drained
 		c.mu.Unlock()
 		if drained {
-			return c.shedErr(ReasonDraining, c.cfg.RetryAfterHint)
+			return c.shedErr(ReasonDraining, retryAfterHint)
 		}
 		c.queueWaits.Observe(c.now().Sub(now).Seconds())
 		c.admitted.Inc()
@@ -431,7 +410,7 @@ func (c *Controller) abandon(w *waiter, enqueued time.Time, r Reason) error {
 	}
 	if w.drained {
 		c.mu.Unlock()
-		return c.shedErr(ReasonDraining, c.cfg.RetryAfterHint)
+		return c.shedErr(ReasonDraining, retryAfterHint)
 	}
 	for i, q := range c.queue {
 		if q == w {
@@ -443,7 +422,7 @@ func (c *Controller) abandon(w *waiter, enqueued time.Time, r Reason) error {
 	c.noteCapacityLocked(true)
 	retry := c.estimateWaitLocked(len(c.queue) + 1)
 	c.mu.Unlock()
-	return c.shedErr(r, maxDuration(retry, c.cfg.RetryAfterHint))
+	return c.shedErr(r, maxDuration(retry, retryAfterHint))
 }
 
 // Release returns an admitted request's slot, feeding its service
@@ -493,8 +472,8 @@ func (c *Controller) observeLocked(latency, target time.Duration) {
 	}
 	c.lastDecrease = now
 	c.credit = 0
-	c.limit *= c.cfg.DecreaseFactor
-	if floor := float64(c.cfg.MinInflight); c.limit < floor {
+	c.limit *= decreaseFactor
+	if floor := float64(minInflight); c.limit < floor {
 		c.limit = floor
 	}
 	c.limitG.Set(c.limit)

@@ -65,9 +65,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},                                     // MaxInflight required
 		{MaxInflight: -1},                      // negative
-		{MaxInflight: 2, MinInflight: 3},       // floor above ceiling
 		{MaxInflight: 2, Target: -time.Second}, // negative target
-		{MaxInflight: 2, DecreaseFactor: 1.5},  // factor outside (0,1)
 		{MaxInflight: 2, RatePerClient: -1},    // negative rate
 		{MaxInflight: 2, BrownoutShedPct: 1.0}, // pct outside [0,1)
 		{MaxInflight: 2, MaxQueueWait: -1},     // negative wait

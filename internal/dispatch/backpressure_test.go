@@ -118,8 +118,9 @@ func TestBackpressureShiftsLoadToUncongestedWorker(t *testing.T) {
 }
 
 // TestBackpressureExhaustsLimit pins the bound and its deterministic
-// journal message: a point refused more than BackpressureLimit times is
-// committed failed, so a permanently saturated pool cannot spin forever.
+// journal message: a point refused more than backpressureLimit (32) times
+// is committed failed, so a permanently saturated pool cannot spin
+// forever.
 func TestBackpressureExhaustsLimit(t *testing.T) {
 	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
 		return snoopmva.BestResult{}, &BackpressureError{
@@ -129,11 +130,13 @@ func TestBackpressureExhaustsLimit(t *testing.T) {
 	}}
 	cfg := quickCfg([]Transport{congested})
 	cfg.HealthInterval = -1
-	cfg.BackpressureLimit = 2
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// The lone worker parks after every refusal; poll at the refusal's
+	// own 1ms hint so 33 parks stay fast.
+	c.acquireRetry = time.Millisecond
 	got, stats, err := c.Run(context.Background(), testGrid(t, 1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -141,12 +144,12 @@ func TestBackpressureExhaustsLimit(t *testing.T) {
 	if got.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", got.Failed)
 	}
-	const wantMsg = "dispatch: point 0: worker backpressure exhausted the requeue limit (2)"
+	const wantMsg = "dispatch: point 0: worker backpressure exhausted the requeue limit (32)"
 	if got.Results[0].Err != wantMsg {
 		t.Errorf("err = %q, want %q", got.Results[0].Err, wantMsg)
 	}
-	if stats.Backpressure != 3 {
-		t.Errorf("backpressure = %d, want 3 (limit 2 + the exhausting attempt)", stats.Backpressure)
+	if stats.Backpressure != 33 {
+		t.Errorf("backpressure = %d, want 33 (limit 32 + the exhausting attempt)", stats.Backpressure)
 	}
 }
 

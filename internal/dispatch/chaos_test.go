@@ -134,9 +134,10 @@ func TestChaosPartitionHealsAndWorkerReadmitted(t *testing.T) {
 	// heal, and may route tail work back to it. The probe loop records
 	// each probe before starting the next: the cut worker's third probe
 	// means two failed probes (QuarantineAfter) are on record, so it
-	// heals the partition and succeeds itself; the fourth means that
-	// success (ReadmitAfter) is on record. The healthy worker's solves
-	// wait for the readmission, so the grid cannot finish first.
+	// heals the partition and succeeds itself; the fifth means that
+	// success and the fourth probe's (readmitAfter, 2) are on record.
+	// The healthy worker's solves wait for the readmission, so the grid
+	// cannot finish first.
 	var cutProbes atomic.Int32
 	healed, readmitted := make(chan struct{}), make(chan struct{})
 	restore := faultinject.Activate(&faultinject.Set{
@@ -145,7 +146,7 @@ func TestChaosPartitionHealsAndWorkerReadmitted(t *testing.T) {
 				switch cutProbes.Add(1) {
 				case 3:
 					close(healed)
-				case 4:
+				case 5:
 					close(readmitted)
 				}
 			}
@@ -166,7 +167,6 @@ func TestChaosPartitionHealsAndWorkerReadmitted(t *testing.T) {
 	cfg := quickCfg(ts)
 	cfg.HealthInterval = 15 * time.Millisecond
 	cfg.QuarantineAfter = 2
-	cfg.ReadmitAfter = 1
 	cfg.BreakerThreshold = 2
 	c, err := New(cfg)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestChaosCoordinatorCrashResume(t *testing.T) {
 		CampaignCrash: func(recorded int) bool { return recorded >= 5 },
 	})
 	c, err := New(Config{Transports: ts, Journal: journal,
-		HealthInterval: -1, AcquireRetry: 5 * time.Millisecond, PointTimeout: 5 * time.Second})
+		HealthInterval: -1, PointTimeout: 5 * time.Second})
 	if err != nil {
 		restore()
 		t.Fatalf("New: %v", err)
@@ -214,7 +214,7 @@ func TestChaosCoordinatorCrashResume(t *testing.T) {
 	// Resume with a different pool shape (two workers) — the journal is
 	// the contract, not the worker set.
 	c2, err := New(Config{Transports: ts[:2], Journal: journal, Resume: true,
-		HealthInterval: -1, AcquireRetry: 5 * time.Millisecond, PointTimeout: 5 * time.Second})
+		HealthInterval: -1, PointTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("New (resume): %v", err)
 	}
@@ -243,7 +243,7 @@ func TestChaosResumeInteropWithLocalRunner(t *testing.T) {
 		CampaignCrash: func(recorded int) bool { return recorded >= 4 },
 	})
 	c, err := New(Config{Transports: transportsFor(newWorker(t), newWorker(t)),
-		Journal: journal, HealthInterval: -1, AcquireRetry: 5 * time.Millisecond, PointTimeout: 5 * time.Second})
+		Journal: journal, HealthInterval: -1, PointTimeout: 5 * time.Second})
 	if err != nil {
 		restore()
 		t.Fatalf("New: %v", err)

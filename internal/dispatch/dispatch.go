@@ -19,26 +19,28 @@
 //     traffic back.
 //   - A health prober hits each worker's /healthz on an interval;
 //     QuarantineAfter consecutive probe failures quarantines the worker
-//     (no new work), ReadmitAfter consecutive successes readmit it and
-//     close its circuit. A draining snoopd (503 after SIGTERM) quarantines
-//     the same way, so planned shutdowns look like detected crashes.
-//   - Straggler re-dispatch: a point in flight for longer than
-//     max(StragglerFloor, StragglerFactor × p95 of completed solve times)
-//     is speculatively re-sent to an idle worker (up to MaxReplicas
+//     (no new work), readmitAfter (2) consecutive successes readmit it
+//     and close its circuit. A draining snoopd (503 after SIGTERM)
+//     quarantines the same way, so planned shutdowns look like detected
+//     crashes.
+//   - Straggler re-dispatch: once stragglerMinSamples (5) solves have
+//     completed, a point in flight for longer than max(stragglerFloor
+//     (100ms), stragglerFactor (4) × p95 of completed solve times) is
+//     speculatively re-sent to an idle worker (up to maxReplicas (2)
 //     concurrent replicas); first committed answer wins.
-//   - Transport failures requeue the point (bounded by RequeueLimit);
-//     authoritative solver failures are committed as failed points, just
-//     like the local runner journals them.
+//   - Transport failures requeue the point (bounded by requeueLimit,
+//     8); authoritative solver failures are committed as failed points,
+//     just like the local runner journals them.
 //   - Backpressure — a worker answering 429 (admission shed) or 503
 //     (draining) — is neither: the worker is alive and explicit about
 //     its state. The point goes straight back into the queue so an
 //     uncongested worker picks it up immediately, while the refusing
-//     worker honors its own Retry-After (capped by BackpressureDelayCap)
-//     by taking no new work until the delay passes — that is what
+//     worker honors its own Retry-After (capped at backpressureDelayCap,
+//     2s) by taking no new work until the delay passes — that is what
 //     shifts load across the pool. Refusals are bounded per point by
-//     BackpressureLimit, and the circuit breaker is NOT fed — otherwise
-//     a loaded or rolling-restarting worker set would quarantine itself
-//     into a total outage.
+//     backpressureLimit (32), and the circuit breaker is NOT fed —
+//     otherwise a loaded or rolling-restarting worker set would
+//     quarantine itself into a total outage.
 //   - The journal is the same campaign journal format the local runner
 //     writes (snoopmva.OpenCampaignJournal), so a coordinator crash
 //     resumes — under either runner — with a result set identical to an
@@ -71,6 +73,46 @@ var ErrStalled = errors.New("dispatch: run stalled: no progress within the stall
 // the run stops abruptly with the journal unfinalized.
 var errCrash = errors.New("dispatch: injected coordinator crash")
 
+// Robustness tuning that is the same for every run.
+const (
+	// healthTimeout bounds one /healthz probe.
+	healthTimeout = time.Second
+	// readmitAfter is the number of consecutive probe successes that
+	// readmits a quarantined worker.
+	readmitAfter = 2
+	// breakerProbe lets one dispatch through per this many skipped at an
+	// open circuit.
+	breakerProbe = 4
+	// stragglerFactor scales the p95 of completed solve times into the
+	// straggler threshold.
+	stragglerFactor = 4
+	// stragglerMinSamples is the number of completed solves required
+	// before speculation starts.
+	stragglerMinSamples = 5
+	// stragglerFloor is the minimum straggler threshold, so speculation
+	// never chases microsecond-scale jitter.
+	stragglerFloor = 100 * time.Millisecond
+	// maxReplicas caps concurrent replicas of one point (the primary
+	// dispatch plus speculative re-dispatches).
+	maxReplicas = 2
+	// requeueLimit bounds how many times a point is re-dispatched after
+	// transport failures before it is committed as failed.
+	requeueLimit = 8
+	// backpressureLimit bounds how many times a point is requeued after
+	// worker backpressure (429/503) before it is committed as failed.
+	// It is much larger than requeueLimit because backpressure is the
+	// pool working as designed, not failing.
+	backpressureLimit = 32
+	// backpressureDelayCap caps the honored Retry-After delay of a
+	// backpressure requeue, so a confused worker cannot park a point for
+	// an hour.
+	backpressureDelayCap = 2 * time.Second
+	// acquireRetry is the idle worker's poll period for newly eligible
+	// work (straggler thresholds trip on this clock even when no other
+	// event fires).
+	acquireRetry = 25 * time.Millisecond
+)
+
 // Config configures a Coordinator. Zero values mean the documented
 // defaults; the only required field is Transports.
 type Config struct {
@@ -90,55 +132,18 @@ type Config struct {
 	// disables probing (quarantine then never triggers, but circuit
 	// breakers still isolate failing workers).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe. 0 means 1s.
-	HealthTimeout time.Duration
 	// QuarantineAfter is the number of consecutive probe failures that
-	// quarantines a worker. 0 means 3.
+	// quarantines a worker. 0 means 3; negative is invalid.
 	QuarantineAfter int
-	// ReadmitAfter is the number of consecutive probe successes that
-	// readmits a quarantined worker. 0 means 2.
-	ReadmitAfter int
 	// BreakerThreshold opens a worker's circuit after this many
 	// consecutive transport failures. 0 means 5; negative disables the
 	// breakers.
 	BreakerThreshold int
-	// BreakerProbe lets one dispatch through per this many skipped at an
-	// open circuit. 0 means 4.
-	BreakerProbe int
-	// StragglerFactor scales the p95 of completed solve times into the
-	// straggler threshold. 0 means 4.
-	StragglerFactor float64
-	// StragglerMinSamples is the number of completed solves required
-	// before speculation starts. 0 means 5.
-	StragglerMinSamples int
-	// StragglerFloor is the minimum straggler threshold, so speculation
-	// never chases microsecond-scale jitter. 0 means 100ms.
-	StragglerFloor time.Duration
-	// MaxReplicas caps concurrent replicas of one point (the primary
-	// dispatch plus speculative re-dispatches). 0 means 2.
-	MaxReplicas int
-	// RequeueLimit bounds how many times a point is re-dispatched after
-	// transport failures before it is committed as failed. 0 means 8.
-	RequeueLimit int
-	// BackpressureLimit bounds how many times a point is requeued after
-	// worker backpressure (429/503) before it is committed as failed.
-	// Separate from RequeueLimit — and much larger by default — because
-	// backpressure is the pool working as designed, not failing. 0
-	// means 32.
-	BackpressureLimit int
-	// BackpressureDelayCap caps the honored Retry-After delay of a
-	// backpressure requeue, so a confused worker cannot park a point
-	// for an hour. 0 means 2s.
-	BackpressureDelayCap time.Duration
-	// AcquireRetry is the idle worker's poll period for newly eligible
-	// work (straggler thresholds trip on this clock even when no other
-	// event fires). 0 means 25ms.
-	AcquireRetry time.Duration
 	// StallTimeout aborts the run with ErrStalled when no dispatch or
 	// commit has happened for this long. 0 means 2m; negative disables.
 	StallTimeout time.Duration
 	// MaxInflight is the number of concurrent points per worker. 0
-	// means 1.
+	// means 1; negative is invalid.
 	MaxInflight int
 	// Logf, when non-nil, receives coordinator events (quarantines,
 	// requeues, speculation) for operator visibility. Nil discards.
@@ -180,6 +185,9 @@ type RunStats struct {
 type Coordinator struct {
 	cfg     Config
 	breaker *resilience.Breaker
+	// acquireRetry is the idle poll period: the constant of that name,
+	// shortened by tests that wait out many backpressure parks.
+	acquireRetry time.Duration
 
 	mu        sync.Mutex
 	points    []snoopmva.CampaignPoint
@@ -188,7 +196,7 @@ type Coordinator struct {
 	committed map[int]snoopmva.PointResult
 	requeues  map[int]int // transport-failure count per point
 	// backpressures counts 429/503 refusals per point, for the
-	// BackpressureLimit bound.
+	// backpressureLimit bound.
 	backpressures map[int]int
 	durations     []float64 // completed solve seconds, for the straggler p95
 	workers       []*worker
@@ -225,47 +233,20 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Transports) == 0 {
 		return nil, fmt.Errorf("dispatch: at least one worker transport is required: %w", snoopmva.ErrInvalidInput)
 	}
+	if cfg.MaxInflight < 0 {
+		return nil, fmt.Errorf("dispatch: MaxInflight must be >= 0, got %d: %w", cfg.MaxInflight, snoopmva.ErrInvalidInput)
+	}
+	if cfg.QuarantineAfter < 0 {
+		return nil, fmt.Errorf("dispatch: QuarantineAfter must be >= 0, got %d: %w", cfg.QuarantineAfter, snoopmva.ErrInvalidInput)
+	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
-	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = time.Second
 	}
 	if cfg.QuarantineAfter == 0 {
 		cfg.QuarantineAfter = 3
 	}
-	if cfg.ReadmitAfter == 0 {
-		cfg.ReadmitAfter = 2
-	}
 	if cfg.BreakerThreshold == 0 {
 		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerProbe == 0 {
-		cfg.BreakerProbe = 4
-	}
-	if cfg.StragglerFactor == 0 {
-		cfg.StragglerFactor = 4
-	}
-	if cfg.StragglerMinSamples == 0 {
-		cfg.StragglerMinSamples = 5
-	}
-	if cfg.StragglerFloor == 0 {
-		cfg.StragglerFloor = 100 * time.Millisecond
-	}
-	if cfg.MaxReplicas == 0 {
-		cfg.MaxReplicas = 2
-	}
-	if cfg.RequeueLimit == 0 {
-		cfg.RequeueLimit = 8
-	}
-	if cfg.BackpressureLimit == 0 {
-		cfg.BackpressureLimit = 32
-	}
-	if cfg.BackpressureDelayCap == 0 {
-		cfg.BackpressureDelayCap = 2 * time.Second
-	}
-	if cfg.AcquireRetry == 0 {
-		cfg.AcquireRetry = 25 * time.Millisecond
 	}
 	if cfg.StallTimeout == 0 {
 		cfg.StallTimeout = 2 * time.Minute
@@ -276,9 +257,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	c := &Coordinator{cfg: cfg, notifyCh: make(chan struct{})}
+	c := &Coordinator{cfg: cfg, acquireRetry: acquireRetry, notifyCh: make(chan struct{})}
 	if cfg.BreakerThreshold > 0 {
-		c.breaker = resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerProbe)
+		c.breaker = resilience.NewBreaker(cfg.BreakerThreshold, breakerProbe)
 	}
 	for _, t := range cfg.Transports {
 		c.workers = append(c.workers, &worker{t: t})
@@ -478,16 +459,16 @@ func (c *Coordinator) allow(w *worker) bool {
 // straggler threshold and can take one more replica not already running
 // on w. Callers hold mu.
 func (c *Coordinator) stragglerLocked(w *worker) (int, bool) {
-	if len(c.durations) < c.cfg.StragglerMinSamples {
+	if len(c.durations) < stragglerMinSamples {
 		return 0, false
 	}
-	threshold := time.Duration(c.cfg.StragglerFactor * p95(c.durations) * float64(time.Second))
-	if threshold < c.cfg.StragglerFloor {
-		threshold = c.cfg.StragglerFloor
+	threshold := time.Duration(stragglerFactor * p95(c.durations) * float64(time.Second))
+	if threshold < stragglerFloor {
+		threshold = stragglerFloor
 	}
 	best, bestAge := -1, time.Duration(0)
 	for pt, fls := range c.flights {
-		if len(fls) == 0 || len(fls) >= c.cfg.MaxReplicas {
+		if len(fls) == 0 || len(fls) >= maxReplicas {
 			continue
 		}
 		onW := false
@@ -527,7 +508,7 @@ func p95(xs []float64) float64 {
 // workerLoop is one dispatch slot of one worker: acquire, execute,
 // repeat until the run is done or ctx is canceled.
 func (c *Coordinator) workerLoop(ctx context.Context, w *worker) {
-	tick := time.NewTicker(c.cfg.AcquireRetry)
+	tick := time.NewTicker(c.acquireRetry)
 	defer tick.Stop()
 	for {
 		pt, speculative, state := c.tryAcquire(w)
@@ -629,10 +610,10 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		// into an outage.
 		delay := bp.RetryAfter
 		if delay <= 0 {
-			delay = c.cfg.AcquireRetry
+			delay = c.acquireRetry
 		}
-		if delay > c.cfg.BackpressureDelayCap {
-			delay = c.cfg.BackpressureDelayCap
+		if delay > backpressureDelayCap {
+			delay = backpressureDelayCap
 		}
 		w.congestedUntil = time.Now().Add(delay)
 		c.stats.Backpressure++
@@ -641,10 +622,10 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		if len(c.flights[pt]) > 0 {
 			return // a replica is still flying; let it decide the point
 		}
-		if c.backpressures[pt] > c.cfg.BackpressureLimit {
+		if c.backpressures[pt] > backpressureLimit {
 			// Deterministic message, like the requeue-limit one below.
 			c.commitLocked(w, pt, fl, c.failedPoint(pt, fmt.Sprintf(
-				"dispatch: point %d: worker backpressure exhausted the requeue limit (%d)", pt, c.cfg.BackpressureLimit)))
+				"dispatch: point %d: worker backpressure exhausted the requeue limit (%d)", pt, backpressureLimit)))
 			return
 		}
 		c.queue = append(c.queue, pt)
@@ -665,11 +646,11 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 	if len(c.flights[pt]) > 0 {
 		return // a replica is still flying; let it decide the point
 	}
-	if c.requeues[pt] > c.cfg.RequeueLimit {
+	if c.requeues[pt] > requeueLimit {
 		// Deterministic message: which workers failed and why varies run
 		// to run, so the journaled text must not depend on it.
 		c.commitLocked(w, pt, fl, c.failedPoint(pt, fmt.Sprintf(
-			"dispatch: point %d: transport failures exhausted the requeue limit (%d)", pt, c.cfg.RequeueLimit)))
+			"dispatch: point %d: transport failures exhausted the requeue limit (%d)", pt, requeueLimit)))
 		return
 	}
 	c.stats.Redispatches++
@@ -716,7 +697,7 @@ func (c *Coordinator) breakerSuccess(w *worker) {
 
 // probeLoop periodically probes every worker's /healthz, quarantining
 // after QuarantineAfter consecutive failures and readmitting (circuit
-// closed) after ReadmitAfter consecutive successes.
+// closed) after readmitAfter consecutive successes.
 func (c *Coordinator) probeLoop(ctx context.Context) {
 	tick := time.NewTicker(c.cfg.HealthInterval)
 	defer tick.Stop()
@@ -727,7 +708,7 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 		case <-tick.C:
 		}
 		for _, w := range c.workers {
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
+			pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 			err := w.t.Healthz(pctx)
 			cancel()
 			if ctx.Err() != nil {
@@ -755,7 +736,7 @@ func (c *Coordinator) recordProbe(w *worker, err error) {
 	}
 	w.probeFails = 0
 	w.probeOKs++
-	if w.quarantined && w.probeOKs >= c.cfg.ReadmitAfter {
+	if w.quarantined && w.probeOKs >= readmitAfter {
 		w.quarantined = false
 		w.probeOKs = 0
 		c.stats.Readmitted++

@@ -91,14 +91,12 @@ func transportsFor(servers ...*httptest.Server) []Transport {
 	return ts
 }
 
-// quickCfg tightens every timing knob so tests finish fast.
+// quickCfg tightens the health and point timing so tests finish fast.
 func quickCfg(ts []Transport) Config {
 	return Config{
 		Transports:     ts,
 		HealthInterval: 20 * time.Millisecond,
-		HealthTimeout:  time.Second,
 		PointTimeout:   5 * time.Second,
-		AcquireRetry:   5 * time.Millisecond,
 		StallTimeout:   30 * time.Second,
 	}
 }
@@ -135,6 +133,22 @@ func TestDistributedMatchesLocal(t *testing.T) {
 func TestNewRejectsEmptyPool(t *testing.T) {
 	if _, err := New(Config{}); !errors.Is(err, snoopmva.ErrInvalidInput) {
 		t.Fatalf("New with no transports: err = %v, want ErrInvalidInput", err)
+	}
+}
+
+func TestNewRejectsNegativeCounts(t *testing.T) {
+	ts := []Transport{&fakeTransport{addr: "fake://w", solve: localSolve}}
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"MaxInflight", Config{Transports: ts, MaxInflight: -1}},
+		{"QuarantineAfter", Config{Transports: ts, QuarantineAfter: -1}},
+	} {
+		_, err := New(tc.cfg)
+		if !errors.Is(err, snoopmva.ErrInvalidInput) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("New with negative %s: err = %v, want ErrInvalidInput naming the field", tc.field, err)
+		}
 	}
 }
 
@@ -183,7 +197,6 @@ func TestTransportFailuresExhaustRequeueLimit(t *testing.T) {
 	}
 	points := testGrid(t, 3)
 	cfg := quickCfg([]Transport{dead("fake://a"), dead("fake://b")})
-	cfg.RequeueLimit = 2
 	cfg.BreakerThreshold = -1 // isolate the requeue path from the breaker
 	cfg.HealthInterval = -1
 	c, err := New(cfg)
@@ -198,13 +211,17 @@ func TestTransportFailuresExhaustRequeueLimit(t *testing.T) {
 		t.Fatalf("failed = %d, want %d", res.Failed, len(points))
 	}
 	for i, pr := range res.Results {
-		want := fmt.Sprintf("dispatch: point %d: transport failures exhausted the requeue limit (2)", i)
+		want := fmt.Sprintf("dispatch: point %d: transport failures exhausted the requeue limit (8)", i)
 		if pr.Err != want {
 			t.Errorf("point %d err = %q, want %q", i, pr.Err, want)
 		}
 	}
 	if stats.Redispatches == 0 {
 		t.Error("expected redispatches after transport failures")
+	}
+	// Each point is sent once and re-sent 8 times before it fails.
+	if want := len(points) * 9; stats.Dispatches != want || stats.Redispatches != len(points)*8 {
+		t.Errorf("dispatches/redispatches = %d/%d, want %d/%d", stats.Dispatches, stats.Redispatches, want, len(points)*8)
 	}
 }
 
@@ -230,9 +247,6 @@ func TestStragglerSpeculation(t *testing.T) {
 	cfg := quickCfg([]Transport{a, b})
 	cfg.HealthInterval = -1
 	cfg.PointTimeout = 0 // only speculation can resolve the stuck point
-	cfg.StragglerMinSamples = 3
-	cfg.StragglerFloor = 30 * time.Millisecond
-	cfg.StragglerFactor = 1
 	cfg.StallTimeout = 30 * time.Second
 	c, err := New(cfg)
 	if err != nil {
@@ -350,7 +364,6 @@ func TestRecordProbeQuarantineAndReadmission(t *testing.T) {
 	ts := []Transport{&fakeTransport{addr: "fake://w", solve: localSolve}}
 	cfg := quickCfg(ts)
 	cfg.QuarantineAfter = 3
-	cfg.ReadmitAfter = 2
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -57,12 +57,11 @@ type RetryPolicy struct {
 	// MaxAttempts bounds the total number of attempts (first try
 	// included); values < 1 mean 1.
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt (0 means 10ms).
+	// BaseDelay is the backoff before the second attempt (0 means 10ms);
+	// each later delay doubles.
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential growth (0 means 2s).
 	MaxDelay time.Duration
-	// Multiplier is the per-attempt growth factor (0 means 2).
-	Multiplier float64
 	// Jitter spreads each delay uniformly over ±Jitter fraction of its
 	// nominal value (0.2 → ±20%). Values outside [0,1) are clamped.
 	Jitter float64
@@ -80,9 +79,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 2
 	}
 	if p.Jitter < 0 {
 		p.Jitter = 0
@@ -110,7 +106,7 @@ func (p RetryPolicy) Delays() []time.Duration {
 		// Uniform over [d·(1-Jitter), d·(1+Jitter)], from the seeded stream.
 		d *= 1 + p.Jitter*(2*rng.Float64()-1)
 		out = append(out, time.Duration(d))
-		nominal *= p.Multiplier
+		nominal *= 2
 	}
 	return out
 }

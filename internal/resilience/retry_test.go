@@ -110,7 +110,7 @@ func TestRetryAbortedClassStopsImmediately(t *testing.T) {
 
 func TestDelaysAreDeterministicPerSeed(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 100 * time.Millisecond,
-		Multiplier: 2, Jitter: 0.3, Seed: 7}
+		Jitter: 0.3, Seed: 7}
 	a, b := p.Delays(), p.Delays()
 	if len(a) != 5 {
 		t.Fatalf("got %d delays, want 5", len(a))

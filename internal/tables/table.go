@@ -149,6 +149,21 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return err
 }
 
+// WriterFor returns the Table method that renders the named output
+// format: "text" (WriteASCII), "csv" or "markdown". A command resolves its
+// -format flag with it before doing any work, so a bad name fails first.
+func WriterFor(format string) (func(*Table, io.Writer) error, error) {
+	switch format {
+	case "text":
+		return (*Table).WriteASCII, nil
+	case "csv":
+		return (*Table).WriteCSV, nil
+	case "markdown":
+		return (*Table).WriteMarkdown, nil
+	}
+	return nil, fmt.Errorf("unknown format %q", format)
+}
+
 func csvEscape(s string) string {
 	if !strings.ContainsAny(s, ",\"\n") {
 		return s

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -73,6 +74,32 @@ func TestTableCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, "name,note\n") {
 		t.Errorf("missing header:\n%s", out)
+	}
+}
+
+func TestWriterFor(t *testing.T) {
+	tb := New("T", "a", "b")
+	tb.AddRow("x", 2.5)
+	for format, method := range map[string]func(*Table, io.Writer) error{
+		"text": (*Table).WriteASCII, "csv": (*Table).WriteCSV, "markdown": (*Table).WriteMarkdown,
+	} {
+		write, err := WriterFor(format)
+		if err != nil {
+			t.Fatalf("WriterFor(%q): %v", format, err)
+		}
+		var got, want strings.Builder
+		if err := write(tb, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := method(tb, &want); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("WriterFor(%q) rendered:\n%s\nwant:\n%s", format, got.String(), want.String())
+		}
+	}
+	if _, err := WriterFor("xml"); err == nil || !strings.Contains(err.Error(), "unknown format") {
+		t.Errorf("WriterFor(\"xml\") err = %v, want unknown format", err)
 	}
 }
 

@@ -48,19 +48,17 @@ func IsVersionMismatch(err error) bool {
 	return errors.As(err, &pe) && pe.Kind == KindVersion
 }
 
+// clientWriteTimeout bounds each frame write — the client side of write
+// backpressure: a peer that stops draining fails the connection instead
+// of wedging callers forever.
+const clientWriteTimeout = 10 * time.Second
+
 // ClientOptions tune a Client. The zero value means the defaults noted
 // on each field.
 type ClientOptions struct {
 	// DialTimeout bounds connection establishment including the
 	// Hello/HelloAck handshake. Default 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write — the client side of write
-	// backpressure: a peer that stops draining fails the connection
-	// instead of wedging callers forever. Default 10s.
-	WriteTimeout time.Duration
-	// MaxPayload bounds accepted response payloads. Default
-	// DefaultMaxPayload.
-	MaxPayload int
 	// RedialAttempts is how many reconnect-with-resend attempts follow a
 	// connection failure with requests in flight before those requests
 	// are failed. Default 3.
@@ -75,12 +73,6 @@ type ClientOptions struct {
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.MaxPayload <= 0 {
-		o.MaxPayload = DefaultMaxPayload
 	}
 	if o.RedialAttempts <= 0 {
 		o.RedialAttempts = 3
@@ -430,7 +422,7 @@ func (c *Client) dial() (net.Conn, *Reader, error) {
 		_ = conn.Close()
 		return nil, nil, fmt.Errorf("wire: handshake write: %w", err)
 	}
-	r := NewReader(conn, c.opts.MaxPayload)
+	r := NewReader(conn, DefaultMaxPayload)
 	f, err := r.Next()
 	if err != nil {
 		_ = conn.Close()
@@ -504,7 +496,7 @@ func (c *Client) flushLoop(conn net.Conn) {
 		buf := c.wbuf
 		c.wbuf = nil
 		c.mu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
 		if _, err := conn.Write(buf); err != nil {
 			c.connFailed(conn, fmt.Errorf("wire: write: %w", err))
 			return
@@ -691,7 +683,7 @@ func (c *Client) resendLocked() error {
 		if conn == nil {
 			return errors.New("wire: connection lost during resend")
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
 		if _, err := conn.Write(c.pending[seq].frame); err != nil {
 			c.conn = nil
 			_ = conn.Close()
