@@ -2,10 +2,13 @@ package gtpnmodel
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -131,4 +134,44 @@ func TestSolveMatchesGolden(t *testing.T) {
 		}
 	}
 	t.Logf("largest relative Speedup or R difference: %.3g", worst)
+}
+
+// analyzeResultsSHA256 is the SHA-256 of every petri.Result field over the
+// golden grid, written as text by TestAnalyzeResultsBitwisePinned: each
+// case's name and States, then MeanCycle, TimeAvgMarking,
+// TimeAvgInFlight and Throughput as hex floats.
+const analyzeResultsSHA256 = "f51adb777e5d7316ff81177242d160cc904236a02118aac85d734bc185131a3c"
+
+// TestAnalyzeResultsBitwisePinned pins every field of the engine's
+// petri.Result bit for bit over the golden grid. TestSolveMatchesGolden
+// holds Speedup and R only within 1e-12, so this is the pin that fails
+// when an engine change reassociates a throughput sum. Only amd64 is
+// pinned: other architectures may fuse x*y+z into one FMA and round
+// differently.
+func TestAnalyzeResultsBitwisePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bitwise pin is recorded on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	h := sha256.New()
+	for _, c := range goldenCases() {
+		n, _, err := Build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, err := n.Analyze(petri.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fmt.Fprintf(h, "%s %d %s", c.name, res.States, hexf(res.MeanCycle))
+		for _, v := range [][]float64{res.TimeAvgMarking, res.TimeAvgInFlight, res.Throughput} {
+			fmt.Fprintf(h, " %d", len(v))
+			for _, x := range v {
+				fmt.Fprintf(h, " %s", hexf(x))
+			}
+		}
+		fmt.Fprintln(h)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != analyzeResultsSHA256 {
+		t.Errorf("petri.Result fields over the golden grid hash to %s, pinned %s", got, analyzeResultsSHA256)
+	}
 }
