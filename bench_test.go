@@ -117,9 +117,10 @@ func BenchmarkGTPNStateSpace(b *testing.B) {
 }
 
 // BenchmarkGTPNSolve times the full detailed solution at small N, up to
-// the N=6 (7721-state) chain the default SolveBest ladder still solves.
+// the N=6 (7721-state) chain the default SolveBest ladder still solves,
+// and at N=8 (20,361 states), the size larger solves are extrapolated from.
 func BenchmarkGTPNSolve(b *testing.B) {
-	for _, n := range []int{2, 4, 6} {
+	for _, n := range []int{2, 4, 6, 8} {
 		b.Run(byN(n), func(b *testing.B) {
 			cfg := gtpnmodel.Config{Workload: workload.AppendixA(workload.Sharing5), N: n}
 			b.ReportAllocs()

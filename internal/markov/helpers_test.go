@@ -1,11 +1,17 @@
 package markov
 
-// mustSparse is a test convenience: construct a SparseBuilder for a
-// dimension known to be valid at the call site.
-func mustSparse(n int) *SparseBuilder {
-	b, err := NewSparseBuilder(n)
-	if err != nil {
-		panic(err)
+import "context"
+
+// gaussSeidel solves the chain p with SteadyStateGaussSeidel, handing it
+// each row's non-zero entries in column order.
+func gaussSeidel(p *Dense, opts IterOptions) ([]float64, error) {
+	row := func(i int) (cols []int32, probs []float64) {
+		for j := 0; j < p.N(); j++ {
+			if v := p.At(i, j); v != 0 {
+				cols, probs = append(cols, int32(j)), append(probs, v)
+			}
+		}
+		return cols, probs
 	}
-	return b
+	return SteadyStateGaussSeidel(context.Background(), p.N(), row, opts)
 }

@@ -121,14 +121,7 @@ func TestGaussSeidelMatchesGTH(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + rng.Intn(10)
 		d := randomStochastic(rng, n)
-		b := mustSparse(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				b.Add(i, j, d.At(i, j))
-			}
-		}
-		s := b.Build()
-		piS, err := SteadyStateGaussSeidel(context.Background(), s, IterOptions{})
+		piS, err := gaussSeidel(d, IterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,22 +141,22 @@ func TestGaussSeidelPeriodicChain(t *testing.T) {
 	// Strictly periodic chains: undamped power iteration oscillates on
 	// them forever, Gauss–Seidel must converge without damping. The
 	// 3-state one is bipartite ({0,2} ↔ {1}) with stationary [1/4 1/2 1/4].
-	b := mustSparse(2)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 1)
-	pi, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	d := newDense(2)
+	d.Set(0, 1, 1)
+	d.Set(1, 0, 1)
+	pi, err := gaussSeidel(d, IterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !approx(pi[0], 0.5, 1e-9) || !approx(pi[1], 0.5, 1e-9) {
 		t.Errorf("pi = %v, want [0.5 0.5]", pi)
 	}
-	b = mustSparse(3)
-	b.Add(0, 1, 1)
-	b.Add(1, 0, 0.5)
-	b.Add(1, 2, 0.5)
-	b.Add(2, 1, 1)
-	pi, err = SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	d = newDense(3)
+	d.Set(0, 1, 1)
+	d.Set(1, 0, 0.5)
+	d.Set(1, 2, 0.5)
+	d.Set(2, 1, 1)
+	pi, err = gaussSeidel(d, IterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,27 +166,25 @@ func TestGaussSeidelPeriodicChain(t *testing.T) {
 }
 
 func TestGaussSeidelRejectsBadInput(t *testing.T) {
-	b := mustSparse(2)
-	b.Add(0, 0, 0.7) // row 0 sums to 0.7; row 1 sums to 0
-	s := b.Build()
-	if _, err := SteadyStateGaussSeidel(context.Background(), s, IterOptions{}); !errors.Is(err, ErrNotStochastic) {
+	d := newDense(2)
+	d.Set(0, 0, 0.7) // row 0 sums to 0.7; row 1 sums to 0
+	if _, err := gaussSeidel(d, IterOptions{}); !errors.Is(err, ErrNotStochastic) {
 		t.Errorf("expected ErrNotStochastic, got %v", err)
 	}
 	for _, c := range []struct {
-		name   string
-		n      int
-		rowPtr []int
-		colIdx []int
-		values []float64
+		name  string
+		n     int
+		cols  []int32
+		probs []float64
 	}{
-		{"zero dimension", 0, []int{0}, nil, nil},
-		{"short row pointers", 2, []int{0, 1}, []int{1}, []float64{1}},
-		{"values/columns mismatch", 1, []int{0, 1}, []int{0}, nil},
-		{"decreasing row pointers", 2, []int{0, 2, 1}, []int{0}, []float64{1}},
-		{"column out of range", 2, []int{0, 1, 2}, []int{1, 2}, []float64{1, 1}},
+		{"zero dimension", 0, nil, nil},
+		{"probabilities/columns mismatch", 1, []int32{0}, nil},
+		{"column out of range", 2, []int32{2}, []float64{1}},
+		{"negative column", 2, []int32{-1}, []float64{1}},
 	} {
-		if _, err := NewSparse(c.n, c.rowPtr, c.colIdx, c.values); err == nil {
-			t.Errorf("NewSparse accepted a malformed matrix (%s)", c.name)
+		row := func(int) ([]int32, []float64) { return c.cols, c.probs }
+		if _, err := SteadyStateGaussSeidel(context.Background(), c.n, row, IterOptions{}); err == nil || errors.Is(err, ErrNotStochastic) {
+			t.Errorf("Gauss–Seidel accepted a malformed chain (%s): %v", c.name, err)
 		}
 	}
 }
@@ -202,12 +193,7 @@ func TestGaussSeidelNoConvergence(t *testing.T) {
 	// Slowly mixing asymmetric chain: one sweep moves the uniform start to
 	// the stationary point [2/3 1/3], a change far above 1e-12, so a
 	// one-sweep budget cannot confirm convergence.
-	b := mustSparse(2)
-	b.Add(0, 0, 0.999)
-	b.Add(0, 1, 0.001)
-	b.Add(1, 0, 0.002)
-	b.Add(1, 1, 0.998)
-	_, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{MaxIter: 1})
+	_, err := gaussSeidel(twoState(0.001, 0.002), IterOptions{MaxIter: 1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("expected ErrNoConvergence, got %v", err)
 	}
@@ -216,68 +202,22 @@ func TestGaussSeidelNoConvergence(t *testing.T) {
 func TestGaussSeidelReducibleChain(t *testing.T) {
 	// The chain of TestGTHReducibleChain: state 1 is absorbing, so
 	// 1/(1−P_11) has no finite value and the solver must say so.
-	b := mustSparse(2)
-	b.Add(0, 0, 0.5)
-	b.Add(0, 1, 0.5)
-	b.Add(1, 1, 1)
-	pi, err := SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	d := newDense(2)
+	d.Set(0, 0, 0.5)
+	d.Set(0, 1, 0.5)
+	d.Set(1, 1, 1)
+	pi, err := gaussSeidel(d, IterOptions{})
 	if !errors.Is(err, ErrReducible) || !strings.Contains(err.Error(), "state 1 ") || pi != nil {
 		t.Errorf("absorbing state: got pi=%v err=%v, want ErrReducible naming state 1", pi, err)
 	}
 	// Nothing flows into state 0; without the check it would settle at 0.
-	b = mustSparse(3)
-	b.Add(0, 1, 1)
-	b.Add(1, 2, 1)
-	b.Add(2, 1, 1)
-	pi, err = SteadyStateGaussSeidel(context.Background(), b.Build(), IterOptions{})
+	d = newDense(3)
+	d.Set(0, 1, 1)
+	d.Set(1, 2, 1)
+	d.Set(2, 1, 1)
+	pi, err = gaussSeidel(d, IterOptions{})
 	if !errors.Is(err, ErrReducible) || !strings.Contains(err.Error(), "state 0 ") || pi != nil {
 		t.Errorf("unreachable state: got pi=%v err=%v, want ErrReducible naming state 0", pi, err)
-	}
-}
-
-func TestSparseBuilderDuplicatesSummed(t *testing.T) {
-	b := mustSparse(2)
-	b.Add(0, 1, 0.25)
-	b.Add(0, 1, 0.75)
-	b.Add(1, 0, 1)
-	s := b.Build()
-	if s.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2 (duplicates summed)", s.NNZ())
-	}
-	if !approx(s.RowSum(0), 1, 1e-15) || !approx(s.RowSum(1), 1, 1e-15) {
-		t.Errorf("row sums = %v, %v", s.RowSum(0), s.RowSum(1))
-	}
-}
-
-func TestSparseVecMul(t *testing.T) {
-	b := mustSparse(3)
-	b.Add(0, 1, 2)
-	b.Add(1, 2, 3)
-	b.Add(2, 0, 4)
-	s := b.Build()
-	dst := make([]float64, 3)
-	s.VecMul(dst, []float64{1, 10, 100})
-	// x·S: dst[j] = sum_i x[i]*S[i][j] => dst = [400, 2, 30]
-	want := []float64{400, 2, 30}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("dst = %v, want %v", dst, want)
-			break
-		}
-	}
-}
-
-func TestSparseEmptyRowsHandled(t *testing.T) {
-	b := mustSparse(4)
-	b.Add(3, 0, 1) // rows 0..2 empty
-	s := b.Build()
-	for i := 0; i < 3; i++ {
-		if s.RowSum(i) != 0 {
-			t.Errorf("row %d sum = %v, want 0", i, s.RowSum(i))
-		}
-	}
-	if s.RowSum(3) != 1 {
-		t.Errorf("row 3 sum = %v, want 1", s.RowSum(3))
 	}
 }
 
@@ -326,18 +266,4 @@ func TestDenseRejectsBadDimension(t *testing.T) {
 	if _, err := NewDense(-3); err == nil {
 		t.Error("NewDense(-3): expected error")
 	}
-	if _, err := NewSparseBuilder(0); err == nil {
-		t.Error("NewSparseBuilder(0): expected error")
-	}
-}
-
-func TestSparseBuilderPanicsOutOfRange(t *testing.T) {
-	// Out-of-range Add remains a panic: indices come from internal state
-	// enumerations, so a bad index is an invariant violation, not input.
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range index")
-		}
-	}()
-	mustSparse(2).Add(2, 0, 1)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"snoopmva/internal/faultinject"
@@ -49,8 +50,7 @@ func checkBudget(ctx context.Context, processed, total, max int) error {
 // inflight is one scheduled firing: transition t completes after remaining
 // cycles.
 type inflight struct {
-	t         TransID
-	remaining int
+	t, remaining int32
 }
 
 // state is a stable extended state: a marking plus the multiset of
@@ -80,37 +80,49 @@ func sortFlights(f []inflight) {
 		if a.t != b.t {
 			return int(a.t - b.t)
 		}
-		return a.remaining - b.remaining
+		return int(a.remaining - b.remaining)
 	})
 }
 
-// run is one stable state reachable from a resolution, with its path
-// probability.
-type run struct {
-	id   int32 // the stable state: an index into resolver.stable
-	prob float64
-}
-
-// stableSet stores stable states back to back: state i's marking is
-// marks[i*np:(i+1)*np] and its flights are flights[off[i]:off[i+1]].
+// stableSet stores stable states back to back, at 32 bits a number: state
+// i's marking is marks[i*np:(i+1)*np] and its flights are
+// flights[off[i]:off[i+1]].
 type stableSet struct {
 	np      int
-	marks   []int
+	marks   []int32
 	flights []inflight
 	off     []int32
 }
 
 func (ss *stableSet) len() int { return len(ss.off) - 1 }
 
-func (ss *stableSet) add(st state) {
-	ss.marks = push(ss.marks, st.marking...)
+func (ss *stableSet) add(st state) error {
+	ss.marks = reserve(ss.marks, len(st.marking))
+	for p, m := range st.marking {
+		if m > math.MaxInt32 {
+			return fmt.Errorf("petri: place %d holds %d tokens, more than a stable state stores", p, m)
+		}
+		ss.marks = append(ss.marks, int32(m))
+	}
 	ss.flights = push(ss.flights, st.flights...)
 	ss.off = push(ss.off, int32(len(ss.flights)))
+	return nil
 }
 
-// at returns state i as views into the set, valid until the next add.
-func (ss *stableSet) at(i int) state {
-	return state{marking: ss.marks[i*ss.np : (i+1)*ss.np : (i+1)*ss.np], flights: ss.flights[ss.off[i]:ss.off[i+1]:ss.off[i+1]]}
+// at writes state i into st: its marking into st.marking, which has one
+// entry per place, and its flights as a view into the set, valid until
+// the next add.
+func (ss *stableSet) at(i int, st *state) {
+	for p, m := range ss.marks[i*ss.np : (i+1)*ss.np] {
+		st.marking[p] = int(m)
+	}
+	st.flights = ss.flightsOf(i)
+}
+
+// flightsOf returns state i's flights as a view into the set, valid until
+// the next add.
+func (ss *stableSet) flightsOf(i int) []inflight {
+	return ss.flights[ss.off[i]:ss.off[i+1]:ss.off[i+1]]
 }
 
 // Options controls Analyze.
@@ -166,13 +178,10 @@ func (n *Net) isEnabled(ti int, m []int) bool {
 type resolver struct {
 	n  *Net
 	nt int
-	// memo maps a raw state's key to its entry: entries[k] belongs to the
-	// key with index k.
-	memo    *keyTable
-	entries []entry
-	// runs and fires are the arenas the entries point into.
-	runs  []run
-	fires []float64
+	// memo maps a raw state's key to its index k, and entry k of the
+	// memoRows is its resolution.
+	memo *keyTable
+	memoRows
 	// stable holds every stable state in the order resolutions first reach
 	// it. Each is memoized as its own one-run resolution, so it is encoded
 	// and stored once, and its index is its id in the graph.
@@ -190,28 +199,46 @@ type resolver struct {
 	cs    []contrib
 	lists []span
 	// scratch[d] is where resolutions at depth d build their successors,
-	// and keys[d] holds the key of the state resolved at depth d while its
-	// successors reuse buf.
+	// keys[d] holds the key of the state resolved at depth d while its
+	// successors reuse buf, and acc[d*nt:(d+1)*nt] sums its expected
+	// firings.
 	scratch []state
 	keys    [][]byte
+	acc     []float64
 }
 
-// entry is one memoized resolution: its stable outcomes sorted by id, and
-// the expected number of firings of each transition on the way to them.
-type entry struct {
-	runs, nruns int32 // the outcomes are runs[runs : runs+nruns]
-	fires       int32 // the expected firings are fires[fires : fires+nt]; -1 when nothing fires
+// memoRows holds the memoized resolutions back to back, in the order they
+// were inserted. Entry k's stable outcomes, sorted by id, are the states
+// runID[runOff[k]:runOff[k+1]], reached with the probabilities runProb at
+// the same indices. The expected number of firings of each transition on
+// the way to them is fireV at the transitions fireT, over
+// fireOff[k]:fireOff[k+1]; only non-zero counts are stored, in transition
+// order. A stable state's entry is its own single outcome and fires
+// nothing.
+type memoRows struct {
+	runOff, runID  []int32
+	runProb        []float64
+	fireOff, fireT []int32
+	fireV          []float64
+}
+
+// outcomes returns entry k's stable outcomes and their probabilities,
+// valid until the next resolve.
+func (m *memoRows) outcomes(k int32) ([]int32, []float64) {
+	lo, hi := m.runOff[k], m.runOff[k+1]
+	return m.runID[lo:hi], m.runProb[lo:hi]
+}
+
+// fires returns entry k's non-zero expected firings: the transitions and
+// the counts.
+func (m *memoRows) fires(k int32) ([]int32, []float64) {
+	lo, hi := m.fireOff[k], m.fireOff[k+1]
+	return m.fireT[lo:hi], m.fireV[lo:hi]
 }
 
 func newResolver(ctx context.Context, n *Net, maxDepth int) *resolver {
-	return &resolver{n: n, nt: len(n.trans), memo: newKeyTable(), stable: stableSet{np: len(n.places), off: []int32{0}}, ctx: ctx, maxDepth: maxDepth}
-}
-
-// outcomes returns the stable runs of entry e, valid until the next
-// resolve.
-func (r *resolver) outcomes(e int32) []run {
-	en := r.entries[e]
-	return r.runs[en.runs : en.runs+en.nruns]
+	return &resolver{n: n, nt: len(n.trans), memo: newKeyTable(), memoRows: memoRows{runOff: []int32{0}, fireOff: []int32{0}},
+		stable: stableSet{np: len(n.places), off: []int32{0}}, ctx: ctx, maxDepth: maxDepth}
 }
 
 // contrib is one weighted stable outcome of a firing.
@@ -267,20 +294,24 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 		}
 	}
 	if len(en) == 0 {
-		r.runs = push(r.runs, run{id: int32(r.stable.len()), prob: 1})
-		r.stable.add(raw)
-		return r.insert(r.buf, h, entry{runs: int32(len(r.runs) - 1), nruns: 1, fires: -1}), nil
+		r.runID = push(r.runID, int32(r.stable.len()))
+		r.runProb = push(r.runProb, 1)
+		if err := r.stable.add(raw); err != nil {
+			return 0, err
+		}
+		return r.insert(r.buf, h), nil
 	}
 	if depth == len(r.scratch) {
 		r.scratch = append(r.scratch, state{marking: make([]int, len(raw.marking))})
 		r.keys = append(r.keys, nil)
+		r.acc = append(r.acc, make([]float64, r.nt)...)
 	}
 	r.keys[depth] = append(r.keys[depth][:0], r.buf...)
 	// E = Σ_ti p_ti·(δ_ti + E_sub(ti)): this entry's expected firings are
-	// reserved now and accumulated as each successor resolves.
-	fires := len(r.fires)
-	r.fires = reserve(r.fires, r.nt)[:fires+r.nt]
-	clear(r.fires[fires:])
+	// accumulated densely in acc as each successor resolves, and stored
+	// sparse once all have.
+	acc := depth * r.nt
+	clear(r.acc[acc : acc+r.nt])
 	base, lbase := len(r.cs), len(r.lists)
 	for _, ti := range en {
 		p := n.trans[ti].weight / total
@@ -295,22 +326,24 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 				next.marking[a.Place] += a.Weight
 			}
 		} else {
-			next.flights = append(next.flights, inflight{t: TransID(ti), remaining: n.trans[ti].duration})
+			next.flights = append(next.flights, inflight{t: int32(ti), remaining: int32(n.trans[ti].duration)})
 		}
 		sub, err := r.resolve(*next, depth+1)
 		if err != nil {
 			return 0, err
 		}
 		from := len(r.cs)
-		for _, o := range r.outcomes(sub) {
-			r.cs = append(r.cs, contrib{id: o.id, w: p * o.prob})
+		ids, probs := r.outcomes(sub)
+		for j, id := range ids {
+			r.cs = append(r.cs, contrib{id: id, w: p * probs[j]})
 		}
 		r.lists = append(r.lists, span{from, len(r.cs)})
-		e := r.fires[fires : fires+r.nt]
-		if sf := r.entries[sub].fires; sf >= 0 {
-			for t, f := range r.fires[sf : int(sf)+r.nt] {
-				e[t] += p * f
-			}
+		// Only the zero counts are skipped, and adding +0 leaves a sum's
+		// bits as they are.
+		e := r.acc[acc : acc+r.nt]
+		ts, fs := r.fires(sub)
+		for j, t := range ts {
+			e[t] += p * fs[j]
 		}
 		e[ti] += p
 	}
@@ -321,8 +354,8 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 	// contributions in firing order, which fixes the order the sums below
 	// accumulate in.
 	lists := r.lists[lbase:]
-	first := len(r.runs)
-	r.runs = reserve(r.runs, len(r.cs)-base)
+	first := len(r.runID)
+	r.runID, r.runProb = reserve(r.runID, len(r.cs)-base), reserve(r.runProb, len(r.cs)-base)
 	for range len(r.cs) - base {
 		best := -1
 		for j, l := range lists {
@@ -332,23 +365,30 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 		}
 		c := r.cs[lists[best].from]
 		lists[best].from++
-		if len(r.runs) == first || r.runs[len(r.runs)-1].id != c.id {
-			r.runs = append(r.runs, run{id: c.id})
+		if len(r.runID) == first || r.runID[len(r.runID)-1] != c.id {
+			r.runID, r.runProb = append(r.runID, c.id), append(r.runProb, 0)
 		}
-		r.runs[len(r.runs)-1].prob += c.w
+		r.runProb[len(r.runProb)-1] += c.w
 	}
 	r.cs, r.lists = r.cs[:base], r.lists[:lbase]
-	return r.insert(r.keys[depth], h, entry{runs: int32(first), nruns: int32(len(r.runs) - first), fires: int32(fires)}), nil
+	for t, f := range r.acc[acc : acc+r.nt] {
+		if f != 0 {
+			r.fireT, r.fireV = push(r.fireT, int32(t)), push(r.fireV, f)
+		}
+	}
+	return r.insert(r.keys[depth], h), nil
 }
 
 // reserve returns s with room for n more elements, doubling its capacity
 // when it must grow: the arenas reach megabytes, where append's gentler
-// growth would copy each element several times over.
+// growth would copy each element several times over. An arena starts at
+// 256 elements, so the doublings of its first kilobytes cost no
+// allocations.
 func reserve[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	grown := make([]T, len(s), max(2*cap(s), len(s)+n))
+	grown := make([]T, len(s), max(2*cap(s), len(s)+n, 256))
 	copy(grown, s)
 	return grown
 }
@@ -356,26 +396,22 @@ func reserve[T any](s []T, n int) []T {
 // push appends vs to the arena s, growing it by reserve.
 func push[T any](s []T, vs ...T) []T { return append(reserve(s, len(vs)), vs...) }
 
-// insert memoizes e under key, whose hash is h, and returns its index.
-func (r *resolver) insert(key []byte, h uint64, e entry) int32 {
-	r.entries = push(r.entries, e)
+// insert memoizes under key, whose hash is h, the entry whose outcomes and
+// firings were appended last, and returns its index.
+func (r *resolver) insert(key []byte, h uint64) int32 {
+	r.runOff = push(r.runOff, int32(len(r.runID)))
+	r.fireOff = push(r.fireOff, int32(len(r.fireT)))
 	return int32(r.memo.add(key, h))
 }
 
 // advance moves a stable state forward to its next event: time passes by
 // the minimum remaining firing time, completed firings deposit their
-// outputs. It writes the raw (possibly unstable) state into next and
-// returns the sojourn.
-func (n *Net) advance(next *state, st state) (int, error) {
+// outputs. It writes the raw (possibly unstable) state into next.
+func (n *Net) advance(next *state, st state) error {
 	if len(st.flights) == 0 {
-		return 0, errors.New("petri: deadlock — no enabled transitions and nothing in flight")
+		return errors.New("petri: deadlock — no enabled transitions and nothing in flight")
 	}
-	dt := st.flights[0].remaining
-	for _, f := range st.flights {
-		if f.remaining < dt {
-			dt = f.remaining
-		}
-	}
+	dt := sojourn(st.flights)
 	copy(next.marking, st.marking)
 	next.flights = next.flights[:0]
 	for _, f := range st.flights {
@@ -387,31 +423,36 @@ func (n *Net) advance(next *state, st state) (int, error) {
 			next.flights = append(next.flights, inflight{t: f.t, remaining: f.remaining - dt})
 		}
 	}
-	return dt, nil
+	return nil
+}
+
+// sojourn returns the time a stable state with the given flights, at least
+// one, spends before its next event: the least remaining firing time.
+func sojourn(flights []inflight) int32 {
+	return slices.MinFunc(flights, func(a, b inflight) int { return int(a.remaining - b.remaining) }).remaining
 }
 
 // graph is the extended reachability graph with its embedded chain. State
 // ids are the resolver's discovery order, and states are expanded in id
-// order, so the search yields the transition matrix row by row.
+// order, so the search yields the transition matrix row by row. The rows
+// are the memo's own entries, so the chain is stored once.
 type graph struct {
 	states stableSet
-	// sojourn[id] is the time spent in state id per visit (cycles).
-	sojourn []int
-	// fires[id*Transitions()+t] is the expected number of firings of t on
-	// the step out of id.
-	fires []float64
-	// rowPtr, colIdx and prob hold the embedded chain's transition matrix
-	// in CSR form.
-	rowPtr []int
-	colIdx []int
-	prob   []float64
+	// rows[id] is the memo entry of the step out of id: its outcomes are
+	// row id of the embedded chain's transition matrix, its firings the
+	// expected number of firings of each transition on that step.
+	rows []int32
+	memoRows
 }
 
-// explore builds the reachability graph by BFS over stable states. With
-// countOnly it records the states alone, skipping the chain. It checks ctx
-// every ctxCheckInterval expanded states (and the resolver every 64
-// zero-time resolutions).
-func (n *Net) explore(ctx context.Context, o Options, countOnly bool) (*graph, error) {
+// row returns row i of the embedded chain's transition matrix: its
+// distinct columns and their probabilities.
+func (g *graph) row(i int) ([]int32, []float64) { return g.outcomes(g.rows[i]) }
+
+// explore builds the reachability graph by BFS over stable states. It
+// checks ctx every ctxCheckInterval expanded states (and the resolver
+// every 64 zero-time resolutions).
+func (n *Net) explore(ctx context.Context, o Options) (*graph, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -424,14 +465,13 @@ func (n *Net) explore(ctx context.Context, o Options, countOnly bool) (*graph, e
 		return nil, err
 	}
 	g := &graph{}
-	var rows []int32 // rows[id]: the memo entry of leaving state id
-	nnz, raw := 0, state{marking: make([]int, len(n.places))}
+	st, raw := state{marking: make([]int, len(n.places))}, state{marking: make([]int, len(n.places))}
 	for id := 0; id < rv.stable.len(); id++ {
 		if err := checkBudget(ctx, id+1, rv.stable.len(), o.MaxStates); err != nil {
 			return nil, err
 		}
-		dt, err := n.advance(&raw, rv.stable.at(id))
-		if err != nil {
+		rv.stable.at(id, &st)
+		if err := n.advance(&raw, st); err != nil {
 			return nil, fmt.Errorf("petri: state %d: %w", id, err)
 		}
 		e, err := rv.resolve(raw, 0)
@@ -441,29 +481,9 @@ func (n *Net) explore(ctx context.Context, o Options, countOnly bool) (*graph, e
 		if rv.stable.len() > o.MaxStates {
 			return nil, explosionErr(rv.stable.len(), o.MaxStates)
 		}
-		g.sojourn = append(g.sojourn, dt)
-		rows = append(rows, e)
-		nnz += int(rv.entries[e].nruns)
+		g.rows = append(g.rows, e)
 	}
-	g.states = rv.stable
-	if countOnly {
-		return g, nil
-	}
-	// A resolution's outcomes are distinct states, so each row is final as
-	// recorded; with the row lengths known, every array is sized once.
-	nt := len(n.trans)
-	g.rowPtr, g.colIdx, g.prob = make([]int, 1, len(rows)+1), make([]int, 0, nnz), make([]float64, 0, nnz)
-	g.fires = make([]float64, len(rows)*nt)
-	for id, e := range rows {
-		for _, o := range rv.outcomes(e) {
-			g.colIdx = append(g.colIdx, int(o.id))
-			g.prob = append(g.prob, o.prob)
-		}
-		g.rowPtr = append(g.rowPtr, len(g.colIdx))
-		if f := rv.entries[e].fires; f >= 0 {
-			copy(g.fires[id*nt:(id+1)*nt], rv.fires[f:int(f)+nt])
-		}
-	}
+	g.states, g.memoRows = rv.stable, rv.memoRows
 	return g, nil
 }
 
@@ -477,25 +497,26 @@ func (n *Net) measures(g *graph, pi []float64) (*Result, error) {
 		Throughput:      make([]float64, len(n.trans)),
 	}
 	var totalTime float64
-	for id, dt := range g.sojourn {
-		totalTime += pi[id] * float64(dt)
+	for id := range g.rows {
+		totalTime += pi[id] * float64(sojourn(g.states.flightsOf(id)))
 	}
 	if totalTime <= 0 {
 		return nil, errors.New("petri: degenerate zero total time")
 	}
 	res.MeanCycle = totalTime
-	nt := len(n.trans)
-	for id := range g.sojourn {
-		st := g.states.at(id)
-		w := pi[id] * float64(g.sojourn[id]) / totalTime
+	st := state{marking: make([]int, len(n.places))}
+	for id := range g.rows {
+		g.states.at(id, &st)
+		w := pi[id] * float64(sojourn(st.flights)) / totalTime
 		for p, m := range st.marking {
 			res.TimeAvgMarking[p] += w * float64(m)
 		}
 		for _, f := range st.flights {
 			res.TimeAvgInFlight[f.t] += w
 		}
-		for t, e := range g.fires[id*nt : (id+1)*nt] {
-			res.Throughput[t] += pi[id] * e
+		ts, fs := g.fires(g.rows[id])
+		for j, t := range ts {
+			res.Throughput[t] += pi[id] * fs[j]
 		}
 	}
 	for t := range res.Throughput {
@@ -516,15 +537,11 @@ func (n *Net) Analyze(opts Options) (*Result, error) {
 // Gauss–Seidel sweeps, so multi-minute builds stop promptly when the
 // caller's deadline fires.
 func (n *Net) AnalyzeContext(ctx context.Context, opts Options) (*Result, error) {
-	g, err := n.explore(ctx, opts.withDefaults(), false)
+	g, err := n.explore(ctx, opts.withDefaults())
 	if err != nil {
 		return nil, err
 	}
-	p, err := markov.NewSparse(g.states.len(), g.rowPtr, g.colIdx, g.prob)
-	if err != nil {
-		return nil, fmt.Errorf("petri: embedded chain: %w", err)
-	}
-	pi, err := markov.SteadyStateGaussSeidel(ctx, p, markov.IterOptions{})
+	pi, err := markov.SteadyStateGaussSeidel(ctx, g.states.len(), g.row, markov.IterOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("petri: embedded chain: %w", err)
 	}
@@ -542,7 +559,7 @@ func (n *Net) StateCount(opts Options) (int, error) {
 // expanded states. It runs AnalyzeContext's search and stops before the
 // solve.
 func (n *Net) StateCountContext(ctx context.Context, opts Options) (int, error) {
-	g, err := n.explore(ctx, opts.withDefaults(), true)
+	g, err := n.explore(ctx, opts.withDefaults())
 	if err != nil {
 		return 0, err
 	}

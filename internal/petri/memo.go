@@ -11,19 +11,15 @@ import (
 // garbage collector sees a handful of pointer-free slices, not one string
 // per key.
 type keyTable struct {
-	seed  maphash.Seed
-	keys  []byte
-	spans []keySpan
-	slots []int32 // key index + 1; 0 is empty
-}
-
-type keySpan struct {
-	hash     uint64
-	from, to uint32 // the key is keys[from:to]
+	seed   maphash.Seed
+	keys   []byte
+	ends   []uint32 // key k is keys[ends[k]:ends[k+1]]
+	hashes []uint64 // key k's hash
+	slots  []int32  // key index + 1; 0 is empty
 }
 
 func newKeyTable() *keyTable {
-	return &keyTable{seed: maphash.MakeSeed(), slots: make([]int32, 1024)}
+	return &keyTable{seed: maphash.MakeSeed(), ends: []uint32{0}, slots: make([]int32, 1024)}
 }
 
 // find returns key's index, or -1 with the hash to pass to add.
@@ -36,7 +32,7 @@ func (kt *keyTable) find(key []byte) (int, uint64) {
 			break
 		}
 		k := int(kt.slots[i] - 1)
-		if sp := kt.spans[k]; sp.hash == h && bytes.Equal(kt.keys[sp.from:sp.to], key) {
+		if kt.hashes[k] == h && bytes.Equal(kt.keys[kt.ends[k]:kt.ends[k+1]], key) {
 			return k, h
 		}
 		i = (i + 1) & mask
@@ -47,14 +43,14 @@ func (kt *keyTable) find(key []byte) (int, uint64) {
 // add interns key, which find reported absent with hash h, and returns its
 // index.
 func (kt *keyTable) add(key []byte, h uint64) int {
-	k := len(kt.spans)
-	from := uint32(len(kt.keys))
+	k := len(kt.hashes)
 	kt.keys = push(kt.keys, key...)
-	kt.spans = push(kt.spans, keySpan{hash: h, from: from, to: uint32(len(kt.keys))})
-	if 2*len(kt.spans) > len(kt.slots) { // keep the load at most 1/2
+	kt.ends = push(kt.ends, uint32(len(kt.keys)))
+	kt.hashes = push(kt.hashes, h)
+	if 2*len(kt.hashes) > len(kt.slots) { // keep the load at most 1/2
 		kt.slots = make([]int32, 2*len(kt.slots))
-		for i, sp := range kt.spans {
-			kt.place(sp.hash, int32(i+1))
+		for i, hi := range kt.hashes {
+			kt.place(hi, int32(i+1))
 		}
 		return k
 	}
