@@ -6,6 +6,7 @@
 //
 //	gtpnsolve -sharing 5 -n 4
 //	gtpnsolve -mods 1 -sharing 20 -sweep 1,2,4,6 -compare
+//	gtpnsolve -sweep 2..8 -compare
 //	gtpnsolve -n 3 -perproc        # show the exploded state space
 package main
 
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"snoopmva"
+	"snoopmva/internal/gridspec"
 	"snoopmva/internal/gtpnmodel"
 	"snoopmva/internal/petri"
 	"snoopmva/internal/protocol"
@@ -31,7 +33,7 @@ func main() {
 		mods      = flag.String("mods", "", "comma-separated modification numbers 1-4")
 		sharing   = flag.Int("sharing", 5, "Appendix A sharing level: 1, 5 or 20")
 		n         = flag.Int("n", 4, "number of processors")
-		sweep     = flag.String("sweep", "", "comma-separated system sizes (overrides -n)")
+		sweep     = flag.String("sweep", "", "system sizes, e.g. 1,2,4 or 2..12 (overrides -n)")
 		compare   = flag.Bool("compare", false, "add MVA columns for comparison")
 		perProc   = flag.Bool("perproc", false, "also count the per-processor (exploded) state space")
 		maxStates = flag.Int("maxstates", 500000, "state-space cap")
@@ -39,6 +41,12 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 1m; 0 = no limit)")
 	)
 	flag.Parse()
+	if *maxStates < 1 {
+		fatal(fmt.Errorf("-maxstates must be at least 1 (got %d)", *maxStates))
+	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -57,9 +65,8 @@ func main() {
 	}
 	ns := []int{*n}
 	if *sweep != "" {
-		ns, err = parseInts(*sweep)
-		if err != nil {
-			fatal(err)
+		if ns, err = gridspec.ParseSizes(*sweep); err != nil {
+			fatal(fmt.Errorf("-sweep: %w", err))
 		}
 	}
 

@@ -39,6 +39,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-n", "8", "-hsw", "0"}, "4.4523"}, // default h_sw reads 4.8734
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
+		{"gtpnsolve", []string{"-sweep", "2..3"}, "906"}, // N=3's state count
 		{"cachesim", []string{"-protocol", "Illinois", "-sharing", "5", "-n", "4", "-cycles", "40000",
 			"-warmup", "2000", "-timeout", "60s", "-compare"}, "Illinois"},
 		{"paperrepro", []string{"-list"}, "tab4.1a"},
@@ -85,6 +86,10 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-sharing", "7"}, ""},
 		{"mvasolve", []string{"-tau", "-5"}, "tau"},
 		{"mvasolve", []string{"-amodp", "NaN"}, "amod_private"},
+		{"gtpnsolve", []string{"-maxstates", "-1"}, "-maxstates"},
+		{"gtpnsolve", []string{"-maxstates", "0"}, "-maxstates"},
+		{"gtpnsolve", []string{"-timeout", "-1s"}, "-timeout"},
+		{"gtpnsolve", []string{"-sweep", "2,0"}, "-sweep"},
 		{"cachesim", []string{"-cycles", "0"}, "-cycles"},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},

@@ -169,35 +169,46 @@ func TestLumpedStateCountsPinned(t *testing.T) {
 	}
 }
 
-// TestSolveAllocationBound bounds the heap traffic of the N=6 lumped
-// Write-Once solve (7721 states), the largest the default SolveBest ladder
-// runs. The resolver keeps its memo, outcomes and firing counts in a few
-// arenas that double as they grow, so the solve measures ~24.5 MB in ~356
-// allocations with go1.24 on amd64; the bounds add ~12% to the count and
-// ~20% to the bytes. Before the arenas, per-outcome firing vectors and
-// string memo keys took ~31 MB in 112,665 allocations; before that, keys
-// rebuilt at each use and damped power iteration took 174 MB and 2.30M.
+// TestSolveAllocationBound bounds the heap traffic of two lumped
+// Write-Once solves: N=6 (7721 states), the largest the default SolveBest
+// ladder runs, and N=8 (20,361 states), the size larger solves are
+// extrapolated from. The resolver keeps its memo, outcomes and sparse
+// firing counts in a few arenas that double as they grow, so with go1.24
+// on amd64 the solves measure 13.85 MB in ~335 allocations and 48.4 MB in
+// 379; the bounds add ~20% to the bytes and ~12% to the count. With a
+// dense firing vector per memo entry and a separate CSR copy of the
+// chain they took 24.7 MB in ~365 and 88.2 MB in 404; before the arenas,
+// per-outcome firing vectors and string memo keys took ~31 MB in 112,665
+// allocations at N=6, and before that, keys rebuilt at each use and
+// damped power iteration took 174 MB and 2.30M.
 func TestSolveAllocationBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves a 7721-state chain")
+		t.Skip("solves 7721- and 20,361-state chains")
 	}
-	cfg := Config{Workload: workload.AppendixA(workload.Sharing5), Mods: protocol.WriteOnce.Mods, N: 6}
-	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for i := 0; i < 3; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := Solve(cfg, petri.Options{}); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		n                   int
+		maxBytes, maxAllocs uint64
+	}{
+		{6, 16 << 20, 375},
+		{8, 56 << 20, 425},
+	} {
+		cfg := Config{Workload: workload.AppendixA(workload.Sharing5), Mods: protocol.WriteOnce.Mods, N: c.n}
+		bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Solve(cfg, petri.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		if bytes > c.maxBytes || allocs > c.maxAllocs {
+			t.Errorf("N=%d solve allocated %d B in %d allocations, want at most %d B and %d", c.n, bytes, allocs, c.maxBytes, c.maxAllocs)
+		}
+		t.Logf("N=%d solve: %d B in %d allocations", c.n, bytes, allocs)
 	}
-	const maxBytes, maxAllocs = 28 << 20, 400
-	if bytes > maxBytes || allocs > maxAllocs {
-		t.Fatalf("N=6 solve allocated %d B in %d allocations, want at most %d B and %d", bytes, allocs, maxBytes, maxAllocs)
-	}
-	t.Logf("N=6 solve: %d B in %d allocations", bytes, allocs)
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -237,6 +237,26 @@ func TestValidateErrors(t *testing.T) {
 	if err := n2.Validate(); err == nil {
 		t.Error("sourceless transition accepted")
 	}
+	// Stable states store durations and token counts in 32 bits: a longer
+	// duration is a validation error, and a larger count, here in a place
+	// no transition touches, fails the analysis instead of wrapping.
+	for _, c := range []struct {
+		name             string
+		tokens, duration int
+	}{
+		{"duration", 0, math.MaxInt32 + 1},
+		{"tokens", math.MaxInt32 + 1, 1},
+	} {
+		n := NewNet()
+		p := n.AddPlace("p", 1)
+		n.AddPlace("q", c.tokens)
+		tr := n.AddTransition("t", c.duration, 1)
+		n.AddInput(tr, p, 1)
+		n.AddOutput(tr, p, 1)
+		if _, err := n.Analyze(Options{}); err == nil || !strings.Contains(err.Error(), "more than a stable state stores") {
+			t.Errorf("%s beyond 32 bits: got %v, want an error", c.name, err)
+		}
+	}
 }
 
 func TestAccessors(t *testing.T) {
