@@ -232,36 +232,6 @@ func BenchmarkRunCampaignMVAOnly(b *testing.B) {
 
 // --- extension benchmarks ---
 
-// BenchmarkAdaptiveSwitch compares simulated update traffic with and
-// without the RWB competitive update/invalidate switch.
-func BenchmarkAdaptiveSwitch(b *testing.B) {
-	for _, threshold := range []int{0, 2} {
-		name := "pure-dragon"
-		if threshold > 0 {
-			name = "adaptive-k2"
-		}
-		b.Run(name, func(b *testing.B) {
-			var updates int64
-			for i := 0; i < b.N; i++ {
-				res, err := cachesim.Run(cachesim.Config{
-					N:                 8,
-					Protocol:          protocol.Dragon,
-					Workload:          workload.AppendixA(workload.Sharing20),
-					Seed:              uint64(i + 1),
-					WarmupCycles:      2000,
-					MeasureCycles:     20000,
-					AdaptiveThreshold: threshold,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				updates = res.Observed.Updates
-			}
-			b.ReportMetric(float64(updates), "updates")
-		})
-	}
-}
-
 // BenchmarkTraceFit measures the measurement-loop cost: trace generation
 // plus parameter estimation.
 func BenchmarkTraceFit(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"snoopmva"
+	"snoopmva/internal/cachesim"
 	"snoopmva/internal/tables"
 )
 
@@ -41,6 +42,9 @@ func main() {
 		defer cancel()
 	}
 
+	if *n < 1 || *n > cachesim.MaxN {
+		fatal(fmt.Errorf("-n must be in 1..%d, got %d", cachesim.MaxN, *n))
+	}
 	if *cycles < 1 {
 		fatal(fmt.Errorf("-cycles must be >= 1, got %d", *cycles))
 	}

@@ -91,6 +91,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"gtpnsolve", []string{"-timeout", "-1s"}, "-timeout"},
 		{"gtpnsolve", []string{"-sweep", "2,0"}, "-sweep"},
 		{"cachesim", []string{"-cycles", "0"}, "-cycles"},
+		{"cachesim", []string{"-n", "100000"}, "1..128"},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},
 		{"protodoc", []string{"-format", "xml"}, "unknown format"},

@@ -68,15 +68,13 @@ func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts Si
 		seed = 1
 	}
 	r, err := cachesim.RunContext(ctx, cachesim.Config{
-		N:                 n,
-		Protocol:          p.inner,
-		Workload:          w.internal(),
-		RawParams:         w.FixedParams,
-		Seed:              seed,
-		WarmupCycles:      opts.WarmupCycles,
-		MeasureCycles:     opts.MeasureCycles,
-		AdaptiveThreshold: opts.AdaptiveThreshold,
-		SplitTransactions: opts.SplitTransactions,
+		N:             n,
+		Protocol:      p.inner,
+		Workload:      w.internal(),
+		RawParams:     w.FixedParams,
+		Seed:          seed,
+		WarmupCycles:  opts.WarmupCycles,
+		MeasureCycles: opts.MeasureCycles,
 	})
 	if err != nil {
 		return SimResult{}, err

@@ -1,7 +1,9 @@
 package cachesim
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"snoopmva/internal/mva"
@@ -72,15 +74,28 @@ func TestValidation(t *testing.T) {
 		t.Error("negative measure cycles accepted")
 	}
 	bad = base
-	bad.SWCapacity = -1
-	if _, err := Run(bad); err == nil {
-		t.Error("negative capacity accepted")
-	}
-	bad = base
 	bad.Timing = workload.DefaultTiming()
 	bad.Timing.DMem = -1
 	if _, err := Run(bad); err == nil {
 		t.Error("invalid timing accepted")
+	}
+}
+
+// TestValidateBoundsN pins the system-size bound: an N whose per-block
+// arrays would take terabytes is refused by Validate, before anything is
+// allocated, with an error that names the bound.
+func TestValidateBoundsN(t *testing.T) {
+	cfg := quickCfg(1<<20, protocol.WriteOnce, workload.Sharing5, 1)
+	err := cfg.Validate()
+	if !errors.Is(err, workload.ErrInvalid) {
+		t.Fatalf("N=%d: err = %v, want workload.ErrInvalid", cfg.N, err)
+	}
+	if !strings.Contains(err.Error(), "outside 1..128") {
+		t.Errorf("error %q does not name the bound", err)
+	}
+	cfg.N = MaxN
+	if err := cfg.withDefaults().Validate(); err != nil {
+		t.Errorf("N=MaxN refused: %v", err)
 	}
 }
 

@@ -18,13 +18,36 @@ import (
 	"fmt"
 
 	"snoopmva/internal/protocol"
-	"snoopmva/internal/trace"
 	"snoopmva/internal/workload"
+)
+
+// The block geometry of every run. Pools are much larger than the
+// residency capacities, so a miss target is found in a few draws.
+const (
+	// SWBlocks, SROBlocks and PrivBlocks are the pool sizes (block
+	// identities) of the shared-writable, shared read-only and private
+	// classes; PrivBlocks is per processor.
+	SWBlocks   = 64
+	SROBlocks  = 256
+	PrivBlocks = 512
+	// SWCapacity, SROCapacity and PrivCapacity are each cache's residency
+	// capacity per class.
+	SWCapacity   = 16
+	SROCapacity  = 64
+	PrivCapacity = 128
+	// Batches is how many batches the measurement window is cut into for
+	// the speedup's confidence interval: a batch is MeasureCycles/Batches
+	// cycles, at least 1.
+	Batches = 15
+	// MaxN bounds the processors of one run. The per-block arrays hold
+	// (SWBlocks + SROBlocks + PrivBlocks·N)·N entries of 5 bytes, about
+	// 42 MB at N = 128; the simulator comparisons stop at N = 16.
+	MaxN = 128
 )
 
 // Config describes one simulation run.
 type Config struct {
-	// N is the number of processors.
+	// N is the number of processors, 1..MaxN.
 	N int
 	// Protocol selects the coherence protocol (state machines + timing
 	// behavior).
@@ -44,42 +67,11 @@ type Config struct {
 	// ready, with priority over new requests.
 	SplitTransactions bool
 
-	// AdaptiveThreshold enables RWB-style competitive switching between
-	// update and invalidate for protocols with modification 4 (Section
-	// 2.2: "the RWB protocol includes the capability to switch between
-	// invalidation and broadcast write operations"). Each cache counts
-	// consecutive update-writes it has absorbed for a block without a
-	// local re-reference; when the count reaches the threshold the cache
-	// drops its copy instead of updating it, converting the traffic
-	// pattern to invalidation. Zero disables the mechanism.
-	AdaptiveThreshold int
-
-	// Trace switches the simulator to trace-driven mode: references come
-	// from the source instead of the probabilistic generator, and hits
-	// and misses are determined by the actual cache contents (the
-	// [KEWP85] methodology). Block ids are folded into the class pools
-	// modulo the pool sizes. Processors whose stream ends halt.
-	Trace trace.Source
-
 	// WarmupCycles are simulated but not measured (default 30000;
 	// negative means no warmup).
 	WarmupCycles int64
 	// MeasureCycles is the measurement window (default 300000).
 	MeasureCycles int64
-	// BatchCycles is the batch size for confidence intervals
-	// (default MeasureCycles/15).
-	BatchCycles int64
-
-	// Pool sizes (block identities) per class. Defaults: 64 shared-
-	// writable, 256 shared read-only, 512 private per processor.
-	SWBlocks   int
-	SROBlocks  int
-	PrivBlocks int
-	// Per-cache residency capacity per class. Defaults: 16 sw, 64 sro,
-	// 128 private.
-	SWCapacity   int
-	SROCapacity  int
-	PrivCapacity int
 }
 
 func (c Config) withDefaults() Config {
@@ -91,30 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.MeasureCycles == 0 {
 		c.MeasureCycles = 300000
 	}
-	if c.BatchCycles == 0 {
-		c.BatchCycles = c.MeasureCycles / 15
-		if c.BatchCycles < 1 {
-			c.BatchCycles = 1
-		}
-	}
-	if c.SWBlocks == 0 {
-		c.SWBlocks = 64
-	}
-	if c.SROBlocks == 0 {
-		c.SROBlocks = 256
-	}
-	if c.PrivBlocks == 0 {
-		c.PrivBlocks = 512
-	}
-	if c.SWCapacity == 0 {
-		c.SWCapacity = 16
-	}
-	if c.SROCapacity == 0 {
-		c.SROCapacity = 64
-	}
-	if c.PrivCapacity == 0 {
-		c.PrivCapacity = 128
-	}
 	if c.Timing == (workload.Timing{}) {
 		c.Timing = workload.DefaultTiming()
 	}
@@ -124,8 +92,8 @@ func (c Config) withDefaults() Config {
 // Validate checks the configuration. All validation failures wrap
 // workload.ErrInvalid.
 func (c Config) Validate() error {
-	if c.N < 1 {
-		return fmt.Errorf("cachesim: N=%d < 1: %w", c.N, workload.ErrInvalid)
+	if c.N < 1 || c.N > MaxN {
+		return fmt.Errorf("cachesim: N=%d outside 1..%d: %w", c.N, MaxN, workload.ErrInvalid)
 	}
 	p := c.params()
 	if err := p.Validate(); err != nil {
@@ -139,22 +107,8 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.AdaptiveThreshold < 0 {
-		return fmt.Errorf("cachesim: negative adaptive threshold %d: %w", c.AdaptiveThreshold, workload.ErrInvalid)
-	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("cachesim: bad cycle budget warmup=%d measure=%d: %w", c.WarmupCycles, c.MeasureCycles, workload.ErrInvalid)
-	}
-	for _, v := range []struct {
-		name string
-		n    int
-	}{
-		{"SWBlocks", c.SWBlocks}, {"SROBlocks", c.SROBlocks}, {"PrivBlocks", c.PrivBlocks},
-		{"SWCapacity", c.SWCapacity}, {"SROCapacity", c.SROCapacity}, {"PrivCapacity", c.PrivCapacity},
-	} {
-		if v.n < 1 {
-			return fmt.Errorf("cachesim: %s = %d < 1: %w", v.name, v.n, workload.ErrInvalid)
-		}
 	}
 	return nil
 }

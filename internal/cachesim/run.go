@@ -7,7 +7,6 @@ import (
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/protocol"
 	"snoopmva/internal/stats"
-	"snoopmva/internal/trace"
 )
 
 // ctxCheckInterval is how many simulated cycles run between cancellation
@@ -17,10 +16,6 @@ const ctxCheckInterval = 10_000
 // generate draws the next memory reference for processor p and stores it in
 // the processor's pending request.
 func (s *Simulator) generate(p int) {
-	if s.traceSrc != nil {
-		s.generateFromTrace(p)
-		return
-	}
 	rng := s.procRng[p]
 	cl := class(rng.Choose(s.par.pClass))
 	isWrite := !rng.Bernoulli(s.par.readProb[cl])
@@ -49,54 +44,13 @@ func (s *Simulator) generate(p int) {
 	}
 }
 
-// generateFromTrace pulls the next reference for processor p from the
-// trace source. Hit or miss is determined by the actual cache contents
-// (trace-driven semantics); block ids are folded into the class pools.
-func (s *Simulator) generateFromTrace(p int) {
-	r, ok := s.traceSrc.Next(p)
-	if !ok {
-		s.procs[p].phase = phaseHalted
-		return
-	}
-	var cl class
-	var bid int32
-	switch r.Class {
-	case trace.SW:
-		cl = classSW
-		bid = int32(int(r.Block) % s.cfg.SWBlocks)
-	case trace.SRO:
-		cl = classSRO
-		bid = int32(s.cfg.SWBlocks + int(r.Block)%s.cfg.SROBlocks)
-	default:
-		cl = classPrivate
-		bid = int32(s.cfg.SWBlocks + s.cfg.SROBlocks + p*s.cfg.PrivBlocks +
-			int(r.Block)%s.cfg.PrivBlocks)
-	}
-	s.procs[p].req = request{
-		proc:    p,
-		class:   cl,
-		isWrite: r.Write,
-		block:   bid,
-		victim:  -1,
-		issued:  s.cycle,
-	}
-	if s.measuring {
-		s.obs.refs[cl]++
-	}
-}
-
 // dispatch routes processor p's pending request once its cache is free:
 // locally satisfied requests finish in one cycle; bus requests pick a
 // victim (for misses) and join the FCFS queue.
 func (s *Simulator) dispatch(p int) {
 	pr := &s.procs[p]
 	req := &pr.req
-	at := int(req.block)*s.cfg.N + p
-	state := s.states[at]
-	if s.futility != nil {
-		// A local reference proves the copy is still useful.
-		s.futility[at] = 0
-	}
+	state := s.states[int(req.block)*s.cfg.N+p]
 
 	var out protocol.ProcOutcome
 	if req.isWrite {
@@ -123,7 +77,7 @@ func (s *Simulator) dispatch(p int) {
 	}
 	if out.Op == protocol.BusRead || out.Op == protocol.BusReadMod {
 		// Miss: pick an eviction victim now if the cache is at capacity.
-		if len(s.valid[p][req.class]) >= s.capacity(req.class) {
+		if len(s.valid[p][req.class]) >= capacity(req.class) {
 			req.victim = s.pickValid(p, req.class, s.procRng[p])
 		}
 	}
@@ -164,7 +118,7 @@ func (s *Simulator) startTransaction() {
 		return
 	}
 	if (out.Op == protocol.BusRead || out.Op == protocol.BusReadMod) && req.victim < 0 &&
-		len(s.valid[p][req.class]) >= s.capacity(req.class) {
+		len(s.valid[p][req.class]) >= capacity(req.class) {
 		req.victim = s.pickValid(p, req.class, s.procRng[p])
 	}
 
@@ -300,11 +254,6 @@ func (s *Simulator) serveMiss(req request, op protocol.BusOp) (int64, bool) {
 func (s *Simulator) serveBroadcast(req request, out protocol.ProcOutcome, touchesMemory bool) int64 {
 	p := req.proc
 	states := s.blockStates(req.block)
-	var futility []uint8
-	if s.futility != nil {
-		i := int(req.block) * s.cfg.N
-		futility = s.futility[i : i+s.cfg.N]
-	}
 	proto := s.cfg.Protocol
 
 	var duration int64
@@ -327,20 +276,6 @@ func (s *Simulator) serveBroadcast(req request, out protocol.ProcOutcome, touche
 			continue
 		}
 		so := proto.OnSnoop(states[c], out.Op)
-		// RWB adaptive switching: a sharer that has absorbed too many
-		// updates without referencing the block drops its copy instead
-		// of updating it again.
-		if out.Op == protocol.BusUpdateWrite && futility != nil && so.Next.Valid() {
-			futility[c]++
-			if int(futility[c]) >= s.cfg.AdaptiveThreshold {
-				so.Next = protocol.Invalid
-				so.WholeTransaction = false
-				futility[c] = 0
-				if s.measuring {
-					s.obs.adaptiveDrops++
-				}
-			}
-		}
 		s.setState(req.block, c, so.Next)
 		busyUntil := s.cycle + 1
 		if so.WholeTransaction {
@@ -349,9 +284,6 @@ func (s *Simulator) serveBroadcast(req request, out protocol.ProcOutcome, touche
 		if busyUntil > s.cacheBusyUntil[c] {
 			s.cacheBusyUntil[c] = busyUntil
 		}
-	}
-	if futility != nil {
-		futility[p] = 0 // the writer is clearly using the block
 	}
 	s.setState(req.block, p, out.Next)
 	return duration
@@ -401,9 +333,6 @@ func (s *Simulator) step() {
 		case phaseThink:
 			if s.cycle >= pr.readyAt {
 				s.generate(p)
-				if pr.phase == phaseHalted {
-					continue // trace exhausted
-				}
 				if s.cacheBusyUntil[p] > s.cycle {
 					pr.phase = phaseWaitCache
 				} else {
@@ -420,9 +349,8 @@ func (s *Simulator) step() {
 				// The new think time may be zero-length only if τ < 1,
 				// which Validate excludes; nothing more to do this cycle.
 			}
-		case phaseWaitBus, phaseHalted:
-			// Bus progress is handled above; halted processors have
-			// exhausted their trace.
+		case phaseWaitBus:
+			// Bus progress is handled above.
 		}
 	}
 	// 3. Start the next bus transaction — after processor advancement so a
@@ -496,21 +424,18 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	s.measuring = true
 	s.batchStart = s.cycle
 	end := cfg.WarmupCycles + cfg.MeasureCycles
+	batchCycles := maxI64(1, cfg.MeasureCycles/Batches)
 	var speedups []float64
 	tau := s.par.tau
 	tSup := float64(s.tm.tSupply)
 	for s.cycle < end {
-		if s.traceSrc != nil && s.allHalted() {
-			end = s.cycle
-			break
-		}
 		if s.cycle%ctxCheckInterval == 0 {
 			if err := s.checkpoint(ctx); err != nil {
 				return nil, err
 			}
 		}
 		s.step()
-		if s.cycle-s.batchStart >= cfg.BatchCycles {
+		if s.cycle-s.batchStart >= batchCycles {
 			if s.batchCompl > 0 {
 				rBatch := float64(cfg.N) * float64(s.cycle-s.batchStart) / float64(s.batchCompl)
 				speedups = append(speedups, float64(cfg.N)*(tau+tSup)/rBatch)
@@ -522,10 +447,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.completions == 0 {
 		return nil, fmt.Errorf("cachesim: no requests completed in %d cycles", cfg.MeasureCycles)
 	}
-	measured := end - cfg.WarmupCycles
-	if measured < 1 {
-		measured = 1
-	}
+	measured := cfg.MeasureCycles
 	r := float64(cfg.N) * float64(measured) / float64(s.completions)
 	res := &Result{
 		N:           cfg.N,
@@ -579,22 +501,7 @@ func (s *Simulator) observed() Observed {
 	o.WriteWords = s.obs.writeWords
 	o.Updates = s.obs.updates
 	o.Writebacks = s.obs.writebacks
-	o.AdaptiveDrops = s.obs.adaptiveDrops
 	return o
-}
-
-// allHalted reports whether every processor has exhausted its trace and
-// no work remains in flight.
-func (s *Simulator) allHalted() bool {
-	if s.busBusy || len(s.busQueue) > 0 || len(s.respQueue) > 0 {
-		return false
-	}
-	for i := range s.procs {
-		if s.procs[i].phase != phaseHalted {
-			return false
-		}
-	}
-	return true
 }
 
 // CheckInvariants verifies the global coherence invariants over all
@@ -670,9 +577,6 @@ type Observed struct {
 	WriteWords    int64
 	Updates       int64
 	Writebacks    int64
-	// AdaptiveDrops counts copies self-invalidated by the RWB-style
-	// competitive update/invalidate switch (Config.AdaptiveThreshold).
-	AdaptiveDrops int64
 }
 
 // String renders the headline metrics.

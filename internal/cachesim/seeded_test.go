@@ -19,8 +19,8 @@ var updateSeeded = flag.Bool("update", false, "rewrite testdata/seeded_results.t
 const seededPath = "testdata/seeded_results.txt"
 
 // seededCase is one pinned run: the named protocols × Sharing {1, 5, 20} ×
-// N ∈ {1, 4, 6, 9} × seeds {1, 2}, plus split-transaction and adaptive
-// runs that reach the response queue and the futility counters.
+// N ∈ {1, 4, 6, 9} × seeds {1, 2}, plus split-transaction runs that reach
+// the response queue.
 type seededCase struct {
 	name string
 	cfg  Config
@@ -50,8 +50,6 @@ func seededCases() []seededCase {
 	for _, n := range []int{4, 6} {
 		add(fmt.Sprintf("Write-Once/s5/n%d/seed1/split", n), Config{N: n, Protocol: protocol.WriteOnce,
 			Workload: workload.AppendixA(workload.Sharing5), Seed: 1, SplitTransactions: true})
-		add(fmt.Sprintf("RWB/s20/n%d/seed1/adaptive3", n), Config{N: n, Protocol: protocol.RWB,
-			Workload: workload.AppendixA(workload.Sharing20), Seed: 1, AdaptiveThreshold: 3})
 	}
 	return cs
 }

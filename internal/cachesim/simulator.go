@@ -7,7 +7,6 @@ import (
 	"snoopmva/internal/protocol"
 	"snoopmva/internal/sim"
 	"snoopmva/internal/stats"
-	"snoopmva/internal/trace"
 	"snoopmva/internal/workload"
 )
 
@@ -19,9 +18,6 @@ const (
 	phaseLocal
 	phaseWaitBus
 	phaseSupply
-	// phaseHalted: the processor's trace stream is exhausted
-	// (trace-driven runs only).
-	phaseHalted
 )
 
 // request is one memory reference in flight.
@@ -60,17 +56,13 @@ type Simulator struct {
 
 	// Per-block, per-cache arrays, contiguous: entry bid*N + c is block bid
 	// in cache c. states is the coherence state; pos is the block's index
-	// in the cache's valid list, -1 when invalid; futility counts
-	// consecutive absorbed update-writes since the cache's last own
-	// reference (RWB adaptive switching; nil unless the mechanism is on).
-	states   []protocol.State
-	pos      []int32
-	futility []uint8
+	// in the cache's valid list, -1 when invalid.
+	states []protocol.State
+	pos    []int32
 	// valid[cache][class] lists the block ids valid in that cache.
 	valid [][][]int32
 
 	procs          []processor
-	traceSrc       trace.Source
 	busQueue       []request
 	respQueue      []pendingResp
 	busBusy        bool
@@ -116,18 +108,17 @@ type timingInts struct {
 }
 
 type observedCounters struct {
-	refs          [3]int64
-	hits          [3]int64
-	writeHits     int64
-	writeHitsM    int64
-	misses        int64
-	missShared    int64
-	missDirty     int64
-	invals        int64
-	writebacks    int64
-	updates       int64
-	writeWords    int64
-	adaptiveDrops int64
+	refs       [3]int64
+	hits       [3]int64
+	writeHits  int64
+	writeHitsM int64
+	misses     int64
+	missShared int64
+	missDirty  int64
+	invals     int64
+	writebacks int64
+	updates    int64
+	writeWords int64
 }
 
 // New builds a simulator for cfg.
@@ -159,21 +150,17 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.tm.memSupply = s.tm.dMem + s.tm.tBlock
 
-	s.traceSrc = cfg.Trace
 	s.rng = sim.NewRNG(cfg.Seed)
 	s.procRng = make([]*sim.RNG, cfg.N)
 	for i := range s.procRng {
 		s.procRng[i] = s.rng.Split()
 	}
 
-	nblocks := cfg.SWBlocks + cfg.SROBlocks + cfg.PrivBlocks*cfg.N
+	nblocks := SWBlocks + SROBlocks + PrivBlocks*cfg.N
 	s.states = make([]protocol.State, nblocks*cfg.N)
 	s.pos = make([]int32, nblocks*cfg.N)
 	for i := range s.pos {
 		s.pos[i] = -1
-	}
-	if cfg.AdaptiveThreshold > 0 {
-		s.futility = make([]uint8, nblocks*cfg.N)
 	}
 	s.valid = make([][][]int32, cfg.N)
 	for c := 0; c < cfg.N; c++ {
@@ -224,11 +211,11 @@ func (s *Simulator) SetInvariantChecks(on bool) { s.checkInvariants = on }
 
 // classOf returns the class of block bid: the pools are laid out
 // shared-writable, then shared read-only, then private per processor.
-func (s *Simulator) classOf(bid int32) class {
+func classOf(bid int32) class {
 	switch {
-	case int(bid) < s.cfg.SWBlocks:
+	case bid < SWBlocks:
 		return classSW
-	case int(bid) < s.cfg.SWBlocks+s.cfg.SROBlocks:
+	case bid < SWBlocks+SROBlocks:
 		return classSRO
 	default:
 		return classPrivate
@@ -251,7 +238,7 @@ func (s *Simulator) setState(bid int32, cache int, next protocol.State) {
 		s.states[at] = next
 		return
 	}
-	cl := s.classOf(bid)
+	cl := classOf(bid)
 	lst := s.valid[cache][cl]
 	if next.Valid() {
 		// insert
@@ -283,12 +270,11 @@ func (s *Simulator) pickMissTarget(c int, cl class, rng *sim.RNG) int32 {
 	var lo, n int
 	switch cl {
 	case classSW:
-		lo, n = 0, s.cfg.SWBlocks
+		lo, n = 0, SWBlocks
 	case classSRO:
-		lo, n = s.cfg.SWBlocks, s.cfg.SROBlocks
+		lo, n = SWBlocks, SROBlocks
 	case classPrivate:
-		lo = s.cfg.SWBlocks + s.cfg.SROBlocks + c*s.cfg.PrivBlocks
-		n = s.cfg.PrivBlocks
+		lo, n = SWBlocks+SROBlocks+c*PrivBlocks, PrivBlocks
 	}
 	// Rejection sampling: pools are much larger than residency capacities,
 	// so a handful of tries suffices; fall back to a linear scan.
@@ -307,13 +293,13 @@ func (s *Simulator) pickMissTarget(c int, cl class, rng *sim.RNG) int32 {
 	return -1 // entire pool resident (pathological config)
 }
 
-func (s *Simulator) capacity(cl class) int {
+func capacity(cl class) int {
 	switch cl {
 	case classSW:
-		return s.cfg.SWCapacity
+		return SWCapacity
 	case classSRO:
-		return s.cfg.SROCapacity
+		return SROCapacity
 	default:
-		return s.cfg.PrivCapacity
+		return PrivCapacity
 	}
 }

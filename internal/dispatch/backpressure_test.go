@@ -134,9 +134,6 @@ func TestBackpressureExhaustsLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	// The lone worker parks after every refusal; poll at the refusal's
-	// own 1ms hint so 33 parks stay fast.
-	c.acquireRetry = time.Millisecond
 	got, stats, err := c.Run(context.Background(), testGrid(t, 1))
 	if err != nil {
 		t.Fatalf("Run: %v", err)

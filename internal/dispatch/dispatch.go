@@ -108,8 +108,9 @@ const (
 	// an hour.
 	backpressureDelayCap = 2 * time.Second
 	// acquireRetry is the idle worker's poll period for newly eligible
-	// work (straggler thresholds trip on this clock even when no other
-	// event fires).
+	// work (straggler thresholds and breaker probes trip on this clock
+	// even when no other event fires), and the park of a backpressure
+	// refusal that gave no Retry-After hint.
 	acquireRetry = 25 * time.Millisecond
 )
 
@@ -185,9 +186,6 @@ type RunStats struct {
 type Coordinator struct {
 	cfg     Config
 	breaker *resilience.Breaker
-	// acquireRetry is the idle poll period: the constant of that name,
-	// shortened by tests that wait out many backpressure parks.
-	acquireRetry time.Duration
 
 	mu        sync.Mutex
 	points    []snoopmva.CampaignPoint
@@ -257,7 +255,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	c := &Coordinator{cfg: cfg, acquireRetry: acquireRetry, notifyCh: make(chan struct{})}
+	c := &Coordinator{cfg: cfg, notifyCh: make(chan struct{})}
 	if cfg.BreakerThreshold > 0 {
 		c.breaker = resilience.NewBreaker(cfg.BreakerThreshold, breakerProbe)
 	}
@@ -420,34 +418,47 @@ const (
 	acqDone
 )
 
+// acquisition is tryAcquire's answer. With acqWait it carries what the
+// waiting worker must watch, read under the same lock as the decision:
+// the notify channel current at that moment, so no state change between
+// the decision and the wait goes unseen, and the worker's park deadline.
+type acquisition struct {
+	state          int
+	pt             int
+	speculative    bool
+	notify         <-chan struct{}
+	congestedUntil time.Time
+}
+
 // tryAcquire picks the next unit of work for w: a queued point if one
 // exists, otherwise a straggler to replicate. It answers acqWait when w
-// is ineligible (quarantined, full, circuit open) or nothing is ready,
-// and acqDone when the run is over.
-func (c *Coordinator) tryAcquire(w *worker) (pt int, speculative bool, state int) {
+// is ineligible (quarantined, full, parked, circuit open) or nothing is
+// ready, and acqDone when the run is over.
+func (c *Coordinator) tryAcquire(w *worker) acquisition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.runErr != nil || len(c.committed) == len(c.points) {
-		return 0, false, acqDone
+		return acquisition{state: acqDone}
 	}
+	wait := acquisition{state: acqWait, notify: c.notifyCh, congestedUntil: w.congestedUntil}
 	if w.quarantined || w.inflight >= c.cfg.MaxInflight || time.Now().Before(w.congestedUntil) {
-		return 0, false, acqWait
+		return wait
 	}
 	if len(c.queue) > 0 {
 		if !c.allow(w) {
-			return 0, false, acqWait
+			return wait
 		}
 		pt := c.queue[0]
 		c.queue = c.queue[1:]
-		return pt, false, acqGot
+		return acquisition{state: acqGot, pt: pt}
 	}
 	if pt, ok := c.stragglerLocked(w); ok {
 		if !c.allow(w) {
-			return 0, false, acqWait
+			return wait
 		}
-		return pt, true, acqGot
+		return acquisition{state: acqGot, pt: pt, speculative: true}
 	}
-	return 0, false, acqWait
+	return wait
 }
 
 // allow consults w's circuit breaker (true when breakers are disabled).
@@ -506,28 +517,39 @@ func p95(xs []float64) float64 {
 }
 
 // workerLoop is one dispatch slot of one worker: acquire, execute,
-// repeat until the run is done or ctx is canceled.
+// repeat until the run is done or ctx is canceled. A waiting slot wakes
+// on any state change, when its park ends, or on the poll tick that
+// straggler thresholds and breaker probes need.
 func (c *Coordinator) workerLoop(ctx context.Context, w *worker) {
-	tick := time.NewTicker(c.acquireRetry)
+	tick := time.NewTicker(acquireRetry)
 	defer tick.Stop()
 	for {
-		pt, speculative, state := c.tryAcquire(w)
-		switch state {
+		a := c.tryAcquire(w)
+		switch a.state {
 		case acqDone:
 			return
 		case acqWait:
-			c.mu.Lock()
-			ch := c.notifyCh
-			c.mu.Unlock()
+			var unparked <-chan time.Time
+			var park *time.Timer
+			if d := time.Until(a.congestedUntil); d > 0 {
+				park = time.NewTimer(d)
+				unparked = park.C
+			}
 			select {
 			case <-ctx.Done():
-				return
-			case <-ch:
+			case <-a.notify:
+			case <-unparked:
 			case <-tick.C:
+			}
+			if park != nil {
+				park.Stop()
+			}
+			if ctx.Err() != nil {
+				return
 			}
 			continue
 		}
-		c.execute(ctx, w, pt, speculative)
+		c.execute(ctx, w, a.pt, a.speculative)
 	}
 }
 
@@ -610,7 +632,7 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		// into an outage.
 		delay := bp.RetryAfter
 		if delay <= 0 {
-			delay = c.acquireRetry
+			delay = acquireRetry
 		}
 		if delay > backpressureDelayCap {
 			delay = backpressureDelayCap

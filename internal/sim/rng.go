@@ -41,12 +41,13 @@ func (r *RNG) Float64() float64 {
 }
 
 // Intn returns a uniform integer in [0, n). A non-positive bound panics:
-// every caller passes a pool or module count that cachesim's Config
-// validation has already constrained to be >= 1, so this guards an internal
-// invariant, not caller input.
+// every caller passes a non-empty list's length, one of cachesim's constant
+// pool sizes, or a pool or module count that Config validation has already
+// constrained to be >= 1, so this guards an internal invariant, not caller
+// input.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
-		panic("sim: internal invariant violated: Intn bound must be positive (pool/module counts are validated by cachesim.Config)")
+		panic("sim: internal invariant violated: Intn bound must be positive (pool and module counts are constants or validated by their Config)")
 	}
 	return int(r.Uint64() % uint64(n))
 }

@@ -1,9 +1,9 @@
 // Package trace provides memory-reference traces for the multiprocessor:
 // a synthetic generator driven by the paper's workload parameters, a
 // compact binary serialization, and stream utilities. Traces feed the
-// trace-driven mode of the detailed simulator (the [KEWP85] methodology)
-// and the parameter-fitting package (internal/fit), which closes the
-// paper's "workload measurement studies" loop.
+// parameter-fitting package (internal/fit), which closes the paper's
+// "workload measurement studies" loop, and the stack-distance profiles of
+// the cache-sizing example.
 package trace
 
 import (
@@ -51,14 +51,6 @@ type Ref struct {
 	Class Class
 	Write bool
 	Block uint32
-}
-
-// Source yields per-processor reference streams. Implementations must be
-// deterministic for reproducible simulation.
-type Source interface {
-	// Next returns the next reference for processor p; ok is false when
-	// the stream is exhausted.
-	Next(p int) (Ref, bool)
 }
 
 // GeneratorConfig parameterizes the synthetic generator.
@@ -163,7 +155,8 @@ func (g *Generator) wsSize(c Class) int {
 	}
 }
 
-// Next implements Source. The generator never exhausts.
+// Next returns the next reference for processor p. The generator never
+// exhausts, so ok is always true.
 func (g *Generator) Next(p int) (Ref, bool) {
 	rng := g.rng[p]
 	w := g.cfg.Workload
@@ -321,41 +314,4 @@ func ReadAll(r io.Reader) ([]Ref, error) {
 		}
 		out = append(out, ref)
 	}
-}
-
-// SliceSource replays a recorded trace as a Source, demultiplexing by
-// processor while preserving each processor's reference order.
-type SliceSource struct {
-	perProc [][]Ref
-	pos     []int
-}
-
-// NewSliceSource builds a replay source for n processors. References to
-// processors >= n are dropped.
-func NewSliceSource(refs []Ref, n int) *SliceSource {
-	s := &SliceSource{perProc: make([][]Ref, n), pos: make([]int, n)}
-	for _, r := range refs {
-		if int(r.Proc) < n {
-			s.perProc[r.Proc] = append(s.perProc[r.Proc], r)
-		}
-	}
-	return s
-}
-
-// Next implements Source.
-func (s *SliceSource) Next(p int) (Ref, bool) {
-	if p < 0 || p >= len(s.perProc) || s.pos[p] >= len(s.perProc[p]) {
-		return Ref{}, false
-	}
-	r := s.perProc[p][s.pos[p]]
-	s.pos[p]++
-	return r, true
-}
-
-// Remaining reports the unread references for processor p.
-func (s *SliceSource) Remaining(p int) int {
-	if p < 0 || p >= len(s.perProc) {
-		return 0
-	}
-	return len(s.perProc[p]) - s.pos[p]
 }

@@ -194,36 +194,6 @@ func TestReaderErrors(t *testing.T) {
 	}
 }
 
-func TestSliceSource(t *testing.T) {
-	refs := []Ref{
-		{Proc: 0, Block: 1},
-		{Proc: 1, Block: 2},
-		{Proc: 0, Block: 3},
-		{Proc: 5, Block: 4}, // dropped (out of range)
-	}
-	s := NewSliceSource(refs, 2)
-	if s.Remaining(0) != 2 || s.Remaining(1) != 1 {
-		t.Fatalf("remaining = %d, %d", s.Remaining(0), s.Remaining(1))
-	}
-	r, ok := s.Next(0)
-	if !ok || r.Block != 1 {
-		t.Errorf("first ref = %+v, %v", r, ok)
-	}
-	r, ok = s.Next(0)
-	if !ok || r.Block != 3 {
-		t.Errorf("second ref = %+v, %v", r, ok)
-	}
-	if _, ok := s.Next(0); ok {
-		t.Error("exhausted stream yielded a ref")
-	}
-	if _, ok := s.Next(7); ok {
-		t.Error("out-of-range processor yielded a ref")
-	}
-	if s.Remaining(9) != 0 {
-		t.Error("out-of-range Remaining should be 0")
-	}
-}
-
 func TestGeneratorWorkingSetBounded(t *testing.T) {
 	cfg := genCfg(1)
 	cfg.SWWorkingSet = 4

@@ -167,6 +167,31 @@ func TestSolveBestFallsBackToSimulation(t *testing.T) {
 	}
 }
 
+// A system too large for the simulator's per-block arrays degrades to the
+// MVA instead of allocating terabytes: the simulator rung refuses N above
+// its bound before building anything, and the reason names the bound.
+func TestSolveBestOversizedSystemDegradesToMVA(t *testing.T) {
+	const n = 100000
+	best, err := SolveBest(context.Background(), WriteOnce(), AppendixA(Sharing5), n,
+		Budget{MaxStates: -1, SimCycles: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.Method != MethodMVA || !best.Degraded {
+		t.Fatalf("got method=%q degraded=%v, want degraded MVA", best.Method, best.Degraded)
+	}
+	if r := best.FallbackReason; !strings.HasPrefix(r, "simulation: ") || !strings.Contains(r, "N=100000 outside 1..128") {
+		t.Errorf("FallbackReason = %q, want the simulation stage refusing N=100000 outside 1..128", r)
+	}
+	m, err := Solve(WriteOnce(), AppendixA(Sharing5), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if best.N != m.N || best.Speedup != m.Speedup || best.R != m.R || best.BusUtilization != m.BusUtilization {
+		t.Errorf("headline %+v is not bitwise the direct Solve %+v", best, m)
+	}
+}
+
 func TestSolveBestInvalidInputDoesNotDegrade(t *testing.T) {
 	w := AppendixA(Sharing5)
 	w.HPrivate = 2 // out of range

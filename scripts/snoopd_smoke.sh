@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Smoke test for cmd/snoopd: start the server on a private port, hit
-# /healthz, /metrics, /v1/solve and /v1/solvebest over real HTTP, then send SIGTERM and
+# /healthz, /metrics, /v1/solve and /v1/solvebest (including a system too
+# large for the simulator) over real HTTP, then send SIGTERM and
 # verify the graceful drain exits 0. Exercises the real binary end to
 # end — the in-process httptest suite covers the handler logic.
 set -eu
@@ -69,6 +70,23 @@ for series in snoopmva_http_requests_total snoopmva_mva_solves_total snoopmva_so
         *) echo "snoopd_smoke: /metrics lacks $series" >&2; exit 1 ;;
     esac
 done
+
+# A system too large for the simulator must degrade to the MVA, not
+# take the server down: its per-block arrays at N=100000 would need
+# terabytes, and a fatal out-of-memory is not a recoverable panic.
+echo "snoopd_smoke: oversized /v1/solvebest"
+big=$(curl -sf -X POST "$base/v1/solvebest" -d '{
+    "protocol": {"name": "Write-Once"},
+    "workload": {"appendix_a": 5},
+    "n": 100000,
+    "budget": {"max_states": -1, "sim_cycles": 10}
+}')
+case "$big" in
+    '{"method":"mva","degraded":true,'*) ;;
+    *) echo "snoopd_smoke: unexpected oversized solvebest body: $big" >&2; exit 1 ;;
+esac
+health=$(curl -sf "$base/healthz") || { echo "snoopd_smoke: server unhealthy after the oversized request" >&2; cat "$workdir/snoopd.log" >&2; exit 1; }
+[ "$health" = "ok" ] || { echo "snoopd_smoke: unexpected healthz body after the oversized request: $health" >&2; exit 1; }
 
 echo "snoopd_smoke: graceful shutdown"
 kill -TERM "$pid"

@@ -213,19 +213,6 @@ func TestSimulate(t *testing.T) {
 	}
 }
 
-func TestSimulateAdaptiveThreshold(t *testing.T) {
-	w := AppendixA(Sharing20)
-	res, err := SimulateContext(context.Background(), Dragon(), w, 6, SimOptions{
-		Seed: 3, MeasureCycles: 60000, AdaptiveThreshold: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Speedup <= 0 {
-		t.Errorf("bad speedup %v", res.Speedup)
-	}
-}
-
 func TestSharingInternalError(t *testing.T) {
 	if _, err := Sharing(7).internal(); err == nil {
 		t.Error("bad sharing accepted")

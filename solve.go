@@ -118,13 +118,6 @@ type SimOptions struct {
 	// simulator defaults (30k / 300k), negative warmup means none.
 	WarmupCycles  int64
 	MeasureCycles int64
-	// AdaptiveThreshold enables RWB-style competitive update/invalidate
-	// switching for update protocols: a cache that absorbs this many
-	// consecutive updates of a block without referencing it drops its
-	// copy. Zero disables.
-	AdaptiveThreshold int
-	// SplitTransactions models a split-transaction bus in the simulator.
-	SplitTransactions bool
 }
 
 // SimResult holds the simulator's outputs.
