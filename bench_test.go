@@ -243,7 +243,7 @@ func BenchmarkTraceFit(b *testing.B) {
 	}
 	refs := make([]trace.Ref, 100000)
 	for i := range refs {
-		refs[i], _ = g.Next(i % 4)
+		refs[i] = g.Next(i % 4)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()

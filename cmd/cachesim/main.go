@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"snoopmva"
 	"snoopmva/internal/cachesim"
@@ -34,6 +35,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (e.g. 1m; 0 = no limit)")
 	)
 	flag.Parse()
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -65,7 +69,8 @@ func main() {
 		protos = []snoopmva.Protocol{p}
 	}
 
-	cols := []string{"protocol", "speedup", "95% CI", "R", "U_bus", "U_mem", "amod*", "csupply*", "resp p/sro/sw", "p95 p/sro/sw"}
+	cols := []string{"protocol", "speedup", "95% CI", "R", "U_bus", "U_mem",
+		"amod_private*", "amod_sw*", "csupply_sro*", "csupply_sw*", "resp p/sro/sw", "p95 p/sro/sw"}
 	if *compare {
 		cols = append(cols, "mva-speedup")
 	}
@@ -74,11 +79,13 @@ func main() {
 	for _, p := range protos {
 		r, err := snoopmva.SimulateContext(ctx, p, w, *n, opts)
 		if err != nil {
-			fatal(fmt.Errorf("%v: %w", p, err))
+			fatal(fmt.Errorf("%w (protocol %s)", err, p.Name()))
 		}
+		o := r.Observed
 		row := []any{p.Name(), r.Speedup,
 			fmt.Sprintf("[%.3f, %.3f]", r.SpeedupLow, r.SpeedupHigh),
-			r.R, r.BusUtilization, r.MemUtilization, r.ObservedAmod, r.ObservedCsupply,
+			r.R, r.BusUtilization, r.MemUtilization,
+			o.AmodPrivate, o.AmodSw, o.CsupplySro, o.CsupplySw,
 			fmt.Sprintf("%.1f/%.1f/%.1f", r.MeanResponse[0], r.MeanResponse[1], r.MeanResponse[2]),
 			fmt.Sprintf("%.0f/%.0f/%.0f", r.P95Response[0], r.P95Response[1], r.P95Response[2])}
 		if *compare {
@@ -96,7 +103,14 @@ func main() {
 	fmt.Println("\n(*) emergent quantities: parameters to the analytical models, measured outcomes here")
 }
 
+// fatal prints err under the command's name and exits 1. Errors from
+// internal/cachesim already carry that name as their prefix, so it is not
+// added twice.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "cachesim:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "cachesim: ") {
+		msg = "cachesim: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -64,6 +64,9 @@ func main() {
 	if *quarantine < 0 {
 		fatal(fmt.Errorf("-quarantine-after must be >= 0, got %d", *quarantine))
 	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
+	}
 	write, err := tables.WriterFor(*format)
 	if err != nil {
 		fatal(err)

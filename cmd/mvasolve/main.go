@@ -42,6 +42,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -25,7 +25,6 @@ func TestCommandLineTools(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
-	tracePath := filepath.Join(t.TempDir(), "t.bin")
 	journalPath := filepath.Join(t.TempDir(), "campaign.jsonl")
 
 	cases := []struct {
@@ -45,8 +44,6 @@ func TestCommandLineTools(t *testing.T) {
 		{"paperrepro", []string{"-list"}, "tab4.1a"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0"}, "4.32"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0", "-json"}, "\"worst_rel_err\""},
-		{"tracefit", []string{"-generate", "-refs", "30000", "-n", "2", "-out", tracePath, "-solve", "4"}, "fitted"},
-		{"tracefit", []string{"-in", tracePath, "-n", "2", "-solve", "0"}, "p_private"},
 		{"sensitivity", []string{"-n", "8"}, "h_private"},
 		{"sensitivity", []string{"-sweep", "h_sw", "-values", "0.3,0.7"}, "h_sw"},
 		{"protodoc", []string{"-protocol", "Berkeley"}, "OwnedShared"},
@@ -86,12 +83,15 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-sharing", "7"}, ""},
 		{"mvasolve", []string{"-tau", "-5"}, "tau"},
 		{"mvasolve", []string{"-amodp", "NaN"}, "amod_private"},
+		{"mvasolve", []string{"-timeout", "-1s"}, "-timeout"},
 		{"gtpnsolve", []string{"-maxstates", "-1"}, "-maxstates"},
 		{"gtpnsolve", []string{"-maxstates", "0"}, "-maxstates"},
 		{"gtpnsolve", []string{"-timeout", "-1s"}, "-timeout"},
 		{"gtpnsolve", []string{"-sweep", "2,0"}, "-sweep"},
 		{"cachesim", []string{"-cycles", "0"}, "-cycles"},
 		{"cachesim", []string{"-n", "100000"}, "1..128"},
+		{"cachesim", []string{"-timeout", "-1s"}, "-timeout"},
+		{"cachesim", []string{"-n", "1", "-cycles", "1", "-warmup", "1"}, "no requests completed"},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},
 		{"protodoc", []string{"-format", "xml"}, "unknown format"},
@@ -100,6 +100,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaign", []string{"-resume"}, ""}, // resume needs -journal
 		{"campaign", []string{"-ns", "4..1"}, ""},
 		{"campaign", []string{"-ns", "0"}, "below 1"},
+		{"campaign", []string{"-timeout", "-1s"}, "-timeout"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-format", "xml",
 			"-journal", badJournal}, "unknown format"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-quiet", "-format", "xml",
@@ -111,6 +112,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaignd", []string{"-workers", "http://localhost:1", "-max-inflight", "-1"}, "-max-inflight"},
 		{"campaignd", []string{"-workers", "http://localhost:1", "-quarantine-after", "-1"}, "-quarantine-after"},
 		{"campaignd", []string{"-workers", "http://localhost:1", "-format", "xml"}, "unknown format"},
+		{"campaignd", []string{"-workers", "http://localhost:1", "-timeout", "-1s"}, "-timeout"},
 		{"snoopbench", []string{"-conns", "-1"}, "-conns must be >= 0"},
 		{"snoopbench", []string{"-rate", "0"}, "-rate must be >= 1"},
 		{"snoopbench", []string{"-batch", "2000"}, "-batch must be in 1.."},
@@ -191,5 +193,4 @@ func TestCommandLineTools(t *testing.T) {
 			t.Errorf("snoopd output missing wire startup or drain lines:\n%s", out)
 		}
 	})
-	_ = os.Remove(tracePath)
 }

@@ -79,17 +79,18 @@ func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts Si
 	if err != nil {
 		return SimResult{}, err
 	}
+	observed := fromInternalParams(r.Observed.Workload)
+	observed.FixedParams = true
 	return SimResult{
-		N:               r.N,
-		Speedup:         r.Speedup,
-		SpeedupLow:      r.SpeedupCI.Lo(),
-		SpeedupHigh:     r.SpeedupCI.Hi(),
-		R:               r.R,
-		BusUtilization:  r.UBus,
-		MemUtilization:  r.UMem,
-		ObservedAmod:    r.Observed.Amod,
-		ObservedCsupply: r.Observed.Csupply,
-		MeanResponse:    r.MeanResponse,
-		P95Response:     r.P95Response,
+		N:              r.N,
+		Speedup:        r.Speedup,
+		SpeedupLow:     r.SpeedupCI.Lo(),
+		SpeedupHigh:    r.SpeedupCI.Hi(),
+		R:              r.R,
+		BusUtilization: r.UBus,
+		MemUtilization: r.UMem,
+		Observed:       observed,
+		MeanResponse:   r.MeanResponse,
+		P95Response:    r.P95Response,
 	}, nil
 }

@@ -39,8 +39,7 @@ func main() {
 	}
 	refs := make([]trace.Ref, 0, 400000)
 	for i := 0; i < cap(refs); i++ {
-		r, _ := g.Next(i % n)
-		refs = append(refs, r)
+		refs = append(refs, g.Next(i%n))
 	}
 	fmt.Printf("synthesized %d references from the Appendix A 5%% workload\n\n", len(refs))
 

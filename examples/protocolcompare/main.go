@@ -42,8 +42,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  amod    (model input 0.7/0.3): %.3f\n", sim.ObservedAmod)
-	fmt.Printf("  csupply (model input ~0.5-0.95): %.3f\n", sim.ObservedCsupply)
+	o := sim.Observed
+	for _, q := range []struct {
+		name          string
+		input, actual float64
+	}{
+		{"h_sw", w.HSw, o.HSw},
+		{"amod_private", w.AmodPrivate, o.AmodPrivate},
+		{"amod_sw", w.AmodSw, o.AmodSw},
+		{"csupply_sro", w.CsupplySro, o.CsupplySro},
+		{"csupply_sw", w.CsupplySw, o.CsupplySw},
+		{"wb_csupply", w.WbCsupply, o.WbCsupply},
+	} {
+		fmt.Printf("  %-12s model input %.2f, measured %.3f\n", q.name, q.input, q.actual)
+	}
 	fmt.Println("\nThe analytical models take these as parameters; the simulator")
 	fmt.Println("measures them — differences explain residual speedup gaps.")
 }

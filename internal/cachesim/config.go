@@ -7,11 +7,13 @@
 // The reference stream is probabilistic (the paper's workload model,
 // Section 2.3): stream class, read/write mix and hit/miss draws follow the
 // basic parameters — but everything at block granularity is real. Blocks
-// have identities; invalidations destroy remote copies; dirty ownership
-// migrates; write-backs happen when states say so. Quantities the
-// analytical models take as parameters (amod, csupply, effective hit
-// rates) are *emergent* here and are reported back in the result for
-// comparison.
+// have identities (the block geometry of internal/workload); invalidations
+// destroy remote copies; dirty ownership migrates; write-backs happen when
+// states say so. Quantities the analytical models take as parameters
+// (amod, csupply, rep, effective hit rates) are *emergent* here. The run
+// counts them in a workload.Counts, the counter internal/fit fills from a
+// trace, and reports them as a workload.Params (Observed.Workload), the
+// models' own input type.
 package cachesim
 
 import (
@@ -21,27 +23,15 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// The block geometry of every run. Pools are much larger than the
-// residency capacities, so a miss target is found in a few draws.
 const (
-	// SWBlocks, SROBlocks and PrivBlocks are the pool sizes (block
-	// identities) of the shared-writable, shared read-only and private
-	// classes; PrivBlocks is per processor.
-	SWBlocks   = 64
-	SROBlocks  = 256
-	PrivBlocks = 512
-	// SWCapacity, SROCapacity and PrivCapacity are each cache's residency
-	// capacity per class.
-	SWCapacity   = 16
-	SROCapacity  = 64
-	PrivCapacity = 128
 	// Batches is how many batches the measurement window is cut into for
 	// the speedup's confidence interval: a batch is MeasureCycles/Batches
 	// cycles, at least 1.
 	Batches = 15
 	// MaxN bounds the processors of one run. The per-block arrays hold
-	// (SWBlocks + SROBlocks + PrivBlocks·N)·N entries of 5 bytes, about
-	// 42 MB at N = 128; the simulator comparisons stop at N = 16.
+	// (SWBlocks + SROBlocks + PrivBlocks·N)·N entries of 5 bytes (the
+	// workload package's block geometry), about 42 MB at N = 128; the
+	// simulator comparisons stop at N = 16.
 	MaxN = 128
 )
 
@@ -118,27 +108,4 @@ func (c Config) params() workload.Params {
 		return c.Workload
 	}
 	return c.Workload.ForProtocol(c.Protocol.Mods)
-}
-
-// class indexes the three reference streams.
-type class int
-
-const (
-	classPrivate class = iota
-	classSRO
-	classSW
-	numClasses
-)
-
-func (cl class) String() string {
-	switch cl {
-	case classPrivate:
-		return "private"
-	case classSRO:
-		return "sro"
-	case classSW:
-		return "sw"
-	default:
-		return fmt.Sprintf("class(%d)", int(cl))
-	}
 }

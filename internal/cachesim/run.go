@@ -7,6 +7,7 @@ import (
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/protocol"
 	"snoopmva/internal/stats"
+	"snoopmva/internal/workload"
 )
 
 // ctxCheckInterval is how many simulated cycles run between cancellation
@@ -17,7 +18,7 @@ const ctxCheckInterval = 10_000
 // the processor's pending request.
 func (s *Simulator) generate(p int) {
 	rng := s.procRng[p]
-	cl := class(rng.Choose(s.par.pClass))
+	cl := workload.Class(rng.Choose(s.par.pClass))
 	isWrite := !rng.Bernoulli(s.par.readProb[cl])
 	wantHit := rng.Bernoulli(s.par.hitRate[cl])
 	var bid int32 = -1
@@ -40,7 +41,10 @@ func (s *Simulator) generate(p int) {
 		issued:  s.cycle,
 	}
 	if s.measuring {
-		s.obs.refs[cl]++
+		s.obs.Refs[cl]++
+		if !isWrite {
+			s.obs.Reads[cl]++
+		}
 	}
 }
 
@@ -60,11 +64,11 @@ func (s *Simulator) dispatch(p int) {
 	}
 	if s.measuring {
 		if out.Hit {
-			s.obs.hits[req.class]++
+			s.obs.Hits[req.class]++
 			if req.isWrite {
-				s.obs.writeHits++
+				s.obs.WriteHits[req.class]++
 				if state.Wback() {
-					s.obs.writeHitsM++
+					s.obs.DirtyWriteHits[req.class]++
 				}
 			}
 		}
@@ -77,7 +81,7 @@ func (s *Simulator) dispatch(p int) {
 	}
 	if out.Op == protocol.BusRead || out.Op == protocol.BusReadMod {
 		// Miss: pick an eviction victim now if the cache is at capacity.
-		if len(s.valid[p][req.class]) >= capacity(req.class) {
+		if len(s.valid[p][req.class]) >= req.class.Capacity() {
 			req.victim = s.pickValid(p, req.class, s.procRng[p])
 		}
 	}
@@ -118,7 +122,7 @@ func (s *Simulator) startTransaction() {
 		return
 	}
 	if (out.Op == protocol.BusRead || out.Op == protocol.BusReadMod) && req.victim < 0 &&
-		len(s.valid[p][req.class]) >= capacity(req.class) {
+		len(s.valid[p][req.class]) >= req.class.Capacity() {
 		req.victim = s.pickValid(p, req.class, s.procRng[p])
 	}
 
@@ -190,12 +194,12 @@ func (s *Simulator) serveMiss(req request, op protocol.BusOp) (int64, bool) {
 		duration += s.tm.memSupply // memory latency + transfer
 	}
 	if s.measuring {
-		s.obs.misses++
+		s.obs.Misses[req.class]++
 		if shared {
-			s.obs.missShared++
+			s.obs.HolderMisses[req.class]++
 		}
 		if dirtyHolder >= 0 {
-			s.obs.missDirty++
+			s.obs.DirtyHolderMisses[req.class]++
 		}
 	}
 
@@ -232,7 +236,11 @@ func (s *Simulator) serveMiss(req request, op protocol.BusOp) (int64, bool) {
 				s.occupyMemoryBlock(s.cycle + duration)
 				if s.measuring {
 					s.obs.writebacks++
+					s.obs.DirtyEvictions[req.class]++
 				}
+			}
+			if s.measuring {
+				s.obs.Evictions[req.class]++
 			}
 			s.setState(req.victim, p, protocol.Invalid)
 		}
@@ -464,7 +472,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.busServed > 0 {
 		res.MeanBusWait = float64(s.busWaitSum) / float64(s.busServed)
 	}
-	for cl := 0; cl < 3; cl++ {
+	for cl := range res.MeanResponse {
 		res.MeanResponse[cl] = s.respSummary[cl].Mean()
 		res.MaxResponse[cl] = s.respSummary[cl].Max()
 		if p95, err := stats.Quantile(s.respReservoir[cl], 0.95); err == nil {
@@ -483,25 +491,15 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (s *Simulator) observed() Observed {
-	o := Observed{}
-	for cl := 0; cl < 3; cl++ {
-		if s.obs.refs[cl] > 0 {
-			o.HitRate[cl] = float64(s.obs.hits[cl]) / float64(s.obs.refs[cl])
-		}
+	m := s.obs.Misses
+	return Observed{
+		Workload:      s.obs.Params(s.par.tau),
+		Misses:        m[workload.Private] + m[workload.SRO] + m[workload.SW],
+		Invalidations: s.obs.invals,
+		WriteWords:    s.obs.writeWords,
+		Updates:       s.obs.updates,
+		Writebacks:    s.obs.writebacks,
 	}
-	if s.obs.writeHits > 0 {
-		o.Amod = float64(s.obs.writeHitsM) / float64(s.obs.writeHits)
-	}
-	if s.obs.misses > 0 {
-		o.Csupply = float64(s.obs.missShared) / float64(s.obs.misses)
-		o.DirtySupply = float64(s.obs.missDirty) / float64(s.obs.misses)
-	}
-	o.Misses = s.obs.misses
-	o.Invalidations = s.obs.invals
-	o.WriteWords = s.obs.writeWords
-	o.Updates = s.obs.updates
-	o.Writebacks = s.obs.writebacks
-	return o
 }
 
 // CheckInvariants verifies the global coherence invariants over all
@@ -556,21 +554,15 @@ type Result struct {
 	Observed     Observed
 }
 
-// Observed reports quantities that are parameters to the analytical models
-// but emergent in the simulation.
+// Observed reports what the measurement window saw: the model inputs the
+// run measured, and its bus-operation counts.
 type Observed struct {
-	// HitRate is the effective hit rate per class (private, sro, sw) —
-	// invalidations push it below the configured target.
-	HitRate [3]float64
-	// Amod is the fraction of write hits that found the block already
-	// modified (the amod parameters).
-	Amod float64
-	// Csupply is the fraction of misses that found a copy in another
-	// cache (the csupply parameters).
-	Csupply float64
-	// DirtySupply is the fraction of misses whose remote copy was dirty
-	// (wb_csupply × csupply).
-	DirtySupply float64
+	// Workload holds the basic parameters as measured, per class. The
+	// stream mix and read ratios are drawn from the configured values;
+	// the hit rates (which invalidations push below their targets),
+	// amod, csupply, wb_csupply and rep are emergent. Tau is the
+	// configured τ.
+	Workload workload.Params
 
 	Misses        int64
 	Invalidations int64

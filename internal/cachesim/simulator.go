@@ -23,7 +23,7 @@ const (
 // request is one memory reference in flight.
 type request struct {
 	proc    int
-	class   class
+	class   workload.Class
 	isWrite bool
 	block   int32
 	victim  int32 // candidate eviction on a miss, -1 if none
@@ -60,7 +60,7 @@ type Simulator struct {
 	states []protocol.State
 	pos    []int32
 	// valid[cache][class] lists the block ids valid in that cache.
-	valid [][][]int32
+	valid [][3][]int32
 
 	procs          []processor
 	busQueue       []request
@@ -108,13 +108,7 @@ type timingInts struct {
 }
 
 type observedCounters struct {
-	refs       [3]int64
-	hits       [3]int64
-	writeHits  int64
-	writeHitsM int64
-	misses     int64
-	missShared int64
-	missDirty  int64
+	workload.Counts
 	invals     int64
 	writebacks int64
 	updates    int64
@@ -156,16 +150,13 @@ func New(cfg Config) (*Simulator, error) {
 		s.procRng[i] = s.rng.Split()
 	}
 
-	nblocks := SWBlocks + SROBlocks + PrivBlocks*cfg.N
+	nblocks := workload.SWBlocks + workload.SROBlocks + workload.PrivBlocks*cfg.N
 	s.states = make([]protocol.State, nblocks*cfg.N)
 	s.pos = make([]int32, nblocks*cfg.N)
 	for i := range s.pos {
 		s.pos[i] = -1
 	}
-	s.valid = make([][][]int32, cfg.N)
-	for c := 0; c < cfg.N; c++ {
-		s.valid[c] = make([][]int32, numClasses)
-	}
+	s.valid = make([][3][]int32, cfg.N)
 	s.procs = make([]processor, cfg.N)
 	for i := range s.procs {
 		s.procs[i].phase = phaseThink
@@ -190,7 +181,7 @@ const reservoirCap = 4096
 // recordResponse tracks a completed request's response time (cycles from
 // issue to completion) for its class, with reservoir sampling for
 // quantiles.
-func (s *Simulator) recordResponse(cl class, resp float64) {
+func (s *Simulator) recordResponse(cl workload.Class, resp float64) {
 	s.respSummary[cl].Add(resp)
 	s.respSeen[cl]++
 	res := s.respReservoir[cl]
@@ -211,14 +202,14 @@ func (s *Simulator) SetInvariantChecks(on bool) { s.checkInvariants = on }
 
 // classOf returns the class of block bid: the pools are laid out
 // shared-writable, then shared read-only, then private per processor.
-func classOf(bid int32) class {
+func classOf(bid int32) workload.Class {
 	switch {
-	case bid < SWBlocks:
-		return classSW
-	case bid < SWBlocks+SROBlocks:
-		return classSRO
+	case bid < workload.SWBlocks:
+		return workload.SW
+	case bid < workload.SWBlocks+workload.SROBlocks:
+		return workload.SRO
 	default:
-		return classPrivate
+		return workload.Private
 	}
 }
 
@@ -257,7 +248,7 @@ func (s *Simulator) setState(bid int32, cache int, next protocol.State) {
 }
 
 // pickValid returns a random valid block of class cl in cache c, or -1.
-func (s *Simulator) pickValid(c int, cl class, rng *sim.RNG) int32 {
+func (s *Simulator) pickValid(c int, cl workload.Class, rng *sim.RNG) int32 {
 	lst := s.valid[c][cl]
 	if len(lst) == 0 {
 		return -1
@@ -266,16 +257,15 @@ func (s *Simulator) pickValid(c int, cl class, rng *sim.RNG) int32 {
 }
 
 // pickMissTarget returns a random block of class cl NOT valid in cache c.
-func (s *Simulator) pickMissTarget(c int, cl class, rng *sim.RNG) int32 {
-	var lo, n int
+func (s *Simulator) pickMissTarget(c int, cl workload.Class, rng *sim.RNG) int32 {
+	var lo int
 	switch cl {
-	case classSW:
-		lo, n = 0, SWBlocks
-	case classSRO:
-		lo, n = SWBlocks, SROBlocks
-	case classPrivate:
-		lo, n = SWBlocks+SROBlocks+c*PrivBlocks, PrivBlocks
+	case workload.SRO:
+		lo = workload.SWBlocks
+	case workload.Private:
+		lo = workload.SWBlocks + workload.SROBlocks + c*workload.PrivBlocks
 	}
+	n := cl.Blocks()
 	// Rejection sampling: pools are much larger than residency capacities,
 	// so a handful of tries suffices; fall back to a linear scan.
 	for try := 0; try < 8; try++ {
@@ -291,15 +281,4 @@ func (s *Simulator) pickMissTarget(c int, cl class, rng *sim.RNG) int32 {
 		}
 	}
 	return -1 // entire pool resident (pathological config)
-}
-
-func capacity(cl class) int {
-	switch cl {
-	case classSW:
-		return SWCapacity
-	case classSRO:
-		return SROCapacity
-	default:
-		return PrivCapacity
-	}
 }

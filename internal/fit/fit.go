@@ -3,8 +3,9 @@
 // assignment of parameter values" the paper's conclusion calls for.
 //
 // The estimator replays the trace against per-processor, per-class LRU
-// shadow caches (with dirty bits) and a global residency map, and counts
-// exactly the events the parameters describe:
+// shadow caches (with dirty bits, sized by the shared block geometry of
+// internal/workload) and counts, in the workload.Counts the simulator
+// also fills, exactly the events the parameters describe:
 //
 //	p_class      class frequencies
 //	r_class      read fractions
@@ -29,16 +30,14 @@ import (
 	"snoopmva/internal/workload"
 )
 
-// Config controls the estimator.
+// Config controls the estimator. The shadow caches hold the shared
+// per-class capacities of workload.Class.Capacity.
 type Config struct {
 	// N is the number of processors in the trace.
 	N int
 	// Tau is the mean think time to embed in the fitted parameters
 	// (not derivable from a reference trace). Zero means 2.5.
 	Tau float64
-	// Shadow-cache capacities per class (blocks). Zero values mean
-	// 16 sw / 64 sro / 128 private, matching the simulator defaults.
-	SWCapacity, SROCapacity, PrivCapacity int
 	// Warmup references per processor excluded from counting (cold-start
 	// misses would bias the hit rates). Zero means 1000; negative means
 	// no warmup.
@@ -48,15 +47,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Tau == 0 {
 		c.Tau = 2.5
-	}
-	if c.SWCapacity == 0 {
-		c.SWCapacity = 16
-	}
-	if c.SROCapacity == 0 {
-		c.SROCapacity = 64
-	}
-	if c.PrivCapacity == 0 {
-		c.PrivCapacity = 128
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 1000
@@ -73,10 +63,6 @@ func (c Config) Validate() error {
 	}
 	if c.Tau < 0 {
 		return fmt.Errorf("fit: negative tau %v", c.Tau)
-	}
-	d := c.withDefaults()
-	if d.SWCapacity < 1 || d.SROCapacity < 1 || d.PrivCapacity < 1 {
-		return errors.New("fit: capacities must be positive")
 	}
 	return nil
 }
@@ -132,18 +118,12 @@ func (s *shadow) holds(block uint32) (bool, bool) {
 	return false, false
 }
 
-// Estimate holds the fitted parameters and the sample sizes behind them.
+// Estimate holds the fitted parameters and the counts behind them.
 type Estimate struct {
 	// Params are the fitted basic parameters (Tau from the config).
 	Params workload.Params
-	// Refs is the total number of counted (post-warmup) references.
-	Refs int64
-	// PerClass counts the references per class (private, sro, sw).
-	PerClass [3]int64
-	// Misses counts shadow-cache misses per class.
-	Misses [3]int64
-	// Evictions counts capacity evictions per class.
-	Evictions [3]int64
+	// Counts are the counted (post-warmup) reference events.
+	Counts workload.Counts
 }
 
 // Fit replays the trace and estimates the parameters.
@@ -155,45 +135,26 @@ func Fit(refs []trace.Ref, cfg Config) (*Estimate, error) {
 	if len(refs) == 0 {
 		return nil, errors.New("fit: empty trace")
 	}
-	capOf := func(c trace.Class) int {
-		switch c {
-		case trace.SW:
-			return cfg.SWCapacity
-		case trace.SRO:
-			return cfg.SROCapacity
-		default:
-			return cfg.PrivCapacity
-		}
-	}
 	// shadows[p][class]
-	shadows := make([][]shadow, cfg.N)
+	shadows := make([][3]shadow, cfg.N)
 	for p := range shadows {
-		shadows[p] = make([]shadow, 3)
 		for c := range shadows[p] {
-			shadows[p][c].cap = capOf(trace.Class(c))
+			shadows[p][c].cap = workload.Class(c).Capacity()
 		}
 	}
 	seen := make([]int, cfg.N) // references per processor (for warmup)
 
-	var (
-		est                   Estimate
-		reads                 [3]int64
-		hits                  [3]int64
-		writeHits             [3]int64
-		writeHitsDirty        [3]int64
-		missesWithHolder      [3]int64
-		missesWithDirtyHolder [3]int64
-		evictDirty            [3]int64
-	)
+	var est Estimate
+	n := &est.Counts
 	for _, r := range refs {
 		p := int(r.Proc)
 		if p < 0 || p >= cfg.N {
 			return nil, fmt.Errorf("fit: reference for processor %d outside N=%d", p, cfg.N)
 		}
-		if r.Class > trace.SW {
+		if r.Class > workload.SW {
 			return nil, fmt.Errorf("fit: invalid class %d", r.Class)
 		}
-		c := int(r.Class)
+		c := r.Class
 		sh := &shadows[p][c]
 		counted := seen[p] >= cfg.Warmup
 		seen[p]++
@@ -203,7 +164,7 @@ func Fit(refs []trace.Ref, cfg Config) (*Estimate, error) {
 		if !hit {
 			// For shared classes, check residency elsewhere before insert.
 			var holder, dirtyHolder bool
-			if r.Class != trace.Private {
+			if c != workload.Private {
 				for q := 0; q < cfg.N; q++ {
 					if q == p {
 						continue
@@ -215,76 +176,43 @@ func Fit(refs []trace.Ref, cfg Config) (*Estimate, error) {
 			}
 			evicted, victimDirty = sh.insert(r.Block, r.Write)
 			if counted {
-				est.Misses[c]++
+				n.Misses[c]++
 				if holder {
-					missesWithHolder[c]++
+					n.HolderMisses[c]++
 				}
 				if dirtyHolder {
-					missesWithDirtyHolder[c]++
+					n.DirtyHolderMisses[c]++
 				}
 			}
 		}
 		if !counted {
 			continue
 		}
-		est.Refs++
-		est.PerClass[c]++
+		n.Refs[c]++
 		if !r.Write {
-			reads[c]++
+			n.Reads[c]++
 		}
 		if hit {
-			hits[c]++
+			n.Hits[c]++
 			if r.Write {
-				writeHits[c]++
+				n.WriteHits[c]++
 				if wasDirty {
-					writeHitsDirty[c]++
+					n.DirtyWriteHits[c]++
 				}
 			}
 		}
 		if evicted {
-			est.Evictions[c]++
+			n.Evictions[c]++
 			if victimDirty {
-				evictDirty[c]++
+				n.DirtyEvictions[c]++
 			}
 		}
 	}
-	if est.Refs == 0 {
+	if n.Refs == [3]int64{} {
 		return nil, errors.New("fit: no references survived warmup")
 	}
-
-	frac := func(num, den int64) float64 {
-		if den == 0 {
-			return 0
-		}
-		return float64(num) / float64(den)
-	}
-	w := workload.Params{
-		Tau:      cfg.Tau,
-		PPrivate: frac(est.PerClass[trace.Private], est.Refs),
-		PSro:     frac(est.PerClass[trace.SRO], est.Refs),
-		PSw:      frac(est.PerClass[trace.SW], est.Refs),
-
-		HPrivate: frac(hits[trace.Private], est.PerClass[trace.Private]),
-		HSro:     frac(hits[trace.SRO], est.PerClass[trace.SRO]),
-		HSw:      frac(hits[trace.SW], est.PerClass[trace.SW]),
-
-		RPrivate: frac(reads[trace.Private], est.PerClass[trace.Private]),
-		RSw:      frac(reads[trace.SW], est.PerClass[trace.SW]),
-
-		AmodPrivate: frac(writeHitsDirty[trace.Private], writeHits[trace.Private]),
-		AmodSw:      frac(writeHitsDirty[trace.SW], writeHits[trace.SW]),
-
-		CsupplySro: frac(missesWithHolder[trace.SRO], est.Misses[trace.SRO]),
-		CsupplySw:  frac(missesWithHolder[trace.SW], est.Misses[trace.SW]),
-		WbCsupply:  frac(missesWithDirtyHolder[trace.SW], missesWithHolder[trace.SW]),
-
-		RepP:  frac(evictDirty[trace.Private], est.Evictions[trace.Private]),
-		RepSw: frac(evictDirty[trace.SW], est.Evictions[trace.SW]),
-	}
-	// Close the partition exactly (counting rounds off).
-	w.PPrivate = 1 - w.PSro - w.PSw
-	est.Params = w
-	if err := w.Validate(); err != nil {
+	est.Params = n.Params(cfg.Tau)
+	if err := est.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("fit: estimated parameters invalid: %w", err)
 	}
 	return &est, nil

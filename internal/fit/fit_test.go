@@ -17,11 +17,7 @@ func makeTrace(t *testing.T, n, refs int, w workload.Params, seed uint64) []trac
 	}
 	out := make([]trace.Ref, 0, refs)
 	for i := 0; i < refs; i++ {
-		r, ok := g.Next(i % n)
-		if !ok {
-			t.Fatal("generator exhausted")
-		}
-		out = append(out, r)
+		out = append(out, g.Next(i%n))
 	}
 	return out
 }
@@ -37,15 +33,12 @@ func TestValidation(t *testing.T) {
 	if _, err := Fit(refs, Config{N: 2, Tau: -1}); err == nil {
 		t.Error("negative tau accepted")
 	}
-	if _, err := Fit(refs, Config{N: 2, SWCapacity: -3}); err == nil {
-		t.Error("negative capacity accepted")
-	}
 	// Reference outside N.
 	bad := []trace.Ref{{Proc: 9}}
 	if _, err := Fit(bad, Config{N: 2, Warmup: -1}); err == nil {
 		t.Error("out-of-range processor accepted")
 	}
-	badClass := []trace.Ref{{Proc: 0, Class: trace.Class(7)}}
+	badClass := []trace.Ref{{Proc: 0, Class: workload.Class(7)}}
 	if _, err := Fit(badClass, Config{N: 1, Warmup: -1}); err == nil {
 		t.Error("invalid class accepted")
 	}
@@ -92,7 +85,7 @@ func TestRoundTripRecoversParameters(t *testing.T) {
 		t.Errorf("fitted parameters invalid: %v", err)
 	}
 	// Sample-size bookkeeping.
-	if est.Refs <= 0 || est.PerClass[0] <= est.PerClass[2] {
+	if est.Counts.Refs == [3]int64{} || est.Counts.Refs[workload.Private] <= est.Counts.Refs[workload.SW] {
 		t.Errorf("bookkeeping wrong: %+v", est)
 	}
 }
@@ -125,29 +118,31 @@ func TestFittedParametersPredictLikeTruth(t *testing.T) {
 }
 
 func TestDirtyTracking(t *testing.T) {
-	// Hand-built trace on one processor, private class, capacity 2.
+	// Hand-built trace on one processor, private class: read misses fill
+	// the private shadow cache behind block 1 until block 1 is evicted.
 	refs := []trace.Ref{
-		{Proc: 0, Block: 1, Write: true},  // miss, insert dirty
-		{Proc: 0, Block: 1, Write: true},  // write hit, already dirty
-		{Proc: 0, Block: 2, Write: false}, // miss
-		{Proc: 0, Block: 3, Write: false}, // miss, evicts 1 (dirty)
-		{Proc: 0, Block: 2, Write: true},  // write hit, clean
+		{Proc: 0, Block: 1, Write: true}, // miss, insert dirty
+		{Proc: 0, Block: 1, Write: true}, // write hit, already dirty
 	}
-	est, err := Fit(refs, Config{N: 1, Warmup: 1, PrivCapacity: 2})
+	for b := uint32(2); b <= workload.PrivCapacity+1; b++ {
+		refs = append(refs, trace.Ref{Proc: 0, Block: b}) // miss; the last evicts 1 (dirty)
+	}
+	refs = append(refs, trace.Ref{Proc: 0, Block: 2, Write: true}) // write hit, clean
+	est, err := Fit(refs, Config{N: 1, Warmup: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Counted refs: 4 (first is warmup).
-	if est.Refs != 4 {
-		t.Fatalf("refs = %d", est.Refs)
+	// Counted refs: all but the first (warmup).
+	if got := est.Counts.Refs[workload.Private]; got != int64(len(refs)-1) {
+		t.Fatalf("refs = %d", got)
 	}
 	// amod_private: write hits = 2 (blocks 1 and 2); dirty on arrival = 1.
 	if got := est.Params.AmodPrivate; math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("amod_private = %v, want 0.5", got)
 	}
 	// rep_p: one eviction, dirty victim.
-	if est.Evictions[0] != 1 || est.Params.RepP != 1 {
-		t.Errorf("evictions = %d, rep_p = %v", est.Evictions[0], est.Params.RepP)
+	if est.Counts.Evictions[0] != 1 || est.Params.RepP != 1 {
+		t.Errorf("evictions = %d, rep_p = %v", est.Counts.Evictions[0], est.Params.RepP)
 	}
 }
 
@@ -155,16 +150,16 @@ func TestCsupplyTracking(t *testing.T) {
 	// Two processors touching the same sw block: the second one's miss
 	// finds a (dirty) holder.
 	refs := []trace.Ref{
-		{Proc: 0, Class: trace.SW, Block: 5, Write: true},
-		{Proc: 1, Class: trace.SW, Block: 5, Write: false},
-		{Proc: 1, Class: trace.SW, Block: 6, Write: false}, // no holder
+		{Proc: 0, Class: workload.SW, Block: 5, Write: true},
+		{Proc: 1, Class: workload.SW, Block: 5, Write: false},
+		{Proc: 1, Class: workload.SW, Block: 6, Write: false}, // no holder
 	}
 	est, err := Fit(refs, Config{N: 2, Warmup: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Misses[trace.SW] != 3 {
-		t.Fatalf("sw misses = %d", est.Misses[trace.SW])
+	if est.Counts.Misses[workload.SW] != 3 {
+		t.Fatalf("sw misses = %d", est.Counts.Misses[workload.SW])
 	}
 	// One of the three sw misses (proc 1's re-reference of block 5) had a
 	// holder => csupply_sw = 1/3.

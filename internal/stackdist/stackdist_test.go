@@ -145,8 +145,8 @@ func TestProfileOfGeneratedTrace(t *testing.T) {
 	}
 	p := New()
 	for i := 0; i < 150000; i++ {
-		r, _ := g.Next(0)
-		if r.Class == trace.Private {
+		r := g.Next(0)
+		if r.Class == workload.Private {
 			p.Touch(uint64(r.Block))
 		}
 	}

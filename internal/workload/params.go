@@ -2,7 +2,10 @@
 // the basic parameters of the three probabilistic reference streams
 // (private, shared read-only, shared-writable), the Appendix A parameter
 // values, the per-protocol parameter adjustments, and the derived model
-// inputs computed from them per [VeHo86].
+// inputs computed from them per [VeHo86]. It also holds the vocabulary
+// that measuring those parameters shares (counts.go): the reference
+// class enum, the block geometry of the simulator, the trace generator
+// and the estimator, and the event counts that become a Params.
 //
 // The derived-input formulas are a documented reconstruction: the paper
 // states they "can be computed [VeHo86]" without reprinting them. The

@@ -205,11 +205,38 @@ func TestSimulate(t *testing.T) {
 	if !(r.SpeedupLow <= r.Speedup && r.Speedup <= r.SpeedupHigh) {
 		t.Errorf("CI [%v, %v] does not bracket %v", r.SpeedupLow, r.SpeedupHigh, r.Speedup)
 	}
-	if r.ObservedAmod < 0 || r.ObservedAmod > 1 || r.ObservedCsupply < 0 || r.ObservedCsupply > 1 {
-		t.Errorf("observed quantities out of range: %+v", r)
+	if err := r.Observed.Validate(); err != nil {
+		t.Errorf("observed quantities out of range: %v: %+v", err, r.Observed)
 	}
 	if _, err := SimulateContext(context.Background(), WithMods(4), w, 2, SimOptions{}); err == nil {
 		t.Error("invalid protocol accepted")
+	}
+}
+
+// The simulator's observed workload is a model input: for every named
+// protocol it is marked verbatim, validates, and the MVA solves it.
+func TestSimulatedWorkloadSolves(t *testing.T) {
+	w := AppendixA(Sharing5)
+	for _, p := range Protocols() {
+		r, err := SimulateContext(context.Background(), p, w, 4, SimOptions{Seed: 3, WarmupCycles: 2000, MeasureCycles: 20000})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		if !r.Observed.FixedParams {
+			t.Errorf("%s: observed workload not marked FixedParams", p.Name())
+		}
+		if err := r.Observed.Validate(); err != nil {
+			t.Errorf("%s: observed workload invalid: %v", p.Name(), err)
+			continue
+		}
+		res, err := SolveWithContext(context.Background(), p, r.Observed, Timing{}, 4, Options{})
+		if err != nil {
+			t.Errorf("%s: solving the observed workload: %v", p.Name(), err)
+			continue
+		}
+		if math.IsNaN(res.Speedup) || math.IsInf(res.Speedup, 0) || res.Speedup <= 0 {
+			t.Errorf("%s: speedup on the observed workload = %v", p.Name(), res.Speedup)
+		}
 	}
 }
 

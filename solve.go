@@ -129,10 +129,12 @@ type SimResult struct {
 	R              float64
 	BusUtilization float64
 	MemUtilization float64
-	// Emergent workload quantities (parameters to the models, measured
-	// outcomes here).
-	ObservedAmod    float64
-	ObservedCsupply float64
+	// Observed is the workload the run measured, per class: the stream
+	// mix and read ratios it drew and the hit rates, amod, csupply,
+	// wb_csupply and rep that emerged (parameters to the models, measured
+	// outcomes here). FixedParams is set, since measured values are meant
+	// verbatim, so Solve(p, Observed, n) solves the model on them.
+	Observed Workload
 	// Per-class response times in cycles (private, shared read-only,
 	// shared-writable): mean and 95th percentile.
 	MeanResponse [3]float64
