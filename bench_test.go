@@ -45,7 +45,7 @@ func benchExperiment(b *testing.B, id string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rep.WriteText(io.Discard); err != nil {
+		if err := rep.WriteMarkdown(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

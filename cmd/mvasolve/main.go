@@ -18,7 +18,6 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/tables"
-	"snoopmva/internal/workload"
 )
 
 func main() {
@@ -62,11 +61,10 @@ func main() {
 		fatal(err)
 	}
 	if *paramFile != "" {
-		p, err := workload.LoadParams(*paramFile)
+		w, err = snoopmva.LoadWorkload(*paramFile)
 		if err != nil {
 			fatal(err)
 		}
-		w = fromParams(p)
 	}
 	// An override applies whenever its flag is given, zero included;
 	// the solve's workload validation rejects out-of-range values.
@@ -155,18 +153,4 @@ func parseInts(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "mvasolve:", err)
 	os.Exit(1)
-}
-
-// fromParams converts internal workload parameters to the public type.
-func fromParams(p workload.Params) snoopmva.Workload {
-	return snoopmva.Workload{
-		Tau:      p.Tau,
-		PPrivate: p.PPrivate, PSro: p.PSro, PSw: p.PSw,
-		HPrivate: p.HPrivate, HSro: p.HSro, HSw: p.HSw,
-		RPrivate: p.RPrivate, RSw: p.RSw,
-		AmodPrivate: p.AmodPrivate, AmodSw: p.AmodSw,
-		CsupplySro: p.CsupplySro, CsupplySw: p.CsupplySw,
-		WbCsupply: p.WbCsupply,
-		RepP:      p.RepP, RepSw: p.RepSw,
-	}
 }

@@ -1,13 +1,15 @@
 // Command paperrepro regenerates every table and figure from the paper's
-// evaluation section and prints paper-vs-measured comparisons
-// (DESIGN.md §5 is the experiment index; EXPERIMENTS.md captures a run).
+// evaluation section and prints paper-vs-measured comparisons as Markdown
+// (DESIGN.md §5 is the experiment index). Run without flags, it prints
+// the generated region of EXPERIMENTS.md byte for byte; the test suite
+// of internal/exp checks that region against the code.
 //
 // Examples:
 //
-//	paperrepro                    # run everything
+//	paperrepro                    # run everything at the file's settings
 //	paperrepro -exp tab4.1a       # one experiment
 //	paperrepro -list              # list experiment IDs
-//	paperrepro -gtpn 8 -simcycles 1000000 -markdown > EXPERIMENTS.md
+//	paperrepro -gtpn 0 -simcycles 0   # MVA columns only
 package main
 
 import (
@@ -24,14 +26,14 @@ func main() {
 		id        = flag.String("exp", "", "run only this experiment ID")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
 		gtpnMaxN  = flag.Int("gtpn", 6, "run the detailed GTPN comparator up to this N (0 disables)")
-		simCycles = flag.Int64("simcycles", 200000, "simulator measurement cycles (0 disables)")
+		simCycles = flag.Int64("simcycles", 300000, "simulator measurement cycles (0 disables)")
 		seed      = flag.Uint64("seed", 1988, "simulator seed")
-		markdown  = flag.Bool("markdown", false, "emit Markdown instead of plain text")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON (paper-vs-measured cells) instead of text")
-		csvDir    = flag.String("csvdir", "", "also write each experiment's tables/series as CSV files into this directory")
 		timeout   = flag.Duration("timeout", 0, "abort the whole run after this long (e.g. 10m; 0 = no limit)")
 	)
 	flag.Parse()
+	if *timeout < 0 {
+		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -54,51 +56,20 @@ func main() {
 		cfg.SimCycles = -1
 	}
 
-	var todo []exp.Experiment
+	todo := exp.All()
 	if *id != "" {
 		e, ok := exp.ByID(*id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "paperrepro: unknown experiment %q; try -list\n", *id)
-			os.Exit(1)
+			fatal(fmt.Errorf("unknown experiment %q; try -list", *id))
 		}
 		todo = []exp.Experiment{e}
-	} else {
-		todo = exp.All()
 	}
+	if err := exp.Render(os.Stdout, cfg, todo); err != nil {
+		fatal(err)
+	}
+}
 
-	failures := 0
-	for _, e := range todo {
-		rep, err := e.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperrepro: %s: %v\n", e.ID, err)
-			failures++
-			continue
-		}
-		var werr error
-		switch {
-		case *jsonOut:
-			werr = rep.WriteJSON(os.Stdout)
-		case *markdown:
-			werr = rep.WriteMarkdown(os.Stdout)
-		default:
-			werr = rep.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "paperrepro: %s: %v\n", e.ID, werr)
-			failures++
-		}
-		if *csvDir != "" {
-			paths, err := rep.WriteCSVDir(*csvDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperrepro: %s: csv export: %v\n", e.ID, err)
-				failures++
-			} else {
-				fmt.Fprintf(os.Stderr, "wrote %d CSV files for %s\n", len(paths), e.ID)
-			}
-		}
-		fmt.Println()
-	}
-	if failures > 0 {
-		os.Exit(1)
-	}
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "paperrepro:", err)
+	os.Exit(1)
 }

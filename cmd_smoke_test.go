@@ -26,6 +26,10 @@ func TestCommandLineTools(t *testing.T) {
 		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
 	}
 	journalPath := filepath.Join(t.TempDir(), "campaign.jsonl")
+	paramsPath := filepath.Join(t.TempDir(), "params.json")
+	if err := os.WriteFile(paramsPath, []byte(`{"base":"5%"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -35,7 +39,8 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-protocol", "Dragon", "-sharing", "5", "-sweep", "1,4"}, "speedup"},
 		{"mvasolve", []string{"-n", "4", "-explain", "-timeout", "30s"}, "equation 1"},
 		{"mvasolve", []string{"-stress", "-n", "4"}, "speedup"},
-		{"mvasolve", []string{"-n", "8", "-hsw", "0"}, "4.4523"}, // default h_sw reads 4.8734
+		{"mvasolve", []string{"-n", "8", "-hsw", "0"}, "4.4523"},           // default h_sw reads 4.8734
+		{"mvasolve", []string{"-params", paramsPath, "-n", "8"}, "4.8734"}, // as -sharing 5 -n 8
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
 		{"gtpnsolve", []string{"-sweep", "2..3"}, "906"}, // N=3's state count
@@ -43,7 +48,7 @@ func TestCommandLineTools(t *testing.T) {
 			"-warmup", "2000", "-timeout", "60s", "-compare"}, "Illinois"},
 		{"paperrepro", []string{"-list"}, "tab4.1a"},
 		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0"}, "4.32"},
-		{"paperrepro", []string{"-exp", "power", "-gtpn", "0", "-simcycles", "0", "-json"}, "\"worst_rel_err\""},
+		{"paperrepro", []string{"-exp", "stress", "-gtpn", "4", "-simcycles", "0"}, "| 4 | 2.1128 | 2.0709 | 2.0 |"},
 		{"sensitivity", []string{"-n", "8"}, "h_private"},
 		{"sensitivity", []string{"-sweep", "h_sw", "-values", "0.3,0.7"}, "h_sw"},
 		{"protodoc", []string{"-protocol", "Berkeley"}, "OwnedShared"},
@@ -93,6 +98,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"cachesim", []string{"-timeout", "-1s"}, "-timeout"},
 		{"cachesim", []string{"-n", "1", "-cycles", "1", "-warmup", "1"}, "no requests completed"},
 		{"paperrepro", []string{"-exp", "nonesuch"}, ""},
+		{"paperrepro", []string{"-timeout", "-1s"}, "-timeout"},
 		{"protodoc", []string{"-protocol", "nonesuch"}, ""},
 		{"protodoc", []string{"-format", "xml"}, "unknown format"},
 		{"sensitivity", []string{"-sweep", "nonesuch", "-values", "1"}, "nonesuch"},

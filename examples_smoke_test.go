@@ -24,7 +24,6 @@ func TestExamplesRun(t *testing.T) {
 		"quickstart":      "speedup",
 		"designspace":     "design ranking",
 		"protocolcompare": "Dragon",
-		"stresstest":      "worst relative error",
 		"measurement":     "most influential parameters",
 		"cachesizing":     "capacity needed",
 	}

@@ -3,8 +3,9 @@
 // solution-cost demonstration), each able to regenerate its artifact from
 // this repository's models and report paper-vs-measured numbers.
 //
-// DESIGN.md §5 is the index; cmd/paperrepro drives the registry end to
-// end and EXPERIMENTS.md records a captured run.
+// DESIGN.md §5 is the index. Render is the one way to print the
+// reports: cmd/paperrepro calls it, and TestAllExperimentsRun checks that
+// its output over All() is the generated region of EXPERIMENTS.md.
 package exp
 
 import (
@@ -27,7 +28,7 @@ type RunConfig struct {
 	// rapidly with N). Zero means 6; negative disables GTPN columns.
 	GTPNMaxN int
 	// SimCycles is the detailed simulator's measurement window. Zero
-	// means 200000; negative disables simulator columns.
+	// means 300000; negative disables simulator columns.
 	SimCycles int64
 	// Seed drives the simulator. Zero means 1988.
 	Seed uint64
@@ -41,7 +42,7 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.GTPNMaxN = 6
 	}
 	if c.SimCycles == 0 {
-		c.SimCycles = 200000
+		c.SimCycles = 300000
 	}
 	if c.Seed == 0 {
 		c.Seed = 1988
@@ -57,8 +58,7 @@ type Comparison struct {
 }
 
 // RelErr returns |measured − paper| / |paper|. Against a zero paper value
-// the relative error is unbounded and RelErr returns +Inf; WorstRelErr
-// skips such cells.
+// the relative error is unbounded and RelErr returns +Inf.
 func (c Comparison) RelErr() float64 {
 	if c.Paper == 0 {
 		//lint:allow naninf relative error against a zero reference is mathematically unbounded; callers treat Inf as "no reference"
@@ -75,62 +75,6 @@ type Report struct {
 	Tables      []*tables.Table
 	Plots       []*tables.Plot
 	Comparisons []Comparison
-}
-
-// WorstRelErr returns the maximum relative error over the comparisons
-// (0 when there are none).
-func (r *Report) WorstRelErr() float64 {
-	worst := 0.0
-	for _, c := range r.Comparisons {
-		if e := c.RelErr(); e > worst && !math.IsInf(e, 0) {
-			worst = e
-		}
-	}
-	return worst
-}
-
-// WriteText renders the report for a terminal.
-func (r *Report) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", r.ID, r.Title); err != nil {
-		return err
-	}
-	for _, n := range r.Notes {
-		if _, err := fmt.Fprintf(w, "note: %s\n", n); err != nil {
-			return err
-		}
-	}
-	for _, p := range r.Plots {
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if err := p.WriteASCII(w); err != nil {
-			return err
-		}
-	}
-	for _, t := range r.Tables {
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if err := t.WriteASCII(w); err != nil {
-			return err
-		}
-	}
-	if len(r.Comparisons) > 0 {
-		ct := tables.New("Paper vs measured", "quantity", "paper", "measured", "rel err %")
-		for _, c := range r.Comparisons {
-			ct.AddRow(c.Label, c.Paper, c.Measured, fmt.Sprintf("%.1f", c.RelErr()*100))
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-		if err := ct.WriteASCII(w); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "worst relative error: %.1f%%\n", r.WorstRelErr()*100); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteMarkdown renders the report's tables as Markdown (plots fall back
@@ -169,6 +113,25 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 			ct.AddRow(c.Label, c.Paper, c.Measured, fmt.Sprintf("%.1f", c.RelErr()*100))
 		}
 		if err := ct.WriteMarkdown(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Render runs each experiment under cfg and writes its report as
+// Markdown followed by a blank line. Over All() with the zero RunConfig
+// it writes the generated region of EXPERIMENTS.md byte for byte.
+func Render(w io.Writer, cfg RunConfig, es []Experiment) error {
+	for _, e := range es {
+		rep, err := e.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		if err := rep.WriteMarkdown(w); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
 	}

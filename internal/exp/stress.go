@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
 	"snoopmva/internal/gtpnmodel"
 	"snoopmva/internal/mva"
@@ -29,7 +28,7 @@ func init() {
 	register(Experiment{
 		ID:          "solvecost",
 		Title:       "Section 3.2 — solution cost: MVA flat in N, detailed model explodes",
-		Description: "Iteration counts and timings vs reachability-graph sizes",
+		Description: "Iteration counts vs reachability-graph sizes",
 		Run:         runSolveCost,
 	})
 }
@@ -130,24 +129,20 @@ func runSolveCost(cfg RunConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{ID: "solvecost", Title: "Section 3.2 — solution cost scaling"}
 	tb := tables.New("Solution cost vs system size (Write-Once, 5% sharing)",
-		"N", "mva-iterations", "mva-time", "gtpn-states (lumped)", "gtpn-states (per-processor)", "gtpn-solve-time")
+		"N", "mva-iterations", "gtpn-states (lumped)", "gtpn-states (per-processor)")
 	w := workload.AppendixA(workload.Sharing5)
 	for _, n := range []int{1, 2, 3, 4, 6, 10, 100, 1000} {
-		t0 := time.Now()
 		m, err := (mva.Model{Workload: w}).Solve(n, mva.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mvaTime := time.Since(t0)
-		lumped, perProc, gtpnTime := "", "", ""
+		lumped, perProc := "", ""
 		if n <= cfg.GTPNMaxN {
 			c := gtpnmodel.Config{Workload: w, N: n}
-			t1 := time.Now()
 			g, err := gtpnmodel.SolveContext(cfg.Ctx, c, petri.Options{})
 			if err != nil {
 				return nil, err
 			}
-			gtpnTime = time.Since(t1).Round(time.Millisecond).String()
 			lumped = fmt.Sprintf("%d", g.States)
 			if n <= 4 {
 				pp, err := gtpnmodel.StateCountContext(cfg.Ctx, c, true, petri.Options{MaxStates: 2000000})
@@ -157,7 +152,7 @@ func runSolveCost(cfg RunConfig) (*Report, error) {
 				perProc = fmt.Sprintf("%d", pp)
 			}
 		}
-		tb.AddRow(n, m.Iterations, mvaTime.Round(time.Microsecond).String(), lumped, perProc, gtpnTime)
+		tb.AddRow(n, m.Iterations, lumped, perProc)
 	}
 	rep.Tables = append(rep.Tables, tb)
 	rep.Notes = append(rep.Notes,

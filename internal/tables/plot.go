@@ -160,14 +160,3 @@ func (p *Plot) WriteASCII(w io.Writer) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// CSV emits the plot's series as a long-format table (series, x, y).
-func (p *Plot) CSV() *Table {
-	t := New(p.Title, "series", p.XLabel, p.YLabel)
-	for _, s := range p.series {
-		for i := range s.X {
-			t.AddRow(s.Label, s.X[i], s.Y[i])
-		}
-	}
-	return t
-}

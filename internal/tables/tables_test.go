@@ -185,17 +185,6 @@ func TestPlotConstantSeries(t *testing.T) {
 	}
 }
 
-func TestPlotCSV(t *testing.T) {
-	p := NewPlot("fig", "n", "s")
-	if err := p.Add(Series{Label: "a", X: []float64{1, 2}, Y: []float64{3, 4}}); err != nil {
-		t.Fatal(err)
-	}
-	tb := p.CSV()
-	if tb.Rows() != 2 || tb.Cell(0, 0) != "a" || tb.Cell(1, 2) != "4" {
-		t.Errorf("CSV table wrong: %+v", tb)
-	}
-}
-
 func TestPlotMarkersAssigned(t *testing.T) {
 	p := NewPlot("", "", "")
 	for i := 0; i < 10; i++ {

@@ -118,6 +118,18 @@ func StressWorkload() Workload {
 	return w
 }
 
+// LoadWorkload reads a workload from a JSON file whose fields carry the
+// paper's parameter names ("tau", "p_sw", "h_sw", ...). An optional
+// "base" ("1%", "5%" or "20%") seeds every field not given from that
+// Appendix A level. The result is validated.
+func LoadWorkload(path string) (Workload, error) {
+	p, err := workload.LoadParams(path)
+	if err != nil {
+		return Workload{}, err
+	}
+	return fromInternalParams(p), nil
+}
+
 // Validate checks ranges and the stream partition.
 func (w Workload) Validate() error { return w.internal().Validate() }
 
