@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"snoopmva/internal/cachesim"
 )
 
 // Adversarial workloads: every entry must come back as either a typed
@@ -99,9 +101,21 @@ func TestSimulateAdversarialWorkloads(t *testing.T) {
 			checkFinite(t, "Speedup", r.Speedup)
 			checkFinite(t, "R", r.R)
 			checkFinite(t, "BusUtilization", r.BusUtilization)
-			for i, v := range r.MeanResponse {
+			checkFinite(t, "BusWait", r.BusWait)
+			// The per-class response times are the simulator's own
+			// measures, outside the public record.
+			cr, err := cachesim.RunContext(context.Background(), cachesim.Config{
+				N: 4, Protocol: WriteOnce().inner, Workload: w.internal(), RawParams: w.FixedParams,
+				Seed: opts.Seed, WarmupCycles: opts.WarmupCycles, MeasureCycles: opts.MeasureCycles,
+			})
+			if err != nil {
+				t.Fatalf("the simulator accepted the workload through SimulateContext but not directly: %v", err)
+			}
+			for _, v := range cr.MeanResponse {
 				checkFinite(t, "MeanResponse", v)
-				_ = i
+			}
+			for _, v := range cr.P95Response {
+				checkFinite(t, "P95Response", v)
 			}
 		})
 	}

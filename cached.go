@@ -109,7 +109,7 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	appendSolveKey(b, p, w, t, n, opts)
 	if v, ok := c.cache.Lookup(b); ok {
 		b.Release()
-		return v.(Result), nil
+		return owned(v), nil
 	}
 	k := b.Key()
 	b.Release()
@@ -123,14 +123,14 @@ func (c *CachedSolver) SolveWithContext(ctx context.Context, p Protocol, w Workl
 	if err != nil {
 		return Result{}, err
 	}
-	return v.(Result), nil
+	return owned(v), nil
 }
 
 // SolveBest is the cached SolveBest: the full budget participates in the
 // key, so differently-budgeted ladders are distinct entries. The cached
 // value carries its provenance (Method/Degraded/FallbackReason) exactly as
 // computed.
-func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best BestResult, err error) {
+func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best Result, err error) {
 	defer guard(&err)
 	v, err := c.cache.Do(bestKey(p, w, n, b), func() (any, error) {
 		r, serr := SolveBest(ctx, p, w, n, b)
@@ -140,9 +140,9 @@ func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n 
 		return r, nil
 	})
 	if err != nil {
-		return BestResult{}, err
+		return Result{}, err
 	}
-	return v.(BestResult), nil
+	return owned(v), nil
 }
 
 // PeekSolveBest probes the cache for a SolveBest result computed under
@@ -150,12 +150,24 @@ func (c *CachedSolver) SolveBest(ctx context.Context, p Protocol, w Workload, n 
 // fast path of the serving layer: under overload a resident
 // full-fidelity answer beats a degraded fresh one, but starting a GTPN
 // stage is exactly what an overloaded server must not do.
-func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (BestResult, bool) {
+func (c *CachedSolver) PeekSolveBest(p Protocol, w Workload, n int, b Budget) (Result, bool) {
 	v, ok := c.cache.Peek(bestKey(p, w, n, b))
 	if !ok {
-		return BestResult{}, false
+		return Result{}, false
 	}
-	return v.(BestResult), true
+	return owned(v), true
+}
+
+// owned returns cached answer v as the caller's own copy, Observed
+// included, so no caller can change what the next hit returns. MVA
+// answers carry no Observed: their hits stay allocation-free.
+func owned(v any) Result {
+	r := v.(Result)
+	if r.Observed != nil {
+		o := *r.Observed
+		r.Observed = &o
+	}
+	return r
 }
 
 // --- canonical cache keys ---

@@ -183,17 +183,19 @@ func TestCachedReSolveSpeedup(t *testing.T) {
 	}
 }
 
-// TestBestResultHoldsNoReferences guards the cached SolveBest's
-// return-by-value: the cache hands every caller a copy of the stored
-// BestResult, which is only a private copy while no field can share
-// memory with the cache's own.
-func TestBestResultHoldsNoReferences(t *testing.T) {
+// TestCachedResultsArePrivateCopies guards the cache's return-by-value:
+// every caller gets its own copy of the stored Result. Observed is the
+// record's one reference, so owned copies it; a caller that edits the
+// workload a hit handed out must not change what the next hit returns.
+func TestCachedResultsArePrivateCopies(t *testing.T) {
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {
 		switch typ.Kind() {
 		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface,
 			reflect.Chan, reflect.Func, reflect.UnsafePointer:
-			t.Errorf("%s is a %s: a cache hit would share it with every caller", path, typ.Kind())
+			if path != "Result.Observed" {
+				t.Errorf("%s is a %s that owned does not copy: a cache hit would share it with every caller", path, typ.Kind())
+			}
 		case reflect.Array:
 			check(path+"[]", typ.Elem())
 		case reflect.Struct:
@@ -202,7 +204,35 @@ func TestBestResultHoldsNoReferences(t *testing.T) {
 			}
 		}
 	}
-	check("BestResult", reflect.TypeOf(BestResult{}))
+	check("Result", reflect.TypeOf(Result{}))
+
+	cs := NewCachedSolver(0)
+	w := AppendixA(Sharing5)
+	b := Budget{MaxStates: -1, SimCycles: 5000, Seed: 3}
+	first, err := cs.SolveBest(context.Background(), Illinois(), w, 4, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Method != MethodSimulation || first.Observed == nil {
+		t.Fatalf("want a simulator answer with an observed workload, got %+v", first)
+	}
+	want := *first.Observed
+	first.Observed.Tau = -1
+	hit, err := cs.SolveBest(context.Background(), Illinois(), w, 4, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *hit.Observed != want {
+		t.Fatalf("editing the first answer's Observed changed the next hit: Tau %v, want %v", hit.Observed.Tau, want.Tau)
+	}
+	hit.Observed.Tau = -2
+	peek, ok := cs.PeekSolveBest(Illinois(), w, 4, b)
+	if !ok || *peek.Observed != want {
+		t.Fatalf("editing a hit's Observed changed the next peek: %+v", peek.Observed)
+	}
+	if s := cs.Stats(); s.Misses != 1 {
+		t.Errorf("stats = %+v, want one miss", s)
+	}
 }
 
 func TestCachedSolverErrorsNotCachedAndClassified(t *testing.T) {

@@ -103,9 +103,9 @@ type PointResult struct {
 	Index int `json:"index"`
 	// Attempts is the number of solve attempts made (≥1).
 	Attempts int `json:"attempts"`
-	// BestResult carries the answer and its provenance (zero on a failed
+	// Result carries the answer and its provenance (zero on a failed
 	// point).
-	BestResult
+	Result
 	// SkippedStages lists ladder stages the circuit breaker skipped for
 	// this point (they were neither attempted nor counted as failures).
 	SkippedStages []string `json:"skipped_stages,omitempty"`
@@ -562,7 +562,7 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 		return resilience.Retryable // unknown ≈ transient (fault-injected, I/O, …)
 	}
 
-	var best BestResult
+	var best Result
 	attempts, err := resilience.Retry(ctx, policy, classify, func(ctx context.Context, attempt int) error {
 		if h := faultinject.Hooks(); h != nil && h.PointFault != nil {
 			if ferr := h.PointFault(idx, attempt); ferr != nil {
@@ -580,7 +580,7 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 		// race with the next attempt. best is assigned only after Watchdog
 		// returns nil, where the done-channel receive inside Watchdog
 		// provides the happens-before edge for reading r.
-		var r BestResult
+		var r Result
 		werr := resilience.Watchdog(ctx, fmt.Sprintf("campaign point %d", idx), spec.PointTimeout,
 			func(ctx context.Context) error { return solveLadder(ctx, solver, pt, budget, &r) })
 		if werr != nil {
@@ -606,7 +606,7 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 		}
 		return pr, nil
 	}
-	pr.BestResult = best
+	pr.Result = best
 	if breaker != nil {
 		recordBreakerOutcomes(breaker, budget, best.Method)
 	}
@@ -615,7 +615,7 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 
 // solveLadder runs pt's SolveBest ladder once under budget and, when it
 // succeeds, stores the answer in *out.
-func solveLadder(ctx context.Context, solver Solver, pt *CampaignPoint, budget Budget, out *BestResult) error {
+func solveLadder(ctx context.Context, solver Solver, pt *CampaignPoint, budget Budget, out *Result) error {
 	br, err := solver.SolveBest(ctx, pt.Protocol, pt.Workload, pt.N, budget)
 	if err != nil {
 		return err

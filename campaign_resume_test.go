@@ -133,18 +133,18 @@ func TestCampaignCrashResumeParallelWorkersSetEquality(t *testing.T) {
 	}
 }
 
-// TestJournalPointRecordsRoundTrip pins the journal's point-record bytes:
-// lines in the format earlier releases wrote must decode into
-// campaignRecord and re-encode byte for byte, so a resumed journal keeps
-// the bytes its points were written with. A point the circuit breaker
-// trimmed is pinned by value only: where its skipped_stages key falls is
-// free, since decoding ignores key order.
+// TestJournalPointRecordsRoundTrip pins the journal's point-record bytes.
+// A point record is a Result with the point's bookkeeping, so a line in
+// the format earlier releases wrote (before the record carried every
+// measure) must still decode, reading zero in the measures it lacks, and
+// re-encode to the current format; a current-format line must re-encode
+// byte for byte, so a resumed journal keeps the bytes its points were
+// written with. A point the circuit breaker trimmed is pinned by value
+// only: where its skipped_stages key falls is free, since decoding
+// ignores key order.
 func TestJournalPointRecordsRoundTrip(t *testing.T) {
-	for _, line := range []string{
-		`{"kind":"point","point":{"index":0,"attempts":1,"method":"gtpn","n":1,"speedup":0.8660740245839502,"r":4.041225000000838,"bus_utilization":0.13392597541584253}}`,
-		`{"kind":"point","point":{"index":1,"attempts":1,"method":"mva","degraded":true,"fallback_reason":"gtpn: petri: state space exceeded budget: 62 states reached (MaxStates=60)","n":2,"speedup":1.6893746103502525,"r":4.143545165834304,"bus_utilization":0.2612376495676621}}`,
-		`{"kind":"point","point":{"index":7,"attempts":3,"n":12,"speedup":0,"r":0,"bus_utilization":0,"err":"snoopmva: SolveBest exhausted all models (gtpn: injected fault): mva: snoopmva: solver did not converge"}}`,
-	} {
+	reencodes := func(line, want string) {
+		t.Helper()
 		var rec campaignRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("decode %s: %v", line, err)
@@ -153,9 +153,26 @@ func TestJournalPointRecordsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(b) != line {
-			t.Errorf("re-encoded point record differs:\n got %s\nwant %s", b, line)
+		if string(b) != want {
+			t.Errorf("re-encoded point record differs:\n got %s\nwant %s", b, want)
 		}
+	}
+	// Each earlier-format line (empty where a point shape is new) and the
+	// current line it re-encodes to.
+	for _, c := range []struct{ earlier, current string }{
+		{`{"kind":"point","point":{"index":0,"attempts":1,"method":"gtpn","n":1,"speedup":0.8660740245839502,"r":4.041225000000838,"bus_utilization":0.13392597541584253}}`,
+			`{"kind":"point","point":{"index":0,"attempts":1,"method":"gtpn","n":1,"speedup":0.8660740245839502,"processing_power":0,"r":4.041225000000838,"bus_utilization":0.13392597541584253,"bus_wait":0,"mem_utilization":0,"mem_wait":0,"iterations":0}}`},
+		{`{"kind":"point","point":{"index":1,"attempts":1,"method":"mva","degraded":true,"fallback_reason":"gtpn: petri: state space exceeded budget: 62 states reached (MaxStates=60)","n":2,"speedup":1.6893746103502525,"r":4.143545165834304,"bus_utilization":0.2612376495676621}}`,
+			`{"kind":"point","point":{"index":1,"attempts":1,"method":"mva","degraded":true,"fallback_reason":"gtpn: petri: state space exceeded budget: 62 states reached (MaxStates=60)","n":2,"speedup":1.6893746103502525,"processing_power":0,"r":4.143545165834304,"bus_utilization":0.2612376495676621,"bus_wait":0,"mem_utilization":0,"mem_wait":0,"iterations":0}}`},
+		{`{"kind":"point","point":{"index":7,"attempts":3,"n":12,"speedup":0,"r":0,"bus_utilization":0,"err":"snoopmva: SolveBest exhausted all models (gtpn: injected fault): mva: snoopmva: solver did not converge"}}`,
+			`{"kind":"point","point":{"index":7,"attempts":3,"n":12,"speedup":0,"processing_power":0,"r":0,"bus_utilization":0,"bus_wait":0,"mem_utilization":0,"mem_wait":0,"iterations":0,"err":"snoopmva: SolveBest exhausted all models (gtpn: injected fault): mva: snoopmva: solver did not converge"}}`},
+		{"", `{"kind":"point","point":{"index":2,"attempts":1,"method":"simulation","n":4,"speedup":3.5,"processing_power":3.25,"r":4.25,"bus_utilization":0.5,"bus_wait":1.75,"mem_utilization":0.125,"mem_wait":0,"iterations":0,"speedup_low":3.375,"speedup_high":3.625,"observed":{"tau":2.5,"p_private":0.75,"p_sro":0.125,"p_sw":0.125,"h_private":0.95,"h_sro":0.94,"h_sw":0.93,"r_private":0.7,"r_sw":0.6,"amod_private":0.5,"amod_sw":0.4,"csupply_sro":0.3,"csupply_sw":0.2,"wb_csupply":0.1,"rep_p":0.15,"rep_sw":0.25,"fixed_params":true}}}`},
+		{"", `{"kind":"point","point":{"index":5,"attempts":1,"method":"gtpn","n":3,"speedup":2.75,"processing_power":2.5,"r":4.75,"bus_utilization":0.375,"bus_wait":0.25,"mem_utilization":0,"mem_wait":0,"iterations":0,"states":27}}`},
+	} {
+		if c.earlier != "" {
+			reencodes(c.earlier, c.current)
+		}
+		reencodes(c.current, c.current)
 	}
 
 	skipped := `{"kind":"point","point":{"index":3,"attempts":1,"method":"mva","skipped_stages":["gtpn"],"n":4,"speedup":3.2507819273733722,"r":4.306656156204235,"bus_utilization":0.5026869853265168}}`

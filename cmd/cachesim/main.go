@@ -19,7 +19,9 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/cachesim"
+	"snoopmva/internal/protocol"
 	"snoopmva/internal/tables"
+	"snoopmva/internal/workload"
 )
 
 func main() {
@@ -52,21 +54,21 @@ func main() {
 	if *cycles < 1 {
 		fatal(fmt.Errorf("-cycles must be >= 1, got %d", *cycles))
 	}
-	if *sharing != 1 && *sharing != 5 && *sharing != 20 {
-		fatal(fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", *sharing))
+	lvl, err := workload.SharingPercent(*sharing)
+	if err != nil {
+		fatal(err)
 	}
-	w := snoopmva.AppendixA(snoopmva.Sharing(*sharing))
-	opts := snoopmva.SimOptions{Seed: *seed, WarmupCycles: *warmup, MeasureCycles: *cycles}
+	ws := workload.AppendixA(lvl)
 
-	var protos []snoopmva.Protocol
+	var protos []protocol.Protocol
 	if *all {
-		protos = snoopmva.Protocols()
+		protos = protocol.Named()
 	} else {
-		p, ok := snoopmva.ProtocolByName(*protoName)
+		p, ok := protocol.ByName(*protoName)
 		if !ok {
 			fatal(fmt.Errorf("unknown protocol %q", *protoName))
 		}
-		protos = []snoopmva.Protocol{p}
+		protos = []protocol.Protocol{p}
 	}
 
 	cols := []string{"protocol", "speedup", "95% CI", "R", "U_bus", "U_mem",
@@ -77,19 +79,21 @@ func main() {
 	tb := tables.New(fmt.Sprintf("Simulation — N=%d, %d%% sharing, %d cycles, seed %d",
 		*n, *sharing, *cycles, *seed), cols...)
 	for _, p := range protos {
-		r, err := snoopmva.SimulateContext(ctx, p, w, *n, opts)
+		r, err := cachesim.RunContext(ctx, cachesim.Config{N: *n, Protocol: p, Workload: ws,
+			Seed: *seed, WarmupCycles: *warmup, MeasureCycles: *cycles})
 		if err != nil {
-			fatal(fmt.Errorf("%w (protocol %s)", err, p.Name()))
+			fatal(fmt.Errorf("%w (protocol %s)", err, p.Name))
 		}
-		o := r.Observed
-		row := []any{p.Name(), r.Speedup,
-			fmt.Sprintf("[%.3f, %.3f]", r.SpeedupLow, r.SpeedupHigh),
-			r.R, r.BusUtilization, r.MemUtilization,
+		o := r.Observed.Workload
+		row := []any{p.Name, r.Speedup,
+			fmt.Sprintf("[%.3f, %.3f]", r.SpeedupCI.Lo(), r.SpeedupCI.Hi()),
+			r.R, r.UBus, r.UMem,
 			o.AmodPrivate, o.AmodSw, o.CsupplySro, o.CsupplySw,
 			fmt.Sprintf("%.1f/%.1f/%.1f", r.MeanResponse[0], r.MeanResponse[1], r.MeanResponse[2]),
 			fmt.Sprintf("%.0f/%.0f/%.0f", r.P95Response[0], r.P95Response[1], r.P95Response[2])}
 		if *compare {
-			m, err := snoopmva.Solve(p, w, *n)
+			mp, _ := snoopmva.ProtocolByName(p.Name) // p is a named preset, so it resolves
+			m, err := snoopmva.Solve(mp, snoopmva.AppendixA(snoopmva.Sharing(*sharing)), *n)
 			if err != nil {
 				fatal(err)
 			}

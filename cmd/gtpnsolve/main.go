@@ -55,10 +55,11 @@ func main() {
 		defer cancel()
 	}
 
-	ws, err := sharingParams(*sharing)
+	lvl, err := workload.SharingPercent(*sharing)
 	if err != nil {
 		fatal(err)
 	}
+	ws := workload.AppendixA(lvl)
 	ms, err := parseMods(*mods)
 	if err != nil {
 		fatal(err)
@@ -110,19 +111,6 @@ func main() {
 	}
 	if err := tb.WriteASCII(os.Stdout); err != nil {
 		fatal(err)
-	}
-}
-
-func sharingParams(s int) (workload.Params, error) {
-	switch s {
-	case 1:
-		return workload.AppendixA(workload.Sharing1), nil
-	case 5:
-		return workload.AppendixA(workload.Sharing5), nil
-	case 20:
-		return workload.AppendixA(workload.Sharing20), nil
-	default:
-		return workload.Params{}, fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", s)
 	}
 }
 

@@ -5,6 +5,7 @@
 //
 //	mvasolve -protocol Dragon -sharing 5 -n 10
 //	mvasolve -mods 1,4 -sharing 20 -sweep 1,2,4,8,16,32 -format csv
+//	mvasolve -protocol Illinois -stress -sweep 1..8
 //	mvasolve -protocol Write-Once -sharing 5 -n 10 -tau 4 -hsw 0.8
 package main
 
@@ -13,10 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"snoopmva"
+	"snoopmva/internal/gridspec"
 	"snoopmva/internal/tables"
 )
 
@@ -26,7 +29,7 @@ func main() {
 		mods      = flag.String("mods", "", "comma-separated modification numbers 1-4 applied to Write-Once (overrides -protocol)")
 		sharing   = flag.Int("sharing", 5, "Appendix A sharing level: 1, 5 or 20 (percent)")
 		n         = flag.Int("n", 10, "number of processors")
-		sweep     = flag.String("sweep", "", "comma-separated system sizes to sweep (overrides -n)")
+		sweep     = flag.String("sweep", "", "system sizes to sweep, e.g. 1,2,4 or 1..8 (overrides -n)")
 		format    = flag.String("format", "text", "output format: text, csv, markdown")
 		tau       = flag.Float64("tau", 0, "override mean think time τ (cycles)")
 		hsw       = flag.Float64("hsw", 0, "override shared-writable hit rate")
@@ -56,18 +59,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w, err := pickWorkload(*sharing, *stress)
+	w, label, err := pickWorkload(*sharing, *stress, *paramFile)
 	if err != nil {
 		fatal(err)
 	}
-	if *paramFile != "" {
-		w, err = snoopmva.LoadWorkload(*paramFile)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	// An override applies whenever its flag is given, zero included;
-	// the solve's workload validation rejects out-of-range values.
+	// An override applies whenever its flag is given, zero included, and
+	// the title names it; the solve's workload validation rejects
+	// out-of-range values.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "tau":
@@ -76,14 +74,16 @@ func main() {
 			w.HSw = *hsw
 		case "amodp":
 			w.AmodPrivate = *amodP
+		default:
+			return
 		}
+		label += fmt.Sprintf(", -%s %s", f.Name, f.Value)
 	})
 
 	ns := []int{*n}
 	if *sweep != "" {
-		ns, err = parseInts(*sweep)
-		if err != nil {
-			fatal(err)
+		if ns, err = gridspec.ParseSizes(*sweep); err != nil {
+			fatal(fmt.Errorf("-sweep: %w", err))
 		}
 	}
 	if *explain {
@@ -99,7 +99,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tb := tables.New(fmt.Sprintf("MVA results — %v, %d%% sharing", proto, *sharing),
+	tb := tables.New(fmt.Sprintf("MVA results — %v, %s", proto, label),
 		"N", "speedup", "power", "R", "U_bus", "w_bus", "U_mem", "w_mem", "iterations")
 	for _, r := range results {
 		tb.AddRow(r.N, r.Speedup, r.ProcessingPower, r.R,
@@ -125,16 +125,20 @@ func pickProtocol(name, mods string) (snoopmva.Protocol, error) {
 	return p, nil
 }
 
-func pickWorkload(sharing int, stress bool) (snoopmva.Workload, error) {
-	if stress {
-		return snoopmva.StressWorkload(), nil
+// pickWorkload returns the workload the flags choose, and its name for
+// the table title: a -params file wins over -stress, which wins over
+// -sharing.
+func pickWorkload(sharing int, stress bool, paramFile string) (snoopmva.Workload, string, error) {
+	switch {
+	case paramFile != "":
+		w, err := snoopmva.LoadWorkload(paramFile)
+		return w, filepath.Base(paramFile), err
+	case stress:
+		return snoopmva.StressWorkload(), "stress test", nil
+	case sharing == 1, sharing == 5, sharing == 20:
+		return snoopmva.AppendixA(snoopmva.Sharing(sharing)), fmt.Sprintf("%d%% sharing", sharing), nil
 	}
-	switch sharing {
-	case 1, 5, 20:
-		return snoopmva.AppendixA(snoopmva.Sharing(sharing)), nil
-	default:
-		return snoopmva.Workload{}, fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", sharing)
-	}
+	return snoopmva.Workload{}, "", fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", sharing)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -36,8 +36,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *sharing != 1 && *sharing != 5 && *sharing != 20 {
-		fatal(fmt.Errorf("sharing must be 1, 5 or 20"))
+	lvl, err := workload.SharingPercent(*sharing)
+	if err != nil {
+		fatal(err)
 	}
 	if !(*tornado > 0) {
 		fatal(fmt.Errorf("-tornado must be > 0, got %v", *tornado))
@@ -57,17 +58,8 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown metric %q", *metric))
 	}
-	var ws workload.Params
-	switch *sharing {
-	case 1:
-		ws = workload.AppendixA(workload.Sharing1)
-	case 5:
-		ws = workload.AppendixA(workload.Sharing5)
-	default:
-		ws = workload.AppendixA(workload.Sharing20)
-	}
 	study := sensitivity.Study{
-		Model:  mva.Model{Workload: ws, Mods: p.Mods, WriteThroughBase: p.WriteThroughBase},
+		Model:  mva.Model{Workload: workload.AppendixA(lvl), Mods: p.Mods, WriteThroughBase: p.WriteThroughBase},
 		N:      *n,
 		Metric: m,
 	}

@@ -41,6 +41,11 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-stress", "-n", "4"}, "speedup"},
 		{"mvasolve", []string{"-n", "8", "-hsw", "0"}, "4.4523"},           // default h_sw reads 4.8734
 		{"mvasolve", []string{"-params", paramsPath, "-n", "8"}, "4.8734"}, // as -sharing 5 -n 8
+		// The title names the workload solved, not the -sharing default.
+		{"mvasolve", []string{"-stress", "-n", "4"}, "Write-Once (WO), stress test\n"},
+		{"mvasolve", []string{"-params", paramsPath, "-n", "8"}, "Write-Once (WO), params.json\n"},
+		{"mvasolve", []string{"-n", "8", "-hsw", "0", "-tau", "3"}, "Write-Once (WO), 5% sharing, -hsw 0, -tau 3\n"},
+		{"mvasolve", []string{"-protocol", "Illinois", "-sweep", "1..3"}, "2.4848"}, // a range, as gtpnsolve and campaign take; N=3's speedup
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
 		{"gtpnsolve", []string{"-sweep", "2..3"}, "906"}, // N=3's state count
@@ -89,6 +94,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"mvasolve", []string{"-tau", "-5"}, "tau"},
 		{"mvasolve", []string{"-amodp", "NaN"}, "amod_private"},
 		{"mvasolve", []string{"-timeout", "-1s"}, "-timeout"},
+		{"mvasolve", []string{"-sweep", "2,0"}, "-sweep"},
 		{"gtpnsolve", []string{"-maxstates", "-1"}, "-maxstates"},
 		{"gtpnsolve", []string{"-maxstates", "0"}, "-maxstates"},
 		{"gtpnsolve", []string{"-timeout", "-1s"}, "-timeout"},

@@ -33,6 +33,7 @@ func SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n i
 // fromMVA converts an internal MVA result to the public Result.
 func fromMVA(r mva.Result) Result {
 	return Result{
+		Method:          MethodMVA,
 		N:               r.N,
 		Speedup:         r.Speedup,
 		ProcessingPower: r.ProcessingPower,
@@ -50,7 +51,7 @@ func fromMVA(r mva.Result) Result {
 // ~10 are rejected by maxStates. The reachability analysis checks ctx
 // every 128 expanded states and the embedded-chain solve every 64
 // Gauss–Seidel sweeps.
-func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (res DetailedResult, err error) {
+func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (res Result, err error) {
 	defer guard(&err)
 	return solveDetailedBudgeted(ctx, p, w, n, 0)
 }
@@ -58,10 +59,10 @@ func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (r
 // SimulateContext runs the cycle-level simulator: real protocol state
 // machines over identified blocks, FCFS bus, interleaved memory. The
 // cycle loop checks ctx every ~10k simulated cycles.
-func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts SimOptions) (res SimResult, err error) {
+func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts SimOptions) (res Result, err error) {
 	defer guard(&err)
 	if err := p.validate(); err != nil {
-		return SimResult{}, err
+		return Result{}, err
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -77,20 +78,21 @@ func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts Si
 		MeasureCycles: opts.MeasureCycles,
 	})
 	if err != nil {
-		return SimResult{}, err
+		return Result{}, err
 	}
 	observed := fromInternalParams(r.Observed.Workload)
 	observed.FixedParams = true
-	return SimResult{
-		N:              r.N,
-		Speedup:        r.Speedup,
-		SpeedupLow:     r.SpeedupCI.Lo(),
-		SpeedupHigh:    r.SpeedupCI.Hi(),
-		R:              r.R,
-		BusUtilization: r.UBus,
-		MemUtilization: r.UMem,
-		Observed:       observed,
-		MeanResponse:   r.MeanResponse,
-		P95Response:    r.P95Response,
+	return Result{
+		Method:          MethodSimulation,
+		N:               r.N,
+		Speedup:         r.Speedup,
+		ProcessingPower: float64(r.N) * w.Tau / r.R,
+		R:               r.R,
+		BusUtilization:  r.UBus,
+		BusWait:         r.MeanBusWait,
+		MemUtilization:  r.UMem,
+		SpeedupLow:      r.SpeedupCI.Lo(),
+		SpeedupHigh:     r.SpeedupCI.Hi(),
+		Observed:        &observed,
 	}, nil
 }

@@ -25,9 +25,9 @@ import (
 // shed must land in stats.Backpressure, and none in Redispatches.
 func TestBackpressureRequeuesWithoutBreakerTrips(t *testing.T) {
 	var calls atomic.Int32
-	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 		if calls.Add(1) <= 3 {
-			return snoopmva.BestResult{}, &BackpressureError{
+			return snoopmva.Result{}, &BackpressureError{
 				Addr: "fake://congested", Route: routeSolveBest,
 				Code: "overloaded", RetryAfter: 10 * time.Millisecond,
 			}
@@ -73,18 +73,18 @@ func TestBackpressureShiftsLoadToUncongestedWorker(t *testing.T) {
 	// congested worker has even been scheduled.
 	shedOnce := make(chan struct{})
 	var once sync.Once
-	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 		once.Do(func() { close(shedOnce) })
-		return snoopmva.BestResult{}, &BackpressureError{
+		return snoopmva.Result{}, &BackpressureError{
 			Addr: "fake://congested", Route: routeSolveBest,
 			Code: "overloaded", RetryAfter: 20 * time.Millisecond,
 		}
 	}}
-	healthy := &fakeTransport{addr: "fake://healthy", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+	healthy := &fakeTransport{addr: "fake://healthy", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 		select {
 		case <-shedOnce:
 		case <-ctx.Done():
-			return snoopmva.BestResult{}, &TransportError{Addr: "fake://healthy", Route: routeSolveBest, Err: ctx.Err()}
+			return snoopmva.Result{}, &TransportError{Addr: "fake://healthy", Route: routeSolveBest, Err: ctx.Err()}
 		}
 		return localSolve(ctx, p, w, n, b)
 	}}
@@ -122,8 +122,8 @@ func TestBackpressureShiftsLoadToUncongestedWorker(t *testing.T) {
 // is committed failed, so a permanently saturated pool cannot spin
 // forever.
 func TestBackpressureExhaustsLimit(t *testing.T) {
-	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
-		return snoopmva.BestResult{}, &BackpressureError{
+	congested := &fakeTransport{addr: "fake://congested", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
+		return snoopmva.Result{}, &BackpressureError{
 			Addr: "fake://congested", Route: routeSolveBest,
 			Code: "overloaded", RetryAfter: time.Millisecond,
 		}

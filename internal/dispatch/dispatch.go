@@ -580,7 +580,7 @@ func (c *Coordinator) execute(ctx context.Context, w *worker, pt int, speculativ
 
 // settle records the outcome of one flight: commit the first answer for
 // a point, discard duplicates, requeue transport failures.
-func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight, best snoopmva.BestResult, err error) {
+func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight, best snoopmva.Result, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -607,7 +607,7 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		return
 	}
 	if err == nil {
-		c.commitLocked(w, pt, fl, snoopmva.PointResult{Index: pt, Attempts: 1, BestResult: best})
+		c.commitLocked(w, pt, fl, snoopmva.PointResult{Index: pt, Attempts: 1, Result: best})
 		return
 	}
 	if ctx.Err() != nil {
@@ -682,7 +682,7 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 
 // failedPoint is the record of a point that failed for good.
 func (c *Coordinator) failedPoint(pt int, msg string) snoopmva.PointResult {
-	return snoopmva.PointResult{Index: pt, Attempts: 1, BestResult: snoopmva.BestResult{N: c.points[pt].N}, Err: msg}
+	return snoopmva.PointResult{Index: pt, Attempts: 1, Result: snoopmva.Result{N: c.points[pt].N}, Err: msg}
 }
 
 // commitLocked journals and records the first answer for a point,

@@ -166,11 +166,11 @@ func TestRunRejectsEmptyGrid(t *testing.T) {
 // demand.
 type fakeTransport struct {
 	addr   string
-	solve  func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error)
+	solve  func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error)
 	health func(ctx context.Context) error
 }
 
-func (f *fakeTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+func (f *fakeTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 	return f.solve(ctx, p, w, n, b)
 }
 
@@ -185,14 +185,14 @@ func (f *fakeTransport) Addr() string { return f.addr }
 
 // localSolve answers like a healthy worker, by running the deterministic
 // solver in-process.
-func localSolve(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+func localSolve(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 	return snoopmva.SolveBest(ctx, p, w, n, b)
 }
 
 func TestTransportFailuresExhaustRequeueLimit(t *testing.T) {
 	dead := func(addr string) *fakeTransport {
-		return &fakeTransport{addr: addr, solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
-			return snoopmva.BestResult{}, &TransportError{Addr: addr, Route: routeSolveBest, Err: errors.New("connection refused")}
+		return &fakeTransport{addr: addr, solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
+			return snoopmva.Result{}, &TransportError{Addr: addr, Route: routeSolveBest, Err: errors.New("connection refused")}
 		}}
 	}
 	points := testGrid(t, 3)
@@ -235,10 +235,10 @@ func TestStragglerSpeculation(t *testing.T) {
 	// stuck point onto it and win the race there.
 	var requests atomic.Int32
 	hangFirst := func(addr string) *fakeTransport {
-		return &fakeTransport{addr: addr, solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+		return &fakeTransport{addr: addr, solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 			if requests.Add(1) == 1 {
 				<-ctx.Done()
-				return snoopmva.BestResult{}, &TransportError{Addr: addr, Route: routeSolveBest, Err: ctx.Err()}
+				return snoopmva.Result{}, &TransportError{Addr: addr, Route: routeSolveBest, Err: ctx.Err()}
 			}
 			return localSolve(ctx, p, w, n, b)
 		}}
@@ -286,9 +286,9 @@ func TestRemoteSolverFailureCommitsAsFailedPoint(t *testing.T) {
 }
 
 func TestRunCanceled(t *testing.T) {
-	hang := &fakeTransport{addr: "fake://hang", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+	hang := &fakeTransport{addr: "fake://hang", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 		<-ctx.Done()
-		return snoopmva.BestResult{}, &TransportError{Addr: "fake://hang", Route: routeSolveBest, Err: ctx.Err()}
+		return snoopmva.Result{}, &TransportError{Addr: "fake://hang", Route: routeSolveBest, Err: ctx.Err()}
 	}}
 	cfg := quickCfg([]Transport{hang})
 	cfg.HealthInterval = -1
@@ -343,9 +343,9 @@ func TestRunLogsWhileWorkersDequeue(t *testing.T) {
 }
 
 func TestStallWatchdog(t *testing.T) {
-	hang := &fakeTransport{addr: "fake://hang", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+	hang := &fakeTransport{addr: "fake://hang", solve: func(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 		<-ctx.Done()
-		return snoopmva.BestResult{}, &TransportError{Addr: "fake://hang", Route: routeSolveBest, Err: ctx.Err()}
+		return snoopmva.Result{}, &TransportError{Addr: "fake://hang", Route: routeSolveBest, Err: ctx.Err()}
 	}}
 	cfg := quickCfg([]Transport{hang})
 	cfg.HealthInterval = -1

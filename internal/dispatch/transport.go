@@ -38,7 +38,7 @@ type Transport interface {
 	// own failure — both authoritative and safe to commit), or a
 	// *TransportError meaning the answer never arrived and the point is
 	// still unresolved.
-	SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error)
+	SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error)
 	// Healthz probes the worker's liveness endpoint; nil means healthy
 	// and accepting work (a draining snoopd answers 503, which reports
 	// as an error here).
@@ -177,7 +177,7 @@ func (t *HTTPTransport) fault(ctx context.Context, route string) error {
 }
 
 // SolveBest implements Transport over POST /v1/solvebest.
-func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 	req := snoopd.SolveBestRequest{
 		Protocol: snoopd.SpecForProtocol(p),
 		Workload: snoopd.SpecForWorkload(w),
@@ -186,14 +186,14 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
 	}
 	if err := t.fault(ctx, routeSolveBest); err != nil {
-		return snoopmva.BestResult{}, err
+		return snoopmva.Result{}, err
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.base+routeSolveBest, bytes.NewReader(body))
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if t.ClientID != "" {
@@ -209,21 +209,21 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	}
 	resp, err := t.client.Do(hreq)
 	if err != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
+		return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest, Err: err}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
-		var ok snoopmva.BestResult
+		var ok snoopmva.Result
 		dec := json.NewDecoder(resp.Body)
 		if derr := dec.Decode(&ok); derr != nil {
-			return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
+			return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest,
 				Err: fmt.Errorf("decoding 200 response: %w", derr)}
 		}
 		return ok, nil
 	}
 	raw, rerr := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	if rerr != nil {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
+		return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest,
 			Err: fmt.Errorf("http %d: reading error body: %w", resp.StatusCode, rerr)}
 	}
 	var we snoopd.ErrorResponse
@@ -232,16 +232,16 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 	// admission shed, a draining worker, or a fronting proxy refusing —
 	// in every case the worker set is congested, not broken.
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		return snoopmva.BestResult{}, t.backpressure(resp, routeSolveBest, we)
+		return snoopmva.Result{}, t.backpressure(resp, routeSolveBest, we)
 	}
 	if derr != nil || we.Error == "" {
-		return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
+		return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest,
 			Err: fmt.Errorf("http %d: %s", resp.StatusCode, truncate(raw, 200))}
 	}
 	if sentinel, ok := permanentSentinel(we.Code); ok {
-		return snoopmva.BestResult{}, &RemoteError{Code: we.Code, Msg: we.Error, sentinel: sentinel}
+		return snoopmva.Result{}, &RemoteError{Code: we.Code, Msg: we.Error, sentinel: sentinel}
 	}
-	return snoopmva.BestResult{}, &TransportError{Addr: t.base, Route: routeSolveBest,
+	return snoopmva.Result{}, &TransportError{Addr: t.base, Route: routeSolveBest,
 		Err: fmt.Errorf("http %d (%s): %s", resp.StatusCode, we.Code, we.Error)}
 }
 

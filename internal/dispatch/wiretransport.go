@@ -85,12 +85,12 @@ func (t *WireTransport) fault(ctx context.Context) error {
 }
 
 // SolveBest implements Transport over a SolveBestReq frame.
-func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.BestResult, error) {
+func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w snoopmva.Workload, n int, b snoopmva.Budget) (snoopmva.Result, error) {
 	if t.fellBack.Load() {
 		return t.fallback.SolveBest(ctx, p, w, n, b)
 	}
 	if err := t.fault(ctx); err != nil {
-		return snoopmva.BestResult{}, err
+		return snoopmva.Result{}, err
 	}
 	req := &snoopd.SolveBestRequest{
 		Protocol: snoopd.SpecForProtocol(p),
@@ -112,9 +112,9 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 			t.fellBack.Store(true)
 			return t.fallback.SolveBest(ctx, p, w, n, b)
 		}
-		return snoopmva.BestResult{}, t.mapError(err)
+		return snoopmva.Result{}, t.mapError(err)
 	}
-	return resp.BestResult, nil
+	return resp.Result, nil
 }
 
 // mapError converts a wire client failure onto the dispatch error

@@ -123,6 +123,7 @@ type Handles struct {
 	BusFree    petri.PlaceID
 	Completion []petri.TransID // transitions whose combined throughput is the request rate
 	BusServe   []petri.TransID // bus transactions (occupancy = utilization)
+	BusQueue   []petri.PlaceID // requests waiting for the bus (marking / serve rate = wait)
 }
 
 // Build constructs the lumped (symmetric-customer) net for cfg.
@@ -149,6 +150,7 @@ func Build(cfg Config) (*petri.Net, Handles, error) {
 	busFree := n.AddPlace("bus-free", 1)
 	supply := n.AddPlace("supply", 0)
 	h.Think, h.BusFree = think, busFree
+	h.BusQueue = []petri.PlaceID{qBc, qRr}
 
 	// Optional memory-module pool: word writes take one token for d_mem
 	// past the bus cycle; block write-backs take the whole pool.
@@ -282,6 +284,7 @@ func BuildPerProcessor(cfg Config) (*petri.Net, Handles, error) {
 		qBc := n.AddPlace(pfx+"bus-queue-bc", 0)
 		qRr := n.AddPlace(pfx+"bus-queue-rr", 0)
 		supply := n.AddPlace(pfx+"supply", 0)
+		h.BusQueue = append(h.BusQueue, qBc, qRr)
 		if i == 0 {
 			h.Think = think
 		}
@@ -352,6 +355,7 @@ type Result struct {
 	R       float64 // mean time between memory requests per processor
 	Speedup float64
 	UBus    float64
+	WBus    float64 // mean bus wait per bus request, by Little's law
 }
 
 // String renders the headline metrics.
@@ -388,9 +392,13 @@ func SolveContext(ctx context.Context, cfg Config, opts petri.Options) (Result, 
 	if x <= 0 {
 		return Result{}, fmt.Errorf("gtpnmodel: zero completion rate")
 	}
-	var uBus float64
+	var uBus, xBus, qBus float64
 	for _, t := range h.BusServe {
 		uBus += ar.TimeAvgInFlight[t]
+		xBus += ar.Throughput[t]
+	}
+	for _, p := range h.BusQueue {
+		qBus += ar.TimeAvgMarking[p]
 	}
 	res := Result{
 		N:       cfg.N,
@@ -399,6 +407,9 @@ func SolveContext(ctx context.Context, cfg Config, opts petri.Options) (Result, 
 		R:       float64(cfg.N) / x,
 		UBus:    uBus,
 		Speedup: x * (d.Params.Tau + d.Timing.TSupply),
+	}
+	if xBus > 0 {
+		res.WBus = qBus / xBus
 	}
 	return res, nil
 }

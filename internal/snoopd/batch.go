@@ -33,11 +33,11 @@ type BatchRequest struct {
 // which appear per point (code "overloaded"/"rate_limited"/"draining"
 // with retry_after_ms) so one congested point never poisons the batch.
 type BatchRecord struct {
-	Seq       uint64             `json:"seq"`
-	Result    *ResultJSON        `json:"result,omitempty"`
-	SolveBest *SolveBestResponse `json:"solvebest,omitempty"`
-	Sweep     []ResultJSON       `json:"sweep,omitempty"`
-	Error     *ErrorResponse     `json:"error,omitempty"`
+	Seq       uint64         `json:"seq"`
+	Result    *ResultJSON    `json:"result,omitempty"`
+	SolveBest *ResultJSON    `json:"solvebest,omitempty"`
+	Sweep     []ResultJSON   `json:"sweep,omitempty"`
+	Error     *ErrorResponse `json:"error,omitempty"`
 }
 
 // kind reports which arm the item carries and that arm's timeout_ms —
@@ -79,13 +79,13 @@ func (oc *outcome) record(seq uint64) *BatchRecord {
 	case oc.err != nil:
 		_, e, _ := failure(oc.err)
 		rec.Error = &e
-	case oc.kind == opSolveBest:
-		best := oc.best
-		rec.SolveBest = &best
 	case oc.kind == opSweep:
 		rec.Sweep = oc.sweep
-	default:
+	case oc.kind == opSolveBest:
 		res := oc.res // a copy, so the record does not pin the whole outcome
+		rec.SolveBest = &res
+	default:
+		res := oc.res
 		rec.Result = &res
 	}
 	return rec

@@ -57,11 +57,10 @@ const (
 var opScale = [...]int{opInvalid: 1, opSolve: 1, opSolveBest: 4, opSweep: 8, opCompare: 8}
 
 // outcome is one executed op in native snoopmva values: unless err is
-// set, the field matching kind holds the answer.
+// set, sweep holds a sweep's answers and res any other op's.
 type outcome struct {
 	kind  opKind
 	res   snoopmva.Result
-	best  snoopmva.BestResult
 	sweep []snoopmva.Result
 	err   error
 }
@@ -76,7 +75,7 @@ func (s *Server) exec(ctx context.Context, it *BatchItem) outcome {
 	case opSolve:
 		oc.res, oc.err = s.solveCore(ctx, it.Solve)
 	case opSolveBest:
-		oc.best, oc.err = s.solveBestCore(ctx, it.SolveBest)
+		oc.res, oc.err = s.solveBestCore(ctx, it.SolveBest)
 	case opSweep:
 		oc.sweep, oc.err = s.sweepCore(ctx, it.Sweep)
 	}
@@ -196,14 +195,14 @@ func (s *Server) solveCore(parent context.Context, req *SolveRequest) (snoopmva.
 // this budget beats any degradation; otherwise the expensive GTPN/sim
 // stages are shed and the microsecond MVA solve answers, tagged
 // Degraded. A budget that was already MVA-only is served untouched.
-func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (snoopmva.BestResult, error) {
+func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (snoopmva.Result, error) {
 	p, wl, err := resolve(req.Protocol, req.Workload)
 	if err != nil {
-		return snoopmva.BestResult{}, err
+		return snoopmva.Result{}, err
 	}
 	ctx, cancel, err := s.coreContext(parent, req.TimeoutMS)
 	if err != nil {
-		return snoopmva.BestResult{}, err
+		return snoopmva.Result{}, err
 	}
 	defer cancel()
 	b := resolveBudget(req.Budget)
@@ -221,7 +220,7 @@ func (s *Server) solveBestCore(parent context.Context, req *SolveBestRequest) (s
 	}
 	best, err := s.solver.SolveBest(ctx, p, wl, req.N, b)
 	if err != nil {
-		return snoopmva.BestResult{}, err
+		return snoopmva.Result{}, err
 	}
 	if brownedOut {
 		best.Degraded = true

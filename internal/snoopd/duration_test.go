@@ -79,7 +79,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("json solvebest: status %d: %s", rec.Code, rec.Body.String())
 		}
-		var jr SolveBestResponse
+		var jr ResultJSON
 		if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestHugeMillisecondTimeoutsDoNotWrap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wire solvebest: %v", err)
 		}
-		if wr.Method != snoopmva.MethodGTPN || wr.Degraded {
+		if wr.Result.Method != snoopmva.MethodGTPN || wr.Result.Degraded {
 			t.Fatalf("wire solvebest degraded: %+v", wr)
 		}
 	})

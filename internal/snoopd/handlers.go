@@ -105,7 +105,8 @@ type TimingSpec = snoopmva.Timing
 // OptionsSpec is snoopmva.Options; omit for the paper's scheme.
 type OptionsSpec = snoopmva.Options
 
-// ResultJSON is snoopmva.Result, whose tags are the result body schema.
+// ResultJSON is snoopmva.Result, whose tags are the schema of every
+// answer: the /v1/solve result, the /v1/solvebest body, each sweep entry.
 type ResultJSON = snoopmva.Result
 
 // orZero dereferences an optional request arm; absent means the zero
@@ -121,10 +122,6 @@ func orZero[T any](p *T) (v T) {
 type SolveResponse struct {
 	Result ResultJSON `json:"result"`
 }
-
-// SolveBestResponse is the body of a successful POST /v1/solvebest:
-// snoopmva.BestResult, whose tags are the answer's schema.
-type SolveBestResponse = snoopmva.BestResult
 
 // SweepResponse is the body of a successful POST /v1/sweep; results are
 // in request order.

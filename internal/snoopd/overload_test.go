@@ -349,7 +349,7 @@ func TestBrownoutDegradesSolveBest(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("browned-out cache hit: %d %s", w.Code, w.Body.String())
 	}
-	var resp SolveBestResponse
+	var resp ResultJSON
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestBrownoutDegradesSolveBest(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("browned-out solvebest: %d %s", w.Code, w.Body.String())
 	}
-	resp = SolveBestResponse{}
+	resp = ResultJSON{}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestBrownoutDegradesSolveBest(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("cold MVA-only solvebest: %d %s", w.Code, w.Body.String())
 	}
-	resp = SolveBestResponse{}
+	resp = ResultJSON{}
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

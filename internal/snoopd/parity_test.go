@@ -36,7 +36,7 @@ func singleAsRecord(t *testing.T, s *Server, path, body string) BatchRecord {
 		err = json.Unmarshal(rec.Body.Bytes(), &r)
 		out.Result = &r.Result
 	case "/v1/solvebest":
-		var r SolveBestResponse
+		var r ResultJSON
 		err = json.Unmarshal(rec.Body.Bytes(), &r)
 		out.SolveBest = &r
 	case "/v1/sweep":

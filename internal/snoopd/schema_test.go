@@ -12,7 +12,15 @@ import (
 func TestJSONSchemaBytes(t *testing.T) {
 	// Every workload field carries a distinct value so a swapped tag shows.
 	level := 5
-	best := SolveBestResponse{Method: "mva", N: 10, Speedup: 7.5, R: 4.25, BusUtilization: 0.875}
+	best := ResultJSON{Method: "mva", N: 10, Speedup: 7.5, ProcessingPower: 6.5, R: 4.25, BusUtilization: 0.875,
+		BusWait: 1.5, MemUtilization: 0.125, MemWait: 0.375, Iterations: 9}
+	observed := &WorkloadParams{
+		Tau: 2.5, PPrivate: 0.75, PSro: 0.125, PSw: 0.125,
+		HPrivate: 0.95, HSro: 0.94, HSw: 0.93,
+		RPrivate: 0.7, RSw: 0.6, AmodPrivate: 0.5, AmodSw: 0.4,
+		CsupplySro: 0.3, CsupplySw: 0.2, WbCsupply: 0.1,
+		RepP: 0.15, RepSw: 0.25, FixedParams: true,
+	}
 	one := ResultJSON{N: 8, Speedup: 6.25, ProcessingPower: 5.5, R: 3.75, BusUtilization: 0.625,
 		BusWait: 0.125, MemUtilization: 0.25, MemWait: 0.0625, Iterations: 12}
 	cases := []struct {
@@ -57,12 +65,16 @@ func TestJSONSchemaBytes(t *testing.T) {
 			v: BatchRecord{Seq: 3, Result: &one}},
 		{name: "batch record, sweep arm", want: `{"seq":4,"sweep":[{"n":8,"speedup":6.25,"processing_power":5.5,"r":3.75,"bus_utilization":0.625,"bus_wait":0.125,"mem_utilization":0.25,"mem_wait":0.0625,"iterations":12},{"n":0,"speedup":0,"processing_power":0,"r":0,"bus_utilization":0,"bus_wait":0,"mem_utilization":0,"mem_wait":0,"iterations":0}]}`,
 			v: BatchRecord{Seq: 4, Sweep: []ResultJSON{one, {}}}},
-		{name: "solvebest, clean MVA answer", want: `{"method":"mva","n":10,"speedup":7.5,"r":4.25,"bus_utilization":0.875}`,
+		{name: "solvebest, clean MVA answer", want: `{"method":"mva","n":10,"speedup":7.5,"processing_power":6.5,"r":4.25,"bus_utilization":0.875,"bus_wait":1.5,"mem_utilization":0.125,"mem_wait":0.375,"iterations":9}`,
 			v: best},
-		{name: "solvebest, degraded simulation answer", want: `{"method":"simulation","degraded":true,"fallback_reason":"gtpn: state explosion","n":4,"speedup":3.25,"r":4.5,"bus_utilization":0.5}`,
-			v: SolveBestResponse{Method: "simulation", Degraded: true, FallbackReason: "gtpn: state explosion",
-				N: 4, Speedup: 3.25, R: 4.5, BusUtilization: 0.5}},
-		{name: "batch record, solvebest arm", want: `{"seq":5,"solvebest":{"method":"mva","n":10,"speedup":7.5,"r":4.25,"bus_utilization":0.875}}`,
+		{name: "solvebest, GTPN answer", want: `{"method":"gtpn","n":3,"speedup":2.75,"processing_power":2.5,"r":4.75,"bus_utilization":0.375,"bus_wait":0.25,"mem_utilization":0,"mem_wait":0,"iterations":0,"states":27}`,
+			v: ResultJSON{Method: "gtpn", N: 3, Speedup: 2.75, ProcessingPower: 2.5, R: 4.75, BusUtilization: 0.375,
+				BusWait: 0.25, States: 27}},
+		{name: "solvebest, degraded simulation answer", want: `{"method":"simulation","degraded":true,"fallback_reason":"gtpn: state explosion","n":4,"speedup":3.25,"processing_power":3,"r":4.5,"bus_utilization":0.5,"bus_wait":0.75,"mem_utilization":0.0625,"mem_wait":0,"iterations":0,"speedup_low":3.125,"speedup_high":3.375,"observed":{"tau":2.5,"p_private":0.75,"p_sro":0.125,"p_sw":0.125,"h_private":0.95,"h_sro":0.94,"h_sw":0.93,"r_private":0.7,"r_sw":0.6,"amod_private":0.5,"amod_sw":0.4,"csupply_sro":0.3,"csupply_sw":0.2,"wb_csupply":0.1,"rep_p":0.15,"rep_sw":0.25,"fixed_params":true}}`,
+			v: ResultJSON{Method: "simulation", Degraded: true, FallbackReason: "gtpn: state explosion",
+				N: 4, Speedup: 3.25, ProcessingPower: 3, R: 4.5, BusUtilization: 0.5, BusWait: 0.75,
+				MemUtilization: 0.0625, SpeedupLow: 3.125, SpeedupHigh: 3.375, Observed: observed}},
+		{name: "batch record, solvebest arm", want: `{"seq":5,"solvebest":{"method":"mva","n":10,"speedup":7.5,"processing_power":6.5,"r":4.25,"bus_utilization":0.875,"bus_wait":1.5,"mem_utilization":0.125,"mem_wait":0.375,"iterations":9}}`,
 			v: BatchRecord{Seq: 5, SolveBest: &best}},
 	}
 	for _, c := range cases {

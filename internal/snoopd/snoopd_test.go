@@ -456,7 +456,7 @@ func TestSolveBestSuccessMatchesLibrary(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
 	}
-	var resp SolveBestResponse
+	var resp ResultJSON
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -465,9 +465,8 @@ func TestSolveBestSuccessMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Method != want.Method || resp.N != want.N ||
-		resp.Speedup != want.Speedup || resp.R != want.R || resp.BusUtilization != want.BusUtilization {
-		t.Fatalf("served BestResult diverges from library: got %+v want %+v", resp, want)
+	if resp != want {
+		t.Fatalf("served answer diverges from library: got %+v want %+v", resp, want)
 	}
 	if resp.Method != snoopmva.MethodMVA || resp.Degraded {
 		t.Fatalf("MVA-only budget should land on a non-degraded mva result: %+v", resp)

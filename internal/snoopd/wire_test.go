@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -51,14 +52,38 @@ func wireClient(t *testing.T, addr string) *wire.Client {
 // bit-identical results across transports, not approximate ones.
 func f64eq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// sameBits reports whether a and b agree in every field, floats by their
+// bits (f64eq) and pointers by what they point to, so a field added to
+// the answer record is compared without editing this suite.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return f64eq(a.Float(), b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameBits(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}
+
 // appendixA is the workload spec of an Appendix A sharing level.
 func appendixA(level int) wire.WorkloadSpec { return wire.WorkloadSpec{AppendixA: &level} }
 
 // eqCase is one request, sent over both transports.
 type eqCase struct {
-	name string
-	json string // JSON request body
-	path string // JSON endpoint
+	name   string
+	json   string          // JSON request body
+	path   string          // JSON endpoint
+	method snoopmva.Method // the rung a solvebest case must land on ("" for any)
 }
 
 // wireRequest strictly decodes a JSON request body into the request
@@ -112,6 +137,19 @@ func equivalenceCases(t *testing.T) []eqCase {
 			path: "/v1/solvebest",
 		},
 		{
+			name:   "solvebest gtpn rung",
+			json:   `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 5}, "n": 3}`,
+			path:   "/v1/solvebest",
+			method: snoopmva.MethodGTPN,
+		},
+		{
+			name: "solvebest simulator rung",
+			json: `{"protocol": {"name": "Write-Once"}, "workload": {"appendix_a": 5}, "n": 4,
+				"budget": {"max_states": -1, "sim_cycles": 20000, "seed": 11}}`,
+			path:   "/v1/solvebest",
+			method: snoopmva.MethodSimulation,
+		},
+		{
 			name: "sweep serial",
 			json: `{"protocol": {"name": "Illinois"}, "workload": {"appendix_a": 20}, "ns": [1, 2, 4, 8]}`,
 			path: "/v1/sweep",
@@ -137,11 +175,7 @@ func TestWireJSONEquivalenceResults(t *testing.T) {
 
 	compareResult := func(t *testing.T, j ResultJSON, w wire.Result) {
 		t.Helper()
-		if j.N != w.N || j.Iterations != w.Iterations ||
-			!f64eq(j.Speedup, w.Speedup) || !f64eq(j.ProcessingPower, w.ProcessingPower) ||
-			!f64eq(j.R, w.R) || !f64eq(j.BusUtilization, w.BusUtilization) ||
-			!f64eq(j.BusWait, w.BusWait) || !f64eq(j.MemUtilization, w.MemUtilization) ||
-			!f64eq(j.MemWait, w.MemWait) {
+		if !sameBits(reflect.ValueOf(j), reflect.ValueOf(w)) {
 			t.Fatalf("results diverge across transports:\n json %+v\n wire %+v", j, w)
 		}
 	}
@@ -164,20 +198,18 @@ func TestWireJSONEquivalenceResults(t *testing.T) {
 				}
 				compareResult(t, jr.Result, wr.Result)
 			case *wire.SolveBestRequest:
-				var jr SolveBestResponse
+				var jr ResultJSON
 				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
 					t.Fatal(err)
+				}
+				if tc.method != "" && jr.Method != tc.method {
+					t.Fatalf("answered by %q, want the %q rung", jr.Method, tc.method)
 				}
 				wr, err := c.SolveBest(ctx, req)
 				if err != nil {
 					t.Fatalf("wire solvebest: %v", err)
 				}
-				if jr.Method != wr.Method || jr.Degraded != wr.Degraded ||
-					jr.FallbackReason != wr.FallbackReason || jr.N != wr.N ||
-					!f64eq(jr.Speedup, wr.Speedup) || !f64eq(jr.R, wr.R) ||
-					!f64eq(jr.BusUtilization, wr.BusUtilization) {
-					t.Fatalf("solvebest diverges:\n json %+v\n wire %+v", jr, wr)
-				}
+				compareResult(t, jr, wr.Result)
 			case *wire.SweepRequest:
 				var jr SweepResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
@@ -427,19 +459,24 @@ func TestWireHandshakeNegotiation(t *testing.T) {
 		}
 	})
 
-	t.Run("frame version skew", func(t *testing.T) {
-		conn := dial(t)
-		hello := wire.AppendFrame(nil, wire.TypeHello, wire.AppendHello(nil, &wire.Hello{
-			MinVersion: 2, MaxVersion: 2,
-		}))
-		hello[2] = 2 // frame-level version byte the server does not speak
-		if _, err := conn.Write(hello); err != nil {
-			t.Fatal(err)
-		}
-		if ack := readAck(t, conn); ack.Version != 0 {
-			t.Fatalf("ack version = %d, want 0", ack.Version)
-		}
-	})
+	// A future peer, and a version-1 peer (whose narrower response
+	// payloads this server no longer writes), both get "no common
+	// version", which sends a WireTransport back to HTTP.
+	for name, v := range map[string]uint32{"frame version skew": wire.Version + 1, "version 1 peer": 1} {
+		t.Run(name, func(t *testing.T) {
+			conn := dial(t)
+			hello := wire.AppendFrame(nil, wire.TypeHello, wire.AppendHello(nil, &wire.Hello{
+				MinVersion: v, MaxVersion: v,
+			}))
+			hello[2] = byte(v) // frame-level version byte the server does not speak
+			if _, err := conn.Write(hello); err != nil {
+				t.Fatal(err)
+			}
+			if ack := readAck(t, conn); ack.Version != 0 {
+				t.Fatalf("ack version = %d, want 0", ack.Version)
+			}
+		})
+	}
 
 	t.Run("not a hello", func(t *testing.T) {
 		conn := dial(t)

@@ -282,11 +282,12 @@ func (wc *wireConn) writeOutcome(scratch []byte, seq uint64, oc outcome) []byte 
 		} else {
 			typ, scratch = wire.TypeError, wire.AppendError(scratch[:0], &wire.ErrorMsg{Seq: seq, Code: e.Code, Msg: e.Error})
 		}
-	case oc.kind == opSolveBest:
-		typ, scratch = wire.TypeSolveBestResp, wire.AppendSolveBestResponse(scratch[:0], &wire.SolveBestResponse{Seq: seq, BestResult: oc.best})
 	case oc.kind == opSweep:
 		typ, scratch = wire.TypeSweepResp, wire.AppendSweepResponse(scratch[:0], &wire.SweepResponse{Seq: seq, Results: oc.sweep})
 	default:
+		if oc.kind == opSolveBest {
+			typ = wire.TypeSolveBestResp
+		}
 		scratch = wire.AppendSolveResponse(scratch[:0], &wire.SolveResponse{Seq: seq, Result: oc.res})
 	}
 	wc.write(typ, scratch)

@@ -6,7 +6,7 @@
 // design-space churn.
 //
 // The package stores opaque values (the root package caches both MVA
-// Results and SolveBest BestResults through one cache); correctness against
+// and SolveBest answers through one cache); correctness against
 // fingerprint collisions does not rest on the 64-bit FNV hash: the hash
 // only selects the shard, while map lookup compares the entire canonical
 // key encoding, so two inputs that collide in FNV still occupy distinct

@@ -270,8 +270,8 @@ func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveB
 }
 
 // SolveBest round-trips a solvebest request under a sequence id the
-// client assigns.
-func (c *Client) SolveBest(ctx context.Context, req *SolveBestRequest) (SolveBestResponse, error) {
+// client assigns; the answer arrives as a TypeSolveBestResp frame.
+func (c *Client) SolveBest(ctx context.Context, req *SolveBestRequest) (SolveResponse, error) {
 	res, err := c.roundTrip(ctx, func(seq uint64) []byte {
 		return AppendFrame(nil, TypeSolveBestReq, AppendSolveBestRequest(nil, seq, req))
 	})
@@ -279,9 +279,9 @@ func (c *Client) SolveBest(ctx context.Context, req *SolveBestRequest) (SolveBes
 		err = unexpectedType(res, TypeSolveBestResp)
 	}
 	if err != nil {
-		return SolveBestResponse{}, err
+		return SolveResponse{}, err
 	}
-	return DecodeSolveBestResponse(res.payload)
+	return DecodeSolveResponse(res.payload)
 }
 
 // Sweep round-trips a sweep request under a sequence id the client

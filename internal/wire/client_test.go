@@ -105,7 +105,7 @@ func solveReq(n int) *SolveRequest {
 }
 
 func TestClientRoundTripAndPipelining(t *testing.T) {
-	srv := newTestServer(t, 1, func(_ int, f Frame) [][]byte {
+	srv := newTestServer(t, Version, func(_ int, f Frame) [][]byte {
 		if f.Type != TypeSolveReq {
 			t.Errorf("unexpected frame %v", f.Type)
 			return nil
@@ -148,7 +148,7 @@ func TestClientRoundTripAndPipelining(t *testing.T) {
 // and the caller must get the second incarnation's answer — without
 // ever seeing the failure.
 func TestClientReconnectWithResend(t *testing.T) {
-	srv := newTestServer(t, 1, func(conn int, f Frame) [][]byte {
+	srv := newTestServer(t, Version, func(conn int, f Frame) [][]byte {
 		if conn == 1 {
 			return nil // kill without answering
 		}
@@ -173,7 +173,7 @@ func TestClientReconnectWithResend(t *testing.T) {
 // that keeps killing the connection, the caller gets an error after
 // RedialAttempts, not a hang.
 func TestClientReconnectExhaustion(t *testing.T) {
-	srv := newTestServer(t, 1, func(int, Frame) [][]byte { return nil })
+	srv := newTestServer(t, Version, func(int, Frame) [][]byte { return nil })
 	c := NewClient(srv.addr(), ClientOptions{RedialAttempts: 2, RedialBackoff: time.Millisecond})
 	defer c.Close()
 	_, err := c.Solve(context.Background(), solveReq(3))
@@ -212,7 +212,7 @@ func TestClientVersionMismatchLatches(t *testing.T) {
 // leaving the connection healthy for later calls.
 func TestClientErrorAndBackpressureFrames(t *testing.T) {
 	var mode atomic.Int32 // 0: error, 1: backpressure, 2: echo
-	srv := newTestServer(t, 1, func(_ int, f Frame) [][]byte {
+	srv := newTestServer(t, Version, func(_ int, f Frame) [][]byte {
 		seq, _ := PeekSeq(f.Payload)
 		switch mode.Load() {
 		case 0:
@@ -260,7 +260,7 @@ func TestClientContextCancel(t *testing.T) {
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(block) }) }
 	t.Cleanup(unblock)
-	srv := newTestServer(t, 1, func(_ int, f Frame) [][]byte {
+	srv := newTestServer(t, Version, func(_ int, f Frame) [][]byte {
 		<-block
 		return echoSolve(f.Payload)
 	})
@@ -300,7 +300,7 @@ func TestClientRecoveryDoesNotBlockCancel(t *testing.T) {
 	killed := make(chan struct{})
 	var once sync.Once
 	var srv *testServer
-	srv = newTestServer(t, 1, func(int, Frame) [][]byte {
+	srv = newTestServer(t, Version, func(int, Frame) [][]byte {
 		_ = srv.ln.Close() // every redial now lands on a dead address
 		once.Do(func() { close(killed) })
 		return nil // kill the connection without answering
@@ -350,7 +350,7 @@ func TestClientRecoveryDoesNotBlockCancel(t *testing.T) {
 func TestClientClose(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	srv := newTestServer(t, 1, func(_ int, f Frame) [][]byte {
+	srv := newTestServer(t, Version, func(_ int, f Frame) [][]byte {
 		<-block
 		return echoSolve(f.Payload)
 	})
@@ -416,7 +416,7 @@ func TestClientServerSentGarbage(t *testing.T) {
 				if f, err := r.Next(); err != nil || f.Type != TypeHello {
 					return
 				}
-				_, _ = conn.Write(AppendFrame(nil, TypeHelloAck, AppendHelloAck(nil, &HelloAck{Version: 1})))
+				_, _ = conn.Write(AppendFrame(nil, TypeHelloAck, AppendHelloAck(nil, &HelloAck{Version: Version})))
 				if _, err := r.Next(); err != nil {
 					return
 				}

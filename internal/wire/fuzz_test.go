@@ -109,7 +109,7 @@ func FuzzBatchRequest(f *testing.F) {
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt, uint8(2))
 	skew := append([]byte(nil), batch...)
-	skew[2] = 2 // version byte of the first frame
+	skew[2] = Version + 1 // version byte of the first frame
 	f.Add(skew, uint8(4))
 
 	type step struct {
@@ -246,6 +246,78 @@ func FuzzRequestJSONWire(f *testing.F) {
 		}
 		if !ok {
 			return
+		}
+		if got, want := encodeMessage(typ, back), encodeMessage(typ, m); !bytes.Equal(got, want) {
+			t.Fatalf("%v: JSON trip changed the encoding\n got %x\nwant %x", typ, got, want)
+		}
+	})
+}
+
+// resultTrip sends *r through json.Marshal and a strict JSON decode, in
+// place. ok is false when JSON cannot carry the result: a NaN or infinite
+// float has no JSON spelling, a negative zero under omitempty comes back
+// as +0, and a string that is not valid UTF-8 comes back with
+// replacement characters.
+func resultTrip(t *testing.T, r *Result) (ok bool) {
+	for _, v := range []float64{r.SpeedupLow, r.SpeedupHigh} {
+		if v == 0 && math.Signbit(v) {
+			return false
+		}
+	}
+	if !utf8.ValidString(string(r.Method)) || !utf8.ValidString(r.FallbackReason) {
+		return false
+	}
+	body, err := json.Marshal(r)
+	var unsupported *json.UnsupportedValueError
+	if errors.As(err, &unsupported) {
+		return false
+	}
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var back Result
+	if err := dec.Decode(&back); err != nil {
+		t.Fatalf("strict decode of %s: %v", body, err)
+	}
+	*r = back
+	return true
+}
+
+// FuzzResultJSONWire pins that the one answer record loses nothing on
+// either codec: any response payload that decodes, and whose results
+// JSON can carry, encodes to the same bytes after each result goes
+// through json.Marshal and a strict JSON decode as it does re-encoded
+// directly (the reference, as in FuzzRequestJSONWire).
+func FuzzResultJSONWire(f *testing.F) {
+	respTypes := []FrameType{TypeSolveResp, TypeSolveBestResp, TypeSweepResp}
+	samples := sampleMessages()
+	for i, typ := range respTypes {
+		f.Add(uint8(i), encodeMessage(typ, samples[typ]))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, payload []byte) {
+		typ := respTypes[int(kind)%len(respTypes)]
+		m, err := decodeMessage(typ, payload)
+		if err != nil {
+			return
+		}
+		var back any
+		switch v := m.(type) {
+		case *SolveResponse:
+			r := *v
+			if !resultTrip(t, &r.Result) {
+				return
+			}
+			back = &r
+		case *SweepResponse:
+			r := SweepResponse{Seq: v.Seq, Results: slices.Clone(v.Results)}
+			for i := range r.Results {
+				if !resultTrip(t, &r.Results[i]) {
+					return
+				}
+			}
+			back = &r
 		}
 		if got, want := encodeMessage(typ, back), encodeMessage(typ, m); !bytes.Equal(got, want) {
 			t.Fatalf("%v: JSON trip changed the encoding\n got %x\nwant %x", typ, got, want)

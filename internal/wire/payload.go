@@ -7,7 +7,7 @@ import (
 	"snoopmva"
 )
 
-// The payload schemas of protocol version 1. Every message begins with
+// The payload schemas of protocol version 2. Every message begins with
 // the request's sequence id, so responses (which arrive in completion
 // order, not request order) can be matched without decoding the rest —
 // PeekSeq is that fast path.
@@ -18,8 +18,9 @@ import (
 // presence byte for each optional pointer and a kind byte for the
 // workload arm that is set. The sequence id is a transport field:
 // Append*Request takes it and Decode*Request returns it. Workload,
-// Timing, Options, Result and BestResult are the root package's types,
-// encoded field by field. The equivalence suite drives identical
+// Timing, Options and Result are the root package's types, encoded field
+// by field; every response carries the whole Result, one encoder and one
+// decoder for all three. The equivalence suite drives identical
 // requests through both transports and asserts bitwise-equal answers.
 
 // ProtocolSpec names a protocol either by preset name (case-insensitive:
@@ -61,7 +62,7 @@ type BudgetSpec struct {
 	Seed          uint64 `json:"seed,omitempty"`
 }
 
-// Result is the MVA result, encoded field by field.
+// Result is the answer record of every model, encoded field by field.
 type Result = snoopmva.Result
 
 // SolveRequest is the body of POST /v1/solve and the payload of
@@ -75,7 +76,7 @@ type SolveRequest struct {
 	TimeoutMS int64             `json:"timeout_ms,omitempty"`
 }
 
-// SolveResponse is the payload of TypeSolveResp.
+// SolveResponse is the payload of TypeSolveResp and TypeSolveBestResp.
 type SolveResponse struct {
 	Seq    uint64
 	Result Result
@@ -91,12 +92,6 @@ type SolveBestRequest struct {
 	N         int          `json:"n"`
 	Budget    *BudgetSpec  `json:"budget,omitempty"`
 	TimeoutMS int64        `json:"timeout_ms,omitempty"`
-}
-
-// SolveBestResponse is the payload of TypeSolveBestResp.
-type SolveBestResponse struct {
-	Seq uint64
-	snoopmva.BestResult
 }
 
 // SweepRequest is the body of POST /v1/sweep and the payload of
@@ -207,18 +202,22 @@ func appendWorkload(dst []byte, w WorkloadSpec) []byte {
 	case w.Stress:
 		return append(dst, kindStress)
 	case w.Params != nil:
-		dst = append(dst, kindParams)
-		f := w.Params
-		for _, v := range [...]float64{
-			f.Tau, f.PPrivate, f.PSro, f.PSw, f.HPrivate, f.HSro, f.HSw,
-			f.RPrivate, f.RSw, f.AmodPrivate, f.AmodSw, f.CsupplySro,
-			f.CsupplySw, f.WbCsupply, f.RepP, f.RepSw,
-		} {
-			dst = appendFloat(dst, v)
-		}
-		return appendBool(dst, f.FixedParams)
+		return appendParams(append(dst, kindParams), w.Params)
 	}
 	return append(dst, kindAppendixA, 0) // the zero spec: appendix level 0
+}
+
+// appendParams encodes a spelled-out workload: the params arm of a
+// workload spec, and a result's observed workload.
+func appendParams(dst []byte, f *snoopmva.Workload) []byte {
+	for _, v := range [...]float64{
+		f.Tau, f.PPrivate, f.PSro, f.PSw, f.HPrivate, f.HSro, f.HSw,
+		f.RPrivate, f.RSw, f.AmodPrivate, f.AmodSw, f.CsupplySro,
+		f.CsupplySw, f.WbCsupply, f.RepP, f.RepSw,
+	} {
+		dst = appendFloat(dst, v)
+	}
+	return appendBool(dst, f.FixedParams)
 }
 
 func appendTiming(dst []byte, t *snoopmva.Timing) []byte {
@@ -261,7 +260,10 @@ func appendBudget(dst []byte, b *BudgetSpec) []byte {
 	return binary.AppendUvarint(dst, b.Seed)
 }
 
-func appendResult(dst []byte, r Result) []byte {
+func appendResult(dst []byte, r *Result) []byte {
+	dst = appendString(dst, string(r.Method))
+	dst = appendBool(dst, r.Degraded)
+	dst = appendString(dst, r.FallbackReason)
 	dst = binary.AppendVarint(dst, int64(r.N))
 	dst = appendFloat(dst, r.Speedup)
 	dst = appendFloat(dst, r.ProcessingPower)
@@ -270,7 +272,15 @@ func appendResult(dst []byte, r Result) []byte {
 	dst = appendFloat(dst, r.BusWait)
 	dst = appendFloat(dst, r.MemUtilization)
 	dst = appendFloat(dst, r.MemWait)
-	return binary.AppendVarint(dst, int64(r.Iterations))
+	dst = binary.AppendVarint(dst, int64(r.Iterations))
+	dst = binary.AppendVarint(dst, int64(r.States))
+	dst = appendFloat(dst, r.SpeedupLow)
+	dst = appendFloat(dst, r.SpeedupHigh)
+	dst = appendBool(dst, r.Observed != nil)
+	if r.Observed == nil {
+		return dst
+	}
+	return appendParams(dst, r.Observed)
 }
 
 // AppendSolveRequest appends the payload encoding of m under sequence
@@ -288,7 +298,7 @@ func AppendSolveRequest(dst []byte, seq uint64, m *SolveRequest) []byte {
 // AppendSolveResponse appends m's payload encoding to dst.
 func AppendSolveResponse(dst []byte, m *SolveResponse) []byte {
 	dst = binary.AppendUvarint(dst, m.Seq)
-	return appendResult(dst, m.Result)
+	return appendResult(dst, &m.Result)
 }
 
 // AppendSolveBestRequest appends the payload encoding of m under
@@ -300,18 +310,6 @@ func AppendSolveBestRequest(dst []byte, seq uint64, m *SolveBestRequest) []byte 
 	dst = binary.AppendVarint(dst, int64(m.N))
 	dst = appendBudget(dst, m.Budget)
 	return binary.AppendVarint(dst, m.TimeoutMS)
-}
-
-// AppendSolveBestResponse appends m's payload encoding to dst.
-func AppendSolveBestResponse(dst []byte, m *SolveBestResponse) []byte {
-	dst = binary.AppendUvarint(dst, m.Seq)
-	dst = appendString(dst, string(m.Method))
-	dst = appendBool(dst, m.Degraded)
-	dst = appendString(dst, m.FallbackReason)
-	dst = binary.AppendVarint(dst, int64(m.N))
-	dst = appendFloat(dst, m.Speedup)
-	dst = appendFloat(dst, m.R)
-	return appendFloat(dst, m.BusUtilization)
 }
 
 // AppendSweepRequest appends the payload encoding of m under sequence
@@ -333,7 +331,7 @@ func AppendSweepResponse(dst []byte, m *SweepResponse) []byte {
 	dst = binary.AppendUvarint(dst, m.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Results)))
 	for i := range m.Results {
-		dst = appendResult(dst, m.Results[i])
+		dst = appendResult(dst, &m.Results[i])
 	}
 	return dst
 }
@@ -547,20 +545,25 @@ func (d *dec) workload() WorkloadSpec {
 	case kindStress:
 		w.Stress = true
 	case kindParams:
-		f := new(snoopmva.Workload)
-		for _, p := range [...]*float64{
-			&f.Tau, &f.PPrivate, &f.PSro, &f.PSw, &f.HPrivate, &f.HSro, &f.HSw,
-			&f.RPrivate, &f.RSw, &f.AmodPrivate, &f.AmodSw, &f.CsupplySro,
-			&f.CsupplySw, &f.WbCsupply, &f.RepP, &f.RepSw,
-		} {
-			*p = d.f64("workload param")
-		}
-		f.FixedParams = d.boolean("workload fixed_params")
-		w.Params = f
+		w.Params = d.params()
 	default:
 		d.fail("payload: workload: unknown kind 0x%02x", kind)
 	}
 	return w
+}
+
+// params decodes what appendParams encodes.
+func (d *dec) params() *snoopmva.Workload {
+	f := new(snoopmva.Workload)
+	for _, p := range [...]*float64{
+		&f.Tau, &f.PPrivate, &f.PSro, &f.PSw, &f.HPrivate, &f.HSro, &f.HSw,
+		&f.RPrivate, &f.RSw, &f.AmodPrivate, &f.AmodSw, &f.CsupplySro,
+		&f.CsupplySw, &f.WbCsupply, &f.RepP, &f.RepSw,
+	} {
+		*p = d.f64("workload param")
+	}
+	f.FixedParams = d.boolean("workload fixed_params")
+	return f
 }
 
 func (d *dec) timing() *snoopmva.Timing {
@@ -608,6 +611,9 @@ func (d *dec) budget() *BudgetSpec {
 
 func (d *dec) result() Result {
 	var r Result
+	r.Method = snoopmva.Method(d.str("method"))
+	r.Degraded = d.boolean("degraded")
+	r.FallbackReason = d.str("fallback_reason")
 	r.N = d.intv("result n")
 	r.Speedup = d.f64("speedup")
 	r.ProcessingPower = d.f64("processing_power")
@@ -617,6 +623,12 @@ func (d *dec) result() Result {
 	r.MemUtilization = d.f64("mem_utilization")
 	r.MemWait = d.f64("mem_wait")
 	r.Iterations = d.intv("iterations")
+	r.States = d.intv("states")
+	r.SpeedupLow = d.f64("speedup_low")
+	r.SpeedupHigh = d.f64("speedup_high")
+	if d.boolean("observed present") {
+		r.Observed = d.params()
+	}
 	return r
 }
 
@@ -634,7 +646,8 @@ func DecodeSolveRequest(payload []byte) (seq uint64, m SolveRequest, err error) 
 	return seq, m, d.finish()
 }
 
-// DecodeSolveResponse decodes a TypeSolveResp payload.
+// DecodeSolveResponse decodes a TypeSolveResp or TypeSolveBestResp
+// payload.
 func DecodeSolveResponse(payload []byte) (SolveResponse, error) {
 	d := dec{b: payload}
 	var m SolveResponse
@@ -654,21 +667,6 @@ func DecodeSolveBestRequest(payload []byte) (seq uint64, m SolveBestRequest, err
 	m.Budget = d.budget()
 	m.TimeoutMS = d.varint("timeout_ms")
 	return seq, m, d.finish()
-}
-
-// DecodeSolveBestResponse decodes a TypeSolveBestResp payload.
-func DecodeSolveBestResponse(payload []byte) (SolveBestResponse, error) {
-	d := dec{b: payload}
-	var m SolveBestResponse
-	m.Seq = d.uvarint("seq")
-	m.Method = snoopmva.Method(d.str("method"))
-	m.Degraded = d.boolean("degraded")
-	m.FallbackReason = d.str("fallback_reason")
-	m.N = d.intv("n")
-	m.Speedup = d.f64("speedup")
-	m.R = d.f64("r")
-	m.BusUtilization = d.f64("bus_utilization")
-	return m, d.finish()
 }
 
 // DecodeSweepRequest decodes a TypeSweepReq payload into its sequence

@@ -5,11 +5,11 @@
 // keepalive, per-connection write backpressure, and
 // reconnect-with-resend.
 //
-// # Frame layout (version 1)
+// # Frame layout (version 2)
 //
 //	offset  size     field
 //	0       2        magic 0x53 0x4E ("SN")
-//	2       1        protocol version (0x01)
+//	2       1        protocol version (0x02)
 //	3       1        frame type
 //	4       1..5     payload length, unsigned LEB128 varint
 //	...     length   payload
@@ -61,12 +61,13 @@ import (
 var Magic = [2]byte{0x53, 0x4E}
 
 // Version is the protocol version this package speaks. MinVersion and
-// MaxVersion bound the handshake negotiation range; they are equal until
-// a second version exists.
+// MaxVersion bound the handshake negotiation range. Version 2 carries the
+// whole Result in every response; version 1's narrower response payloads
+// are not spoken, so a version-1 peer is answered "no common version".
 const (
-	Version    = 1
-	MinVersion = 1
-	MaxVersion = 1
+	Version    = 2
+	MinVersion = 2
+	MaxVersion = 2
 )
 
 // DefaultMaxPayload bounds a frame's payload on both ends unless
@@ -86,7 +87,7 @@ const maxString = 1 << 12
 // FrameType identifies a frame's payload schema.
 type FrameType byte
 
-// The frame types of protocol version 1.
+// The frame types of protocol version 2.
 const (
 	TypeHello         FrameType = 0x01 // client→server: version negotiation offer
 	TypeHelloAck      FrameType = 0x02 // server→client: negotiation result
@@ -97,7 +98,7 @@ const (
 	TypeSolveReq      FrameType = 0x10
 	TypeSolveResp     FrameType = 0x11
 	TypeSolveBestReq  FrameType = 0x12
-	TypeSolveBestResp FrameType = 0x13
+	TypeSolveBestResp FrameType = 0x13 // the solve response payload, for a solvebest request
 	TypeSweepReq      FrameType = 0x14
 	TypeSweepResp     FrameType = 0x15
 )

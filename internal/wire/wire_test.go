@@ -36,8 +36,8 @@ func sampleMessages() map[FrameType]any {
 		RepP: 0.0139, RepSw: 0.0029, FixedParams: true,
 	}
 	return map[FrameType]any{
-		TypeHello:    &Hello{MinVersion: 1, MaxVersion: 1, ClientName: "dispatch"},
-		TypeHelloAck: &HelloAck{Version: 1, ServerName: "snoopd"},
+		TypeHello:    &Hello{MinVersion: MinVersion, MaxVersion: MaxVersion, ClientName: "dispatch"},
+		TypeHelloAck: &HelloAck{Version: Version, ServerName: "snoopd"},
 		TypePing:     &Ping{Seq: 7},
 		TypePong:     &Pong{Seq: 7, Draining: true},
 		TypeError:    &ErrorMsg{Seq: 9, Code: "no_convergence", Msg: "mva: no convergence after 500 iterations"},
@@ -58,7 +58,8 @@ func sampleMessages() map[FrameType]any {
 		TypeSolveResp: &SolveResponse{
 			Seq: 1,
 			Result: Result{
-				N: 12, Speedup: 9.25, ProcessingPower: 0.7708333333333334,
+				Method: snoopmva.MethodMVA,
+				N:      12, Speedup: 9.25, ProcessingPower: 0.7708333333333334,
 				R: 31.77, BusUtilization: 0.62, BusWait: 2.5,
 				MemUtilization: math.Copysign(0, -1), MemWait: 5e-324, Iterations: 17,
 			},
@@ -70,10 +71,12 @@ func sampleMessages() map[FrameType]any {
 			Budget:    &BudgetSpec{MaxStates: 100000, GTPNTimeoutMS: 2000, SimCycles: 1 << 20, SimTimeoutMS: 3000, Seed: 42},
 			TimeoutMS: 60000,
 		}},
-		TypeSolveBestResp: &SolveBestResponse{Seq: 2, BestResult: snoopmva.BestResult{
-			Method: "gtpn", Degraded: true,
-			FallbackReason: "brownout: gtpn/sim stages shed under overload",
-			N:              16, Speedup: 11.5, R: 33.1, BusUtilization: 0.71,
+		TypeSolveBestResp: &SolveResponse{Seq: 2, Result: Result{
+			Method: snoopmva.MethodSimulation, Degraded: true,
+			FallbackReason: "gtpn: state explosion",
+			N:              16, Speedup: 11.5, ProcessingPower: 10.8, R: 33.1,
+			BusUtilization: 0.71, BusWait: 3.25, MemUtilization: 0.2,
+			SpeedupLow: 11.25, SpeedupHigh: 11.75, Observed: fields,
 		}},
 		TypeSweepReq: &seqReq[SweepRequest]{3, SweepRequest{
 			Protocol: ProtocolSpec{Name: "Berkeley"},
@@ -84,8 +87,8 @@ func sampleMessages() map[FrameType]any {
 		TypeSweepResp: &SweepResponse{
 			Seq: 3,
 			Results: []Result{
-				{N: 1, Speedup: 1, ProcessingPower: 1, R: 24.5, Iterations: 2},
-				{N: 2, Speedup: 1.98, ProcessingPower: 0.99, R: 24.7, BusUtilization: 0.11, Iterations: 5},
+				{Method: snoopmva.MethodMVA, N: 1, Speedup: 1, ProcessingPower: 1, R: 24.5, Iterations: 2},
+				{Method: snoopmva.MethodGTPN, N: 2, Speedup: 1.98, ProcessingPower: 0.99, R: 24.7, BusUtilization: 0.11, States: 27},
 			},
 		},
 	}
@@ -112,8 +115,6 @@ func encodeMessage(t FrameType, m any) []byte {
 		return AppendSolveResponse(nil, v)
 	case *seqReq[SolveBestRequest]:
 		return AppendSolveBestRequest(nil, v.seq, &v.req)
-	case *SolveBestResponse:
-		return AppendSolveBestResponse(nil, v)
 	case *seqReq[SweepRequest]:
 		return AppendSweepRequest(nil, v.seq, &v.req)
 	case *SweepResponse:
@@ -147,15 +148,12 @@ func decodeMessage(t FrameType, payload []byte) (any, error) {
 	case TypeSolveReq:
 		seq, m, err := DecodeSolveRequest(payload)
 		return &seqReq[SolveRequest]{seq, m}, err
-	case TypeSolveResp:
+	case TypeSolveResp, TypeSolveBestResp:
 		m, err := DecodeSolveResponse(payload)
 		return &m, err
 	case TypeSolveBestReq:
 		seq, m, err := DecodeSolveBestRequest(payload)
 		return &seqReq[SolveBestRequest]{seq, m}, err
-	case TypeSolveBestResp:
-		m, err := DecodeSolveBestResponse(payload)
-		return &m, err
 	case TypeSweepReq:
 		seq, m, err := DecodeSweepRequest(payload)
 		return &seqReq[SweepRequest]{seq, m}, err

@@ -149,6 +149,16 @@ func (s Sharing) Percent() int {
 // Sharings lists the three paper sharing levels.
 func Sharings() []Sharing { return []Sharing{Sharing1, Sharing5, Sharing20} }
 
+// SharingPercent returns the sharing level of a nominal percentage.
+func SharingPercent(pct int) (Sharing, error) {
+	for _, s := range Sharings() {
+		if s.Percent() == pct {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("sharing must be 1, 5 or 20 (got %d)", pct)
+}
+
 // AppendixA returns the workload parameter values used in the experiments
 // of Section 4, for the given sharing level (Appendix A table).
 func AppendixA(s Sharing) Params {

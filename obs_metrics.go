@@ -33,10 +33,10 @@ var (
 	campaignRuns         = obs.Default.Counter("snoopmva_campaign_runs_total", "Campaign runs finished (successfully or not).")
 )
 
-// recordBestResult feeds one successful SolveBest outcome into the
+// recordSolveBest feeds one successful SolveBest outcome into the
 // metrics: which model produced the numbers, and which stages degraded on
 // the way there.
-func recordBestResult(b BestResult) {
+func recordSolveBest(b Result) {
 	if c, ok := bestByMethod[b.Method]; ok {
 		c.Inc()
 	}

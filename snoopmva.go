@@ -46,16 +46,11 @@ const (
 )
 
 func (s Sharing) internal() (workload.Sharing, error) {
-	switch s {
-	case Sharing1:
-		return workload.Sharing1, nil
-	case Sharing5:
-		return workload.Sharing5, nil
-	case Sharing20:
-		return workload.Sharing20, nil
-	default:
-		return 0, fmt.Errorf("snoopmva: unknown sharing level %d%% (use 1, 5 or 20)", int(s))
+	is, err := workload.SharingPercent(int(s))
+	if err != nil {
+		return 0, fmt.Errorf("snoopmva: %w", err)
 	}
+	return is, nil
 }
 
 // Workload holds the paper's basic workload parameters (Section 2.3).

@@ -2,9 +2,12 @@ package snoopmva
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"snoopmva/internal/protocol"
 )
 
 func TestQuickstartPath(t *testing.T) {
@@ -193,6 +196,47 @@ func TestSolveDetailedAgreesWithSolve(t *testing.T) {
 	}
 }
 
+// SolveDetailedContext reports the net's bus wait by Little's law over
+// its bus-queue places: no wait with one processor, and a wait that
+// grows with every processor added, for every protocol the net models.
+func TestDetailedBusWaitGrowsWithN(t *testing.T) {
+	w := AppendixA(Sharing5)
+	for _, ms := range protocol.AllModSets() {
+		p := Protocol{inner: protocol.Protocol{Mods: ms}}
+		prev := 0.0
+		for n := 1; n <= 6; n++ {
+			g, err := SolveDetailedContext(context.Background(), p, w, n)
+			if err != nil {
+				t.Fatalf("%v N=%d: %v", p, n, err)
+			}
+			if n == 1 && g.BusWait != 0 {
+				t.Errorf("%v N=1: bus wait %v, want exactly 0", p, g.BusWait)
+			}
+			if n > 1 && !(g.BusWait > prev) {
+				t.Errorf("%v N=%d: bus wait %v, want above N=%d's %v", p, n, g.BusWait, n-1, prev)
+			}
+			prev = g.BusWait
+		}
+	}
+}
+
+// The GTPN's answer at the paper's 5% sharing and N=8: its speedup is the
+// one the net has always given, and its bus wait is the term the
+// detailed-vs-MVA comparison splits out (the MVA without cache or memory
+// interference waits 10.92 cycles here).
+func TestDetailedWriteOnceN8(t *testing.T) {
+	g, err := SolveDetailedContext(context.Background(), WriteOnce(), AppendixA(Sharing5), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("speedup %.4f, bus wait %.2f, method %s", g.Speedup, g.BusWait, g.Method); got != "speedup 5.1638, bus wait 9.19, method gtpn" {
+		t.Errorf("got %s, want speedup 5.1638, bus wait 9.19, method gtpn", got)
+	}
+	if pp := 8 * AppendixA(Sharing5).Tau / g.R; g.ProcessingPower != pp {
+		t.Errorf("processing power %v, want N·τ/R = %v", g.ProcessingPower, pp)
+	}
+}
+
 func TestSimulate(t *testing.T) {
 	w := AppendixA(Sharing5)
 	r, err := SimulateContext(context.Background(), Illinois(), w, 6, SimOptions{Seed: 9, MeasureCycles: 60000})
@@ -208,8 +252,18 @@ func TestSimulate(t *testing.T) {
 	if err := r.Observed.Validate(); err != nil {
 		t.Errorf("observed quantities out of range: %v: %+v", err, r.Observed)
 	}
+	if r.Method != MethodSimulation || !(r.BusWait > 0) || !(r.MemUtilization > 0) {
+		t.Errorf("method %q, bus wait %v, memory utilization %v: want a simulation answer with both measured", r.Method, r.BusWait, r.MemUtilization)
+	}
 	if _, err := SimulateContext(context.Background(), WithMods(4), w, 2, SimOptions{}); err == nil {
 		t.Error("invalid protocol accepted")
+	}
+	one, err := SimulateContext(context.Background(), Illinois(), w, 1, SimOptions{Seed: 9, MeasureCycles: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.BusWait != 0 {
+		t.Errorf("N=1: bus wait %v, want exactly 0 (a lone processor never queues)", one.BusWait)
 	}
 }
 
@@ -229,7 +283,7 @@ func TestSimulatedWorkloadSolves(t *testing.T) {
 			t.Errorf("%s: observed workload invalid: %v", p.Name(), err)
 			continue
 		}
-		res, err := SolveWithContext(context.Background(), p, r.Observed, Timing{}, 4, Options{})
+		res, err := SolveWithContext(context.Background(), p, *r.Observed, Timing{}, 4, Options{})
 		if err != nil {
 			t.Errorf("%s: solving the observed workload: %v", p.Name(), err)
 			continue

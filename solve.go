@@ -7,9 +7,25 @@ import (
 	"snoopmva/internal/mva"
 )
 
-// Result holds the MVA model's outputs for one configuration; its JSON
-// form is the snoopd API's result body.
+// Result is the one answer record of the three models: every entry
+// point, transport and campaign journal carries it, and its JSON form is
+// the snoopd API's result body. A model leaves a term zero when it does
+// not model that term: the GTPN net has no memory (MemUtilization,
+// MemWait), the simulator does not count memory wait (MemWait), and only
+// the MVA iterates (Iterations). The provenance and model-extra keys are
+// omitted when empty, so an MVA answer adds only "method" to the nine
+// measures.
 type Result struct {
+	// Method names the model that produced the numbers.
+	Method Method `json:"method,omitempty"`
+	// Degraded is true when SolveBest attempted a higher-fidelity stage
+	// and it failed, so the numbers come from a cheaper model than
+	// requested.
+	Degraded bool `json:"degraded,omitempty"`
+	// FallbackReason records why each abandoned stage failed (empty when
+	// Degraded is false).
+	FallbackReason string `json:"fallback_reason,omitempty"`
+
 	// N is the number of processors solved for.
 	N int `json:"n"`
 	// Speedup is N·(τ+T_supply)/R, the paper's Section 4 metric.
@@ -27,6 +43,21 @@ type Result struct {
 	MemWait        float64 `json:"mem_wait"`
 	// Iterations is the fixed-point iteration count (Section 3.2).
 	Iterations int `json:"iterations"`
+
+	// States is the GTPN reachability-graph size, the quantity that
+	// limits that model to small systems.
+	States int `json:"states,omitempty"`
+	// SpeedupLow and SpeedupHigh bound the simulator's 95% confidence
+	// interval on Speedup.
+	SpeedupLow  float64 `json:"speedup_low,omitempty"`
+	SpeedupHigh float64 `json:"speedup_high,omitempty"`
+	// Observed is the workload the simulator measured, per class: the
+	// stream mix and read ratios it drew and the hit rates, amod,
+	// csupply, wb_csupply and rep that emerged (parameters to the models,
+	// measured outcomes here). FixedParams is set, since measured values
+	// are meant verbatim, so Solve(p, *Observed, n) solves the model on
+	// them.
+	Observed *Workload `json:"observed,omitempty"`
 }
 
 // Options tunes the MVA solution; the zero value iterates the paper's
@@ -99,17 +130,6 @@ func Explain(w io.Writer, p Protocol, wl Workload, n int) (err error) {
 	return mva.Explain(w, m, res)
 }
 
-// DetailedResult holds the GTPN (detailed-model) outputs.
-type DetailedResult struct {
-	N              int
-	Speedup        float64
-	R              float64
-	BusUtilization float64
-	// States is the reachability-graph size — the quantity that limits
-	// this model to small systems.
-	States int
-}
-
 // SimOptions tunes the detailed simulator.
 type SimOptions struct {
 	// Seed fixes the random streams (0 means 1).
@@ -118,25 +138,4 @@ type SimOptions struct {
 	// simulator defaults (30k / 300k), negative warmup means none.
 	WarmupCycles  int64
 	MeasureCycles int64
-}
-
-// SimResult holds the simulator's outputs.
-type SimResult struct {
-	N              int
-	Speedup        float64
-	SpeedupLow     float64 // 95% confidence interval
-	SpeedupHigh    float64
-	R              float64
-	BusUtilization float64
-	MemUtilization float64
-	// Observed is the workload the run measured, per class: the stream
-	// mix and read ratios it drew and the hit rates, amod, csupply,
-	// wb_csupply and rep that emerged (parameters to the models, measured
-	// outcomes here). FixedParams is set, since measured values are meant
-	// verbatim, so Solve(p, Observed, n) solves the model on them.
-	Observed Workload
-	// Per-class response times in cycles (private, shared read-only,
-	// shared-writable): mean and 95th percentile.
-	MeanResponse [3]float64
-	P95Response  [3]float64
 }

@@ -11,7 +11,7 @@ import (
 	"snoopmva/internal/petri"
 )
 
-// Method identifies which model produced a BestResult.
+// Method identifies which model produced a Result.
 type Method string
 
 // The three models, in decreasing fidelity (and decreasing cost to fail).
@@ -40,40 +40,20 @@ type Budget struct {
 	Seed uint64
 }
 
-// BestResult is the provenance-tagged outcome of SolveBest: the headline
-// measures from whichever model the ladder landed on. Its JSON tags are
-// the schema of the /v1/solvebest body, the batch API's solvebest arm and
-// the campaign journal's point records.
-type BestResult struct {
-	// Method names the model that produced the numbers.
-	Method Method `json:"method,omitempty"`
-	// Degraded is true when a higher-fidelity stage was attempted and
-	// failed, so the numbers come from a cheaper model than requested.
-	Degraded bool `json:"degraded,omitempty"`
-	// FallbackReason records why each abandoned stage failed (empty when
-	// Degraded is false).
-	FallbackReason string `json:"fallback_reason,omitempty"`
-
-	// Headline measures, populated for every method.
-	N              int     `json:"n"`
-	Speedup        float64 `json:"speedup"`
-	R              float64 `json:"r"`
-	BusUtilization float64 `json:"bus_utilization"`
-}
-
 // SolveBest answers "the most accurate speedup estimate you can give me
 // within this budget" by walking the repository's three models in
 // decreasing fidelity: the exact GTPN solution within its state and time
 // budget, then the cycle-level simulator within its cycle budget, then the
 // (always-cheap) MVA model. A stage failure degrades to the next rung and
-// is recorded in FallbackReason; cancellation of ctx aborts the whole
+// is recorded in FallbackReason. The answer is the winning rung's own
+// Result, with its provenance set. Cancellation of ctx aborts the whole
 // ladder with ErrCanceled instead of degrading, and invalid input fails
 // immediately with ErrInvalidInput since no model could accept it.
-func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best BestResult, err error) {
+func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (best Result, err error) {
 	defer guard(&err)
 	defer func() {
 		if err == nil {
-			recordBestResult(best)
+			recordSolveBest(best)
 		}
 	}()
 	// Validate once up front: an input no model accepts must not burn the
@@ -81,18 +61,18 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 	// model as built.
 	m, err := model(p, w, Timing{})
 	if err != nil {
-		return BestResult{}, err
+		return Result{}, err
 	}
 	if n < 1 {
-		return BestResult{}, fmt.Errorf("snoopmva: system size %d < 1: %w", n, ErrInvalidInput)
+		return Result{}, fmt.Errorf("snoopmva: system size %d < 1: %w", n, ErrInvalidInput)
 	}
 	// A negative timeout is a caller bug, not a request for "no deadline":
 	// reject it instead of silently running unbounded.
 	if b.GTPNTimeout < 0 {
-		return BestResult{}, fmt.Errorf("snoopmva: negative GTPNTimeout %v: %w", b.GTPNTimeout, ErrInvalidInput)
+		return Result{}, fmt.Errorf("snoopmva: negative GTPNTimeout %v: %w", b.GTPNTimeout, ErrInvalidInput)
 	}
 	if b.SimTimeout < 0 {
-		return BestResult{}, fmt.Errorf("snoopmva: negative SimTimeout %v: %w", b.SimTimeout, ErrInvalidInput)
+		return Result{}, fmt.Errorf("snoopmva: negative SimTimeout %v: %w", b.SimTimeout, ErrInvalidInput)
 	}
 
 	var reasons []string
@@ -113,13 +93,10 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 		g, gerr := solveDetailedBudgeted(gctx, p, w, n, b.MaxStates)
 		cancel()
 		if gerr == nil {
-			return BestResult{
-				Method: MethodGTPN,
-				N:      g.N, Speedup: g.Speedup, R: g.R, BusUtilization: g.BusUtilization,
-			}, nil
+			return g, nil // the first rung: nothing was abandoned
 		}
 		if err := abandon("gtpn", gerr); err != nil {
-			return BestResult{}, err
+			return Result{}, err
 		}
 	}
 
@@ -128,30 +105,30 @@ func SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (be
 		s, serr := SimulateContext(sctx, p, w, n, SimOptions{Seed: b.Seed, MeasureCycles: b.SimCycles})
 		cancel()
 		if serr == nil {
-			return BestResult{
-				Method:   MethodSimulation,
-				Degraded: len(reasons) > 0, FallbackReason: strings.Join(reasons, "; "),
-				N: s.N, Speedup: s.Speedup, R: s.R, BusUtilization: s.BusUtilization,
-			}, nil
+			return withFallbacks(s, reasons), nil
 		}
 		if err := abandon("simulation", serr); err != nil {
-			return BestResult{}, err
+			return Result{}, err
 		}
 	}
 
 	r, merr := solveMVARung(ctx, &m, n)
 	if merr != nil {
 		if len(reasons) > 0 {
-			return BestResult{}, fmt.Errorf("snoopmva: SolveBest exhausted all models (%s): mva: %w",
+			return Result{}, fmt.Errorf("snoopmva: SolveBest exhausted all models (%s): mva: %w",
 				strings.Join(reasons, "; "), merr)
 		}
-		return BestResult{}, merr
+		return Result{}, merr
 	}
-	return BestResult{
-		Method:   MethodMVA,
-		Degraded: len(reasons) > 0, FallbackReason: strings.Join(reasons, "; "),
-		N: r.N, Speedup: r.Speedup, R: r.R, BusUtilization: r.UBus,
-	}, nil
+	return withFallbacks(fromMVA(r), reasons), nil
+}
+
+// withFallbacks sets r's provenance from the reasons the ladder gave up
+// its earlier rungs.
+func withFallbacks(r Result, reasons []string) Result {
+	r.Degraded = len(reasons) > 0
+	r.FallbackReason = strings.Join(reasons, "; ")
+	return r
 }
 
 // solveMVARung solves the ladder's last rung. Like SolveWithContext it
@@ -173,9 +150,9 @@ func boundedCtx(ctx context.Context, timeout time.Duration) (context.Context, co
 
 // solveDetailedBudgeted is SolveDetailedContext with an explicit state
 // budget (0 is the engine default, which the public entry point uses).
-func solveDetailedBudgeted(ctx context.Context, p Protocol, w Workload, n, maxStates int) (DetailedResult, error) {
+func solveDetailedBudgeted(ctx context.Context, p Protocol, w Workload, n, maxStates int) (Result, error) {
 	if err := p.validate(); err != nil {
-		return DetailedResult{}, err
+		return Result{}, err
 	}
 	g, err := gtpnmodel.SolveContext(ctx, gtpnmodel.Config{
 		Workload:         w.internal(),
@@ -185,9 +162,16 @@ func solveDetailedBudgeted(ctx context.Context, p Protocol, w Workload, n, maxSt
 		N:                n,
 	}, petri.Options{MaxStates: maxStates})
 	if err != nil {
-		return DetailedResult{}, err
+		return Result{}, err
 	}
-	return DetailedResult{
-		N: g.N, Speedup: g.Speedup, R: g.R, BusUtilization: g.UBus, States: g.States,
+	return Result{
+		Method:          MethodGTPN,
+		N:               g.N,
+		Speedup:         g.Speedup,
+		ProcessingPower: float64(g.N) * w.Tau / g.R,
+		R:               g.R,
+		BusUtilization:  g.UBus,
+		BusWait:         g.WBus,
+		States:          g.States,
 	}, nil
 }

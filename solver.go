@@ -17,7 +17,7 @@ import (
 // answer is bitwise the same whichever implementation gives it.
 type Solver interface {
 	SolveWithContext(ctx context.Context, p Protocol, w Workload, t Timing, n int, opts Options) (Result, error)
-	SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error)
+	SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (Result, error)
 }
 
 // Direct is the uncached Solver: each method is the package-level
@@ -30,7 +30,7 @@ func (direct) SolveWithContext(ctx context.Context, p Protocol, w Workload, t Ti
 	return SolveWithContext(ctx, p, w, t, n, opts)
 }
 
-func (direct) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (BestResult, error) {
+func (direct) SolveBest(ctx context.Context, p Protocol, w Workload, n int, b Budget) (Result, error) {
 	return SolveBest(ctx, p, w, n, b)
 }
 

@@ -40,7 +40,7 @@ func TestSolverImplementationsAgree(t *testing.T) {
 		{"SolveBest degraded", func(s Solver) (any, error) {
 			return s.SolveBest(ctx, WriteOnce(), w, 4, Budget{MaxStates: 50, SimCycles: -1})
 		}, func(t *testing.T, res any, err error) {
-			if b := res.(BestResult); err != nil || !b.Degraded || b.Method != MethodMVA {
+			if b := res.(Result); err != nil || !b.Degraded || b.Method != MethodMVA {
 				t.Errorf("tiny state budget: %+v, %v; want a degraded MVA answer", b, err)
 			}
 		}},
