@@ -134,7 +134,9 @@ func BenchmarkGTPNSolve(b *testing.B) {
 }
 
 // BenchmarkSimulator measures detailed-simulation throughput
-// (cycles simulated per wall-second scales the whole study).
+// (cycles simulated per wall-second scales the whole study). The precision
+// cases are SimulateContext's runs: the default 300k-cycle cap, stopped
+// once the speedup is known to ±1 %; they report the cycles measured.
 func BenchmarkSimulator(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(byN(n), func(b *testing.B) {
@@ -152,6 +154,26 @@ func BenchmarkSimulator(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+	for _, n := range []int{4, 6} {
+		b.Run("precision/"+byN(n), func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				r, err := cachesim.Run(cachesim.Config{
+					N:            n,
+					Protocol:     protocol.Illinois,
+					Workload:     workload.AppendixA(workload.Sharing5),
+					Seed:         uint64(i + 1),
+					RelPrecision: simPrecision,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += r.Cycles
+			}
+			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
 		})
 	}
 }

@@ -38,7 +38,7 @@ func main() {
 		sharings   = flag.String("sharing", "5", "comma-separated Appendix A sharing levels (1, 5, 20)")
 		ns         = flag.String("ns", "1..16", "system sizes: comma-separated values and lo..hi ranges")
 		maxStates  = flag.Int("max-states", -1, "GTPN state budget per point (0 = engine default, negative = skip the GTPN stage)")
-		simCycles  = flag.Int64("sim-cycles", -1, "simulator measurement cycles per point (0 = default, negative = skip the simulator stage)")
+		simCycles  = flag.Int64("sim-cycles", -1, "cap on the simulator measurement cycles per point; a run stops earlier once its speedup is known to ±1% (0 = default 300000, negative = skip the simulator stage)")
 		seed       = flag.Uint64("seed", 1, "simulator seed (per point)")
 		journal    = flag.String("journal", "", "journal path for checkpoint/resume (empty = no durability)")
 		resume     = flag.Bool("resume", false, "continue a previous run from -journal, skipping completed points")

@@ -56,9 +56,15 @@ func SolveDetailedContext(ctx context.Context, p Protocol, w Workload, n int) (r
 	return solveDetailedBudgeted(ctx, p, w, n, 0)
 }
 
+// simPrecision is the relative half-width of the speedup's 95 % interval
+// at which SimulateContext stops a run before its MeasureCycles cap.
+const simPrecision = 0.01
+
 // SimulateContext runs the cycle-level simulator: real protocol state
-// machines over identified blocks, FCFS bus, interleaved memory. The
-// cycle loop checks ctx every ~10k simulated cycles.
+// machines over identified blocks, FCFS bus, interleaved memory. The run
+// stops once its speedup is known to ±1 % at 95 % confidence, after at
+// least a third of the MeasureCycles cap, or at the cap. The cycle loop
+// checks ctx every ~10k simulated cycles.
 func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts SimOptions) (res Result, err error) {
 	defer guard(&err)
 	if err := p.validate(); err != nil {
@@ -76,6 +82,7 @@ func SimulateContext(ctx context.Context, p Protocol, w Workload, n int, opts Si
 		Seed:          seed,
 		WarmupCycles:  opts.WarmupCycles,
 		MeasureCycles: opts.MeasureCycles,
+		RelPrecision:  simPrecision,
 	})
 	if err != nil {
 		return Result{}, err

@@ -73,6 +73,13 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("negative measure cycles accepted")
 	}
+	for _, prec := range []float64{-0.01, math.NaN()} {
+		bad = base
+		bad.RelPrecision = prec
+		if _, err := Run(bad); err == nil {
+			t.Errorf("relative precision %v accepted", prec)
+		}
+	}
 	bad = base
 	bad.Timing = workload.DefaultTiming()
 	bad.Timing.DMem = -1

@@ -26,7 +26,8 @@ import (
 const (
 	// Batches is how many batches the measurement window is cut into for
 	// the speedup's confidence interval: a batch is MeasureCycles/Batches
-	// cycles, at least 1.
+	// cycles, at least 1. A run stopped early by RelPrecision uses
+	// quarter-batches instead.
 	Batches = 15
 	// MaxN bounds the processors of one run. The per-block arrays hold
 	// (SWBlocks + SROBlocks + PrivBlocks·N)·N entries of 5 bytes (the
@@ -60,8 +61,14 @@ type Config struct {
 	// WarmupCycles are simulated but not measured (default 30000;
 	// negative means no warmup).
 	WarmupCycles int64
-	// MeasureCycles is the measurement window (default 300000).
+	// MeasureCycles is the measurement window (default 300000). With
+	// RelPrecision set it is the cap on the window.
 	MeasureCycles int64
+	// RelPrecision, when positive, stops the run early once the 95 %
+	// interval of the speedup is within ±RelPrecision of it, relative to
+	// the speedup (0.01 is ±1 %); see Simulator.RunContext for the rule.
+	// Zero runs the whole MeasureCycles window.
+	RelPrecision float64
 }
 
 func (c Config) withDefaults() Config {
@@ -99,6 +106,9 @@ func (c Config) Validate() error {
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 1 {
 		return fmt.Errorf("cachesim: bad cycle budget warmup=%d measure=%d: %w", c.WarmupCycles, c.MeasureCycles, workload.ErrInvalid)
+	}
+	if !(c.RelPrecision >= 0) {
+		return fmt.Errorf("cachesim: relative precision %v must be >= 0: %w", c.RelPrecision, workload.ErrInvalid)
 	}
 	return nil
 }

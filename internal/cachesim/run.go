@@ -3,6 +3,7 @@ package cachesim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/protocol"
@@ -86,6 +87,7 @@ func (s *Simulator) dispatch(p int) {
 		}
 	}
 	pr.phase = phaseWaitBus
+	req.queued = s.cycle
 	s.busQueue = append(s.busQueue, *req)
 }
 
@@ -101,7 +103,7 @@ func (s *Simulator) startTransaction() {
 	proto := s.cfg.Protocol
 
 	if s.measuring {
-		s.busWaitSum += s.cycle - req.issued
+		s.busWaitSum += s.cycle - req.queued
 		s.busServed++
 	}
 
@@ -312,7 +314,6 @@ func (s *Simulator) occupyMemoryBlock(busEnd int64) {
 func (s *Simulator) complete(p int) {
 	if s.measuring {
 		s.completions++
-		s.batchCompl++
 		req := &s.procs[p].req
 		s.recordResponse(req.class, float64(s.cycle-req.issued))
 	}
@@ -419,6 +420,16 @@ func (s *Simulator) checkpoint(ctx context.Context) error {
 
 // RunContext is Run with cancellation: the cycle loops check ctx every
 // ~10k simulated cycles and return ctx.Err() (wrapped) when it fires.
+//
+// With Config.RelPrecision set, the measurement window is a cap: the
+// window is cut into quarter-batches of MeasureCycles/Batches/4 cycles,
+// and once at least a third of the cap is measured (20 quarter-batches or
+// more) the run stops at the first quarter-batch boundary where the 95 %
+// Student-t interval of the quarter-batch speedups is within RelPrecision
+// of their mean: Law and Kelton's relative-precision procedure. A stopped
+// run reports every measure over the cycles it measured and its interval
+// from the quarter-batches; a run that reaches the cap reports the
+// interval of its Batches batches, as a fixed-length run does.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	cfg := s.cfg
 	for s.cycle < cfg.WarmupCycles {
@@ -430,32 +441,51 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		s.step()
 	}
 	s.measuring = true
-	s.batchStart = s.cycle
-	end := cfg.WarmupCycles + cfg.MeasureCycles
+	start := s.cycle
+	end := start + cfg.MeasureCycles
 	batchCycles := maxI64(1, cfg.MeasureCycles/Batches)
-	var speedups []float64
+	quarterCycles := maxI64(1, batchCycles/4)
 	tau := s.par.tau
 	tSup := float64(s.tm.tSupply)
-	for s.cycle < end {
+	// spanSpeedup is the speedup over compl completions in cycles cycles.
+	spanSpeedup := func(cycles, compl int64) float64 {
+		if compl == 0 {
+			return 0
+		}
+		r := float64(cfg.N) * float64(cycles) / float64(compl)
+		return float64(cfg.N) * (tau + tSup) / r
+	}
+	var batches, quarters stats.Summary
+	batchStart, batchCompl := start, int64(0)
+	quarterStart, quarterCompl := start, int64(0)
+	stopped := false
+	for s.cycle < end && !stopped {
 		if s.cycle%ctxCheckInterval == 0 {
 			if err := s.checkpoint(ctx); err != nil {
 				return nil, err
 			}
 		}
 		s.step()
-		if s.cycle-s.batchStart >= batchCycles {
-			if s.batchCompl > 0 {
-				rBatch := float64(cfg.N) * float64(s.cycle-s.batchStart) / float64(s.batchCompl)
-				speedups = append(speedups, float64(cfg.N)*(tau+tSup)/rBatch)
+		if s.cycle-batchStart >= batchCycles {
+			// An empty batch adds no sample; an empty quarter-batch adds a
+			// zero, so a span too short to hold a completion cannot look
+			// precise.
+			if compl := s.completions - batchCompl; compl > 0 {
+				batches.Add(spanSpeedup(s.cycle-batchStart, compl))
 			}
-			s.batchStart = s.cycle
-			s.batchCompl = 0
+			batchStart, batchCompl = s.cycle, s.completions
+		}
+		if cfg.RelPrecision > 0 && s.cycle-quarterStart >= quarterCycles {
+			quarters.Add(spanSpeedup(s.cycle-quarterStart, s.completions-quarterCompl))
+			quarterStart, quarterCompl = s.cycle, s.completions
+			stopped = s.cycle < end && 3*(s.cycle-start) >= cfg.MeasureCycles &&
+				precise(&quarters, cfg.RelPrecision)
 		}
 	}
+	measured := s.cycle - start
 	if s.completions == 0 {
-		return nil, fmt.Errorf("cachesim: no requests completed in %d cycles", cfg.MeasureCycles)
+		return nil, fmt.Errorf("cachesim: no requests completed in %d cycles", measured)
 	}
-	measured := cfg.MeasureCycles
 	r := float64(cfg.N) * float64(measured) / float64(s.completions)
 	res := &Result{
 		N:           cfg.N,
@@ -479,15 +509,26 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 			res.P95Response[cl] = p95
 		}
 	}
-	var sm stats.Summary
-	for _, v := range speedups {
-		sm.Add(v)
+	if stopped { // the interval of the quarter-batches that met the target
+		batches = quarters
 	}
-	if iv, err := sm.ConfidenceInterval(0.95); err == nil {
+	if iv, err := batches.ConfidenceInterval(0.95); err == nil {
 		res.SpeedupCI = iv
 	}
 	res.Observed = s.observed()
 	return res, nil
+}
+
+// precise reports whether the 95 % interval of sm's mean is within target
+// of it, relative to the mean.
+func precise(sm *stats.Summary, target float64) bool {
+	// The t quantile is a costly bisection, and it exceeds 1.96 at every
+	// degree of freedom: an interval too wide at 1.96 is too wide.
+	if 1.96*sm.StdErr() > target*math.Abs(sm.Mean()) {
+		return false
+	}
+	iv, err := sm.ConfidenceInterval(0.95)
+	return err == nil && iv.RelHalfWidth() <= target
 }
 
 func (s *Simulator) observed() Observed {

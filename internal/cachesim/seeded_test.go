@@ -96,7 +96,7 @@ func TestSeededResultsAreBitwiseStable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got[i] = c.name + " " + strings.Join(flatten("", reflect.ValueOf(*res), nil), " ")
+		got[i] = c.name + " " + flat(res)
 	}
 	if *updateSeeded {
 		body := "# Seeded cachesim Results, every field; floats in hex. Regenerate:\n" +

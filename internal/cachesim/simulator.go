@@ -27,7 +27,8 @@ type request struct {
 	isWrite bool
 	block   int32
 	victim  int32 // candidate eviction on a miss, -1 if none
-	issued  int64
+	issued  int64 // drawn: response times count from here
+	queued  int64 // joined the bus queue: bus waits count from here
 }
 
 type processor struct {
@@ -84,8 +85,6 @@ type Simulator struct {
 	queueLenSum   int64
 	busWaitSum    int64
 	busServed     int64
-	batchStart    int64
-	batchCompl    int64
 	obs           observedCounters
 	respSummary   [3]stats.Summary
 	respReservoir [3][]float64

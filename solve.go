@@ -134,8 +134,10 @@ func Explain(w io.Writer, p Protocol, wl Workload, n int) (err error) {
 type SimOptions struct {
 	// Seed fixes the random streams (0 means 1).
 	Seed uint64
-	// WarmupCycles and MeasureCycles size the run; zero values use the
-	// simulator defaults (30k / 300k), negative warmup means none.
+	// WarmupCycles is the unmeasured warm-up and MeasureCycles the cap on
+	// the measurement window, which ends early once the speedup is known
+	// to ±1 % (see SimulateContext); zero values use the simulator
+	// defaults (30k / 300k), negative warmup means none.
 	WarmupCycles  int64
 	MeasureCycles int64
 }

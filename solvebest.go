@@ -30,8 +30,9 @@ type Budget struct {
 	// GTPNTimeout is the wall-clock budget of the GTPN stage (0 means no
 	// deadline beyond the caller's ctx).
 	GTPNTimeout time.Duration
-	// SimCycles is the simulator's measurement window (0 means the
-	// simulator default of 300000; negative skips the simulator stage).
+	// SimCycles caps the simulator's measurement window, which ends early
+	// once the speedup is known to ±1 % (0 means the simulator default of
+	// 300000; negative skips the simulator stage).
 	SimCycles int64
 	// SimTimeout is the wall-clock budget of the simulator stage (0 means
 	// no deadline beyond the caller's ctx).
