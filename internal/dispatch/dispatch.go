@@ -16,7 +16,8 @@
 //   - Per-worker circuit breakers (reusing resilience.Breaker, keyed by
 //     worker address) stop routing points at a worker whose transport
 //     keeps failing, with probe-through so a recovered worker wins its
-//     traffic back.
+//     traffic back. Its half-open probe counts the worker's wakes:
+//     settles and, while the circuit is open, its health probes.
 //   - A health prober hits each worker's /healthz on an interval;
 //     QuarantineAfter consecutive probe failures quarantines the worker
 //     (no new work), readmitAfter (2) consecutive successes readmit it
@@ -25,9 +26,10 @@
 //     crashes.
 //   - Straggler re-dispatch: once stragglerMinSamples (5) solves have
 //     completed, a point in flight for longer than max(stragglerFloor
-//     (100ms), stragglerFactor (4) × p95 of completed solve times) is
-//     speculatively re-sent to an idle worker (up to maxReplicas (2)
-//     concurrent replicas); first committed answer wins.
+//     (100ms), stragglerFactor (4) × p95 of the last stragglerWindow
+//     (128) solve times) is speculatively re-sent to an idle worker (up
+//     to maxReplicas (2) concurrent replicas); first committed answer
+//     wins. An idle slot sleeps until the earliest such deadline.
 //   - Transport failures requeue the point (bounded by requeueLimit,
 //     8); authoritative solver failures are committed as failed points,
 //     just like the local runner journals them.
@@ -54,7 +56,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,6 +88,9 @@ const (
 	// stragglerFactor scales the p95 of completed solve times into the
 	// straggler threshold.
 	stragglerFactor = 4
+	// stragglerWindow is the number of most recent solve times that p95
+	// is taken over, so its cost does not grow with the grid.
+	stragglerWindow = 128
 	// stragglerMinSamples is the number of completed solves required
 	// before speculation starts.
 	stragglerMinSamples = 5
@@ -107,11 +112,9 @@ const (
 	// backpressure requeue, so a confused worker cannot park a point for
 	// an hour.
 	backpressureDelayCap = 2 * time.Second
-	// acquireRetry is the idle worker's poll period for newly eligible
-	// work (straggler thresholds and breaker probes trip on this clock
-	// even when no other event fires), and the park of a backpressure
-	// refusal that gave no Retry-After hint.
-	acquireRetry = 25 * time.Millisecond
+	// backpressurePark is the park of a backpressure refusal that gave
+	// no Retry-After hint.
+	backpressurePark = 25 * time.Millisecond
 )
 
 // Config configures a Coordinator. Zero values mean the documented
@@ -195,16 +198,19 @@ type Coordinator struct {
 	requeues  map[int]int // transport-failure count per point
 	// backpressures counts 429/503 refusals per point, for the
 	// backpressureLimit bound.
-	backpressures map[int]int
-	durations     []float64 // completed solve seconds, for the straggler p95
-	workers       []*worker
-	journal       *snoopmva.CampaignJournal
-	recorded      int   // journal records written this run (crash-hook clock)
-	runErr        error // first fatal error; latches
-	lastEvent     time.Time
-	notifyCh      chan struct{}
-	stats         RunStats
-	cancelRun     context.CancelFunc
+	backpressures  map[int]int
+	durations      [stragglerWindow]time.Duration // ring of the last solve times
+	solves         int
+	stragglerAfter time.Duration // straggler threshold; 0 below stragglerMinSamples solves
+	workers        []*worker
+	journal        *snoopmva.CampaignJournal
+	recorded       int   // journal records written this run (crash-hook clock)
+	runErr         error // first fatal error; latches
+	lastEvent      time.Time
+	notifyCh       chan struct{}
+	slots, idle    int // dispatch slots; those waiting on notifyCh with no timer
+	stats          RunStats
+	cancelRun      context.CancelFunc
 }
 
 type worker struct {
@@ -320,15 +326,14 @@ func (c *Coordinator) Run(ctx context.Context, points []snoopmva.CampaignPoint) 
 		wg.Add(1)
 		go func() { defer wg.Done(); c.stallLoop(runCtx) }()
 	}
-	slots := 0
+	c.slots = len(c.workers) * c.cfg.MaxInflight
 	for _, w := range c.workers {
 		for range c.cfg.MaxInflight {
 			wg.Add(1)
-			slots++
 			go func(w *worker) { defer wg.Done(); c.workerLoop(runCtx, w) }(w)
 		}
 	}
-	c.cfg.Logf("dispatch: %d points across %d workers (%d slots)", queued, len(c.workers), slots)
+	c.cfg.Logf("dispatch: %d points across %d workers (%d slots)", queued, len(c.workers), c.slots)
 
 	// Wait until every point is committed or a fatal error latched.
 	c.awaitDone(runCtx)
@@ -394,6 +399,7 @@ func (c *Coordinator) awaitDone(ctx context.Context) {
 func (c *Coordinator) notifyLocked() {
 	close(c.notifyCh)
 	c.notifyCh = make(chan struct{})
+	c.idle = 0
 }
 
 // progressLocked stamps the stall-watchdog clock. Callers hold mu.
@@ -418,47 +424,74 @@ const (
 	acqDone
 )
 
-// acquisition is tryAcquire's answer. With acqWait it carries what the
-// waiting worker must watch, read under the same lock as the decision:
-// the notify channel current at that moment, so no state change between
-// the decision and the wait goes unseen, and the worker's park deadline.
+// acquisition is tryAcquire's answer: with acqGot the started flight and
+// its context; with acqWait what the waiting worker must watch, read under
+// the same lock as the decision: the notify channel current at that
+// moment, so no state change between the decision and the wait goes
+// unseen, and wakeAt, its park's end or else the next straggler deadline.
 type acquisition struct {
-	state          int
-	pt             int
-	speculative    bool
-	notify         <-chan struct{}
-	congestedUntil time.Time
+	state  int
+	pt     int
+	fl     *flight
+	fctx   context.Context
+	notify <-chan struct{}
+	wakeAt time.Time
 }
 
-// tryAcquire picks the next unit of work for w: a queued point if one
-// exists, otherwise a straggler to replicate. It answers acqWait when w
-// is ineligible (quarantined, full, parked, circuit open) or nothing is
-// ready, and acqDone when the run is over.
-func (c *Coordinator) tryAcquire(w *worker) acquisition {
+// tryAcquire picks the next unit of work for w and starts its flight: a
+// queued point if one exists, otherwise a straggler to replicate. It
+// answers acqWait when w is ineligible (quarantined, full, parked,
+// circuit open) or nothing is ready, and acqDone when the run is over.
+func (c *Coordinator) tryAcquire(ctx context.Context, w *worker) acquisition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.runErr != nil || len(c.committed) == len(c.points) {
+	if c.runErr != nil || len(c.committed) == len(c.points) || ctx.Err() != nil {
 		return acquisition{state: acqDone}
 	}
-	wait := acquisition{state: acqWait, notify: c.notifyCh, congestedUntil: w.congestedUntil}
-	if w.quarantined || w.inflight >= c.cfg.MaxInflight || time.Now().Before(w.congestedUntil) {
-		return wait
-	}
-	if len(c.queue) > 0 {
-		if !c.allow(w) {
-			return wait
+	now := time.Now()
+	wakeAt := w.congestedUntil
+	if !w.quarantined && w.inflight < c.cfg.MaxInflight && !now.Before(wakeAt) {
+		if len(c.queue) > 0 {
+			if c.allow(w) {
+				pt := c.queue[0]
+				c.queue = c.queue[1:]
+				return c.startLocked(ctx, w, pt, false)
+			}
+		} else if pt, due := c.stragglerLocked(w); pt >= 0 && due.After(now) {
+			wakeAt = due
+		} else if pt >= 0 && c.allow(w) {
+			return c.startLocked(ctx, w, pt, true)
 		}
-		pt := c.queue[0]
-		c.queue = c.queue[1:]
-		return acquisition{state: acqGot, pt: pt}
 	}
-	if pt, ok := c.stragglerLocked(w); ok {
-		if !c.allow(w) {
-			return wait
+	if !wakeAt.After(now) {
+		// Only a notify can wake this slot. Once every slot waits so, no
+		// flight is left to settle, and with no health probe nothing can.
+		wakeAt = time.Time{}
+		if c.idle++; c.idle == c.slots && c.cfg.HealthInterval < 0 {
+			c.fatalLocked(fmt.Errorf("%w (every slot idle, health probing off, %d/%d points committed)", ErrStalled, len(c.committed), len(c.points)))
+			return acquisition{state: acqDone}
 		}
-		return acquisition{state: acqGot, pt: pt, speculative: true}
 	}
-	return wait
+	return acquisition{state: acqWait, notify: c.notifyCh, wakeAt: wakeAt}
+}
+
+// startLocked starts a flight of pt on w. It is added under the lock
+// that picked pt, so every later straggler scan sees it. Callers hold mu.
+func (c *Coordinator) startLocked(ctx context.Context, w *worker, pt int, speculative bool) acquisition {
+	fctx, cancel := context.WithCancel(ctx)
+	if c.cfg.PointTimeout > 0 {
+		fctx, cancel = context.WithTimeout(ctx, c.cfg.PointTimeout)
+	}
+	fl := &flight{worker: w, cancel: cancel, started: time.Now(), speculative: speculative}
+	c.flights[pt] = append(c.flights[pt], fl)
+	w.inflight++
+	c.stats.Dispatches++
+	if speculative {
+		c.stats.Speculative++
+		c.cfg.Logf("dispatch: point %d: speculative replica on %s", pt, w.t.Addr())
+	}
+	c.progressLocked()
+	return acquisition{state: acqGot, pt: pt, fl: fl, fctx: fctx}
 }
 
 // allow consults w's circuit breaker (true when breakers are disabled).
@@ -466,18 +499,15 @@ func (c *Coordinator) allow(w *worker) bool {
 	return c.breaker == nil || c.breaker.Allow(w.t.Addr())
 }
 
-// stragglerLocked scans for a point whose oldest flight has outlived the
-// straggler threshold and can take one more replica not already running
-// on w. Callers hold mu.
-func (c *Coordinator) stragglerLocked(w *worker) (int, bool) {
-	if len(c.durations) < stragglerMinSamples {
-		return 0, false
+// stragglerLocked returns the point, and its straggler deadline, whose
+// oldest flight is the first to outlive the straggler threshold among
+// those that can take one more replica not already running on w; -1 if
+// none can. Callers hold mu.
+func (c *Coordinator) stragglerLocked(w *worker) (int, time.Time) {
+	best, bestStart := -1, time.Time{}
+	if c.stragglerAfter == 0 {
+		return best, bestStart
 	}
-	threshold := time.Duration(stragglerFactor * p95(c.durations) * float64(time.Second))
-	if threshold < stragglerFloor {
-		threshold = stragglerFloor
-	}
-	best, bestAge := -1, time.Duration(0)
 	for pt, fls := range c.flights {
 		if len(fls) == 0 || len(fls) >= maxReplicas {
 			continue
@@ -495,87 +525,50 @@ func (c *Coordinator) stragglerLocked(w *worker) (int, bool) {
 		if onW {
 			continue
 		}
-		if age := time.Since(oldest); age > threshold && age > bestAge {
-			best, bestAge = pt, age
+		if best < 0 || oldest.Before(bestStart) {
+			best, bestStart = pt, oldest
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// p95 returns the 95th-percentile of xs (xs non-empty).
-func p95(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := (len(s)*95 + 99) / 100 // ceil rank
-	if i < 1 {
-		i = 1
-	}
-	return s[i-1]
+	return best, bestStart.Add(c.stragglerAfter)
 }
 
 // workerLoop is one dispatch slot of one worker: acquire, execute,
-// repeat until the run is done or ctx is canceled. A waiting slot wakes
-// on any state change, when its park ends, or on the poll tick that
-// straggler thresholds and breaker probes need.
+// repeat until the run is done or ctx is canceled. A waiting slot sleeps
+// until a state change is notified or its wakeAt passes; nothing else
+// makes work eligible, so it never polls.
 func (c *Coordinator) workerLoop(ctx context.Context, w *worker) {
-	tick := time.NewTicker(acquireRetry)
-	defer tick.Stop()
 	for {
-		a := c.tryAcquire(w)
+		a := c.tryAcquire(ctx, w)
 		switch a.state {
 		case acqDone:
 			return
-		case acqWait:
-			var unparked <-chan time.Time
-			var park *time.Timer
-			if d := time.Until(a.congestedUntil); d > 0 {
-				park = time.NewTimer(d)
-				unparked = park.C
-			}
-			select {
-			case <-ctx.Done():
-			case <-a.notify:
-			case <-unparked:
-			case <-tick.C:
-			}
-			if park != nil {
-				park.Stop()
-			}
-			if ctx.Err() != nil {
-				return
-			}
+		case acqGot:
+			c.execute(ctx, w, a)
 			continue
 		}
-		c.execute(ctx, w, a.pt, a.speculative)
+		var due <-chan time.Time
+		var timer *time.Timer
+		if !a.wakeAt.IsZero() {
+			timer = time.NewTimer(time.Until(a.wakeAt))
+			due = timer.C
+		}
+		select {
+		case <-ctx.Done():
+		case <-a.notify:
+		case <-due:
+		}
+		if timer != nil {
+			timer.Stop()
+		}
 	}
 }
 
-// execute runs one dispatch of point pt on w and settles the outcome.
-func (c *Coordinator) execute(ctx context.Context, w *worker, pt int, speculative bool) {
-	fctx, cancel := context.WithCancel(ctx)
-	if c.cfg.PointTimeout > 0 {
-		fctx, cancel = context.WithTimeout(ctx, c.cfg.PointTimeout)
-	}
-	defer cancel()
-	fl := &flight{worker: w, cancel: cancel, started: time.Now(), speculative: speculative}
-
-	c.mu.Lock()
-	c.flights[pt] = append(c.flights[pt], fl)
-	w.inflight++
-	c.stats.Dispatches++
-	if speculative {
-		c.stats.Speculative++
-		c.cfg.Logf("dispatch: point %d: speculative replica on %s", pt, w.t.Addr())
-	}
-	c.progressLocked()
-	c.mu.Unlock()
-
-	p := c.points[pt]
-	best, err := w.t.SolveBest(fctx, p.Protocol, p.Workload, p.N, p.Budget)
-	c.settle(ctx, w, pt, fl, best, err)
+// execute runs the flight a started on w and settles the outcome.
+func (c *Coordinator) execute(ctx context.Context, w *worker, a acquisition) {
+	defer a.fl.cancel()
+	p := c.points[a.pt]
+	best, err := w.t.SolveBest(a.fctx, p.Protocol, p.Workload, p.N, p.Budget)
+	c.settle(ctx, w, a.pt, a.fl, best, err)
 }
 
 // settle records the outcome of one flight: commit the first answer for
@@ -630,12 +623,9 @@ func (c *Coordinator) settle(ctx context.Context, w *worker, pt int, fl *flight,
 		// breaker: an admission shed or a drain 503 is the overload
 		// protocol working, and quarantining truthful workers turns load
 		// into an outage.
-		delay := bp.RetryAfter
+		delay := min(bp.RetryAfter, backpressureDelayCap)
 		if delay <= 0 {
-			delay = acquireRetry
-		}
-		if delay > backpressureDelayCap {
-			delay = backpressureDelayCap
+			delay = backpressurePark
 		}
 		w.congestedUntil = time.Now().Add(delay)
 		c.stats.Backpressure++
@@ -699,7 +689,13 @@ func (c *Coordinator) commitLocked(w *worker, pt int, fl *flight, pr snoopmva.Po
 	c.committed[pt] = pr
 	c.stats.WorkerCommits[w.t.Addr()]++
 	if pr.Err == "" {
-		c.durations = append(c.durations, time.Since(fl.started).Seconds())
+		c.durations[c.solves%stragglerWindow] = time.Since(fl.started)
+		c.solves++
+		if n := min(c.solves, stragglerWindow); n >= stragglerMinSamples {
+			s := c.durations // sort a copy; the p95 is the ceil-rank element
+			slices.Sort(s[:n])
+			c.stragglerAfter = max(stragglerFloor, stragglerFactor*s[(n*95+99)/100-1])
+		}
 		c.breakerSuccess(w)
 	}
 	for _, other := range c.flights[pt] {
@@ -741,10 +737,14 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 	}
 }
 
-// recordProbe folds one probe outcome into w's quarantine state.
+// recordProbe folds one probe outcome into w's quarantine state. Probing
+// an open circuit's worker wakes its slots, to count toward the probe.
 func (c *Coordinator) recordProbe(w *worker, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.breaker != nil && c.breaker.Open(w.t.Addr()) {
+		defer c.notifyLocked()
+	}
 	if err != nil {
 		w.probeOKs = 0
 		w.probeFails++
@@ -807,5 +807,5 @@ func (c *Coordinator) finishStats(start time.Time) {
 			c.stats.OpenWorkers = append(c.stats.OpenWorkers, w.t.Addr())
 		}
 	}
-	sort.Strings(c.stats.OpenWorkers)
+	slices.Sort(c.stats.OpenWorkers)
 }

@@ -208,10 +208,15 @@ func TQuantile(p float64, df int64) (float64, error) {
 	if ApproxEq(p, 0.5, 0) {
 		return 0, nil
 	}
-	// The CDF is monotone; bracket then bisect.
+	// The CDF is monotone; bracket then bisect. Once the midpoint is no
+	// longer strictly inside the bracket it equals an end, the bracket
+	// cannot move, and further steps return the same bits.
 	lo, hi := -1e3, 1e3
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
+		if mid <= lo || mid >= hi {
+			break
+		}
 		c, err := TCDF(mid, df)
 		if err != nil {
 			return 0, err

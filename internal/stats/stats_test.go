@@ -182,6 +182,42 @@ func TestTQuantileKnownValues(t *testing.T) {
 	}
 }
 
+// tQuantile200 is TQuantile's bisection run for all 200 steps, the
+// reference its early exit must match bit for bit.
+func tQuantile200(p float64, df int64) (float64, error) {
+	lo, hi := -1e3, 1e3
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		c, err := TCDF(mid, df)
+		if err != nil {
+			return 0, err
+		}
+		if c < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2, nil
+}
+
+func TestTQuantileMatchesFullBisection(t *testing.T) {
+	ps := []float64{1e-9, 0.001, 0.01, 0.025, 0.05, 0.1, 0.5 - 1e-7, 0.5 + 1e-7, 0.9, 0.95, 0.975, 0.99, 1 - 1e-9}
+	dfs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 20, 30, 40, 59, 100, 1000}
+	for _, p := range ps {
+		for _, df := range dfs {
+			got, err := TQuantile(p, df)
+			want, werr := tQuantile200(p, df)
+			if err != nil || werr != nil {
+				t.Fatalf("TQuantile(%v, %d): %v, reference: %v", p, df, err, werr)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("TQuantile(%v, %d) = %v, want the 200-step %v bit for bit", p, df, got, want)
+			}
+		}
+	}
+}
+
 func TestTCDFSymmetry(t *testing.T) {
 	for _, df := range []int64{1, 3, 7, 25} {
 		for _, x := range []float64{0, 0.5, 1.3, 4} {
