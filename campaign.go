@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -505,13 +506,12 @@ func (cj *CampaignJournal) breakerStates() []resilience.BreakerState {
 func (cj *CampaignJournal) Close() error { return cj.jn.Close() }
 
 func resilienceStatesSorted(m map[string]resilience.BreakerState) []resilience.BreakerState {
-	b := resilience.NewBreaker(1, 0)
 	states := make([]resilience.BreakerState, 0, len(m))
 	for _, st := range m {
 		states = append(states, st)
 	}
-	b.Restore(states)
-	return b.Snapshot() // sorted by key
+	sort.Slice(states, func(i, j int) bool { return states[i].Key < states[j].Key })
+	return states
 }
 
 // solveCampaignPoint runs one grid point on solver through breaker

@@ -55,6 +55,9 @@ func main() {
 	if *timeout < 0 {
 		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
 	}
+	if *pointTO < 0 {
+		fatal(fmt.Errorf("-point-timeout must not be negative (got %v)", *pointTO))
+	}
 
 	ctx := context.Background()
 	if *timeout > 0 {

@@ -67,6 +67,9 @@ func main() {
 	if *timeout < 0 {
 		fatal(fmt.Errorf("-timeout must not be negative (got %v)", *timeout))
 	}
+	if *pointTO < 0 {
+		fatal(fmt.Errorf("-point-timeout must not be negative (got %v)", *pointTO))
+	}
 	write, err := tables.WriterFor(*format)
 	if err != nil {
 		fatal(err)

@@ -113,6 +113,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaign", []string{"-ns", "4..1"}, ""},
 		{"campaign", []string{"-ns", "0"}, "below 1"},
 		{"campaign", []string{"-timeout", "-1s"}, "-timeout"},
+		{"campaign", []string{"-point-timeout", "-1s"}, "-point-timeout"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-format", "xml",
 			"-journal", badJournal}, "unknown format"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-quiet", "-format", "xml",
@@ -125,6 +126,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaignd", []string{"-workers", "http://localhost:1", "-quarantine-after", "-1"}, "-quarantine-after"},
 		{"campaignd", []string{"-workers", "http://localhost:1", "-format", "xml"}, "unknown format"},
 		{"campaignd", []string{"-workers", "http://localhost:1", "-timeout", "-1s"}, "-timeout"},
+		{"campaignd", []string{"-workers", "http://localhost:1", "-point-timeout", "-1s"}, "-point-timeout"},
 		{"snoopbench", []string{"-conns", "-1"}, "-conns must be >= 0"},
 		{"snoopbench", []string{"-rate", "0"}, "-rate must be >= 1"},
 		{"snoopbench", []string{"-batch", "2000"}, "-batch must be in 1.."},

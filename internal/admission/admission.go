@@ -102,9 +102,9 @@ const (
 	// maxClients bounds the client-bucket table; the least recently
 	// seen bucket is evicted beyond it.
 	maxClients = 4096
-	// retryAfterHint is the minimum Retry-After suggested on capacity
+	// minRetryAfter is the minimum Retry-After suggested on capacity
 	// sheds.
-	retryAfterHint = 100 * time.Millisecond
+	minRetryAfter = 100 * time.Millisecond
 )
 
 // Config configures a Controller. MaxInflight is required; every other
@@ -298,7 +298,7 @@ func (c *Controller) Admit(ctx context.Context, client string, deadline time.Tim
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return c.shedErr(ReasonDraining, retryAfterHint)
+		return c.shedErr(ReasonDraining, minRetryAfter)
 	}
 	if client != "" && c.cfg.RatePerClient > 0 {
 		if wait := c.clients.take(client, c.now()); wait > 0 {
@@ -355,7 +355,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		c.noteCapacityLocked(true)
 		retry := c.estimateWaitLocked(len(c.queue) + 1)
 		c.mu.Unlock()
-		return c.shedErr(ReasonQueueFull, maxDuration(retry, retryAfterHint))
+		return c.shedErr(ReasonQueueFull, maxDuration(retry, minRetryAfter))
 	}
 	now := c.now()
 	est := c.estimateWaitLocked(len(c.queue) + 1)
@@ -370,7 +370,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		// cap): shedding now is strictly better than timing out later.
 		c.noteCapacityLocked(true)
 		c.mu.Unlock()
-		return c.shedErr(ReasonDeadline, maxDuration(est, retryAfterHint))
+		return c.shedErr(ReasonDeadline, maxDuration(est, minRetryAfter))
 	}
 	w := &waiter{ready: make(chan struct{})}
 	c.queue = append(c.queue, w)
@@ -385,7 +385,7 @@ func (c *Controller) admitSlow(ctx context.Context, deadline time.Time) error {
 		drained := w.drained
 		c.mu.Unlock()
 		if drained {
-			return c.shedErr(ReasonDraining, retryAfterHint)
+			return c.shedErr(ReasonDraining, minRetryAfter)
 		}
 		c.queueWaits.Observe(c.now().Sub(now).Seconds())
 		c.admitted.Inc()
@@ -410,7 +410,7 @@ func (c *Controller) abandon(w *waiter, enqueued time.Time, r Reason) error {
 	}
 	if w.drained {
 		c.mu.Unlock()
-		return c.shedErr(ReasonDraining, retryAfterHint)
+		return c.shedErr(ReasonDraining, minRetryAfter)
 	}
 	for i, q := range c.queue {
 		if q == w {
@@ -422,7 +422,7 @@ func (c *Controller) abandon(w *waiter, enqueued time.Time, r Reason) error {
 	c.noteCapacityLocked(true)
 	retry := c.estimateWaitLocked(len(c.queue) + 1)
 	c.mu.Unlock()
-	return c.shedErr(r, maxDuration(retry, retryAfterHint))
+	return c.shedErr(r, maxDuration(retry, minRetryAfter))
 }
 
 // Release returns an admitted request's slot, feeding its service

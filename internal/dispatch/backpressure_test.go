@@ -14,7 +14,6 @@ import (
 	"snoopmva/internal/admission"
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/obs"
-	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
 )
 
@@ -153,8 +152,7 @@ func TestBackpressureExhaustsLimit(t *testing.T) {
 // TestHTTPTransportBackpressureMapping pins the wire mapping: 429 and
 // 503 become *BackpressureError — never *TransportError or *RemoteError —
 // with the retry hint preferring the body's retry_after_ms over the
-// Retry-After header, and the inner chain exposing
-// *resilience.RetryAfterError so generic Retry loops honor it.
+// Retry-After header.
 func TestHTTPTransportBackpressureMapping(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -201,10 +199,6 @@ func TestHTTPTransportBackpressureMapping(t *testing.T) {
 			var remote *RemoteError
 			if errors.As(err, &transport) || errors.As(err, &remote) {
 				t.Errorf("backpressure leaked into the failure taxonomy: %v", err)
-			}
-			var ra *resilience.RetryAfterError
-			if !errors.As(err, &ra) || ra.After != tc.wantAfter {
-				t.Errorf("RetryAfterError missing or wrong hint: %v", err)
 			}
 		})
 	}

@@ -13,7 +13,6 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/faultinject"
-	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
 )
 
@@ -71,9 +70,8 @@ func (e *TransportError) Unwrap() error { return e.Err }
 // worker for telling the truth about its load converts a local overload
 // into a cluster-wide one (and a rolling restart into a quarantine
 // storm). The point is requeued with the worker's own Retry-After delay
-// honored, and the worker is skipped until the delay passes. The inner
-// error wraps *resilience.RetryAfterError, so callers running plain
-// resilience.Retry loops over a Transport get the hint for free.
+// honored, and the worker is skipped until the delay passes. Err is the
+// transport's plain description of the refusal.
 type BackpressureError struct {
 	Addr       string
 	Route      string
@@ -248,8 +246,7 @@ func (t *HTTPTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 // backpressure builds the *BackpressureError for a 429/503 answer. The
 // delay hint prefers the body's retry_after_ms (millisecond precision)
 // over the Retry-After header (whole seconds); absent both it is zero
-// and the coordinator applies its default. The inner error wraps
-// *resilience.RetryAfterError so generic Retry loops honor the hint.
+// and the coordinator applies its default.
 func (t *HTTPTransport) backpressure(resp *http.Response, route string, we snoopd.ErrorResponse) error {
 	after := time.Duration(we.RetryAfterMS) * time.Millisecond
 	if after == 0 {
@@ -263,8 +260,7 @@ func (t *HTTPTransport) backpressure(resp *http.Response, route string, we snoop
 	}
 	return &BackpressureError{
 		Addr: t.base, Route: route, Code: code, RetryAfter: after,
-		Err: &resilience.RetryAfterError{After: after,
-			Err: fmt.Errorf("http %d (%s): %s", resp.StatusCode, code, we.Error)},
+		Err: fmt.Errorf("http %d (%s): %s", resp.StatusCode, code, we.Error),
 	}
 }
 

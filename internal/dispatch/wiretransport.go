@@ -9,7 +9,6 @@ import (
 
 	"snoopmva"
 	"snoopmva/internal/faultinject"
-	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
 	"snoopmva/internal/wire"
 )
@@ -23,10 +22,12 @@ const routeWire = "wire"
 // listener over one persistent, pipelined connection — the campaign
 // coordinator's points share the connection instead of paying per-request
 // HTTP setup, which is the batching that makes remote dispatch cheap.
-// The client's reconnect-with-resend hides connection failures; anything
-// it cannot hide surfaces as the same TransportError / BackpressureError
-// / RemoteError taxonomy as the HTTP transport, so the coordinator's
-// retry, breaker and backpressure logic applies unchanged.
+// Failures surface as the same TransportError / BackpressureError /
+// RemoteError taxonomy as the HTTP transport, so the coordinator's
+// retry, breaker and backpressure logic applies unchanged. The client
+// does not resend: a lost connection fails every point in flight on it
+// as a *TransportError, the coordinator requeues each one, and the next
+// call dials afresh.
 //
 // If the server negotiates an incompatible protocol version the
 // transport latches permanently onto its HTTP fallback (when configured
@@ -121,9 +122,9 @@ func (t *WireTransport) SolveBest(ctx context.Context, p snoopmva.Protocol, w sn
 // taxonomy: an Error frame whose code names a permanent solver failure
 // becomes an authoritative *RemoteError (same sentinel chain as the JSON
 // path), a Backpressure frame becomes a *BackpressureError that never
-// feeds the breaker, and everything else — connection failures the
-// client's resend could not hide, protocol errors, deadline/internal
-// codes — is a *TransportError and the point stays unresolved.
+// feeds the breaker, and everything else — a lost connection, protocol
+// errors, deadline/internal codes — is a *TransportError: the point
+// stays unresolved, and the coordinator requeues it.
 func (t *WireTransport) mapError(err error) error {
 	var reqErr *wire.RequestError
 	var shed *wire.BackpressureError
@@ -137,8 +138,7 @@ func (t *WireTransport) mapError(err error) error {
 	case errors.As(err, &shed):
 		return &BackpressureError{
 			Addr: t.Addr(), Route: routeWire, Code: shed.Code, RetryAfter: shed.RetryAfter,
-			Err: &resilience.RetryAfterError{After: shed.RetryAfter,
-				Err: fmt.Errorf("backpressure (%s)", shed.Code)},
+			Err: fmt.Errorf("backpressure (%s)", shed.Code),
 		}
 	default:
 		return &TransportError{Addr: t.Addr(), Route: routeWire, Err: err}

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -14,7 +15,6 @@ import (
 	"snoopmva/internal/admission"
 	"snoopmva/internal/faultinject"
 	"snoopmva/internal/obs"
-	"snoopmva/internal/resilience"
 	"snoopmva/internal/snoopd"
 	"snoopmva/internal/wire"
 )
@@ -118,9 +118,8 @@ func TestWireTransportRemoteError(t *testing.T) {
 }
 
 // TestWireTransportBackpressure: a Backpressure frame becomes a
-// *BackpressureError with the shed code, a positive retry hint, and a
-// resilience.RetryAfterError in its chain so the coordinator's pacing
-// logic honors the worker's hint.
+// *BackpressureError with the shed code and a positive retry hint, which
+// the coordinator's pacing logic honors.
 func TestWireTransportBackpressure(t *testing.T) {
 	block := make(chan struct{})
 	var once sync.Once
@@ -164,10 +163,6 @@ func TestWireTransportBackpressure(t *testing.T) {
 	}
 	if bp.Code != "overloaded" || bp.RetryAfter <= 0 || bp.Route != "wire" {
 		t.Fatalf("BackpressureError = %+v", bp)
-	}
-	var ra *resilience.RetryAfterError
-	if !errors.As(err, &ra) || ra.After != bp.RetryAfter {
-		t.Fatalf("retry-after chain missing or inconsistent: %v", err)
 	}
 	unblock()
 	<-occupied
@@ -362,31 +357,43 @@ func (p *killingProxy) pipe(client net.Conn) {
 }
 
 // TestWireTransportSeveredConnections: a campaign over a link that dies
-// every few responses must still produce the exact local result set, and
-// the reconnect-with-resend machinery must not double-commit any point.
+// every few responses must still produce the exact local result set,
+// committing no point twice. The wire client does not resend, so every
+// point in flight on a severed connection fails as a transport error and
+// the coordinator's requeue alone must bring it back; with eight slots
+// one severed connection loses several points at once.
 func TestWireTransportSeveredConnections(t *testing.T) {
-	points := testGrid(t, 16)
-	want := localReference(t, points)
+	for _, inflight := range []int{1, 8} {
+		t.Run(fmt.Sprintf("inflight=%d", inflight), func(t *testing.T) {
+			points := testGrid(t, 16)
+			want := localReference(t, points)
 
-	_, addr := newWireWorker(t, snoopd.Config{})
-	proxy := startKillingProxy(t, addr, 4)
-	wt := newWireTransport(t, proxy.ln.Addr().String(), "")
+			_, addr := newWireWorker(t, snoopd.Config{})
+			proxy := startKillingProxy(t, addr, 4)
+			wt := newWireTransport(t, proxy.ln.Addr().String(), "")
 
-	c, err := New(quickCfg([]Transport{wt}))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	got, stats, err := c.Run(context.Background(), points)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	assertSameResults(t, want, got)
-	total := 0
-	for _, n := range stats.WorkerCommits {
-		total += n
-	}
-	if total != len(points) {
-		t.Errorf("worker commits sum to %d, want %d", total, len(points))
+			cfg := quickCfg([]Transport{wt})
+			cfg.MaxInflight = inflight
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			got, stats, err := c.Run(context.Background(), points)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			assertSameResults(t, want, got)
+			total := 0
+			for _, n := range stats.WorkerCommits {
+				total += n
+			}
+			if total != len(points) {
+				t.Errorf("worker commits sum to %d, want %d", total, len(points))
+			}
+			if inflight > 1 && stats.Redispatches == 0 {
+				t.Error("no point was requeued: no connection was severed with points in flight")
+			}
+		})
 	}
 }
 

@@ -12,7 +12,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -111,54 +110,13 @@ func (p RetryPolicy) Delays() []time.Duration {
 	return out
 }
 
-// RetryAfterError carries a server-supplied backoff hint (an HTTP
-// Retry-After, a queue-full estimate) alongside the failure it
-// decorates. Retry honors the hint: when a retryable error carries one,
-// the next backoff sleep is at least After — the server knows its own
-// congestion better than our exponential schedule does — still capped
-// by the policy's MaxDelay so a hostile or confused hint cannot stall
-// the loop. Classification applies to the wrapped error via Unwrap, so
-// wrapping never changes an error's Class.
-type RetryAfterError struct {
-	After time.Duration
-	Err   error
-}
-
-func (e *RetryAfterError) Error() string {
-	return fmt.Sprintf("retry after %v: %v", e.After, e.Err)
-}
-
-// Unwrap exposes the decorated failure to errors.Is/As and Classifiers.
-func (e *RetryAfterError) Unwrap() error { return e.Err }
-
-// retryAfterHint extracts the largest backoff hint in err's tree, or 0.
-// The unwrap walk is capped at a constant depth far beyond any real
-// chain, so a cyclic Unwrap cannot spin it forever.
-func retryAfterHint(err error) time.Duration {
-	const maxUnwrap = 64
-	var hint time.Duration
-	for i := 0; i < maxUnwrap; i++ {
-		var rae *RetryAfterError
-		if !errors.As(err, &rae) {
-			break
-		}
-		if rae.After > hint {
-			hint = rae.After
-		}
-		err = rae.Err
-	}
-	return hint
-}
-
 // Retry runs op until it succeeds, fails permanently, is aborted, or the
 // attempt budget is exhausted. It returns the number of attempts made and
 // op's final error (nil on success). Backoff sleeps honor ctx: a fired
 // context ends the retry loop immediately with ctx's error.
 //
 // classify decides each error's Class; a nil classify treats every error
-// as Retryable. Attempt numbers passed to op count from 1. A retryable
-// error wrapped in *RetryAfterError stretches the next backoff to at
-// least the hint (capped by MaxDelay).
+// as Retryable. Attempt numbers passed to op count from 1.
 //
 // The jitter schedule is built at the first retry that sleeps, never on a
 // first-attempt success: seeding its stream costs more than a microsecond
@@ -197,14 +155,7 @@ func retry(ctx context.Context, p RetryPolicy, classify Classifier, op func(ctx 
 		if delays == nil {
 			delays = p.Delays()
 		}
-		delay := delays[attempt-1]
-		if hint := retryAfterHint(err); hint > delay {
-			delay = hint
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
-			}
-		}
-		if serr := sleep(ctx, delay); serr != nil {
+		if serr := sleep(ctx, delays[attempt-1]); serr != nil {
 			return attempts, serr
 		}
 	}

@@ -202,56 +202,3 @@ func TestClassString(t *testing.T) {
 		}
 	}
 }
-
-func TestRetryHonorsRetryAfterHint(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: time.Second, Seed: 1}
-	hint := 60 * time.Millisecond
-	start := time.Now()
-	calls := 0
-	_, err := Retry(context.Background(), p, nil,
-		func(ctx context.Context, attempt int) error {
-			calls++
-			if attempt == 1 {
-				return &RetryAfterError{After: hint, Err: errBoom}
-			}
-			return nil
-		})
-	if err != nil || calls != 2 {
-		t.Fatalf("got calls=%d err=%v, want 2/nil", calls, err)
-	}
-	if elapsed := time.Since(start); elapsed < hint {
-		t.Fatalf("retry slept %v, want at least the %v hint", elapsed, hint)
-	}
-}
-
-func TestRetryAfterHintCappedByMaxDelay(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond, MaxDelay: 20 * time.Millisecond, Seed: 1}
-	start := time.Now()
-	_, err := Retry(context.Background(), p, nil,
-		func(ctx context.Context, attempt int) error {
-			if attempt == 1 {
-				return &RetryAfterError{After: time.Hour, Err: errBoom}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hint was not capped: slept %v", elapsed)
-	}
-}
-
-func TestRetryAfterErrorPreservesClass(t *testing.T) {
-	// Wrapping must not change classification: a permanent error with a
-	// hint still stops the loop.
-	calls := 0
-	_, err := Retry(context.Background(), fastPolicy(5), classifyMarked,
-		func(ctx context.Context, attempt int) error {
-			calls++
-			return &RetryAfterError{After: time.Millisecond, Err: errPermanent}
-		})
-	if calls != 1 || !errors.Is(err, errPermanent) {
-		t.Fatalf("got calls=%d err=%v, want 1 call and the permanent error", calls, err)
-	}
-}

@@ -18,7 +18,7 @@ import (
 // every proxied connection after forwarding killAfter response frames
 // past the handshake — a deterministic connection partition. A client
 // pipelining more calls than killAfter is guaranteed to lose a
-// connection mid-batch and must reconnect-with-resend to finish.
+// connection mid-batch and must retry the calls that failed with it.
 type chaosProxy struct {
 	ln        net.Listener
 	target    string
@@ -101,11 +101,16 @@ func (p *chaosProxy) pipe(client net.Conn) {
 	}
 }
 
+// stormAttempts bounds each storm call's tries, like the dispatch
+// coordinator's requeue limit (8) bounds a point's.
+const stormAttempts = 8
+
 // TestWireStorm is the race/leak storm: hundreds of concurrent
 // connections (a thousand without -race), every one behind a chaos proxy
 // that severs the connection after two responses — so every client loses
-// a connection mid-batch and must reconnect-with-resend — and a quarter
-// of the clients additionally killed outright mid-flight. Afterward: the
+// a connection mid-batch, and each failed call retries itself, at most
+// stormAttempts times in all — and a quarter of the clients additionally
+// killed outright mid-flight. Afterward: the
 // surviving clients' grids are set-identical and bit-equal to the
 // library's answers (no lost and no double-committed call), and nothing
 // — server, proxy, or client — leaks a goroutine.
@@ -150,11 +155,7 @@ func TestWireStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := wire.NewClient(proxy.addr(), wire.ClientOptions{
-				ClientName:     "storm",
-				RedialAttempts: 6,
-				RedialBackoff:  time.Millisecond,
-			})
+			c := wire.NewClient(proxy.addr(), wire.ClientOptions{ClientName: "storm"})
 			defer func() { _ = c.Close() }()
 			if i%4 == 0 {
 				// A mid-batch hard kill: close the client while its
@@ -170,11 +171,18 @@ func TestWireStorm(t *testing.T) {
 				calls.Add(1)
 				go func(n int) {
 					defer calls.Done()
-					resp, err := c.Solve(context.Background(), &wire.SolveRequest{
-						Protocol: wire.ProtocolSpec{Name: "Illinois"},
-						Workload: appendixA(5),
-						N:        n,
-					})
+					var resp wire.SolveResponse
+					var err error
+					for attempt := 1; attempt <= stormAttempts; attempt++ {
+						resp, err = c.Solve(context.Background(), &wire.SolveRequest{
+							Protocol: wire.ProtocolSpec{Name: "Illinois"},
+							Workload: appendixA(5),
+							N:        n,
+						})
+						if err == nil || errors.Is(err, wire.ErrClientClosed) {
+							break
+						}
+					}
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil {

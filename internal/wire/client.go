@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 )
@@ -59,12 +58,6 @@ type ClientOptions struct {
 	// DialTimeout bounds connection establishment including the
 	// Hello/HelloAck handshake. Default 5s.
 	DialTimeout time.Duration
-	// RedialAttempts is how many reconnect-with-resend attempts follow a
-	// connection failure with requests in flight before those requests
-	// are failed. Default 3.
-	RedialAttempts int
-	// RedialBackoff is the pause between redial attempts. Default 50ms.
-	RedialBackoff time.Duration
 	// ClientName travels in the Hello frame, the binary analogue of the
 	// JSON API's X-Snoop-Client header (per-client rate limiting).
 	ClientName string
@@ -74,12 +67,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.RedialAttempts <= 0 {
-		o.RedialAttempts = 3
-	}
-	if o.RedialBackoff <= 0 {
-		o.RedialBackoff = 50 * time.Millisecond
-	}
 	return o
 }
 
@@ -87,10 +74,12 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // connection. Calls are safe for concurrent use: each carries a
 // client-chosen sequence id, the server streams answers back in
 // completion order, and a background read loop matches them up. A
-// connection failure with calls in flight triggers
-// reconnect-with-resend: the client redials, replays every unanswered
-// request frame, and the callers never notice. Construct with NewClient;
-// Close releases the connection and fails anything still in flight.
+// connection failure fails every call in flight on it with the
+// failure's cause, and the next call dials afresh. The client never
+// resends: whether a lost answer is worth another try is the caller's
+// call (the dispatch coordinator requeues the point). Construct with
+// NewClient; Close releases the connection and fails anything still in
+// flight with ErrClientClosed.
 type Client struct {
 	addr   string
 	opts   ClientOptions
@@ -99,19 +88,10 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	reader  *Reader
 	seq     uint64
-	pending map[uint64]*pendingCall
-	verErr  error // latched version-negotiation failure; permanent
+	pending map[uint64]chan callResult // in-flight calls' answer channels
+	verErr  error                      // latched version-negotiation failure; permanent
 	closed  bool
-	// recovering is set while a reconnect-with-resend goroutine runs. The
-	// redial loop sleeps and dials off the mutex (a held-through recovery
-	// would pin every concurrent call — even ctx-expired ones — for up to
-	// RedialAttempts × (backoff + DialTimeout)); this flag is what keeps
-	// new calls from racing the half-rebuilt connection instead: they
-	// register in pending without dialing and the recovery's resend pass
-	// picks them up.
-	recovering bool
 
 	// Write coalescing: request frames append to wbuf under mu and the
 	// connection's flush loop writes the accumulated buffer in one
@@ -120,17 +100,6 @@ type Client struct {
 	// broadcast when wbuf gains data or conn changes.
 	wbuf      []byte
 	flushWake *sync.Cond
-}
-
-// pendingCall is one in-flight request: the encoded frame (kept for
-// resend after a reconnect), the caller's answer channel, and how many
-// connection failures have been charged to it — the budget that keeps a
-// poison request (one whose replay kills every connection) from holding
-// the client in a dial loop forever.
-type pendingCall struct {
-	frame   []byte
-	done    chan callResult
-	resends int
 }
 
 type callResult struct {
@@ -149,7 +118,7 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		opts:    opts.withDefaults(),
 		ctx:     ctx,
 		cancel:  cancel,
-		pending: map[uint64]*pendingCall{},
+		pending: map[uint64]chan callResult{},
 	}
 	c.flushWake = sync.NewCond(&c.mu)
 	return c
@@ -215,15 +184,6 @@ func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveB
 		return nil, nil
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	if c.verErr != nil {
-		err := c.verErr
-		c.mu.Unlock()
-		return nil, err
-	}
 	if err := c.ensureConnLocked(); err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -232,10 +192,9 @@ func (c *Client) SolveBatch(ctx context.Context, reqs []*SolveRequest) ([]SolveB
 	index := make(map[uint64]int, len(reqs))
 	for i, req := range reqs {
 		c.seq++
-		frame := AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, c.seq, req))
-		c.pending[c.seq] = &pendingCall{frame: frame, done: done}
+		c.pending[c.seq] = done
 		index[c.seq] = i
-		c.sendLocked(frame)
+		c.sendLocked(AppendFrame(nil, TypeSolveReq, AppendSolveRequest(nil, c.seq, req)))
 	}
 	c.mu.Unlock()
 
@@ -342,28 +301,19 @@ func unexpectedType(res callResult, want FrameType) error {
 // sequence id and returns the complete request frame.
 func (c *Client) roundTrip(ctx context.Context, encode func(seq uint64) []byte) (callResult, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return callResult{}, ErrClientClosed
-	}
-	if c.verErr != nil {
-		err := c.verErr
-		c.mu.Unlock()
-		return callResult{}, err
-	}
 	if err := c.ensureConnLocked(); err != nil {
 		c.mu.Unlock()
 		return callResult{}, err
 	}
 	c.seq++
 	seq := c.seq
-	call := &pendingCall{frame: encode(seq), done: make(chan callResult, 1)}
-	c.pending[seq] = call
-	c.sendLocked(call.frame)
+	done := make(chan callResult, 1)
+	c.pending[seq] = done
+	c.sendLocked(encode(seq))
 	c.mu.Unlock()
 
 	select {
-	case res := <-call.done:
+	case res := <-done:
 		if res.err != nil {
 			return callResult{}, res.err
 		}
@@ -376,22 +326,21 @@ func (c *Client) roundTrip(ctx context.Context, encode func(seq uint64) []byte) 
 	}
 }
 
-// ensureConnLocked dials and handshakes if no connection is live. While
-// a recovery goroutine runs it reports success without dialing: the
-// caller's pending entry rides the recovery's resend pass, and dialing
-// here would race the half-rebuilt connection.
+// ensureConnLocked readies the client for a call: it fails a closed or
+// version-latched client, and dials and handshakes if no connection is
+// live, starting its read and flush loops. The dial holds the mutex, so
+// concurrent calls share one dial instead of racing their own. A server
+// acking a version outside this client's range latches verErr — the
+// permanent failure WireTransport's HTTP fallback keys on.
 func (c *Client) ensureConnLocked() error {
-	if c.conn != nil || c.recovering {
+	switch {
+	case c.closed:
+		return ErrClientClosed
+	case c.verErr != nil:
+		return c.verErr
+	case c.conn != nil:
 		return nil
 	}
-	return c.dialLocked()
-}
-
-// dialLocked establishes a connection while holding the mutex (the
-// first-call fast path, where nothing else is in flight to block). A
-// server acking a version outside this client's range latches verErr —
-// the permanent failure WireTransport's HTTP fallback keys on.
-func (c *Client) dialLocked() error {
 	conn, r, err := c.dial()
 	if err != nil {
 		if IsVersionMismatch(err) {
@@ -399,14 +348,16 @@ func (c *Client) dialLocked() error {
 		}
 		return err
 	}
-	c.installLocked(conn, r)
+	c.conn = conn
+	go c.readLoop(c.ctx, conn, r)
+	//lint:allow spawnbound flushLoop exits when conn fails or the client closes: both paths clear c.conn and broadcast flushWake, waking the Wait it blocks on
+	go c.flushLoop(conn)
 	return nil
 }
 
 // dial establishes a connection: TCP with keepalive, then the
 // Hello/HelloAck negotiation. It touches no client state beyond
-// immutable fields, so the recovery goroutine may call it without
-// holding the mutex.
+// immutable fields.
 func (c *Client) dial() (net.Conn, *Reader, error) {
 	d := net.Dialer{Timeout: c.opts.DialTimeout, KeepAlive: 30 * time.Second}
 	conn, err := d.DialContext(c.ctx, "tcp", c.addr)
@@ -449,40 +400,20 @@ func (c *Client) dial() (net.Conn, *Reader, error) {
 	return conn, r, nil
 }
 
-// installLocked makes a freshly handshaken connection the live one and
-// starts its read and flush loops.
-func (c *Client) installLocked(conn net.Conn, r *Reader) {
-	c.conn = conn
-	c.reader = r
-	// Frames buffered for the previous connection are covered by
-	// resendLocked (their calls are still pending); flushing them here
-	// would only duplicate the resends.
-	c.wbuf = nil
-	c.flushWake.Broadcast() // a superseded flush loop exits on this
-	go c.readLoop(c.ctx, conn, r)
-	//lint:allow spawnbound flushLoop exits when conn is superseded or the client closes: every path that replaces c.conn broadcasts flushWake, waking the Wait it blocks on
-	go c.flushLoop(conn)
-}
-
-// sendLocked queues frame for the connection's flush loop — group
+// sendLocked queues frame for the live connection's flush loop — group
 // commit: concurrent pipelined calls accumulate in wbuf and ride one
-// write syscall. A write failure surfaces in the flush loop and
-// triggers recovery (redial + resend), so the caller's pending entry —
-// registered before the send — is replayed or failed; either way its
-// done channel fires.
+// write syscall. A write failure surfaces in the flush loop, which
+// fails the connection and with it the caller's pending entry
+// (registered before the send).
 func (c *Client) sendLocked(frame []byte) {
-	if c.conn == nil {
-		c.recoverLocked(errors.New("wire: connection lost"))
-		return
-	}
 	c.wbuf = append(c.wbuf, frame...)
 	c.flushWake.Broadcast()
 }
 
 // flushLoop drains wbuf onto conn, one syscall per accumulated batch,
-// until conn is superseded or the client closes. A failed or timed-out
-// write (the client side of write backpressure) reports through
-// connFailed exactly as a read failure would.
+// until conn fails or the client closes. A failed or timed-out write
+// (the client side of write backpressure) reports through connFailed
+// exactly as a read failure would.
 func (c *Client) flushLoop(conn net.Conn) {
 	c.mu.Lock()
 	for {
@@ -506,8 +437,7 @@ func (c *Client) flushLoop(conn net.Conn) {
 }
 
 // readLoop decodes response frames and delivers them to their pending
-// calls until the connection or the client dies. A connection failure
-// with calls in flight hands off to recovery.
+// calls until the connection or the client dies.
 func (c *Client) readLoop(ctx context.Context, conn net.Conn, r *Reader) {
 	for ctx.Err() == nil {
 		f, err := r.Next()
@@ -534,170 +464,35 @@ func (c *Client) readLoop(ctx context.Context, conn net.Conn, r *Reader) {
 // (the caller may have given up on ctx cancellation).
 func (c *Client) deliver(seq uint64, res callResult) {
 	c.mu.Lock()
-	call := c.pending[seq]
+	done := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
-	if call != nil {
+	if done != nil {
 		res.seq = seq
-		call.done <- res
+		done <- res
 	}
 }
 
-// connFailed is the read loop's exit report: if conn is still the live
-// connection, tear it down and recover the in-flight calls.
+// connFailed is the read and flush loops' exit report: if conn is still
+// the live connection, tear it down and fail every call in flight on it
+// with cause. The next call dials afresh.
 func (c *Client) connFailed(conn net.Conn, cause error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != conn {
-		return // a newer connection superseded this loop already
+		return // Close or the other loop tore it down already
 	}
 	c.conn = nil
+	c.wbuf = nil // the frames of calls failed below
 	_ = conn.Close()
-	c.flushWake.Broadcast()
-	c.recoverLocked(cause)
-}
-
-// recoverLocked triages a connection failure: permanent failures (client
-// closed, protocol violation) fail the in-flight calls on the spot;
-// transient ones charge each call's resend budget and hand off to a
-// recover goroutine, which redials and resends off the mutex. The lock
-// is held only for this triage, so concurrent calls — in particular
-// ctx-expired callers that need the lock just to abandon their pending
-// entry — are never pinned behind the redial loop's sleeps and dials.
-func (c *Client) recoverLocked(cause error) {
-	if c.closed {
-		c.failAllLocked(ErrClientClosed)
-		return
-	}
-	// A framing-layer failure is not a transient connection loss: the
-	// peer violated the protocol, and replaying the same bytes at it
-	// would loop. Fail the in-flight calls instead of redialing.
-	var pe *ProtocolError
-	if errors.As(cause, &pe) {
-		c.failAllLocked(cause)
-		return
-	}
-	if c.recovering {
-		// The running recovery's resend pass replays everything still in
-		// pending — including calls registered after it started. Charging
-		// resend budget again here would double-bill one failure.
-		return
-	}
-	// Charge the failure to every in-flight call and fail the ones that
-	// have exhausted their resend budget, so one request that reliably
-	// kills the connection cannot pin the healthy ones in perpetual
-	// reconnection.
-	for seq, call := range c.pending {
-		call.resends++
-		if call.resends > c.opts.RedialAttempts {
-			delete(c.pending, seq)
-			call.done <- callResult{seq: seq, err: fmt.Errorf("wire: request failed after %d resends: %w", call.resends-1, cause)}
-		}
-	}
-	if len(c.pending) == 0 {
-		return // nothing in flight; the next call dials fresh
-	}
-	c.recovering = true
-	//lint:allow spawnbound recover's redial loop runs at most RedialAttempts iterations, each bounded by backoff + DialTimeout, and every exit path clears recovering
-	go c.recover(cause)
-}
-
-// recover is reconnect-with-resend: redial (bounded attempts with
-// backoff) and replay every unanswered request frame; if recovery fails,
-// fail them all with the last error. It runs in its own goroutine and
-// takes the mutex only to inspect state and to install/resend — the
-// sleeps and dials that dominate its runtime happen unlocked.
-func (c *Client) recover(cause error) {
-	lastErr := cause
-	for attempt := 0; attempt < c.opts.RedialAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.opts.RedialBackoff)
-		}
-		c.mu.Lock()
-		if c.closed || c.ctx.Err() != nil {
-			c.finishRecoverLocked(ErrClientClosed)
-			return
-		}
-		if len(c.pending) == 0 {
-			// Every in-flight caller gave up (ctx cancellation) while we
-			// were redialing; the next call dials fresh.
-			c.recovering = false
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-
-		conn, r, err := c.dial()
-
-		c.mu.Lock()
-		if c.closed {
-			if err == nil {
-				_ = conn.Close()
-			}
-			c.finishRecoverLocked(ErrClientClosed)
-			return
-		}
-		if err != nil {
-			lastErr = err
-			if IsVersionMismatch(err) {
-				c.verErr = err
-				c.finishRecoverLocked(err)
-				return
-			}
-			c.mu.Unlock()
-			continue
-		}
-		c.installLocked(conn, r)
-		if err := c.resendLocked(); err != nil {
-			lastErr = err
-			c.mu.Unlock()
-			continue
-		}
-		c.recovering = false
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Lock()
-	c.finishRecoverLocked(lastErr)
-}
-
-// finishRecoverLocked ends a failed recovery: fail everything still
-// pending with err and clear the recovering flag. Called with the mutex
-// held; releases it.
-func (c *Client) finishRecoverLocked(err error) {
-	c.failAllLocked(err)
-	c.recovering = false
-	c.mu.Unlock()
-}
-
-// resendLocked replays every pending request frame, in sequence order
-// for determinism, on the freshly dialed connection.
-func (c *Client) resendLocked() error {
-	seqs := make([]uint64, 0, len(c.pending))
-	for seq := range c.pending {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		conn := c.conn
-		if conn == nil {
-			return errors.New("wire: connection lost during resend")
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(clientWriteTimeout))
-		if _, err := conn.Write(c.pending[seq].frame); err != nil {
-			c.conn = nil
-			_ = conn.Close()
-			c.flushWake.Broadcast() // the dead conn's flush loop exits on this
-			return fmt.Errorf("wire: resend: %w", err)
-		}
-	}
-	return nil
+	c.flushWake.Broadcast() // conn's flush loop exits on this
+	c.failAllLocked(cause)
 }
 
 // failAllLocked fails every pending call with err and clears the map.
 func (c *Client) failAllLocked(err error) {
-	for seq, call := range c.pending {
+	for seq, done := range c.pending {
 		delete(c.pending, seq)
-		call.done <- callResult{seq: seq, err: err}
+		done <- callResult{seq: seq, err: err}
 	}
 }

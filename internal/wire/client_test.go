@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -143,45 +144,33 @@ func TestClientRoundTripAndPipelining(t *testing.T) {
 	}
 }
 
-// TestClientReconnectWithResend kills the connection after the first
-// request frame arrives, unanswered. The client must redial, resend,
-// and the caller must get the second incarnation's answer — without
-// ever seeing the failure.
-func TestClientReconnectWithResend(t *testing.T) {
+// TestClientConnectionLossFailsCall kills the connection after the
+// first request frame arrives, unanswered. The call must fail with the
+// read error — the client does not resend, and the client is not
+// closed — and the next call must dial a second connection and succeed.
+func TestClientConnectionLossFailsCall(t *testing.T) {
 	srv := newTestServer(t, Version, func(conn int, f Frame) [][]byte {
 		if conn == 1 {
 			return nil // kill without answering
 		}
 		return echoSolve(f.Payload)
 	})
-	c := NewClient(srv.addr(), ClientOptions{RedialBackoff: time.Millisecond})
+	c := NewClient(srv.addr(), ClientOptions{})
 	defer c.Close()
 
+	_, err := c.Solve(context.Background(), solveReq(9))
+	if err == nil || errors.Is(err, ErrClientClosed) || !strings.HasPrefix(err.Error(), "wire: read:") {
+		t.Fatalf("err = %v, want the connection's read error", err)
+	}
 	resp, err := c.Solve(context.Background(), solveReq(9))
 	if err != nil {
-		t.Fatalf("resend did not hide the kill: %v", err)
+		t.Fatalf("call after the loss: %v", err)
 	}
 	if resp.Result.N != 9 {
 		t.Fatalf("N = %d", resp.Result.N)
 	}
 	if d := srv.dials.Load(); d != 2 {
-		t.Fatalf("dials = %d, want 2 (original + redial)", d)
-	}
-}
-
-// TestClientReconnectExhaustion: when every redial lands on a server
-// that keeps killing the connection, the caller gets an error after
-// RedialAttempts, not a hang.
-func TestClientReconnectExhaustion(t *testing.T) {
-	srv := newTestServer(t, Version, func(int, Frame) [][]byte { return nil })
-	c := NewClient(srv.addr(), ClientOptions{RedialAttempts: 2, RedialBackoff: time.Millisecond})
-	defer c.Close()
-	_, err := c.Solve(context.Background(), solveReq(3))
-	if err == nil {
-		t.Fatal("expected failure after redial exhaustion")
-	}
-	if got := srv.dials.Load(); got != 3 { // original + 2 redials
-		t.Fatalf("dials = %d, want 3", got)
+		t.Fatalf("dials = %d, want 2 (original + the next call's)", d)
 	}
 }
 
@@ -290,61 +279,6 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
-// TestClientRecoveryDoesNotBlockCancel: while reconnect-with-resend is
-// redialing (backoff sleeps and connect attempts), a caller whose
-// context expires must return at its deadline. Recovery runs off the
-// client mutex; if it held the lock across the redial loop, the
-// ctx-expired path — which takes the lock to abandon its pending entry
-// — would be pinned for RedialAttempts × (backoff + dial time).
-func TestClientRecoveryDoesNotBlockCancel(t *testing.T) {
-	killed := make(chan struct{})
-	var once sync.Once
-	var srv *testServer
-	srv = newTestServer(t, Version, func(int, Frame) [][]byte {
-		_ = srv.ln.Close() // every redial now lands on a dead address
-		once.Do(func() { close(killed) })
-		return nil // kill the connection without answering
-	})
-	// A redial budget generous enough that a recovery holding the mutex
-	// would pin callers for several seconds.
-	c := NewClient(srv.addr(), ClientOptions{RedialAttempts: 20, RedialBackoff: 250 * time.Millisecond})
-	defer c.Close()
-
-	first := make(chan error, 1)
-	go func() {
-		_, err := c.Solve(context.Background(), solveReq(1))
-		first <- err
-	}()
-	select {
-	case <-killed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never saw the first request")
-	}
-	time.Sleep(50 * time.Millisecond) // let the client notice and start recovering
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Ping(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("ctx-expired call pinned %v behind recovery", elapsed)
-	}
-
-	// Close aborts the recovery and releases the first caller.
-	_ = c.Close()
-	select {
-	case err := <-first:
-		if err == nil {
-			t.Fatal("first call succeeded against a dead server")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first caller stuck after Close")
-	}
-}
-
 // TestClientClose fails in-flight calls with ErrClientClosed and makes
 // later calls fail the same way.
 func TestClientClose(t *testing.T) {
@@ -354,7 +288,7 @@ func TestClientClose(t *testing.T) {
 		<-block
 		return echoSolve(f.Payload)
 	})
-	c := NewClient(srv.addr(), ClientOptions{RedialAttempts: 1, RedialBackoff: time.Millisecond})
+	c := NewClient(srv.addr(), ClientOptions{})
 
 	done := make(chan error, 1)
 	go func() {
@@ -427,7 +361,7 @@ func TestClientServerSentGarbage(t *testing.T) {
 			}()
 		}
 	}()
-	c := NewClient(ln.Addr().String(), ClientOptions{RedialAttempts: 1, RedialBackoff: time.Millisecond})
+	c := NewClient(ln.Addr().String(), ClientOptions{})
 	defer c.Close()
 	_, err = c.Solve(context.Background(), solveReq(1))
 	var pe *ProtocolError

@@ -2,8 +2,10 @@
 // length-prefixed, versioned framing over persistent TCP connections,
 // with append-style zero-copy encoders for the solve, sweep and
 // solvebest request/response payloads, and a pipelining client with
-// keepalive, per-connection write backpressure, and
-// reconnect-with-resend.
+// keepalive and per-connection write backpressure. The client does not
+// resend: a lost connection fails the calls in flight on it, and the
+// caller decides whether to try again (the dispatch coordinator
+// requeues the point).
 //
 // # Frame layout (version 2)
 //

@@ -179,9 +179,9 @@ echo "dist_chaos: PASS — brownout phase: $bcount points set-identical to local
 # ------------------------------------------------------------------
 # Wire phase: the same grid dispatched over the binary wire protocol
 # (wire:// workers with HTTP fallback URLs), with one worker SIGKILLed
-# mid-grid. The coordinator's wire transport must ride
-# reconnect-with-resend where the connection can be salvaged and requeue
-# where it cannot, finish on the survivor, and produce the same point
+# mid-grid. Every point in flight on the killed worker's connection
+# fails as a transport error; the coordinator must requeue it, finish
+# on the survivor, and produce the same point
 # set as the local reference — byte for byte, since the solvers are
 # deterministic. The survivor's /metrics must show real wire-protocol
 # traffic, proving the phase did not silently fall back to JSON.
