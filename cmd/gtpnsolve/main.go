@@ -1,6 +1,7 @@
 // Command gtpnsolve runs the detailed Generalized Timed Petri Net model —
 // the paper's expensive comparator — for small system sizes, and reports
-// the reachability-graph size alongside the performance measures.
+// the reachability-graph size, the solve's time and the megabytes it
+// allocated alongside the performance measures.
 //
 // Examples:
 //
@@ -15,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -71,7 +73,7 @@ func main() {
 		}
 	}
 
-	cols := []string{"N", "states", "speedup", "R", "U_bus", "solve-time"}
+	cols := []string{"N", "states", "speedup", "R", "U_bus", "solve-time", "alloc-MB"}
 	if *perProc {
 		cols = append(cols, "perproc-states")
 	}
@@ -82,12 +84,17 @@ func main() {
 
 	for _, size := range ns {
 		cfg := gtpnmodel.Config{Workload: ws, Mods: ms, N: size, ModelMemory: *memory}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		t0 := time.Now()
 		g, err := gtpnmodel.SolveContext(ctx, cfg, petri.Options{MaxStates: *maxStates})
 		if err != nil {
 			fatal(fmt.Errorf("N=%d: %w", size, err))
 		}
-		row := []any{size, g.States, g.Speedup, g.R, g.UBus, time.Since(t0).Round(time.Millisecond).String()}
+		elapsed := time.Since(t0)
+		runtime.ReadMemStats(&after)
+		row := []any{size, g.States, g.Speedup, g.R, g.UBus, elapsed.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.1f", float64(after.TotalAlloc-before.TotalAlloc)/1e6)}
 		if *perProc {
 			pp, err := gtpnmodel.StateCountContext(ctx, cfg, true, petri.Options{MaxStates: *maxStates})
 			if err != nil {

@@ -49,6 +49,7 @@ func TestCommandLineTools(t *testing.T) {
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "2", "-compare"}, "states"},
 		{"gtpnsolve", []string{"-sharing", "5", "-n", "4", "-compare", "-memory"}, "3.127"},
 		{"gtpnsolve", []string{"-sweep", "2..3"}, "906"}, // N=3's state count
+		{"gtpnsolve", []string{"-sweep", "2..3"}, "alloc-MB"},
 		{"cachesim", []string{"-protocol", "Illinois", "-sharing", "5", "-n", "4", "-cycles", "40000",
 			"-warmup", "2000", "-timeout", "60s", "-compare"}, "Illinois"},
 		{"paperrepro", []string{"-list"}, "tab4.1a"},

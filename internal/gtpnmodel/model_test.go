@@ -169,28 +169,33 @@ func TestLumpedStateCountsPinned(t *testing.T) {
 	}
 }
 
-// TestSolveAllocationBound bounds the heap traffic of two lumped
+// TestSolveAllocationBound bounds the heap traffic of three lumped
 // Write-Once solves: N=6 (7721 states), the largest the default SolveBest
-// ladder runs, and N=8 (20,361 states), the size larger solves are
-// extrapolated from. The resolver keeps its memo, outcomes and sparse
-// firing counts in a few arenas that double as they grow, so with go1.24
-// on amd64 the solves measure 13.85 MB in ~335 allocations and 48.4 MB in
-// 379; the bounds add ~20% to the bytes and ~12% to the count. With a
-// dense firing vector per memo entry and a separate CSR copy of the
-// chain they took 24.7 MB in ~365 and 88.2 MB in 404; before the arenas,
-// per-outcome firing vectors and string memo keys took ~31 MB in 112,665
-// allocations at N=6, and before that, keys rebuilt at each use and
-// damped power iteration took 174 MB and 2.30M.
+// ladder runs, N=8 (20,361 states), the size larger solves are
+// extrapolated from, and N=10 (44,341 states). The resolver memoizes by
+// marking and keeps its memo, outcomes, sparse firing counts and the
+// chain's columns in a few arenas that double as they grow, so with go1.24
+// on amd64 the solves measure 4.63 MB in ~272 allocations, 16.75 MB in
+// ~311 and 59.2 MB in ~356; the bounds add ~20% to the bytes, and the
+// counts keep the bounds set for the raw-state memo. Memoized by raw state
+// (marking and flights), the solves took 13.85 MB in ~335 allocations,
+// 48.4 MB in 379 and 159 MB in ~439. With a dense firing vector per memo
+// entry and a separate CSR copy of the chain they took 24.7 MB in ~365
+// and 88.2 MB in 404; before the arenas, per-outcome firing vectors and
+// string memo keys took ~31 MB in 112,665 allocations at N=6, and before
+// that, keys rebuilt at each use and damped power iteration took 174 MB
+// and 2.30M.
 func TestSolveAllocationBound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves 7721- and 20,361-state chains")
+		t.Skip("solves 7721-, 20,361- and 44,341-state chains")
 	}
 	for _, c := range []struct {
 		n                   int
 		maxBytes, maxAllocs uint64
 	}{
-		{6, 16 << 20, 375},
-		{8, 56 << 20, 425},
+		{6, 5_560_000, 375},
+		{8, 20_110_000, 425},
+		{10, 71_000_000, 425},
 	} {
 		cfg := Config{Workload: workload.AppendixA(workload.Sharing5), Mods: protocol.WriteOnce.Mods, N: c.n}
 		bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)

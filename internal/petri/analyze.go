@@ -60,69 +60,52 @@ type state struct {
 	flights []inflight // sorted by (t, remaining)
 }
 
-// appendKey appends the compact encoding of s to buf: every token count,
-// then every flight's transition and remaining time, as uvarints. The
-// marking has one entry per place and uvarints are self-delimiting, so
-// two states are equal exactly when their keys are.
-func (s state) appendKey(buf []byte) []byte {
-	for _, m := range s.marking {
-		buf = binary.AppendUvarint(buf, uint64(m))
+// A key is led by its kind: markings and states share one key table.
+const (
+	markTag  byte = 0
+	stateTag byte = 1
+)
+
+// appendMarkingKey appends marking m's key to buf: markTag, then every
+// token count as a uvarint.
+func appendMarkingKey(buf []byte, m []int) []byte {
+	buf = append(buf, markTag)
+	for _, v := range m {
+		buf = binary.AppendUvarint(buf, uint64(v))
 	}
-	for _, f := range s.flights {
+	return buf
+}
+
+// appendStateKey appends a state's key to buf: stateTag, the memo entry of
+// its marking, then every flight's transition and remaining time, as
+// uvarints. An entry names one marking and uvarints are self-delimiting,
+// so two states are equal exactly when their keys are.
+func appendStateKey(buf []byte, mark int32, flights []inflight) []byte {
+	buf = append(buf, stateTag)
+	buf = binary.AppendUvarint(buf, uint64(mark))
+	for _, f := range flights {
 		buf = binary.AppendUvarint(buf, uint64(f.t))
 		buf = binary.AppendUvarint(buf, uint64(f.remaining))
 	}
 	return buf
 }
 
-func sortFlights(f []inflight) {
-	slices.SortFunc(f, func(a, b inflight) int {
-		if a.t != b.t {
-			return int(a.t - b.t)
+func flightLess(a, b inflight) bool {
+	return a.t < b.t || a.t == b.t && a.remaining < b.remaining
+}
+
+// mergeFlights appends the union of the sorted flights a and b to dst,
+// sorted.
+func mergeFlights(dst, a, b []inflight) []inflight {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if flightLess(b[j], a[i]) {
+			dst, j = append(dst, b[j]), j+1
+		} else {
+			dst, i = append(dst, a[i]), i+1
 		}
-		return int(a.remaining - b.remaining)
-	})
-}
-
-// stableSet stores stable states back to back, at 32 bits a number: state
-// i's marking is marks[i*np:(i+1)*np] and its flights are
-// flights[off[i]:off[i+1]].
-type stableSet struct {
-	np      int
-	marks   []int32
-	flights []inflight
-	off     []int32
-}
-
-func (ss *stableSet) len() int { return len(ss.off) - 1 }
-
-func (ss *stableSet) add(st state) error {
-	ss.marks = reserve(ss.marks, len(st.marking))
-	for p, m := range st.marking {
-		if m > math.MaxInt32 {
-			return fmt.Errorf("petri: place %d holds %d tokens, more than a stable state stores", p, m)
-		}
-		ss.marks = append(ss.marks, int32(m))
 	}
-	ss.flights = push(ss.flights, st.flights...)
-	ss.off = push(ss.off, int32(len(ss.flights)))
-	return nil
-}
-
-// at writes state i into st: its marking into st.marking, which has one
-// entry per place, and its flights as a view into the set, valid until
-// the next add.
-func (ss *stableSet) at(i int, st *state) {
-	for p, m := range ss.marks[i*ss.np : (i+1)*ss.np] {
-		st.marking[p] = int(m)
-	}
-	st.flights = ss.flightsOf(i)
-}
-
-// flightsOf returns state i's flights as a view into the set, valid until
-// the next add.
-func (ss *stableSet) flightsOf(i int) []inflight {
-	return ss.flights[ss.off[i]:ss.off[i+1]:ss.off[i+1]]
+	return append(append(dst, a[i:]...), b[j:]...)
 }
 
 // Options controls Analyze.
@@ -170,103 +153,174 @@ func (n *Net) isEnabled(ti int, m []int) bool {
 }
 
 // resolver expands zero-time firing sequences into distributions over
-// stable states. Intermediate states are memoized: the outcome distribution
-// from a given raw state does not depend on how it was reached, and the
-// memo collapses the combinatorial explosion of firing orderings (distinct
-// interleavings of independent firings meet at the same intermediate
-// states).
+// stable states. Which transitions are enabled depends on the marking
+// alone, and the firings already in flight pass through a resolution
+// untouched, so the memo is keyed by the marking: its outcomes do not
+// depend on how the marking was reached or on what is in flight, and the
+// memo collapses the combinatorial explosion of firing orderings.
+//
+// An entry's outcomes are partial states: the stable marking reached plus
+// the timed firings started on the way, each with its full duration. A
+// partial state's key is the key of the stable state it is when nothing
+// else is in flight; a step out of a stable state adds that state's
+// remaining flights to each partial state of its marking's entry to name
+// its successors.
 type resolver struct {
-	n  *Net
-	nt int
-	// memo maps a raw state's key to its index k, and entry k of the
-	// memoRows is its resolution.
-	memo *keyTable
-	memoRows
-	// stable holds every stable state in the order resolutions first reach
-	// it. Each is memoized as its own one-run resolution, so it is encoded
-	// and stored once, and its index is its id in the graph.
-	stable stableSet
+	n      *Net
+	np, nt int
 	ctx    context.Context
-	// calls counts resolve entries for the periodic cancellation check: a
-	// single cold-memo resolution can expand thousands of intermediate
-	// states, far longer than the BFS-level check granularity.
-	calls    int
+	// misses counts memo entries built, for the periodic cancellation
+	// check: a cold resolution can expand many markings.
+	misses   int
 	maxDepth int
-	buf      []byte // key scratch: a memo hit encodes without allocating
-	// cs and lists are merge scratch, stacks shared by nested resolutions:
-	// each firing pushes its weighted outcomes on cs and their extent on
-	// lists.
-	cs    []contrib
-	lists []span
-	// scratch[d] is where resolutions at depth d build their successors,
-	// keys[d] holds the key of the state resolved at depth d while its
-	// successors reuse buf, and acc[d*nt:(d+1)*nt] sums its expected
-	// firings.
-	scratch []state
-	keys    [][]byte
-	acc     []float64
+	// keys interns marking and state keys. val[k] is marking key k's memo
+	// entry, or state key k's stable id, -1 until a step reaches it.
+	keys *keyTable
+	val  []int32
+	// marks[e*np:(e+1)*np] is the marking of memo entry e, stored at 32
+	// bits a number.
+	marks []int32
+	memoRows
+	// stable[id] is stable state id's key; ids are numbered in the order
+	// steps first reach the states.
+	stable []int32
+	// pos[k] is 1 + the position of partial state k among the outcomes of
+	// the entry being merged, 0 outside them.
+	pos []int32
+	buf []byte // key scratch: a memo hit encodes without allocating
+	// fl and merged are flight scratch for plus.
+	fl, merged []inflight
+	// next[d] is where the resolution at depth d builds its successors'
+	// markings, keyAt[d] holds its key while its successors reuse buf,
+	// subs[d*nt:] the memo entries of its firings, and acc[d*nt:(d+1)*nt]
+	// sums its expected firings.
+	next  [][]int
+	keyAt [][]byte
+	subs  []int32
+	acc   []float64
 }
 
 // memoRows holds the memoized resolutions back to back, in the order they
-// were inserted. Entry k's stable outcomes, sorted by id, are the states
-// runID[runOff[k]:runOff[k+1]], reached with the probabilities runProb at
-// the same indices. The expected number of firings of each transition on
-// the way to them is fireV at the transitions fireT, over
-// fireOff[k]:fireOff[k+1]; only non-zero counts are stored, in transition
-// order. A stable state's entry is its own single outcome and fires
+// were inserted. Entry e's outcomes are the partial-state keys
+// outKey[outOff[e]:outOff[e+1]], reached with the probabilities outProb at
+// the same indices, in the order a depth-first resolution first reaches
+// them. The expected number of firings of each transition on the way to
+// them is fireV at the transitions fireT, over fireOff[e]:fireOff[e+1];
+// only non-zero counts are stored, in transition order. A stable marking's
+// entry is its own single outcome, with nothing started, and fires
 // nothing.
 type memoRows struct {
-	runOff, runID  []int32
-	runProb        []float64
+	outOff, outKey []int32
+	outProb        []float64
 	fireOff, fireT []int32
 	fireV          []float64
 }
 
-// outcomes returns entry k's stable outcomes and their probabilities,
+// outcomes returns entry e's partial states and their probabilities,
 // valid until the next resolve.
-func (m *memoRows) outcomes(k int32) ([]int32, []float64) {
-	lo, hi := m.runOff[k], m.runOff[k+1]
-	return m.runID[lo:hi], m.runProb[lo:hi]
+func (m *memoRows) outcomes(e int32) ([]int32, []float64) {
+	lo, hi := m.outOff[e], m.outOff[e+1]
+	return m.outKey[lo:hi], m.outProb[lo:hi]
 }
 
-// fires returns entry k's non-zero expected firings: the transitions and
+// fires returns entry e's non-zero expected firings: the transitions and
 // the counts.
-func (m *memoRows) fires(k int32) ([]int32, []float64) {
-	lo, hi := m.fireOff[k], m.fireOff[k+1]
+func (m *memoRows) fires(e int32) ([]int32, []float64) {
+	lo, hi := m.fireOff[e], m.fireOff[e+1]
 	return m.fireT[lo:hi], m.fireV[lo:hi]
 }
 
 func newResolver(ctx context.Context, n *Net, maxDepth int) *resolver {
-	return &resolver{n: n, nt: len(n.trans), memo: newKeyTable(), memoRows: memoRows{runOff: []int32{0}, fireOff: []int32{0}},
-		stable: stableSet{np: len(n.places), off: []int32{0}}, ctx: ctx, maxDepth: maxDepth}
+	return &resolver{n: n, np: len(n.places), nt: len(n.trans), ctx: ctx, maxDepth: maxDepth,
+		keys: newKeyTable(), memoRows: memoRows{outOff: []int32{0}, fireOff: []int32{0}}}
 }
 
-// contrib is one weighted stable outcome of a firing.
-type contrib struct {
-	id int32
-	w  float64
+// add interns key, which find reported absent with hash h, with the value
+// v, and returns its index.
+func (r *resolver) add(key []byte, h uint64, v int32) int32 {
+	r.val, r.pos = push(r.val, v), push(r.pos, 0)
+	return int32(r.keys.add(key, h))
 }
 
-// span is the part of resolver.cs a firing's outcomes have not yet been
-// merged from: cs[from:to].
-type span struct{ from, to int }
+// intern returns the index of the state key key, adding it if it is new.
+func (r *resolver) intern(key []byte) int32 {
+	k, h := r.keys.find(key)
+	if k >= 0 {
+		return int32(k)
+	}
+	return r.add(key, h, -1)
+}
 
-// resolve returns the memo entry of the stable-state distribution
-// reachable from raw in zero time, whose runs are sorted by state id.
-// raw's flights are sorted in place; raw is copied only if it is a new
-// stable state.
-func (r *resolver) resolve(raw state, depth int) (int32, error) {
-	r.calls++
-	if r.calls%64 == 0 {
+// decodeState reads state key k: the memo entry of its marking, and its
+// flights, appended to fl.
+func (r *resolver) decodeState(k int32, fl []inflight) (int32, []inflight) {
+	key := r.keys.key(int(k))
+	e, i := binary.Uvarint(key[1:])
+	for i++; i < len(key); {
+		t, wt := binary.Uvarint(key[i:])
+		rem, wr := binary.Uvarint(key[i+wt:])
+		fl, i = append(fl, inflight{t: int32(t), remaining: int32(rem)}), i+wt+wr
+	}
+	return int32(e), fl
+}
+
+// plus returns the key of state k with the sorted flights f added: the
+// partial state a firing that started f leads to through k, or the stable
+// state that partial state k is when f were already in flight.
+func (r *resolver) plus(k int32, f []inflight) int32 {
+	if len(f) == 0 {
+		return k
+	}
+	e, fl := r.decodeState(k, r.fl[:0])
+	r.fl = fl
+	r.merged = mergeFlights(r.merged[:0], fl, f)
+	r.buf = appendStateKey(r.buf[:0], e, r.merged)
+	return r.intern(r.buf)
+}
+
+// reach returns the id of the stable state with key k, numbering it next
+// if no step has reached it before.
+func (r *resolver) reach(k int32) int32 {
+	if r.val[k] < 0 {
+		r.val[k] = int32(len(r.stable))
+		r.stable = push(r.stable, k)
+	}
+	return r.val[k]
+}
+
+// at writes stable state id into st: its marking into st.marking, which
+// has one entry per place, and its flights into st.flights' storage.
+func (r *resolver) at(id int, st *state) {
+	e, fl := r.decodeState(r.stable[id], st.flights[:0])
+	st.flights = fl
+	for p, m := range r.marks[int(e)*r.np : (int(e)+1)*r.np] {
+		st.marking[p] = int(m)
+	}
+}
+
+// resolve returns the memo entry of the distribution over partial states
+// reachable from marking m in zero time.
+//
+// Three rules keep every probability and firing count bitwise what a memo
+// keyed by the whole raw state (marking and flights) computes. The
+// contributions that reach one partial state are summed together, as
+// they were for the one stable state it names; a group sums in firing
+// order, starting from its first contribution (0 + w is w, as no w is
+// -0); and an entry lists its outcomes in depth-first first-reach order
+// (its firings' outcome lists concatenated in firing order without
+// repeats), which is the order the raw-state search numbered new stable
+// states in.
+func (r *resolver) resolve(m []int, depth int) (int32, error) {
+	r.buf = appendMarkingKey(r.buf[:0], m)
+	k, h := r.keys.find(r.buf)
+	if k >= 0 {
+		return r.val[k], nil
+	}
+	r.misses++
+	if r.misses%64 == 0 {
 		if err := r.ctx.Err(); err != nil {
 			return 0, fmt.Errorf("petri: zero-time resolution interrupted: %w", err)
 		}
-	}
-	sortFlights(raw.flights)
-	r.buf = raw.appendKey(r.buf[:0])
-	k, h := r.memo.find(r.buf)
-	if k >= 0 {
-		return int32(k), nil
 	}
 	if depth >= r.maxDepth {
 		return 0, errors.New("petri: zero-time firing chain exceeded depth limit (Zeno net?)")
@@ -277,7 +331,7 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 	var total float64
 	anyImmediate := false
 	for i := range n.trans {
-		if n.isEnabled(i, raw.marking) {
+		if n.isEnabled(i, m) {
 			if n.trans[i].duration == 0 && !anyImmediate {
 				// GSPN semantics: immediate transitions have strict
 				// priority over timed ones — restart collection keeping
@@ -293,90 +347,93 @@ func (r *resolver) resolve(raw state, depth int) (int32, error) {
 			total += n.trans[i].weight
 		}
 	}
-	if len(en) == 0 {
-		r.runID = push(r.runID, int32(r.stable.len()))
-		r.runProb = push(r.runProb, 1)
-		if err := r.stable.add(raw); err != nil {
-			return 0, err
-		}
-		return r.insert(r.buf, h), nil
-	}
-	if depth == len(r.scratch) {
-		r.scratch = append(r.scratch, state{marking: make([]int, len(raw.marking))})
-		r.keys = append(r.keys, nil)
+	if depth == len(r.next) {
+		r.next = append(r.next, make([]int, r.np))
+		r.keyAt = append(r.keyAt, nil)
+		r.subs = append(r.subs, make([]int32, r.nt)...)
 		r.acc = append(r.acc, make([]float64, r.nt)...)
 	}
-	r.keys[depth] = append(r.keys[depth][:0], r.buf...)
-	// E = Σ_ti p_ti·(δ_ti + E_sub(ti)): this entry's expected firings are
-	// accumulated densely in acc as each successor resolves, and stored
-	// sparse once all have.
-	acc := depth * r.nt
-	clear(r.acc[acc : acc+r.nt])
-	base, lbase := len(r.cs), len(r.lists)
-	for _, ti := range en {
-		p := n.trans[ti].weight / total
-		next := &r.scratch[depth]
-		copy(next.marking, raw.marking)
-		next.flights = append(next.flights[:0], raw.flights...)
+	r.keyAt[depth] = append(r.keyAt[depth][:0], r.buf...)
+	if len(en) == 0 {
+		r.buf = appendStateKey(r.buf[:0], int32(len(r.outOff)-1), nil)
+		r.outKey, r.outProb = push(r.outKey, r.intern(r.buf)), push(r.outProb, 1)
+		return r.insert(m, r.keyAt[depth], h)
+	}
+	sub := depth * r.nt
+	for j, ti := range en {
+		next := r.next[depth]
+		copy(next, m)
 		for _, a := range n.trans[ti].in {
-			next.marking[a.Place] -= a.Weight
+			next[a.Place] -= a.Weight
 		}
 		if n.trans[ti].duration == 0 {
 			for _, a := range n.trans[ti].out {
-				next.marking[a.Place] += a.Weight
+				next[a.Place] += a.Weight
 			}
-		} else {
-			next.flights = append(next.flights, inflight{t: int32(ti), remaining: int32(n.trans[ti].duration)})
 		}
-		sub, err := r.resolve(*next, depth+1)
+		e, err := r.resolve(next, depth+1)
 		if err != nil {
 			return 0, err
 		}
-		from := len(r.cs)
-		ids, probs := r.outcomes(sub)
-		for j, id := range ids {
-			r.cs = append(r.cs, contrib{id: id, w: p * probs[j]})
+		r.subs[sub+j] = e
+	}
+	// Merge the firings' outcomes, in firing order; a timed firing adds
+	// its own flight to each partial state its successor reaches.
+	// E = Σ_ti p_ti·(δ_ti + E_sub(ti)): this entry's expected firings are
+	// accumulated densely in acc and stored sparse once all are in.
+	first := len(r.outKey)
+	acc := r.acc[sub : sub+r.nt]
+	clear(acc)
+	for j, ti := range en {
+		p := n.trans[ti].weight / total
+		started := [1]inflight{{t: int32(ti), remaining: int32(n.trans[ti].duration)}}
+		ks, probs := r.outcomes(r.subs[sub+j])
+		for x, pk := range ks {
+			if started[0].remaining != 0 {
+				pk = r.plus(pk, started[:])
+			}
+			w := p * probs[x]
+			if at := r.pos[pk]; at != 0 {
+				r.outProb[at-1] += w
+				continue
+			}
+			r.pos[pk] = int32(len(r.outKey) + 1)
+			r.outKey, r.outProb = push(r.outKey, pk), push(r.outProb, w)
 		}
-		r.lists = append(r.lists, span{from, len(r.cs)})
 		// Only the zero counts are skipped, and adding +0 leaves a sum's
 		// bits as they are.
-		e := r.acc[acc : acc+r.nt]
-		ts, fs := r.fires(sub)
-		for j, t := range ts {
-			e[t] += p * fs[j]
+		ts, fs := r.fires(r.subs[sub+j])
+		for x, t := range ts {
+			acc[t] += p * fs[x]
 		}
-		e[ti] += p
+		acc[ti] += p
 	}
-	// Merge contributions that reach the same stable state. Each nested
-	// resolution popped what it pushed, so this one's are r.cs[base:], one
-	// id-sorted list per firing, listed in r.lists[lbase:]. Merging them
-	// by id, the earlier firing first on equal ids, keeps each state's
-	// contributions in firing order, which fixes the order the sums below
-	// accumulate in.
-	lists := r.lists[lbase:]
-	first := len(r.runID)
-	r.runID, r.runProb = reserve(r.runID, len(r.cs)-base), reserve(r.runProb, len(r.cs)-base)
-	for range len(r.cs) - base {
-		best := -1
-		for j, l := range lists {
-			if l.from < l.to && (best < 0 || r.cs[l.from].id < r.cs[lists[best].from].id) {
-				best = j
-			}
-		}
-		c := r.cs[lists[best].from]
-		lists[best].from++
-		if len(r.runID) == first || r.runID[len(r.runID)-1] != c.id {
-			r.runID, r.runProb = append(r.runID, c.id), append(r.runProb, 0)
-		}
-		r.runProb[len(r.runProb)-1] += c.w
+	for _, pk := range r.outKey[first:] {
+		r.pos[pk] = 0
 	}
-	r.cs, r.lists = r.cs[:base], r.lists[:lbase]
-	for t, f := range r.acc[acc : acc+r.nt] {
+	for t, f := range acc {
 		if f != 0 {
 			r.fireT, r.fireV = push(r.fireT, int32(t)), push(r.fireV, f)
 		}
 	}
-	return r.insert(r.keys[depth], h), nil
+	return r.insert(m, r.keyAt[depth], h)
+}
+
+// insert memoizes marking m, whose key is key with hash h, as the entry
+// whose outcomes and firings were appended last, and returns its index.
+func (r *resolver) insert(m []int, key []byte, h uint64) (int32, error) {
+	e := int32(len(r.outOff) - 1)
+	r.marks = reserve(r.marks, len(m))
+	for p, v := range m {
+		if v > math.MaxInt32 {
+			return 0, fmt.Errorf("petri: place %d holds %d tokens, more than a stable state stores", p, v)
+		}
+		r.marks = append(r.marks, int32(v))
+	}
+	r.add(key, h, e)
+	r.outOff = push(r.outOff, int32(len(r.outKey)))
+	r.fireOff = push(r.fireOff, int32(len(r.fireT)))
+	return e, nil
 }
 
 // reserve returns s with room for n more elements, doubling its capacity
@@ -396,17 +453,10 @@ func reserve[T any](s []T, n int) []T {
 // push appends vs to the arena s, growing it by reserve.
 func push[T any](s []T, vs ...T) []T { return append(reserve(s, len(vs)), vs...) }
 
-// insert memoizes under key, whose hash is h, the entry whose outcomes and
-// firings were appended last, and returns its index.
-func (r *resolver) insert(key []byte, h uint64) int32 {
-	r.runOff = push(r.runOff, int32(len(r.runID)))
-	r.fireOff = push(r.fireOff, int32(len(r.fireT)))
-	return int32(r.memo.add(key, h))
-}
-
 // advance moves a stable state forward to its next event: time passes by
 // the minimum remaining firing time, completed firings deposit their
-// outputs. It writes the raw (possibly unstable) state into next.
+// outputs. It writes the raw (possibly unstable) state into next, whose
+// flights stay sorted.
 func (n *Net) advance(next *state, st state) error {
 	if len(st.flights) == 0 {
 		return errors.New("petri: deadlock — no enabled transitions and nothing in flight")
@@ -433,57 +483,69 @@ func sojourn(flights []inflight) int32 {
 }
 
 // graph is the extended reachability graph with its embedded chain. State
-// ids are the resolver's discovery order, and states are expanded in id
-// order, so the search yields the transition matrix row by row. The rows
-// are the memo's own entries, so the chain is stored once.
+// ids are the order steps first reach the states, and states are expanded
+// in id order, so the search yields the transition matrix row by row.
 type graph struct {
-	states stableSet
-	// rows[id] is the memo entry of the step out of id: its outcomes are
-	// row id of the embedded chain's transition matrix, its firings the
-	// expected number of firings of each transition on that step.
-	rows []int32
-	memoRows
+	*resolver
+	// Row i of the embedded chain is the step out of stable state i: its
+	// columns are rowID[rowOff[i]:rowOff[i+1]], the states that memo entry
+	// rowEntry[i]'s partial states name with state i's flights added, in
+	// the entry's order, and its probabilities are the entry's own. The
+	// entry's firings are the expected firings of that step.
+	rowOff, rowID, rowEntry []int32
 }
+
+// len returns the number of stable states.
+func (g *graph) len() int { return len(g.stable) }
 
 // row returns row i of the embedded chain's transition matrix: its
 // distinct columns and their probabilities.
-func (g *graph) row(i int) ([]int32, []float64) { return g.outcomes(g.rows[i]) }
+func (g *graph) row(i int) ([]int32, []float64) {
+	_, probs := g.outcomes(g.rowEntry[i])
+	return g.rowID[g.rowOff[i]:g.rowOff[i+1]], probs
+}
 
 // explore builds the reachability graph by BFS over stable states. It
 // checks ctx every ctxCheckInterval expanded states (and the resolver
-// every 64 zero-time resolutions).
+// every 64 markings it memoizes).
 func (n *Net) explore(ctx context.Context, o Options) (*graph, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	init := state{marking: make([]int, len(n.places))}
+	st, raw := state{marking: make([]int, len(n.places))}, state{marking: make([]int, len(n.places))}
 	for i, p := range n.places {
-		init.marking[i] = p.initial
+		raw.marking[i] = p.initial
 	}
-	rv := newResolver(ctx, n, o.MaxResolutionDepth)
-	if _, err := rv.resolve(init, 0); err != nil {
+	g := &graph{resolver: newResolver(ctx, n, o.MaxResolutionDepth), rowOff: []int32{0}}
+	e, err := g.resolve(raw.marking, 0)
+	if err != nil {
 		return nil, err
 	}
-	g := &graph{}
-	st, raw := state{marking: make([]int, len(n.places))}, state{marking: make([]int, len(n.places))}
-	for id := 0; id < rv.stable.len(); id++ {
-		if err := checkBudget(ctx, id+1, rv.stable.len(), o.MaxStates); err != nil {
+	ks, _ := g.outcomes(e)
+	for _, k := range ks {
+		g.reach(k)
+	}
+	for id := 0; id < g.len(); id++ {
+		if err := checkBudget(ctx, id+1, g.len(), o.MaxStates); err != nil {
 			return nil, err
 		}
-		rv.stable.at(id, &st)
+		g.at(id, &st)
 		if err := n.advance(&raw, st); err != nil {
 			return nil, fmt.Errorf("petri: state %d: %w", id, err)
 		}
-		e, err := rv.resolve(raw, 0)
+		e, err := g.resolve(raw.marking, 0)
 		if err != nil {
 			return nil, err
 		}
-		if rv.stable.len() > o.MaxStates {
-			return nil, explosionErr(rv.stable.len(), o.MaxStates)
+		ks, _ := g.outcomes(e)
+		for _, k := range ks {
+			g.rowID = push(g.rowID, g.reach(g.plus(k, raw.flights)))
 		}
-		g.rows = append(g.rows, e)
+		if g.len() > o.MaxStates {
+			return nil, explosionErr(g.len(), o.MaxStates)
+		}
+		g.rowEntry, g.rowOff = push(g.rowEntry, e), push(g.rowOff, int32(len(g.rowID)))
 	}
-	g.states, g.memoRows = rv.stable, rv.memoRows
 	return g, nil
 }
 
@@ -491,22 +553,23 @@ func (n *Net) explore(ctx context.Context, o Options) (*graph, error) {
 // time-averaged semi-Markov measures.
 func (n *Net) measures(g *graph, pi []float64) (*Result, error) {
 	res := &Result{
-		States:          g.states.len(),
+		States:          g.len(),
 		TimeAvgMarking:  make([]float64, len(n.places)),
 		TimeAvgInFlight: make([]float64, len(n.trans)),
 		Throughput:      make([]float64, len(n.trans)),
 	}
+	st := state{marking: make([]int, len(n.places))}
 	var totalTime float64
-	for id := range g.rows {
-		totalTime += pi[id] * float64(sojourn(g.states.flightsOf(id)))
+	for id := range g.stable {
+		g.at(id, &st)
+		totalTime += pi[id] * float64(sojourn(st.flights))
 	}
 	if totalTime <= 0 {
 		return nil, errors.New("petri: degenerate zero total time")
 	}
 	res.MeanCycle = totalTime
-	st := state{marking: make([]int, len(n.places))}
-	for id := range g.rows {
-		g.states.at(id, &st)
+	for id := range g.stable {
+		g.at(id, &st)
 		w := pi[id] * float64(sojourn(st.flights)) / totalTime
 		for p, m := range st.marking {
 			res.TimeAvgMarking[p] += w * float64(m)
@@ -514,7 +577,7 @@ func (n *Net) measures(g *graph, pi []float64) (*Result, error) {
 		for _, f := range st.flights {
 			res.TimeAvgInFlight[f.t] += w
 		}
-		ts, fs := g.fires(g.rows[id])
+		ts, fs := g.fires(g.rowEntry[id])
 		for j, t := range ts {
 			res.Throughput[t] += pi[id] * fs[j]
 		}
@@ -541,7 +604,7 @@ func (n *Net) AnalyzeContext(ctx context.Context, opts Options) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	pi, err := markov.SteadyStateGaussSeidel(ctx, g.states.len(), g.row, markov.IterOptions{})
+	pi, err := markov.SteadyStateGaussSeidel(ctx, g.len(), g.row, markov.IterOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("petri: embedded chain: %w", err)
 	}
@@ -563,5 +626,5 @@ func (n *Net) StateCountContext(ctx context.Context, opts Options) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	return g.states.len(), nil
+	return g.len(), nil
 }

@@ -16,7 +16,7 @@ func AnalyzeBoth(n *Net, opts Options) (gs, gth *Result, piGS, piGTH []float64, 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	ns := g.states.len()
+	ns := g.len()
 	if piGS, err = markov.SteadyStateGaussSeidel(ctx, ns, g.row, markov.IterOptions{}); err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -22,6 +22,9 @@ func newKeyTable() *keyTable {
 	return &keyTable{seed: maphash.MakeSeed(), ends: []uint32{0}, slots: make([]int32, 1024)}
 }
 
+// key returns key k.
+func (kt *keyTable) key(k int) []byte { return kt.keys[kt.ends[k]:kt.ends[k+1]] }
+
 // find returns key's index, or -1 with the hash to pass to add.
 func (kt *keyTable) find(key []byte) (int, uint64) {
 	h := maphash.Bytes(kt.seed, key)

@@ -93,3 +93,25 @@ func TestGaussSeidelMatchesGTHOnProtocolNets(t *testing.T) {
 	}
 	t.Logf("largest π difference or relative Speedup/UBus difference: %.3g", worst)
 }
+
+// The marking-keyed resolver must build every named protocol's lumped net
+// at N = 1..4, with and without memory modeling, bit for bit as the
+// raw-state reference does: the same state ids, rows, firing counts and
+// Gauss–Seidel solution. (Random nets are compared in reference_test.go.)
+func TestResolverMatchesRawStateReferenceOnProtocolNets(t *testing.T) {
+	w := workload.AppendixA(workload.Sharing5)
+	for _, p := range protocol.Named() {
+		for n := 1; n <= 4; n++ {
+			for _, mem := range []bool{false, true} {
+				cfg := gtpnmodel.Config{Workload: w, Mods: p.Mods, WriteThroughBase: p.WriteThroughBase, N: n, ModelMemory: mem}
+				net, _, err := gtpnmodel.Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := petri.MatchesReference(net, petri.Options{}, 0); err != nil || !ok {
+					t.Errorf("%s N=%d memory=%v: solved %v, %v", p.Name, n, mem, ok, err)
+				}
+			}
+		}
+	}
+}
