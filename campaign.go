@@ -19,8 +19,8 @@ import (
 
 // This file is the campaign runner: crash-safe execution of a design-space
 // sweep — an arbitrary grid of (protocol, workload, N, budget) points —
-// through the SolveBest degradation ladder, with bounded parallelism,
-// per-point retry, a per-stage circuit breaker, and a journaled
+// through the SolveBest degradation ladder, with bounded parallelism, a
+// per-point deadline, a per-stage circuit breaker, and a journaled
 // checkpoint/resume protocol (DESIGN.md §10).
 //
 // The durability contract: every completed point is appended to the
@@ -42,23 +42,6 @@ type CampaignPoint struct {
 	Budget Budget
 }
 
-// CampaignRetry tunes the per-point retry policy. The zero value means a
-// single attempt. Delays use exponential backoff with deterministic
-// jitter seeded per point from Seed, so a resumed campaign retries
-// identically to an uninterrupted one.
-type CampaignRetry struct {
-	// MaxAttempts bounds total attempts per point (<1 means 1).
-	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt (0 means 10ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (0 means 2s).
-	MaxDelay time.Duration
-	// Jitter spreads delays by ±this fraction (0 means none).
-	Jitter float64
-	// Seed drives the jitter streams.
-	Seed uint64
-}
-
 // CampaignSpec describes a campaign: the point grid plus execution
 // policy. The zero values of the policy fields are usable defaults.
 type CampaignSpec struct {
@@ -75,8 +58,6 @@ type CampaignSpec struct {
 	Resume bool
 	// Workers bounds solver parallelism (0 means GOMAXPROCS).
 	Workers int
-	// Retry is the per-point retry policy.
-	Retry CampaignRetry
 	// BreakerThreshold is the number of consecutive failures of a ladder
 	// stage (across points) after which the stage is skipped for
 	// subsequent points instead of re-burning its budget. 0 means 5;
@@ -86,8 +67,9 @@ type CampaignSpec struct {
 	// this many skipped points, so a recovered stage can close its
 	// circuit again. 0 never probes.
 	BreakerProbe int
-	// PointTimeout is the watchdog budget of one solve attempt; a stuck
-	// stage is converted into a typed, retryable timeout. 0 disables.
+	// PointTimeout is the deadline of one point's solve: a point that
+	// runs past it fails, with an error that says the deadline was
+	// exceeded, and the campaign goes on. 0 means none.
 	PointTimeout time.Duration
 	// Cache, when non-nil, routes every point's solve through the given
 	// CachedSolver: duplicate grid points (and campaigns re-run without a
@@ -102,7 +84,9 @@ type CampaignSpec struct {
 type PointResult struct {
 	// Index is the point's position in CampaignSpec.Points.
 	Index int `json:"index"`
-	// Attempts is the number of solve attempts made (≥1).
+	// Attempts is the number of solve attempts made: 1 for every point a
+	// run computes, since a point is not retried. Journals written when
+	// points were retried may hold more.
 	Attempts int `json:"attempts"`
 	// Result carries the answer and its provenance (zero on a failed
 	// point).
@@ -110,8 +94,8 @@ type PointResult struct {
 	// SkippedStages lists ladder stages the circuit breaker skipped for
 	// this point (they were neither attempted nor counted as failures).
 	SkippedStages []string `json:"skipped_stages,omitempty"`
-	// Err is the final error of a permanently failed point ("" on
-	// success). Failed points are journaled too: they are completed work.
+	// Err is the error of a failed point ("" on success). Failed points
+	// are journaled too: they are completed work.
 	Err string `json:"err,omitempty"`
 	// Resumed is true when the result was loaded from the journal rather
 	// than computed by this run (not persisted; meaningful per run).
@@ -187,8 +171,8 @@ const (
 	stageMVA  = string(MethodMVA)
 )
 
-// RunCampaign executes the campaign described by spec. Points that fail
-// permanently (after retries) are recorded with a non-empty Err and do
+// RunCampaign executes the campaign described by spec. Each point is
+// solved once; points that fail are recorded with a non-empty Err and do
 // not stop the campaign; RunCampaign itself returns an error only for an
 // unusable spec or journal, or when ctx fires (ErrCanceled), in which
 // case completed points are already durable in the journal and a Resume
@@ -514,10 +498,13 @@ func resilienceStatesSorted(m map[string]resilience.BreakerState) []resilience.B
 	return states
 }
 
-// solveCampaignPoint runs one grid point on solver through breaker
-// gating, the retry policy and the watchdog. A non-nil error means the
-// attempt was aborted by ctx (the point stays pending); a permanent
-// failure is reported inside the PointResult instead.
+// solveCampaignPoint runs one grid point's SolveBest ladder once on
+// solver, through breaker gating and, when spec.PointTimeout is set,
+// under a deadline of that length. A non-nil error means ctx fired (the
+// point stays pending); any other failure, the point's own deadline
+// included, is reported inside the PointResult instead. Every model is
+// deterministic, so a failed point is not tried again: it would fail the
+// same way.
 func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, breaker *resilience.Breaker, idx int) (PointResult, error) {
 	pt := &spec.Points[idx]
 	budget := pt.Budget
@@ -535,65 +522,27 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 		}
 	}
 
-	policy := resilience.RetryPolicy{
-		MaxAttempts: spec.Retry.MaxAttempts,
-		BaseDelay:   spec.Retry.BaseDelay,
-		MaxDelay:    spec.Retry.MaxDelay,
-		Jitter:      spec.Retry.Jitter,
-		// Mix the point index into the seed so each point gets its own —
-		// but still reproducible — jitter stream.
-		Seed: spec.Retry.Seed ^ (uint64(idx+1) * 0x9e3779b97f4a7c15),
+	var (
+		best Result
+		err  error
+	)
+	if h := faultinject.Hooks(); h != nil && h.PointFault != nil {
+		err = h.PointFault(idx)
 	}
-	classify := func(err error) resilience.Class {
-		if ctx.Err() != nil {
-			return resilience.Aborted
+	if err == nil {
+		pctx := ctx
+		if spec.PointTimeout > 0 {
+			var cancel context.CancelFunc
+			pctx, cancel = context.WithTimeout(ctx, spec.PointTimeout)
+			defer cancel()
 		}
-		var te *resilience.TimeoutError
-		if errors.As(err, &te) {
-			return resilience.Retryable // a stuck stage may be transient load
-		}
-		switch {
-		case errors.Is(err, ErrInvalidInput), errors.Is(err, ErrNoConvergence),
-			errors.Is(err, ErrDiverged), errors.Is(err, ErrStateExplosion):
-			return resilience.Permanent // deterministic: retrying reproduces it
-		case errors.Is(err, ErrCanceled):
-			return resilience.Aborted
-		}
-		return resilience.Retryable // unknown ≈ transient (fault-injected, I/O, …)
+		best, err = solver.SolveBest(pctx, pt.Protocol, pt.Workload, pt.N, budget)
 	}
-
-	var best Result
-	attempts, err := resilience.Retry(ctx, policy, classify, func(ctx context.Context, attempt int) error {
-		if h := faultinject.Hooks(); h != nil && h.PointFault != nil {
-			if ferr := h.PointFault(idx, attempt); ferr != nil {
-				return ferr
-			}
-		}
-		if spec.PointTimeout <= 0 {
-			// No watchdog: solve on this goroutine, with no closure or
-			// result for a watchdog goroutine to capture.
-			return solveLadder(ctx, solver, pt, budget, &best)
-		}
-		// r is scoped to this attempt because the watchdog abandons a stuck
-		// solver goroutine: after a timeout that goroutine may still finish
-		// and write its result, which must land in a dead local rather than
-		// race with the next attempt. best is assigned only after Watchdog
-		// returns nil, where the done-channel receive inside Watchdog
-		// provides the happens-before edge for reading r.
-		var r Result
-		werr := resilience.Watchdog(ctx, fmt.Sprintf("campaign point %d", idx), spec.PointTimeout,
-			func(ctx context.Context) error { return solveLadder(ctx, solver, pt, budget, &r) })
-		if werr != nil {
-			return werr
-		}
-		best = r
-		return nil
-	})
 	if err != nil && ctx.Err() != nil {
 		return PointResult{}, err // aborted: not completed, not journaled
 	}
 
-	pr := PointResult{Index: idx, Attempts: attempts, SkippedStages: skipped}
+	pr := PointResult{Index: idx, Attempts: 1, SkippedStages: skipped}
 	if err != nil {
 		pr.Err = err.Error()
 		if breaker != nil {
@@ -613,22 +562,11 @@ func solveCampaignPoint(ctx context.Context, spec CampaignSpec, solver Solver, b
 	return pr, nil
 }
 
-// solveLadder runs pt's SolveBest ladder once under budget and, when it
-// succeeds, stores the answer in *out.
-func solveLadder(ctx context.Context, solver Solver, pt *CampaignPoint, budget Budget, out *Result) error {
-	br, err := solver.SolveBest(ctx, pt.Protocol, pt.Workload, pt.N, budget)
-	if err != nil {
-		return err
-	}
-	*out = br
-	return nil
-}
-
 // recordBreakerOutcomes feeds one completed point's provenance into the
 // breaker: every ladder stage enabled by the (possibly already
 // breaker-trimmed) budget that precedes the successful method failed, the
 // successful method's own stage succeeded, and stages after it were
-// never attempted. An empty success means the point failed permanently —
+// never attempted. An empty success means the point failed —
 // every enabled stage, the MVA rung included, counts as a failure.
 func recordBreakerOutcomes(breaker *resilience.Breaker, budget Budget, success Method) {
 	stages := []struct {
@@ -663,9 +601,9 @@ type workloadKey struct {
 // CampaignFingerprint hashes a point grid so a journal can refuse a
 // resume under a different spec. It covers everything that changes
 // results: protocol, workload, system size and budget of every point, in
-// order — but not the execution policy (workers, retries, transport), so
-// a campaign may be resumed under different parallelism, or by the
-// distributed coordinator, without being refused.
+// order — but not the execution policy (workers, point deadline,
+// transport), so a campaign may be resumed under different parallelism,
+// or by the distributed coordinator, without being refused.
 func CampaignFingerprint(points []CampaignPoint) string {
 	type pointKey struct {
 		Protocol     string      `json:"protocol"`

@@ -293,7 +293,7 @@ func TestChaosBreakerProbeClosesAfterRecovery(t *testing.T) {
 	// sees every attempt) can tell PetriExplode which point is in flight.
 	var current atomic.Int64
 	restore := faultinject.Activate(&faultinject.Set{
-		PointFault: func(index, attempt int) error {
+		PointFault: func(index int) error {
 			current.Store(int64(index))
 			return nil
 		},

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,16 +147,16 @@ func TestCampaignEmptySpecRejected(t *testing.T) {
 	}
 }
 
-func TestCampaignTransientFaultsAreRetried(t *testing.T) {
-	var calls atomic.Int64
+// TestCampaignPointFaultFailsThatPointOnce injects a fault into two
+// points: each fails after one attempt and is recorded as failed, and the
+// campaign goes on to solve every other point.
+func TestCampaignPointFaultFailsThatPointOnce(t *testing.T) {
+	var calls [8]atomic.Int64
 	restore := faultinject.Activate(&faultinject.Set{
-		PointFault: func(index, attempt int) error {
-			calls.Add(1)
-			if index == 3 && attempt <= 2 {
-				return fmt.Errorf("injected transient at point %d attempt %d", index, attempt)
-			}
-			if index == 5 {
-				return fmt.Errorf("injected persistent transient at point %d", index)
+		PointFault: func(index int) error {
+			calls[index].Add(1)
+			if index == 3 || index == 5 {
+				return fmt.Errorf("injected fault at point %d", index)
 			}
 			return nil
 		},
@@ -163,28 +164,28 @@ func TestCampaignTransientFaultsAreRetried(t *testing.T) {
 	defer restore()
 
 	spec := CampaignSpec{
-		Points:           testGrid(8, mvaOnlyBudget),
+		Points:           testGrid(len(calls), mvaOnlyBudget),
 		Workers:          1,
 		BreakerThreshold: -1,
-		Retry:            CampaignRetry{MaxAttempts: 3, BaseDelay: time.Microsecond, Seed: 11},
 	}
 	res, err := RunCampaign(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
-	if got := res.Results[3]; got.Attempts != 3 || got.Err != "" || got.Method != MethodMVA {
-		t.Fatalf("transient point not healed by retry: %+v", got)
+	for i, got := range res.Results {
+		if n := calls[i].Load(); n != 1 || got.Attempts != 1 {
+			t.Errorf("point %d: fault hook consulted %d times, %d attempts; want 1 and 1", i, n, got.Attempts)
+		}
+		if i == 3 || i == 5 {
+			if want := fmt.Sprintf("injected fault at point %d", i); got.Err != want {
+				t.Errorf("faulted point %d: Err = %q, want %q", i, got.Err, want)
+			}
+		} else if got.Err != "" || got.Method != MethodMVA {
+			t.Errorf("healthy point %d: %+v", i, got)
+		}
 	}
-	// Point 5 exhausts its budget: recorded as failed, campaign continues.
-	if got := res.Results[5]; got.Attempts != 3 || got.Err == "" {
-		t.Fatalf("persistent point: %+v", got)
-	}
-	if res.Failed != 1 || res.Computed != 8 {
+	if res.Failed != 2 || res.Computed != len(calls) {
 		t.Fatalf("aggregate: %+v", res)
-	}
-	// Permanent sibling points were attempted exactly once each.
-	if got := res.Results[0]; got.Attempts != 1 {
-		t.Fatalf("healthy point retried: %+v", got)
 	}
 }
 
@@ -195,7 +196,6 @@ func TestCampaignPermanentErrorsAreNotRetried(t *testing.T) {
 		Points:           grid,
 		Workers:          1,
 		BreakerThreshold: -1,
-		Retry:            CampaignRetry{MaxAttempts: 4, BaseDelay: time.Microsecond},
 	}
 	res, err := RunCampaign(context.Background(), spec)
 	if err != nil {
@@ -210,30 +210,74 @@ func TestCampaignPermanentErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
-func TestCampaignWatchdogTimesOutStuckStage(t *testing.T) {
+// TestCampaignPointDeadlineFailsThePoint runs a GTPN point at N = 10
+// (about 0.57 s of work on a 2-vCPU host) and a 10M-cycle simulator point
+// under a 50 ms point deadline. Each point must be journaled as failed
+// after one attempt, with the deadline in its error, and must end within
+// the deadline plus the solvers' 100 ms cancellation bound. The solve runs
+// on the worker's own goroutine, so none is left behind.
+func TestCampaignPointDeadlineFailsThePoint(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	// With one worker, points run in index order on one goroutine: a
+	// point starts when the fault hook sees it and ends when its record
+	// reaches the journal (appends[0] is the header's).
+	var (
+		starts  [2]time.Time
+		appends []time.Time
+	)
 	restore := faultinject.Activate(&faultinject.Set{
-		SimSlowCycle: func(int64) { time.Sleep(20 * time.Millisecond) },
+		PointFault:         func(index int) error { starts[index] = time.Now(); return nil },
+		JournalAppendFault: func(string) error { appends = append(appends, time.Now()); return nil },
 	})
 	defer restore()
 
-	pts := testGrid(1, Budget{MaxStates: -1, SimCycles: 50000})
+	w := AppendixA(Sharing5)
+	path := filepath.Join(t.TempDir(), "c.jsonl")
 	spec := CampaignSpec{
-		Points:           pts,
+		Points: []CampaignPoint{
+			{Protocol: WriteOnce(), Workload: w, N: 10, Budget: Budget{SimCycles: -1}},
+			{Protocol: WriteOnce(), Workload: w, N: 8, Budget: Budget{MaxStates: -1, SimCycles: 10_000_000}},
+		},
+		Journal:          path,
 		Workers:          1,
 		BreakerThreshold: -1,
-		PointTimeout:     30 * time.Millisecond,
-		Retry:            CampaignRetry{MaxAttempts: 2, BaseDelay: time.Microsecond},
+		PointTimeout:     deadline,
 	}
 	res, err := RunCampaign(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
-	got := res.Results[0]
-	if got.Err == "" || !strings.Contains(got.Err, "watchdog") {
-		t.Fatalf("stuck stage not converted to typed timeout: %+v", got)
+	if res.Failed != 2 {
+		t.Fatalf("%d points failed, want both: %+v", res.Failed, res.Results)
 	}
-	if got.Attempts != 2 {
-		t.Fatalf("watchdog timeout should be retryable: %+v", got)
+	if len(appends) != 3 {
+		t.Fatalf("%d journal appends, want the header and two points", len(appends))
+	}
+	journaled := journalPoints(t, path)
+	for i := range spec.Points {
+		got, ok := journaled[i]
+		if !ok {
+			t.Fatalf("point %d not journaled", i)
+		}
+		if got.Attempts != 1 || !strings.Contains(got.Err, "deadline exceeded") {
+			t.Errorf("point %d: attempts %d, err %q; want 1 attempt failed on its deadline", i, got.Attempts, got.Err)
+		}
+		if took := appends[i+1].Sub(starts[i]); took > deadline+100*time.Millisecond {
+			t.Errorf("point %d took %v, want at most %v", i, took, deadline+100*time.Millisecond)
+		}
+	}
+
+	giveUp := time.Now().Add(3 * time.Second)
+	for {
+		runtime.GC()
+		if n := runtime.NumGoroutine(); n <= baseline+2 {
+			break
+		}
+		if time.Now().After(giveUp) {
+			t.Fatalf("goroutines: %d, baseline %d: a point's solve outlived the campaign", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command campaign runs a crash-safe design-space sweep: a grid of
 // (protocol, sharing level, system size) points driven through the
-// SolveBest degradation ladder with bounded parallelism, per-point retry,
-// a per-stage circuit breaker, and a journaled checkpoint/resume protocol
-// (DESIGN.md §10). Kill it at any instant and run it again with -resume:
+// SolveBest degradation ladder with bounded parallelism, a per-stage
+// circuit breaker, and a journaled checkpoint/resume protocol (DESIGN.md
+// §10). Kill it at any instant and run it again with -resume:
 // completed points are read back from the journal and only the rest are
 // recomputed, deterministically.
 //
@@ -37,11 +37,10 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "simulator seed (per point)")
 		journal    = flag.String("journal", "", "journal path for checkpoint/resume (empty = no durability)")
 		resume     = flag.Bool("resume", false, "continue a previous run from -journal, skipping completed points")
-		retries    = flag.Int("retries", 3, "max solve attempts per point")
 		workers    = flag.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS)")
 		breaker    = flag.Int("breaker", 5, "circuit-breaker threshold: consecutive stage failures before the stage is skipped (negative disables)")
 		probe      = flag.Int("breaker-probe", 0, "let one probe through per this many skipped points (0 = never)")
-		pointTO    = flag.Duration("point-timeout", 0, "watchdog budget per solve attempt (e.g. 30s; 0 = none)")
+		pointTO    = flag.Duration("point-timeout", 0, "deadline per point (e.g. 30s; 0 = none)")
 		cacheCap   = flag.Int("cache", 0, "memoize solves through a CachedSolver bounded to this many results (0 disables, negative = default bound)")
 		timeout    = flag.Duration("timeout", 0, "abort the whole campaign after this long (0 = no limit)")
 		format     = flag.String("format", "text", "output format: text, csv, markdown")
@@ -79,7 +78,6 @@ func main() {
 		Journal:          *journal,
 		Resume:           *resume,
 		Workers:          *workers,
-		Retry:            snoopmva.CampaignRetry{MaxAttempts: *retries, Jitter: 0.2, Seed: *seed},
 		BreakerThreshold: *breaker,
 		BreakerProbe:     *probe,
 		PointTimeout:     *pointTO,
@@ -101,7 +99,7 @@ func main() {
 	}
 	if !*quiet {
 		tb := tables.New(fmt.Sprintf("campaign — %d points", len(res.Results)),
-			"idx", "protocol", "N", "method", "attempts", "speedup", "U_bus", "status")
+			"idx", "protocol", "N", "method", "speedup", "U_bus", "status")
 		for i, pr := range res.Results {
 			status := "ok"
 			switch {
@@ -115,7 +113,7 @@ func main() {
 				status = "degraded"
 			}
 			tb.AddRow(i, points[i].Protocol.String(), points[i].N,
-				string(pr.Method), pr.Attempts, pr.Speedup, pr.BusUtilization, status)
+				string(pr.Method), pr.Speedup, pr.BusUtilization, status)
 		}
 		if err := write(tb, os.Stdout); err != nil {
 			fatal(err)

@@ -115,6 +115,10 @@ func TestCommandLineTools(t *testing.T) {
 		{"campaign", []string{"-ns", "0"}, "below 1"},
 		{"campaign", []string{"-timeout", "-1s"}, "-timeout"},
 		{"campaign", []string{"-point-timeout", "-1s"}, "-point-timeout"},
+		// A point that runs past its deadline fails that point, not the run:
+		// the table is printed, and the exit status reports the failure.
+		{"campaign", []string{"-protocols", "Write-Once", "-sharing", "5", "-ns", "8",
+			"-max-states", "-1", "-sim-cycles", "300000", "-point-timeout", "1ms"}, "FAILED"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-format", "xml",
 			"-journal", badJournal}, "unknown format"},
 		{"campaign", []string{"-ns", "1..2", "-protocols", "Write-Once", "-quiet", "-format", "xml",

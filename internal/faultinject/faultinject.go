@@ -49,11 +49,10 @@ type Set struct {
 	// cancellation checkpoint, exercising hard mid-stage failures (the
 	// slow-stage counterpart is SimSlowCycle).
 	SimFault func(cycle int64) error
-	// PointFault is consulted by the campaign runner before each solve
-	// attempt of a grid point; a non-nil error fails that attempt. Tests
-	// key on (index, attempt) to inject transient errors — failing the
-	// first k attempts exercises retry — or permanent ones.
-	PointFault func(index, attempt int) error
+	// PointFault is consulted by the campaign runner before it solves a
+	// grid point, with the point's index; a non-nil error fails that
+	// point.
+	PointFault func(index int) error
 	// JournalAppendFault is consulted by the journal before writing each
 	// record, with the journal path. A non-nil error makes the append fail
 	// after writing only a prefix of the record — the short write a full

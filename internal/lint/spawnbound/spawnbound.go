@@ -18,7 +18,7 @@
 //     (the worker-pool shape);
 //   - the body is a single channel send — a bounded one-shot operation
 //     whose result the spawner observes (the `go func() { done <- op() }`
-//     shape used by the watchdog and the serve loop).
+//     shape of snoopd's serve loops).
 //
 // These are lexical heuristics, not proofs: the analyzer checks that the
 // discipline is present, not that it is wired correctly (a WaitGroup

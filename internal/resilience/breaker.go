@@ -1,3 +1,6 @@
+// Package resilience supplies the count-based per-key circuit breaker
+// shared by the campaign runner, which keys it by ladder stage, and the
+// distributed coordinator, which keys it by worker.
 package resilience
 
 import (

@@ -2,17 +2,12 @@ package resilience
 
 import "snoopmva/internal/obs"
 
-// Metrics of the fault-handling layer (catalog in DESIGN.md §12). These
-// are the operator's view of degradation in progress: circuits opening,
-// retries burning attempts, watchdogs firing. Series are materialized at
-// init; each event costs one atomic add.
+// Metrics of the circuit breaker (catalog in DESIGN.md §12): the
+// operator's view of degradation in progress, circuits opening and
+// closing and probes let through. Series are materialized at init; each
+// event costs one atomic add.
 var (
 	breakerOpened = obs.Default.Counter("snoopmva_breaker_transitions_total", "Circuit-breaker state transitions.", obs.L("to", "open"))
 	breakerClosed = obs.Default.Counter("snoopmva_breaker_transitions_total", "Circuit-breaker state transitions.", obs.L("to", "closed"))
 	breakerProbes = obs.Default.Counter("snoopmva_breaker_probes_total", "Half-open probe attempts let through open circuits.")
-
-	retryAttempts = obs.Default.Counter("snoopmva_retry_attempts_total", "Operation attempts made under Retry (first tries included).")
-	retryRetries  = obs.Default.Counter("snoopmva_retry_retries_total", "Attempts beyond the first (i.e. actual retries).")
-
-	watchdogTimeouts = obs.Default.Counter("snoopmva_watchdog_timeouts_total", "Watchdog budgets exceeded (typed *TimeoutError verdicts).")
 )

@@ -13,7 +13,7 @@ import (
 )
 
 // Acceptance: canceling mid-run stops the GTPN solve (N=10, 44341 states,
-// ~1.5s of reachability + embedded-chain work on a 2-CPU machine) within
+// ~0.57s of reachability + embedded-chain work on a 2-CPU machine) within
 // 100ms of the cancel.
 func TestSolveDetailedContextCancelsWithin100ms(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
